@@ -25,6 +25,8 @@
 //! converge to the true shortest paths and the queue drains — the classic
 //! argument the paper refers to ("the distance at each vertex is guaranteed
 //! to eventually converge to the minimum").
+//!
+//! [`ConcurrentMultiQueue`]: rsched_queues::ConcurrentMultiQueue
 
 use rsched_graph::{CsrGraph, Weight, INF};
 use rsched_queues::{
@@ -232,6 +234,8 @@ fn parallel_sssp_on<S: Scheduler<Weight>>(
 /// pop path acquires no mutex; [`parallel_sssp_mutexheap`] runs the same
 /// algorithm on the mutex-per-shard baseline for comparison
 /// (`mq_contention` in `rsched-bench` sweeps both under contention).
+///
+/// [`ConcurrentMultiQueue`]: rsched_queues::ConcurrentMultiQueue
 ///
 /// # Examples
 ///

@@ -199,23 +199,14 @@ fn bench_multiqueue_backends(c: &mut Criterion) {
 }
 
 /// Single-thread push/pop throughput of the lock-free sub-queues (the
-/// FIFO shard backends plus the skiplist priority shard), mirroring the
+/// segmented-ring FIFO shard plus the skiplist priority shard), mirroring the
 /// `fifo_contention` / `mq_contention` cells at the micro level.
 fn bench_lockfree_subqueues(c: &mut Criterion) {
     use rsched_queues::skipshard::TryPopMin;
-    use rsched_queues::{MsQueue, SegRingQueue, SkipShard, SubPriority};
+    use rsched_queues::{SegRingQueue, SkipShard, SubPriority};
     let mut group = c.benchmark_group("lockfree_push_pop_10k");
     group.throughput(Throughput::Elements(N as u64));
     let ks = keys(7);
-    group.bench_function("ms_queue", |b| {
-        b.iter(|| {
-            let q = MsQueue::new();
-            for (i, &k) in ks.iter().enumerate() {
-                q.push_stamped(i as u64, k);
-            }
-            while q.pop_stamped().is_some() {}
-        })
-    });
     group.bench_function("seg_ring", |b| {
         b.iter(|| {
             let q = SegRingQueue::new();

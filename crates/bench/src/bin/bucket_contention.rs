@@ -1,7 +1,7 @@
 //! **BUCKET-CONTENTION** — multithreaded throughput sweep of the
 //! bucketed relaxed-FIFO hybrid across priority-shard backends.
 //!
-//! For every `(backend ∈ {mutexheap, skiplist, fc}) × threads` cell,
+//! For every `(backend ∈ {mutexheap, skiplist}) × threads` cell,
 //! `threads` workers hammer one shared [`BucketFifoQueue`] with the
 //! **Δ-stepping workload**: alternating `push_or_decrease` of a random
 //! item at a full-distance priority just above the worker's advancing
@@ -38,8 +38,8 @@ use rsched_bench::{
     write_json_artifact, Scale,
 };
 use rsched_queues::{
-    telemetry, BucketFifoQueue, FcHeapSub, FlushReport, MutexHeapSub, PopSource, PushOutcome,
-    QueueBuilder, SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
+    telemetry, BucketFifoQueue, FlushReport, MutexHeapSub, PopSource, PushOutcome, QueueBuilder,
+    SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -244,14 +244,6 @@ fn main() {
                 "skiplist",
                 Box::new(move || {
                     let q: BucketFifoQueue<SkipShard<u64>> =
-                        QueueBuilder::new(shards).delta(delta).bucket_fifo_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
-                }),
-            ),
-            (
-                "fc",
-                Box::new(move || {
-                    let q: BucketFifoQueue<FcHeapSub<u64>> =
                         QueueBuilder::new(shards).delta(delta).bucket_fifo_on();
                     trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
                 }),

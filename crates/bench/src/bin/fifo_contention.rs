@@ -1,8 +1,8 @@
 //! **FIFO-CONTENTION** — multithreaded throughput and concurrent
 //! rank-error sweep of the relaxed FIFO family across shard backends.
 //!
-//! For every `(queue ∈ {d-RA, d-CBO}) × (backend ∈ {mutex, ms, segring,
-//! faa}) × threads` cell, `threads` workers hammer one shared queue with a
+//! For every `(queue ∈ {d-RA, d-CBO}) × (backend ∈ {mutex, segring}) ×
+//! threads` cell, `threads` workers hammer one shared queue with a
 //! 50/50 enqueue/dequeue mix while the
 //! [`ConcurrentRankEstimator`] stamps every enqueue and logs every
 //! dequeue. Each worker drives the queue through its **worker session**
@@ -47,7 +47,7 @@ use rsched_bench::{
     telemetry_json_fields, write_json_artifact, Scale,
 };
 use rsched_queues::instrument::ConcurrentRankEstimator;
-use rsched_queues::lockfree::{FaaRingQueue, MsQueue, SegRingQueue};
+use rsched_queues::lockfree::SegRingQueue;
 use rsched_queues::trace::{self, EventKind};
 use rsched_queues::{
     telemetry, DCboQueue, DRaQueue, FifoRankStats, FifoSession, MutexSub, PopSource, QueueBuilder,
@@ -332,46 +332,24 @@ fn main() {
             ]
         }
         let mut makes: Vec<Cell<'_>> = Vec::new();
-        for backend in ["mutex", "ms", "segring", "faa"] {
-            makes.extend(match backend {
-                "mutex" => backend_cells::<MutexSub<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-                "ms" => backend_cells::<MsQueue<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-                "segring" => backend_cells::<SegRingQueue<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-                _ => backend_cells::<FaaRingQueue<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-            });
-        }
+        makes.extend(backend_cells::<MutexSub<u64>>(
+            "mutex",
+            shards,
+            threads,
+            ops_per_thread,
+            prefill,
+            mix,
+            tuning,
+        ));
+        makes.extend(backend_cells::<SegRingQueue<u64>>(
+            "segring",
+            shards,
+            threads,
+            ops_per_thread,
+            prefill,
+            mix,
+            tuning,
+        ));
         // Interleave the repetitions round-robin so background-load
         // drift on the host hits every cell equally, then keep each
         // cell's best run.

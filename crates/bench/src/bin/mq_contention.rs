@@ -1,7 +1,7 @@
 //! **MQ-CONTENTION** — multithreaded throughput sweep of the concurrent
 //! MultiQueue across priority-shard backends.
 //!
-//! For every `(backend ∈ {mutexheap, skiplist, fc}) × threads` cell,
+//! For every `(backend ∈ {mutexheap, skiplist}) × threads` cell,
 //! `threads` workers hammer one shared [`ConcurrentMultiQueue`] with the
 //! **SSSP-pop workload**: alternating `push_or_decrease` of a random
 //! item at a priority just above the worker's advancing distance front,
@@ -24,11 +24,7 @@
 //! while the skiplist's stays nearly flat, and it takes the lead — on a
 //! single-core host around 32–64 workers, earlier the more cores are
 //! contending. CI validates that the crossover exists at some measured
-//! thread count ≥ 8. The `fc` backend (flat-combining over the same
-//! sequential heap the mutex backend locks) attacks the convoy from the
-//! other side: waiters publish ops instead of sleeping on the lock, and
-//! one combiner batch-applies them — its combiner batch-size histogram
-//! (`batch_p50/p99`) and claim fan-out land in the same JSON record.
+//! thread count ≥ 8.
 //!
 //! Results print as one JSON object per line (prefixed `json,`); set
 //! `RSCHED_JSON_OUT=<path>` to also write the full run as a JSON array
@@ -61,8 +57,8 @@ use rsched_bench::{
     telemetry_json_fields, write_json_artifact, Scale,
 };
 use rsched_queues::{
-    telemetry, ConcurrentMultiQueue, FcHeapSub, FlushReport, MqSession, MutexHeapSub, PopSource,
-    PushOutcome, QueueBuilder, SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
+    telemetry, ConcurrentMultiQueue, FlushReport, MqSession, MutexHeapSub, PopSource, PushOutcome,
+    QueueBuilder, SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -295,15 +291,6 @@ fn main() {
                 stickiness,
                 Box::new(move || {
                     let q: ConcurrentMultiQueue<u64, SkipShard<u64>> =
-                        QueueBuilder::new(shards).universe(universe).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
-                }),
-            ));
-            makes.push((
-                "fc",
-                stickiness,
-                Box::new(move || {
-                    let q: ConcurrentMultiQueue<u64, FcHeapSub<u64>> =
                         QueueBuilder::new(shards).universe(universe).multiqueue_on();
                     trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
                 }),

@@ -72,6 +72,8 @@ impl ParExecStats {
 /// termination uses the runtime's quiescence detection over
 /// queued-plus-in-flight tasks.
 ///
+/// [`ConcurrentMultiQueue`]: rsched_queues::ConcurrentMultiQueue
+///
 /// # Examples
 ///
 /// ```

@@ -164,13 +164,7 @@ pub struct BucketFifoQueue<S = SkipShard<u64>> {
 
 impl<S: SubPriority<u64>> BucketFifoQueue<S> {
     /// A hybrid with bucket width `delta` and `shards_per_bucket`
-    /// priority shards in every bucket, on backend `S`.
-    #[deprecated(note = "use QueueBuilder::new(shards_per_bucket).delta(d).bucket_fifo_on::<S>()")]
-    pub fn with_backend(delta: u64, shards_per_bucket: usize) -> Self {
-        Self::construct(delta, shards_per_bucket)
-    }
-
-    /// The one real constructor, reached through
+    /// priority shards in every bucket, on backend `S`; reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
     pub(crate) fn construct(delta: u64, shards_per_bucket: usize) -> Self {
         assert!(delta >= 1, "bucket width must be at least 1");
@@ -675,15 +669,6 @@ impl<S: SubPriority<u64>> BucketFifoQueue<S> {
     }
 }
 
-impl BucketFifoQueue<SkipShard<u64>> {
-    /// A hybrid with bucket width `delta` and `shards_per_bucket`
-    /// shards per bucket, on the default lock-free skiplist backend.
-    #[deprecated(note = "use QueueBuilder::new(shards_per_bucket).delta(d).bucket_fifo()")]
-    pub fn new(delta: u64, shards_per_bucket: usize) -> Self {
-        Self::construct(delta, shards_per_bucket)
-    }
-}
-
 impl<S> Drop for BucketFifoQueue<S> {
     fn drop(&mut self) {
         for seg in &self.spine {
@@ -797,7 +782,6 @@ mod tests {
         }
         check::<SkipShard<u64>>();
         check::<MutexHeapSub<u64>>();
-        check::<crate::flatcomb::FcHeapSub<u64>>();
     }
 
     #[test]
@@ -913,47 +897,6 @@ mod tests {
             net -= 1;
         }
         assert_eq!(net, 0, "storm lost or duplicated elements");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn concurrent_storm_conserves_counts_flatcomb() {
-        // Same conservation storm over flat-combining bucket shards —
-        // the convoy-case backend the bucket bench sweeps.
-        let q: Arc<BucketFifoQueue<crate::flatcomb::FcHeapSub<u64>>> =
-            Arc::new(QueueBuilder::new(4).delta(32).bucket_fifo_on());
-        let threads = 8;
-        let per = 2_000usize;
-        let results: Vec<i64> = std::thread::scope(|s| {
-            (0..threads)
-                .map(|t| {
-                    let q = Arc::clone(&q);
-                    s.spawn(move || {
-                        let mut rng = SmallRng::seed_from_u64(t as u64 + 1);
-                        let mut net = 0i64;
-                        for i in 0..per {
-                            let item = t * per + i;
-                            if q.push_or_decrease(item, rng.gen_range(0..10_000)) {
-                                net += 1;
-                            }
-                            if i % 2 == 0 && q.pop(&mut rng).is_some() {
-                                net -= 1;
-                            }
-                        }
-                        net
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        let mut net: i64 = results.iter().sum();
-        let mut rng = SmallRng::seed_from_u64(0);
-        while q.pop(&mut rng).is_some() {
-            net -= 1;
-        }
-        assert_eq!(net, 0, "flat-combining storm lost or duplicated elements");
         assert!(q.is_empty());
     }
 

@@ -1,14 +1,10 @@
 //! One construction path for every relaxed queue in the crate.
 //!
-//! The queue family grew a constructor sprawl — `new` /
-//! `with_universe` / `with_backend` / `with_backend_universe` across
-//! [`ConcurrentMultiQueue`], [`BucketFifoQueue`], [`DRaQueue`] and
-//! [`DCboQueue`], each with its own argument order — and call sites
-//! had to remember which variant took a seed, which took a universe,
-//! and where `d` went. [`QueueBuilder`] collapses all of that into one
-//! fluent spelling with **typed backend selection**: the terminal
-//! method names the structure, its `_on::<S>()` twin names the shard
-//! backend, and every knob has exactly one place to live.
+//! [`QueueBuilder`] is the only way to build [`ConcurrentMultiQueue`],
+//! [`BucketFifoQueue`], [`DRaQueue`] and [`DCboQueue`]: one fluent
+//! spelling with **typed backend selection** — the terminal method
+//! names the structure, its `_on::<S>()` twin names the shard backend,
+//! and every knob has exactly one place to live.
 //!
 //! ```
 //! use rsched_queues::{QueueBuilder, MutexHeapSub};
@@ -27,10 +23,6 @@
 //! let mutex_mq = QueueBuilder::new(8).multiqueue_on::<u64, MutexHeapSub<u64>>();
 //! assert_eq!(mutex_mq.nqueues(), 8);
 //! ```
-//!
-//! The old constructors survive as thin `#[deprecated]` aliases that
-//! funnel into the same `construct` bodies, so downstream call sites
-//! migrate incrementally without a behaviour change.
 
 use crate::bucket::BucketFifoQueue;
 use crate::fifo::{DCboQueue, DRaQueue, SubFifo};
@@ -150,19 +142,82 @@ impl QueueBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfree::MsQueue;
-    use crate::skipshard::MutexHeapSub;
+    use crate::fifo::{MutexSub, PinSession, TokRef};
+    use crate::skipshard::{MutexHeapSub, TryPopMin};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// The universe each [`UniverseProbe`] shard was built with.
+        static BUILT_WITH: RefCell<Vec<Option<usize>>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// A shard that only records how it was constructed: the queues
+    /// expose no accessor for the universe, so the test substitutes the
+    /// backend to see what the terminal passed down.
+    struct UniverseProbe;
+
+    impl SubPriority<u64> for UniverseProbe {
+        type Token = ();
+
+        fn token() {}
+
+        fn borrow_token(_session: &PinSession) -> TokRef<'_, ()> {
+            TokRef::Owned(())
+        }
+
+        fn new() -> Self {
+            BUILT_WITH.with(|b| b.borrow_mut().push(None));
+            UniverseProbe
+        }
+
+        fn with_universe(universe: usize) -> Self {
+            BUILT_WITH.with(|b| b.borrow_mut().push(Some(universe)));
+            UniverseProbe
+        }
+
+        fn min_key(&self, _tok: &()) -> Option<(u64, usize)> {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn try_pop_min(&self, _tok: &()) -> TryPopMin<u64> {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn pop_min_wait(&self, _tok: &()) -> Option<(usize, u64)> {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn push_or_decrease(&self, _item: usize, _prio: u64, _tok: &()) -> bool {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn push(&self, _item: usize, _prio: u64, _tok: &()) {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn remove(&self, _item: usize, _tok: &()) -> Option<u64> {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn decrease_key(&self, _item: usize, _prio: u64, _tok: &()) -> bool {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn contains(&self, _item: usize, _tok: &()) -> bool {
+            unreachable!("probe shards are never operated on")
+        }
+
+        fn priority_of(&self, _item: usize, _tok: &()) -> Option<u64> {
+            unreachable!("probe shards are never operated on")
+        }
+    }
 
     #[test]
-    fn builder_terminals_match_their_deprecated_aliases() {
-        // Same shard counts and knobs as the old spellings produce.
+    fn every_knob_reaches_its_terminal() {
         let mq = QueueBuilder::new(6).universe(100).multiqueue::<u64>();
         assert_eq!(mq.nqueues(), 6);
-        #[allow(deprecated)]
-        let old = ConcurrentMultiQueue::<u64>::with_universe(6, 100);
-        assert_eq!(old.nqueues(), 6);
 
         let dra = QueueBuilder::new(3).choices(4).seed(9).d_ra::<usize>();
         assert_eq!((dra.num_shards(), dra.choices()), (3, 4));
@@ -171,7 +226,27 @@ mod tests {
         assert_eq!(dcbo.num_shards(), 5);
 
         let bucket = QueueBuilder::new(2).delta(32).bucket_fifo();
-        assert_eq!(bucket.delta(), 32);
+        assert_eq!((bucket.shards_per_bucket(), bucket.delta()), (2, 32));
+
+        let built = || BUILT_WITH.with(|b| std::mem::take(&mut *b.borrow_mut()));
+        let _ = QueueBuilder::new(3)
+            .universe(100)
+            .multiqueue_on::<u64, UniverseProbe>();
+        assert_eq!(built(), vec![Some(100); 3]);
+        let _ = QueueBuilder::new(2).multiqueue_on::<u64, UniverseProbe>();
+        assert_eq!(built(), vec![None; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "d-RA supports 1..=8 choices, got 9")]
+    fn out_of_range_choices_panic_at_the_terminal() {
+        let _ = QueueBuilder::new(4).choices(9).d_ra::<u64>();
+    }
+
+    #[test]
+    #[should_panic(expected = "a MultiQueue needs at least one queue")]
+    fn zero_shards_panic_at_the_terminal() {
+        let _ = QueueBuilder::new(0).multiqueue::<u64>();
     }
 
     #[test]
@@ -180,7 +255,7 @@ mod tests {
         mq.push_or_decrease(0, 10);
         assert_eq!(mq.len(), 1);
 
-        let dra = QueueBuilder::new(2).d_ra_on::<usize, MsQueue<usize>>();
+        let dra = QueueBuilder::new(2).d_ra_on::<usize, MutexSub<usize>>();
         let mut rng = SmallRng::seed_from_u64(1);
         dra.enqueue(7, &mut rng);
         assert_eq!(dra.dequeue(&mut rng), Some(7));

@@ -35,15 +35,14 @@
 //!
 //! The sub-queue inside each shard is pluggable through [`SubFifo`]:
 //!
-//! * [`MutexSub`] — the PR 1 baseline, a `Mutex<VecDeque>` per shard;
-//! * [`MsQueue`](crate::lockfree::MsQueue) — lock-free Michael–Scott
-//!   linked queue;
-//! * [`SegRingQueue`] — lock-free
-//!   segmented ring buffer, the **default** backend.
+//! * [`SegRingQueue`] — lock-free segmented ring buffer, the
+//!   **default** backend;
+//! * [`MutexSub`] — a `Mutex<VecDeque>` per shard, the locked
+//!   reference.
 //!
-//! See [`lockfree`](crate::lockfree) for the algorithms and for guidance
-//! on choosing; `fifo_contention` in `rsched-bench` sweeps all of them
-//! under thread contention.
+//! See [`lockfree`](crate::lockfree) for the algorithm and for guidance
+//! on choosing; `fifo_contention` in `rsched-bench` sweeps both under
+//! thread contention.
 //!
 //! # Worker sessions
 //!
@@ -502,13 +501,7 @@ pub struct DRaQueue<T, S = SegRingQueue<T>> {
 
 impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
     /// `subqueues` shards of backend `S` with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`).
-    #[deprecated(note = "use QueueBuilder::new(subqueues).choices(d).seed(s).d_ra_on::<T, S>()")]
-    pub fn with_backend(subqueues: usize, d: usize, seed: u64) -> Self {
-        Self::construct(subqueues, d, seed)
-    }
-
-    /// The one real constructor, reached through
+    /// (`1 ..= MAX_CHOICES`); reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
     pub(crate) fn construct(subqueues: usize, d: usize, seed: u64) -> Self {
         assert!(subqueues > 0, "d-RA needs at least one sub-queue");
@@ -795,21 +788,6 @@ impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
     }
 }
 
-impl<T: Send> DRaQueue<T> {
-    /// `subqueues` sub-FIFOs with `d` choices per operation, on the
-    /// default lock-free segmented-ring backend.
-    #[deprecated(note = "use QueueBuilder::new(subqueues).choices(d).seed(s).d_ra()")]
-    pub fn new(subqueues: usize, d: usize, seed: u64) -> Self {
-        Self::construct(subqueues, d, seed)
-    }
-
-    /// The classic two-choice configuration.
-    #[deprecated(note = "use QueueBuilder::new(subqueues).seed(s).d_ra()")]
-    pub fn choice_of_two(subqueues: usize, seed: u64) -> Self {
-        Self::construct(subqueues, 2, seed)
-    }
-}
-
 impl<T, S: SubFifo<T>> std::fmt::Debug for DRaQueue<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DRaQueue")
@@ -864,8 +842,7 @@ impl<T: Send, S: SubFifo<T>> RelaxedFifo<T> for DRaQueue<T, S> {
 /// detection.
 ///
 /// The shard backend defaults to the lock-free
-/// [`SegRingQueue`]; see [`SubFifo`] and
-/// the [`DCboMutexQueue`] / [`DCboMsQueue`] aliases.
+/// [`SegRingQueue`]; see [`SubFifo`].
 ///
 /// # Examples
 ///
@@ -902,13 +879,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     pub const MAX_CHOICES: usize = MAX_CHOICES;
 
     /// `shards` sub-FIFOs of backend `S` with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`).
-    #[deprecated(note = "use QueueBuilder::new(shards).choices(d).seed(s).d_cbo_on::<T, S>()")]
-    pub fn with_backend(shards: usize, d: usize, seed: u64) -> Self {
-        Self::construct(shards, d, seed)
-    }
-
-    /// The one real constructor, reached through
+    /// (`1 ..= MAX_CHOICES`); reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
     pub(crate) fn construct(shards: usize, d: usize, seed: u64) -> Self {
         assert!(shards > 0, "d-CBO needs at least one shard");
@@ -1148,22 +1119,6 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     }
 }
 
-impl<T: Send> DCboQueue<T> {
-    /// `shards` sub-FIFOs with the classic two choices per operation, on
-    /// the default lock-free segmented-ring backend.
-    #[deprecated(note = "use QueueBuilder::new(shards).seed(s).d_cbo()")]
-    pub fn new(shards: usize, seed: u64) -> Self {
-        Self::construct(shards, 2, seed)
-    }
-
-    /// `shards` sub-FIFOs with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`), on the default backend.
-    #[deprecated(note = "use QueueBuilder::new(shards).choices(d).seed(s).d_cbo()")]
-    pub fn with_choice(shards: usize, d: usize, seed: u64) -> Self {
-        Self::construct(shards, d, seed)
-    }
-}
-
 impl<T, S: SubFifo<T>> std::fmt::Debug for DCboQueue<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DCboQueue")
@@ -1199,27 +1154,6 @@ impl<T: Send, S: SubFifo<T>> RelaxedFifo<T> for DCboQueue<T, S> {
         self.num_shards()
     }
 }
-
-// ---------------------------------------------------------------------
-// Backend aliases
-// ---------------------------------------------------------------------
-
-/// d-RA over mutex-guarded shards (the PR 1 baseline).
-pub type DRaMutexQueue<T> = DRaQueue<T, MutexSub<T>>;
-/// d-RA over lock-free Michael–Scott shards.
-pub type DRaMsQueue<T> = DRaQueue<T, crate::lockfree::MsQueue<T>>;
-/// d-RA over lock-free segmented-ring shards (the default).
-pub type DRaSegQueue<T> = DRaQueue<T, SegRingQueue<T>>;
-/// d-RA over fetch-add claimed ring shards (CRQ-style).
-pub type DRaFaaQueue<T> = DRaQueue<T, crate::lockfree::FaaRingQueue<T>>;
-/// d-CBO over mutex-guarded shards (the PR 1 baseline).
-pub type DCboMutexQueue<T> = DCboQueue<T, MutexSub<T>>;
-/// d-CBO over lock-free Michael–Scott shards.
-pub type DCboMsQueue<T> = DCboQueue<T, crate::lockfree::MsQueue<T>>;
-/// d-CBO over lock-free segmented-ring shards (the default).
-pub type DCboSegQueue<T> = DCboQueue<T, SegRingQueue<T>>;
-/// d-CBO over fetch-add claimed ring shards (CRQ-style).
-pub type DCboFaaQueue<T> = DCboQueue<T, crate::lockfree::FaaRingQueue<T>>;
 
 // ---------------------------------------------------------------------
 // Rank-error instrumentation (sequential)
@@ -1371,7 +1305,6 @@ impl<T, Q: RelaxedFifo<(u64, T)>> RelaxedFifo<T> for FifoRankTracker<T, Q> {
 mod tests {
     use super::*;
     use crate::builder::QueueBuilder;
-    use crate::lockfree::MsQueue;
 
     fn drain<T, Q: RelaxedFifo<T>>(q: &mut Q) -> Vec<T> {
         let mut out = Vec::new();
@@ -1413,9 +1346,7 @@ mod tests {
             assert_eq!(drain(&mut q), (0..200).collect::<Vec<_>>());
         }
         check::<MutexSub<i32>>();
-        check::<MsQueue<i32>>();
         check::<SegRingQueue<i32>>();
-        check::<crate::lockfree::FaaRingQueue<i32>>();
     }
 
     #[test]
@@ -1469,9 +1400,7 @@ mod tests {
             assert_eq!(got_dcbo, want, "{name}: d-CBO lost or duplicated items");
         }
         check::<MutexSub<u64>>("mutex");
-        check::<MsQueue<u64>>("ms");
         check::<SegRingQueue<u64>>("segring");
-        check::<crate::lockfree::FaaRingQueue<u64>>("faa");
     }
 
     #[test]

@@ -31,20 +31,16 @@
 //!   concurrent and both behind the sequential [`fifo::RelaxedFifo`]
 //!   trait. These feed the `rsched-runtime` worker pool for FIFO-ordered
 //!   workloads (BFS frontiers, k-core peeling).
-//! * **Lock-free sub-queues** ([`lockfree`]): the shard backends of the
-//!   FIFO family — a Michael–Scott linked queue
-//!   ([`lockfree::MsQueue`]), a CAS-claimed segmented ring buffer
-//!   ([`lockfree::SegRingQueue`], the default) and its fetch-add
-//!   claimed CRQ-style variant ([`lockfree::FaaRingQueue`]), reclaimed
-//!   through the epoch scheme in `crossbeam::epoch`, selectable per
-//!   queue through [`fifo::SubFifo`] (with [`fifo::MutexSub`] as the
-//!   locked baseline).
+//! * **The lock-free sub-queue** ([`lockfree`]): the default shard
+//!   backend of the FIFO family — a CAS-claimed segmented ring buffer
+//!   ([`lockfree::SegRingQueue`]), reclaimed through the epoch scheme in
+//!   `crossbeam::epoch`, selectable per queue through [`fifo::SubFifo`]
+//!   (with [`fifo::MutexSub`] as the locked reference).
 //! * **Lock-free priority shards** ([`skipshard`]): the shard backends
 //!   of the concurrent MultiQueue — an epoch-reclaimed Harris-style
-//!   skiplist ([`skipshard::SkipShard`], the default), the
-//!   mutex-around-a-heap baseline ([`skipshard::MutexHeapSub`]) and the
-//!   flat-combining heap ([`flatcomb::FcHeapSub`]), selectable through
-//!   [`skipshard::SubPriority`].
+//!   skiplist ([`skipshard::SkipShard`], the default) and the
+//!   mutex-around-a-heap reference ([`skipshard::MutexHeapSub`]),
+//!   selectable through [`skipshard::SubPriority`].
 //! * **The bucketed hybrid** ([`bucket`]): [`bucket::BucketFifoQueue`],
 //!   a relaxed FIFO *of buckets* (Δ-wide priority bands, popped
 //!   oldest-visible) where each bucket is itself a relaxed priority
@@ -91,37 +87,20 @@
 //!   [`min_key`](skipshard::SubPriority::min_key) peek.
 //!   Composed by [`ConcurrentMultiQueue`] and [`BucketFifoQueue`].
 //!
-//! The backend table — how each shard wins its regime:
+//! The backend table — two per trait, the lock-free default and the
+//! locked reference the generic tests and the contention sweeps
+//! compare it against:
 //!
 //! | backend | trait | synchronization | claim cost | regime |
 //! |---|---|---|---|---|
-//! | [`MutexSub`] | `SubFifo` | mutex over `VecDeque` | lock | uncontended / few threads |
-//! | [`MsQueue`] | `SubFifo` | Michael–Scott CAS list | head CAS retry loop | unbounded size, moderate contention |
 //! | [`SegRingQueue`] (default) | `SubFifo` | segmented ring, CAS-claimed slots | slot CAS retry loop | steady churn, allocation-free |
-//! | [`FaaRingQueue`] | `SubFifo` | segmented ring, fetch-add-claimed slots | **one `fetch_add`** (publish-or-skip arbitration) | popper/popper contention — the CAS convoy case |
-//! | [`MutexHeapSub`] | `SubPriority` | mutex over indexed heap | lock | uncontended / few threads |
+//! | [`MutexSub`] | `SubFifo` | mutex over `VecDeque` | lock | uncontended / few threads |
 //! | [`SkipShard`] (default) | `SubPriority` | Harris skiplist + registry | mark-bit CAS | multicore contention, oversubscription |
-//! | [`FcHeapSub`] | `SubPriority` | **flat combining** over indexed heap | publish + one combining round | lock-convoy thread counts |
-//!
-//! ### The flat-combining layer
-//!
-//! [`flatcomb::FcHeapSub`] is the odd one out: neither a lock-free
-//! structure nor a plain locked one, it keeps the *sequential* heap and
-//! changes who executes the ops. Threads publish operations into
-//! per-thread cache-padded publication records; whichever thread holds
-//! the heap lock — the **combiner** — batch-applies every pending
-//! record before releasing, so under a convoy the shared structure is
-//! touched by one cache-warm thread while everyone else does a local
-//! spin. Its progress telemetry is dual to the CAS backends': instead
-//! of retry histograms it records combining **batch sizes**
-//! ([`telemetry::OpHist::Batch`]) and combined-op/pass counters — the
-//! practically-wait-free tail question becomes "how many combining
-//! rounds can an op wait?", bounded by the apply-all-pending pass
-//! discipline (and pinned by a fairness test).
+//! | [`MutexHeapSub`] | `SubPriority` | mutex over indexed heap | lock | uncontended / few threads |
 //!
 //! Both traits thread a per-operation **token** through every sub-call —
 //! an epoch [`Guard`](crossbeam::epoch::Guard) for lock-free backends,
-//! zero-sized for locked ones. Retired memory (MS nodes, ring segments,
+//! zero-sized for locked ones. Retired memory (ring segments,
 //! skiplist towers) is handed back through epoch-deferred callbacks that
 //! *recycle* into bounded per-structure pools instead of hitting the
 //! allocator, which keeps steady-state churn allocation-free without
@@ -130,14 +109,9 @@
 //! ### The worker-session layer
 //!
 //! Above the composition layer sits **one** abstraction for everything a
-//! long-lived worker thread accumulates against a queue. Earlier
-//! revisions grew three parallel mechanisms — an amortized epoch pin
-//! threaded through `*_in` method variants, a `StickySession` that
-//! pinned MultiQueue shard *indices* across pops, and a thread-local
-//! picker RNG behind `*_local` convenience calls — all replaced by the
-//! per-queue session types built from one vocabulary
-//! ([`SessionConfig`], [`SessionPush`], [`PushOutcome`],
-//! [`FlushReport`], [`PopSource`]):
+//! long-lived worker thread accumulates against a queue: the per-queue
+//! session types, built from one vocabulary ([`SessionConfig`],
+//! [`SessionPush`], [`PushOutcome`], [`FlushReport`], [`PopSource`]):
 //!
 //! * [`fifo::FifoSession`] (from [`DRaQueue::session`] /
 //!   [`DCboQueue::session`]) carries the worker's [`PinSession`] epoch
@@ -189,8 +163,8 @@
 //! ([`PowHistogram`]) per series plus plain event counters, recorded
 //! into a thread-local buffer (no atomics, no allocation per op) and
 //! folded into process globals on thread exit. What is recorded where:
-//! the lock-free backends ([`SegRingQueue`], [`MsQueue`],
-//! [`SkipShard`]) record CAS/claim **retries per successful pop**; the
+//! the lock-free backends ([`SegRingQueue`], [`SkipShard`]) record
+//! CAS/claim **retries per successful pop**; the
 //! pop engines ([`DRaQueue`], [`DCboQueue`], [`ConcurrentMultiQueue`],
 //! [`BucketFifoQueue`]) record **steal/choice rounds** per pop,
 //! fallback **sweep lengths**, and **empty-pop** sweeps;
@@ -228,11 +202,9 @@
 pub mod bucket;
 pub mod builder;
 pub mod fifo;
-pub mod flatcomb;
 pub mod heap;
 pub mod instrument;
 pub mod kbounded;
-pub mod klsm;
 pub mod lockfree;
 pub mod multiqueue;
 pub mod pairing;
@@ -244,20 +216,16 @@ pub mod trace;
 pub use bucket::{BucketFifoQueue, BucketSession};
 pub use builder::QueueBuilder;
 pub use fifo::{
-    DCboFaaQueue, DCboMsQueue, DCboMutexQueue, DCboQueue, DCboSegQueue, DRaFaaQueue, DRaMsQueue,
-    DRaMutexQueue, DRaQueue, DRaSegQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub,
-    PinSession, RelaxedFifo, SubFifo, TryPop,
+    DCboQueue, DRaQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub, PinSession,
+    RelaxedFifo, SubFifo, TryPop,
 };
-pub use flatcomb::FcHeapSub;
 pub use heap::IndexedBinaryHeap;
 pub use instrument::{ConcurrentRankEstimator, RankRecorder, RankStats, RankTracker};
 pub use kbounded::RotatingKQueue;
-pub use klsm::{KLsmHandle, KLsmQueue};
-pub use lockfree::{FaaRingQueue, MsQueue, SegRingQueue};
+pub use lockfree::SegRingQueue;
 pub use multiqueue::Placement;
 pub use multiqueue::{
-    ConcurrentMultiQueue, DuplicateMultiQueue, FcHeapMultiQueue, MqSession, MutexHeapMultiQueue,
-    SimMultiQueue, SkipListMultiQueue,
+    ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, MutexHeapMultiQueue, SimMultiQueue,
 };
 pub use pairing::PairingHeap;
 pub use skipshard::{MutexHeapSub, SkipShard, SubPriority, TryPopMin};

@@ -285,46 +285,12 @@ where
     _prio: std::marker::PhantomData<fn() -> P>,
 }
 
-/// The default lock-free skiplist-backed MultiQueue, spelled out.
-pub type SkipListMultiQueue<P = u64> = ConcurrentMultiQueue<P, SkipShard<P>>;
 /// The mutex-per-shard baseline MultiQueue (pre-PR 3 behaviour).
 pub type MutexHeapMultiQueue<P = u64> = ConcurrentMultiQueue<P, MutexHeapSub<P>>;
-/// The flat-combining-heap MultiQueue (batched ops under convoys).
-pub type FcHeapMultiQueue<P = u64> = ConcurrentMultiQueue<P, crate::flatcomb::FcHeapSub<P>>;
-
-impl<P: Ord + Copy + Send + Sync> ConcurrentMultiQueue<P> {
-    /// Create a MultiQueue with `nqueues` internal shards on the default
-    /// lock-free skiplist backend.
-    #[deprecated(note = "use QueueBuilder::new(nqueues).multiqueue()")]
-    pub fn new(nqueues: usize) -> Self {
-        Self::construct(nqueues, None)
-    }
-
-    /// Create a default-backend MultiQueue whose shards pre-allocate
-    /// their item tables for items `0..universe`.
-    #[deprecated(note = "use QueueBuilder::new(nqueues).universe(n).multiqueue()")]
-    pub fn with_universe(nqueues: usize, universe: usize) -> Self {
-        Self::construct(nqueues, Some(universe))
-    }
-}
 
 impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
-    /// Create a MultiQueue with `nqueues` internal shards of backend `S`.
-    #[deprecated(note = "use QueueBuilder::new(nqueues).multiqueue_on::<P, S>()")]
-    pub fn with_backend(nqueues: usize) -> Self {
-        Self::construct(nqueues, None)
-    }
-
-    /// Create a backend-`S` MultiQueue whose shards pre-allocate their
-    /// item tables for items `0..universe`.
-    #[deprecated(note = "use QueueBuilder::new(nqueues).universe(n).multiqueue_on::<P, S>()")]
-    pub fn with_backend_universe(nqueues: usize, universe: usize) -> Self {
-        Self::construct(nqueues, Some(universe))
-    }
-
-    /// The one real constructor, reached through
-    /// [`QueueBuilder`](crate::QueueBuilder) (the deprecated public
-    /// aliases above all funnel here). `universe` pre-sizes each
+    /// `nqueues` shards of backend `S`, reached through
+    /// [`QueueBuilder`](crate::QueueBuilder). `universe` pre-sizes each
     /// shard's item table.
     pub(crate) fn construct(nqueues: usize, universe: Option<usize>) -> Self {
         assert!(nqueues > 0, "a MultiQueue needs at least one queue");
@@ -842,7 +808,6 @@ impl<P: Ord + Copy + Send> DuplicateMultiQueue<P> {
 mod tests {
     use super::*;
     use crate::builder::QueueBuilder;
-    use crate::flatcomb::FcHeapSub;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -951,7 +916,6 @@ mod tests {
     fn concurrent_push_pop_exhaustive_both_backends() {
         check_push_pop_exhaustive::<SkipShard<u64>>();
         check_push_pop_exhaustive::<MutexHeapSub<u64>>();
-        check_push_pop_exhaustive::<FcHeapSub<u64>>();
     }
 
     fn check_decrease_key_path<S: SubPriority<u64>>() {
@@ -969,7 +933,6 @@ mod tests {
     fn concurrent_decrease_key_path_both_backends() {
         check_decrease_key_path::<SkipShard<u64>>();
         check_decrease_key_path::<MutexHeapSub<u64>>();
-        check_decrease_key_path::<FcHeapSub<u64>>();
     }
 
     fn check_multithreaded_no_loss_no_dup<S: SubPriority<u64> + 'static>() {
@@ -1020,11 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_multithreaded_no_loss_no_dup_flatcomb() {
-        check_multithreaded_no_loss_no_dup::<FcHeapSub<u64>>();
-    }
-
-    #[test]
     fn keyed_placement_is_stable() {
         // The same item must always map to the same shard index.
         for &q in &[1usize, 2, 3, 8, 17, 64] {
@@ -1048,12 +1006,11 @@ mod tests {
         }
         check::<SkipShard<u64>>();
         check::<MutexHeapSub<u64>>();
-        check::<FcHeapSub<u64>>();
     }
 
     #[test]
     fn session_threaded_ops_match_plain_ones() {
-        let mq: SkipListMultiQueue<u64> = QueueBuilder::new(8).multiqueue();
+        let mq = QueueBuilder::new(8).multiqueue::<u64>();
         let mut session = mq.session(&SessionConfig::default());
         for i in 0..200usize {
             assert_eq!(
@@ -1102,12 +1059,11 @@ mod tests {
         }
         check::<SkipShard<u64>>();
         check::<MutexHeapSub<u64>>();
-        check::<FcHeapSub<u64>>();
     }
 
     #[test]
     fn session_buffer_dedups_and_flush_reports_merges() {
-        let q: SkipListMultiQueue<u64> = QueueBuilder::new(4).multiqueue();
+        let q = QueueBuilder::new(4).multiqueue::<u64>();
         // Pre-existing entry: the later flush of item 0 must merge.
         q.push_or_decrease(0, 500);
         let mut s = q.session(&SessionConfig {

@@ -29,7 +29,7 @@
 //!
 //! | series | kind | fed by |
 //! |---|---|---|
-//! | [`OpHist::Retry`] | CAS retries per successful claim | `SegRingQueue`/`MsQueue` pop claim loops, `SkipShard` claim/help-unlink loop |
+//! | [`OpHist::Retry`] | CAS retries per successful claim | `SegRingQueue` pop claim loop, `SkipShard` claim/help-unlink loop |
 //! | [`OpHist::Steal`] | choice/probe rounds per successful pop | `DRaQueue`/`DCboQueue`/`ConcurrentMultiQueue`/`BucketFifoQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
 //! | [`OpHist::Floor`] | buckets examined per `BucketFifoQueue` pop | the floor scan in `pop_with_homes` |
@@ -38,9 +38,6 @@
 //! | [`OpCount::RegistryProbe`] | item-registry slot probes | `SkipShard` keyed operations |
 //! | [`OpCount::SegInstall`] | directory segment/bucket install CAS wins | `BucketFifoQueue::get_or_alloc_bucket` |
 //! | [`OpCount::FlushPublished`] / [`OpCount::FlushMerged`] | session flush volume and merge ratio | every `flush_session` |
-//! | [`OpHist::Batch`] | ops applied per flat-combining pass | the `FcHeapSub` combiner loop |
-//! | [`OpCount::Combined`] | ops a combiner applied on other threads' behalf | `FcHeapSub` |
-//! | [`OpCount::ClaimFanout`] | combiner-lock claims (passes) | `FcHeapSub` |
 //!
 //! Epoch-reclamation progress (`gc_deferred` / `gc_collected`) comes
 //! from the vendored `crossbeam::epoch` counters and is folded into the
@@ -224,12 +221,10 @@ pub enum OpHist {
     /// worker loop around each task-handler invocation, so log₂ bucket
     /// k holds ops that ran for [2^(k-1), 2^k) ns.
     Tick = 4,
-    /// Ops applied per flat-combining pass (combiner batch size).
-    Batch = 5,
 }
 
 /// Number of [`OpHist`] series.
-pub const N_HISTS: usize = 6;
+pub const N_HISTS: usize = 5;
 
 /// The plain counter series (see the module table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -244,14 +239,10 @@ pub enum OpCount {
     FlushPublished = 3,
     /// Of those, elements that merged into existing entries.
     FlushMerged = 4,
-    /// Flat-combining ops a combiner applied on other threads' behalf.
-    Combined = 5,
-    /// Flat-combining combiner-lock claims (one per combining pass).
-    ClaimFanout = 6,
 }
 
 /// Number of [`OpCount`] series.
-pub const N_COUNTS: usize = 7;
+pub const N_COUNTS: usize = 5;
 
 // ---------------------------------------------------------------------
 // Global state + enable gate
@@ -430,14 +421,11 @@ pub fn capture() -> TelemetrySnapshot {
         sweep: HistSnapshot::of(&GLOBAL.hists[OpHist::Sweep as usize]),
         floor: HistSnapshot::of(&GLOBAL.hists[OpHist::Floor as usize]),
         tick: HistSnapshot::of(&GLOBAL.hists[OpHist::Tick as usize]),
-        batch: HistSnapshot::of(&GLOBAL.hists[OpHist::Batch as usize]),
         empty_pops: GLOBAL.counts[OpCount::EmptyPop as usize].load(Ordering::Relaxed),
         registry_probes: GLOBAL.counts[OpCount::RegistryProbe as usize].load(Ordering::Relaxed),
         seg_installs: GLOBAL.counts[OpCount::SegInstall as usize].load(Ordering::Relaxed),
         flush_published: GLOBAL.counts[OpCount::FlushPublished as usize].load(Ordering::Relaxed),
         flush_merged: GLOBAL.counts[OpCount::FlushMerged as usize].load(Ordering::Relaxed),
-        combined_ops: GLOBAL.counts[OpCount::Combined as usize].load(Ordering::Relaxed),
-        claim_fanout: GLOBAL.counts[OpCount::ClaimFanout as usize].load(Ordering::Relaxed),
         gc_deferred: deferred.saturating_sub(GC_BASE_DEFERRED.load(Ordering::Relaxed)),
         gc_collected: collected.saturating_sub(GC_BASE_COLLECTED.load(Ordering::Relaxed)),
     }
@@ -498,8 +486,6 @@ pub struct TelemetrySnapshot {
     pub floor: HistSnapshot,
     /// Per-op duration ticks in nanoseconds (runtime worker loop only).
     pub tick: HistSnapshot,
-    /// Ops applied per flat-combining pass (`FcHeapSub` only).
-    pub batch: HistSnapshot,
     /// Pops that swept everything and found nothing.
     pub empty_pops: u64,
     /// `SkipShard` registry slot probes.
@@ -510,10 +496,6 @@ pub struct TelemetrySnapshot {
     pub flush_published: u64,
     /// Of those, elements merged into existing entries.
     pub flush_merged: u64,
-    /// Flat-combining ops applied by combiners on other threads' behalf.
-    pub combined_ops: u64,
-    /// Flat-combining combiner-lock claims (combining passes).
-    pub claim_fanout: u64,
     /// Epoch reclamations deferred during the window.
     pub gc_deferred: u64,
     /// Epoch reclamations collected during the window.

@@ -953,10 +953,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                     flush_merged: c(4),
                     gc_deferred: c(5),
                     gc_collected: c(6),
-                    // The wire format carries the five original series;
-                    // newer snapshot fields (flat-combining batch stats)
-                    // decode as empty.
-                    ..Default::default()
                 },
                 in_flight,
                 utilization_permille,
@@ -1104,10 +1100,6 @@ mod tests {
                 flush_merged: 55,
                 gc_deferred: 66,
                 gc_collected: 77,
-                // Not carried on the wire: the fixed 5-hist/7-counter
-                // format predates the flat-combining series, so a
-                // decoded snapshot always has them empty.
-                ..Default::default()
             },
             in_flight: 9,
             utilization_permille: vec![1000, 517, 0, 250],

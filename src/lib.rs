@@ -18,7 +18,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO family (d-RA, d-CBO) over pluggable shard backends (mutex, Michael–Scott, segmented ring — the lock-free backends epoch-reclaimed), rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
+//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO family (d-RA, d-CBO) over pluggable shard backends (the epoch-reclaimed lock-free segmented ring, and a mutex reference), rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
 //! | [`runtime`] | the sharded concurrent scheduling runtime: worker pool, `Scheduler` trait over relaxed queues, quiescence termination detection, per-worker stats, fork-join helper |
 //! | [`core`] | the `Q_k` scheduler model, Algorithm 1/2 executors with extra-step accounting, adversarial schedulers, the Section 4 transactional simulator, theorem formulas |
 //! | [`graph`] | CSR graphs, random/road/social generators, DIMACS & SNAP loaders, BFS / Dijkstra / Δ-stepping / Bellman–Ford baselines |
@@ -40,8 +40,8 @@
 //! buckets, each bucket a relaxed priority shard set) for barrier-free
 //! Δ-stepping (`relaxed_delta_stepping`). The relaxed-FIFO shards
 //! default to the lock-free segmented ring buffer in
-//! `rsched_queues::lockfree` (Michael–Scott and the PR 1 mutex baseline
-//! stay selectable through the `SubFifo` trait); the priority shards —
+//! `rsched_queues::lockfree` (the mutex reference stays selectable
+//! through the `SubFifo` trait); the priority shards —
 //! in the MultiQueue and inside every hybrid bucket — default to the
 //! lock-free skiplist in `rsched_queues::skipshard`.
 //!
@@ -137,13 +137,11 @@ pub mod prelude {
     };
     pub use rsched_queues::{
         BucketFifoQueue, BucketSession, ConcurrentMultiQueue, ConcurrentRankEstimator,
-        ConcurrentSprayList, DCboMsQueue, DCboMutexQueue, DCboQueue, DCboSegQueue, DRaMsQueue,
-        DRaMutexQueue, DRaQueue, DRaSegQueue, DecreaseKey, DuplicateMultiQueue, Exact,
-        FifoRankStats, FifoRankTracker, FifoSession, FlushReport, IndexedBinaryHeap, KLsmHandle,
-        KLsmQueue, MqSession, MsQueue, MutexSub, PairingHeap, PinSession, PopSource, PriorityQueue,
-        PushOutcome, QueueBuilder, RankStats, RankTracker, RelaxedFifo, RelaxedQueue,
-        RotatingKQueue, SegRingQueue, SessionConfig, SessionPush, SimMultiQueue, SprayList,
-        SubFifo,
+        ConcurrentSprayList, DCboQueue, DRaQueue, DecreaseKey, DuplicateMultiQueue, Exact,
+        FifoRankStats, FifoRankTracker, FifoSession, FlushReport, IndexedBinaryHeap, MqSession,
+        MutexSub, PairingHeap, PinSession, PopSource, PriorityQueue, PushOutcome, QueueBuilder,
+        RankStats, RankTracker, RelaxedFifo, RelaxedQueue, RotatingKQueue, SegRingQueue,
+        SessionConfig, SessionPush, SimMultiQueue, SprayList, SubFifo,
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{

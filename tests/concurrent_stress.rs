@@ -317,14 +317,14 @@ fn concurrent_spraylist_drain_storm() {
     assert_eq!(seen.len(), n);
 }
 
-/// The full backend matrix {mutex, MS, segring} x {d-RA, d-CBO} under a
+/// The full backend matrix {mutex, segring} x {d-RA, d-CBO} under a
 /// concurrent enqueue/dequeue storm: no element may be lost or
 /// duplicated regardless of the shard sub-queue implementation.
 #[test]
 fn relaxed_fifo_backend_matrix_storm() {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use rsched_queues::lockfree::{MsQueue, SegRingQueue};
+    use rsched_queues::lockfree::SegRingQueue;
     use rsched_queues::{MutexSub, SubFifo};
 
     fn storm_pair<S: SubFifo<usize> + 'static>(name: &str) {
@@ -373,7 +373,6 @@ fn relaxed_fifo_backend_matrix_storm() {
     }
 
     storm_pair::<MutexSub<usize>>("mutex");
-    storm_pair::<MsQueue<usize>>("ms");
     storm_pair::<SegRingQueue<usize>>("segring");
 }
 
