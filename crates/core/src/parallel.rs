@@ -3,14 +3,14 @@
 //!
 //! This module used to own its own thread pool, termination detection and
 //! statistics plumbing; all of that machinery lives in `rsched-runtime`
-//! today (see [`ActiveCounter`], [`ShardedCounter`], [`rsched_runtime::run`])
+//! today (see [`ActiveCounter`], [`rsched_runtime::run`])
 //! and is re-exported here for compatibility. What remains local is the
 //! *model*: the [`ConcurrentIncremental`] trait and the relaxed iterative
 //! executor [`run_relaxed_parallel`], which is a task handler over the
 //! runtime — pop a label, process it if its dependencies are satisfied,
 //! otherwise report it blocked and let the runtime re-queue it.
 
-pub use rsched_runtime::{ActiveCounter, ShardedCounter};
+pub use rsched_runtime::ActiveCounter;
 
 use rsched_queues::QueueBuilder;
 use rsched_runtime::{run, RuntimeConfig, TaskOutcome};

@@ -96,7 +96,7 @@
 //! | [`SegRingQueue`] (default) | `SubFifo` | segmented ring, CAS-claimed slots | slot CAS retry loop | steady churn, allocation-free |
 //! | [`MutexSub`] | `SubFifo` | mutex over `VecDeque` | lock | uncontended / few threads |
 //! | [`SkipShard`] (default) | `SubPriority` | Harris skiplist + registry | mark-bit CAS | multicore contention, oversubscription |
-//! | [`MutexHeapSub`] | `SubPriority` | mutex over indexed heap | lock | uncontended / few threads |
+//! | [`MutexHeapSub`] | `SubPriority` | mutex over indexed heap | lock (one per batch in buffered sessions) | threads ≤ cores; what `parallel_sssp` runs on |
 //!
 //! Both traits thread a per-operation **token** through every sub-call —
 //! an epoch [`Guard`](crossbeam::epoch::Guard) for lock-free backends,
@@ -126,10 +126,19 @@
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
 //!   carries the pin, the RNG, the same spawn buffer (deduplicating
 //!   repeated items locally — a buffered decrease-key that costs no
-//!   shared-memory traffic), and a **sticky peek cache** that pins the
+//!   shared-memory traffic — and flushed one shard acquisition per
+//!   touched shard), a **deletion buffer** (the winning shard of a
+//!   choice-of-two yields its minimum plus up to `D = min(spawn_batch /
+//!   8, 8)` successors under one acquisition; the next pops are served
+//!   locally), and a **sticky peek cache** that pins the
 //!   shard *minimum* observed while losing the previous choice-of-two —
 //!   not the shard index, so going stale only costs relaxation slack,
-//!   never a wrong claim (the claim is still a validated CAS).
+//!   never a wrong claim (the claim is still a validated CAS). Both
+//!   buffers exist only when `spawn_batch > 1` and widen the
+//!   MultiQueue's nominal `k = O(q log q)` by about `q·D + workers·I`
+//!   (`I = spawn_batch`): the last of `D` successive minima of one of
+//!   `q` shards has expected global rank `q·D`, and each worker parks up
+//!   to `I` spawns no one else can pop.
 //! * [`bucket::BucketSession`] (from [`BucketFifoQueue::session`])
 //!   carries the pin, the RNG, owned **home shard columns** (the same
 //!   strided shard indices in *every* bucket), and the spawn buffer
@@ -266,7 +275,8 @@ pub struct SessionConfig {
     /// choice-of-`d`, as the pre-session queues behaved.
     pub shards_per_worker: usize,
     /// Spawn-buffer capacity (clamped to [`MAX_SPAWN_BATCH`]); `1`
-    /// publishes every push immediately.
+    /// publishes every push immediately. MultiQueue sessions size their
+    /// deletion buffer from it too (`min(spawn_batch / 8, 8)`).
     pub spawn_batch: usize,
     /// Adapt the live spawn-buffer size at runtime (FIFO sessions):
     /// start at 1, double toward `spawn_batch` while home-shard pops
@@ -340,7 +350,8 @@ pub enum SessionPush {
 /// net-new, whatever the pusher assumed when parking them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushReport {
-    /// Buffered elements pushed to the shared structure.
+    /// Parked elements pushed to the shared structure: buffered spawns,
+    /// plus any pops a MultiQueue session still held and returned.
     pub published: u64,
     /// Of those, how many merged (net element count unchanged).
     pub merged: u64,

@@ -26,10 +26,12 @@
 //!   lock-free skiplist, so `pop` performs its choice-of-two comparison
 //!   with two mutex-free [`min_key`](SubPriority::min_key) peeks and
 //!   claims the winner with a CAS — no lock anywhere on the pop path.
-//!   The pre-PR 3 mutex-around-a-heap shard survives as
-//!   [`MutexHeapSub`] (alias [`MutexHeapMultiQueue`]) for comparison;
-//!   `mq_contention` in `rsched-bench` sweeps both backends under
-//!   thread contention.
+//!   The mutex-around-a-heap shard [`MutexHeapSub`] (alias
+//!   [`MutexHeapMultiQueue`]) is the paper's own design and what
+//!   `parallel_sssp` runs on: with threads ≤ cores a try-lock around a
+//!   sequential heap has the smaller constants, and buffered sessions
+//!   ([`MqSession`]) amortize the lock over a batch. `mq_contention` in
+//!   `rsched-bench` sweeps both backends under thread contention.
 
 use crate::fifo::PinSession;
 use crate::heap::IndexedBinaryHeap;
@@ -45,14 +47,23 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Most successors one winning shard yields beyond its minimum (see
+/// [`MqSession`]): a longer run of one shard's minima only widens the
+/// relaxation, the lock is already amortized.
+const MAX_POP_EXTRA: usize = 8;
+
 /// Multiply-shift hash used to map item ids to internal queues in keyed mode.
 ///
 /// Fibonacci hashing: multiply by the 64-bit golden-ratio constant and use
 /// the high bits, which distributes consecutive ids evenly across queues.
+/// The high 32 bits are scaled onto `0..nqueues` by a second
+/// multiply-shift, not a remainder: every keyed operation calls this and
+/// a session flush calls it once per comparison of its grouping sort,
+/// where the 64-bit division was about 5 % of a `parallel_sssp` solve.
 #[inline]
 pub(crate) fn queue_of(item: usize, nqueues: usize) -> usize {
     let h = (item as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 32) as usize) % nqueues
+    (((h >> 32) * nqueues as u64) >> 32) as usize
 }
 
 /// How a MultiQueue places inserted items.
@@ -236,7 +247,7 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
 /// **mutex-free** — a preempted thread never stalls the shard, the
 /// "practically wait-free" behaviour lock-free structures show under
 /// oversubscription. The [`MutexHeapSub`] backend (alias
-/// [`MutexHeapMultiQueue`]) is the pre-PR 3 lock-per-shard baseline.
+/// [`MutexHeapMultiQueue`]) is the lock-per-shard design of the paper.
 ///
 /// Placement is always **keyed** (item id hashed consistently to a
 /// shard), which funnels every update of a given item into one shard so
@@ -285,7 +296,8 @@ where
     _prio: std::marker::PhantomData<fn() -> P>,
 }
 
-/// The mutex-per-shard baseline MultiQueue (pre-PR 3 behaviour).
+/// The mutex-per-shard MultiQueue: try-locked sequential heaps, the
+/// paper's Section 7 scheduler.
 pub type MutexHeapMultiQueue<P = u64> = ConcurrentMultiQueue<P, MutexHeapSub<P>>;
 
 impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
@@ -323,7 +335,16 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         self.len() == 0
     }
 
-    /// Nominal relaxation factor `k = O(q log q)` (PODC 2017).
+    /// Nominal relaxation factor `k = O(q log q)` (PODC 2017) of the
+    /// shared structure, as unbuffered sessions (`spawn_batch == 1`)
+    /// see it.
+    ///
+    /// Buffered sessions widen it by about `q·D + workers·I`, where
+    /// `D = min(spawn_batch / 8, 8)` is the deletion-buffer size and
+    /// `I = spawn_batch` the spawn-buffer size: a batched pop hands out
+    /// the `1 + D` smallest elements of *one* shard, the last of which
+    /// has expected global rank `q·D`, and each worker may hold `I`
+    /// spawned elements no other worker can pop yet.
     pub fn relaxation_factor(&self) -> usize {
         let q = self.shards.len();
         let lg = usize::BITS as usize - (q + 1).leading_zeros() as usize;
@@ -460,9 +481,31 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 /// member of the workspace's worker-session layer (see the crate docs).
 ///
 /// Carries the amortized epoch [`PinSession`], the worker's private
-/// RNG stream, the bounded **spawn buffer** (deduplicating repeated
-/// items locally, so a buffered decrease-key costs no shared-memory
-/// traffic at all), and the **sticky peek cache**.
+/// RNG stream, the **sticky peek cache**, and — when
+/// [`SessionConfig::spawn_batch`] is above 1 — the two buffers of an
+/// engineered MultiQueue, which trade relaxation (see
+/// [`relaxation_factor`](ConcurrentMultiQueue::relaxation_factor)) for
+/// one shard acquisition per *batch* instead of per element:
+///
+/// * the bounded **spawn buffer** parks pushes (deduplicating repeated
+///   items locally, so a buffered decrease-key costs no shared-memory
+///   traffic at all); a flush groups them by target shard and publishes
+///   each group through one
+///   [`push_or_decrease_many`](SubPriority::push_or_decrease_many);
+/// * the **deletion buffer** holds up to `min(spawn_batch / 8, 8)`
+///   successors that the winning shard of a choice-of-two yielded
+///   together with its minimum
+///   ([`try_pop_many`](SubPriority::try_pop_many)); the next pops are
+///   served from it without touching shared memory.
+///
+/// A parked pop has left its shard, so a concurrent push of the same
+/// item is net-new there and the parked copy surfaces later as a stale
+/// pop — the same race, with the same outcome, as a decrease arriving
+/// just after a pop. [`flush_session`](ConcurrentMultiQueue::flush_session)
+/// leaves **nothing parked in either buffer**: spawns are published and
+/// parked pops go back through `push_or_decrease`. With `spawn_batch ==
+/// 1` neither buffer exists and every operation goes straight to the
+/// shards.
 ///
 /// The peek cache descends from the MultiQueue paper's batching idea
 /// (Rihani, Sanders, Dementiev, SPAA 2015) — reuse scheduling state
@@ -506,6 +549,12 @@ pub struct MqSession<P> {
     cached: Option<(usize, (P, usize))>,
     buf: Vec<(usize, P)>,
     batch: usize,
+    /// The deletion buffer: successors claimed together with an earlier
+    /// pop's minimum, largest first (the next pop is the last entry).
+    popped: Vec<(usize, P)>,
+    /// Successors a winning shard yields beyond its minimum; 0 when
+    /// `batch == 1`, which keeps both buffers out of the session.
+    pop_extra: usize,
 }
 
 impl<P> MqSession<P> {
@@ -518,10 +567,11 @@ impl<P> MqSession<P> {
 impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     /// Open a worker session (see [`MqSession`]). Placement stays keyed
     /// — a MultiQueue has no home shards; its locality levers are the
-    /// sticky peek cache (`cfg.stickiness`) and the spawn buffer
-    /// (`cfg.spawn_batch`).
+    /// sticky peek cache (`cfg.stickiness`) and the spawn and deletion
+    /// buffers (`cfg.spawn_batch`).
     pub fn session(&self, cfg: &SessionConfig) -> MqSession<P> {
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
+        let pop_extra = (batch / 8).min(MAX_POP_EXTRA);
         MqSession {
             pin: PinSession::new(S::NEEDS_EPOCH),
             // `cfg.seed` is already the per-worker stream (the config
@@ -532,6 +582,8 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
             cached: None,
             buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
             batch,
+            popped: Vec::with_capacity(pop_extra),
+            pop_extra,
         }
     }
 
@@ -576,23 +628,41 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         }
     }
 
-    /// Publish everything parked in the session buffer. The report's
+    /// Publish everything parked in the session: buffered spawns, one
+    /// acquisition per touched shard, and — back where they came from —
+    /// any pops still parked in the deletion buffer. The report's
     /// `merged` count is the number of published elements that hit an
     /// existing entry — the retraction signal for element-count
-    /// maintainers (each such element was parked as presumed-new).
+    /// maintainers (each such element was counted as net-new, when it
+    /// was parked or when its newer copy was pushed).
     pub fn flush_session(&self, s: &mut MqSession<P>) -> FlushReport {
-        if s.buf.is_empty() {
+        if s.buf.is_empty() && s.popped.is_empty() {
             return FlushReport::default();
         }
         s.pin.tick();
         let tok = S::borrow_token(&s.pin);
-        let mut rep = FlushReport::default();
-        for (item, prio) in s.buf.drain(..) {
-            rep.published += 1;
+        let mut rep = FlushReport {
+            published: (s.buf.len() + s.popped.len()) as u64,
+            merged: 0,
+        };
+        // Parked pops go back where they came from. One that merges met
+        // a copy pushed while it sat here; that push was counted as
+        // net-new, so the merge retracts this one.
+        for (item, prio) in s.popped.drain(..) {
             if !self.push_or_decrease_tok(item, prio, &tok) {
                 rep.merged += 1;
             }
         }
+        // One acquisition per touched shard: group the parked spawns by
+        // target shard and publish each group whole.
+        let q = self.shards.len();
+        s.buf.sort_unstable_by_key(|&(item, _)| queue_of(item, q));
+        for group in s.buf.chunk_by(|a, b| queue_of(a.0, q) == queue_of(b.0, q)) {
+            let fresh = self.shards[queue_of(group[0].0, q)].push_or_decrease_many(group, &tok);
+            self.len.fetch_add(fresh, Ordering::AcqRel);
+            rep.merged += (group.len() - fresh) as u64;
+        }
+        s.buf.clear();
         telemetry::count(telemetry::OpCount::FlushPublished, rep.published);
         telemetry::count(telemetry::OpCount::FlushMerged, rep.merged);
         rep
@@ -600,12 +670,16 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 
     /// Session pop: the choice-of-two relaxed delete-min, with candidate
     /// A served from the sticky peek cache while its reuse budget lasts.
-    /// A pop that claims the cached shard reports [`PopSource::Home`]
-    /// (a cache hit); everything else is [`PopSource::Shared`] — keyed
-    /// placement has no steal notion. `None` semantics match
-    /// [`pop`](Self::pop); buffered spawns are **not** popped here —
-    /// flush on a miss (the runtime's worker loop does).
+    /// A pop that claims the cached shard, or is served from the
+    /// session's deletion buffer, reports [`PopSource::Home`];
+    /// everything else is [`PopSource::Shared`] — keyed placement has
+    /// no steal notion. `None` semantics match [`pop`](Self::pop);
+    /// buffered spawns are **not** popped here — flush on a miss (the
+    /// runtime's worker loop does).
     pub fn pop_session(&self, s: &mut MqSession<P>) -> Option<((usize, P), PopSource)> {
+        if let Some(next) = s.popped.pop() {
+            return Some((next, PopSource::Home));
+        }
         s.pin.tick();
         let tok = S::borrow_token(&s.pin);
         let q = self.shards.len();
@@ -647,9 +721,15 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
                     }
                 }
             };
-            match self.shards[win].try_pop_min(&tok) {
+            let claimed = if s.pop_extra == 0 {
+                self.shards[win].try_pop_min(&tok)
+            } else {
+                self.shards[win].try_pop_many(s.pop_extra, &mut s.popped, &tok)
+            };
+            match claimed {
                 TryPopMin::Item((item, prio)) => {
-                    self.len.fetch_sub(1, Ordering::AcqRel);
+                    self.len.fetch_sub(1 + s.popped.len(), Ordering::AcqRel);
+                    s.popped.reverse();
                     // Pin the losing shard's observed minimum for the
                     // next pop — the "peek cache" form of stickiness.
                     // Only a *fresh-sample* pop re-arms the reuse
@@ -1082,5 +1162,95 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.priority_of(1), Some(5), "buffer kept the minimum");
         assert_eq!(q.priority_of(0), Some(100));
+    }
+
+    /// A batched session: 64 parked spawns, 8 successors per pop.
+    fn batched() -> SessionConfig {
+        SessionConfig {
+            spawn_batch: 64,
+            ..SessionConfig::default()
+        }
+    }
+
+    #[test]
+    fn flush_returns_parked_pops_and_conserves_both_backends() {
+        fn check<S: SubPriority<u64>>() {
+            // One shard, so the batch is the 1 + 8 smallest overall.
+            let q: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(1).multiqueue_on();
+            let mut s = q.session(&batched());
+            let mut net = 0i64;
+            for i in 0..40usize {
+                net += q.push_session(i, i as u64, &mut s).net_new();
+            }
+            net -= q.flush_session(&mut s).merged as i64;
+            assert_eq!((net, q.len()), (40, 40));
+
+            let mut pops = 0i64;
+            assert_eq!(q.pop_session(&mut s), Some(((0, 0), PopSource::Shared)));
+            pops += 1;
+            assert_eq!(s.popped.len(), 8);
+            assert_eq!(q.len(), 31, "parked pops have left the shards");
+            // The next pop is served from the deletion buffer, in order.
+            assert_eq!(q.pop_session(&mut s), Some(((1, 1), PopSource::Home)));
+            pops += 1;
+
+            let rep = q.flush_session(&mut s);
+            assert_eq!((s.popped.len(), s.buffered()), (0, 0));
+            assert_eq!((rep.published, rep.merged), (7, 0));
+            net -= rep.merged as i64;
+            assert_eq!(q.len(), 38);
+            while let Some(((_, p), _)) = q.pop_session(&mut s) {
+                assert!(p >= 2, "a consumed item came back");
+                pops += 1;
+            }
+            assert_eq!(pops, net, "pops + drain differ from net inserts");
+        }
+        check::<SkipShard<u64>>();
+        check::<MutexHeapSub<u64>>();
+    }
+
+    #[test]
+    fn flush_merges_parked_pop_with_its_repushed_copy_both_backends() {
+        fn check<S: SubPriority<u64>>() {
+            let q: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(1).multiqueue_on();
+            let mut s = q.session(&batched());
+            let mut net = 0i64;
+            for i in 0..20usize {
+                net += q.push_or_decrease(i, 10 * i as u64) as i64;
+            }
+            let mut pops = 0i64;
+            assert!(q.pop_session(&mut s).is_some());
+            pops += 1;
+            assert_eq!(s.popped.len(), 8, "items 1..=8 are parked");
+            // Another pusher re-inserts item 3 while its old copy sits in
+            // the deletion buffer: net-new as far as the shard can tell.
+            assert!(q.push_or_decrease(3, 7));
+            net += 1;
+            let rep = q.flush_session(&mut s);
+            assert_eq!((rep.published, rep.merged), (8, 1));
+            net -= rep.merged as i64;
+            assert_eq!(q.priority_of(3), Some(7), "the merge kept the minimum");
+            assert_eq!(q.len(), 19);
+            let mut seen = HashSet::new();
+            while let Some(((item, _), _)) = q.pop_session(&mut s) {
+                assert!(seen.insert(item), "item {item} delivered twice");
+                pops += 1;
+            }
+            assert_eq!(pops, net, "pops + drain differ from net inserts");
+        }
+        check::<SkipShard<u64>>();
+        check::<MutexHeapSub<u64>>();
+    }
+
+    #[test]
+    fn unbatched_session_never_parks_a_pop() {
+        let q: ConcurrentMultiQueue<u64, MutexHeapSub<u64>> = QueueBuilder::new(1).multiqueue_on();
+        for i in 0..20usize {
+            q.push_or_decrease(i, i as u64);
+        }
+        let mut s = q.session(&SessionConfig::default());
+        assert!(q.pop_session(&mut s).is_some());
+        assert_eq!(s.popped.len(), 0);
+        assert_eq!(q.len(), 19);
     }
 }

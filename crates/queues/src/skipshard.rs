@@ -51,12 +51,16 @@
 //! nodes — the stale one surfaces exactly like a stale SSSP distance,
 //! which every caller of a *relaxed* queue must tolerate anyway).
 //!
-//! # [`MutexHeapSub`] — the locked baseline
+//! # [`MutexHeapSub`] — the locked shard
 //!
-//! The pre-PR 3 shard verbatim: one `parking_lot::Mutex` around an
-//! [`IndexedBinaryHeap`]. Kept for comparison (`mq_contention` sweeps
-//! both backends) and for low-thread-count runs, where an uncontended
-//! lock still beats an epoch pin.
+//! One `parking_lot::Mutex` around an [`IndexedBinaryHeap`] — the
+//! paper's try-locked sequential heap. With threads ≤ cores an
+//! uncontended lock beats an epoch pin plus a skiplist walk, so
+//! `parallel_sssp` runs on it; it overrides the two batched operations
+//! ([`try_pop_many`](SubPriority::try_pop_many),
+//! [`push_or_decrease_many`](SubPriority::push_or_decrease_many)) to
+//! serve a whole batch per acquisition. `mq_contention` sweeps both
+//! backends.
 //!
 //! [`try_pop_min`]: SubPriority::try_pop_min
 //! [`pop_min_wait`]: SubPriority::pop_min_wait
@@ -164,6 +168,29 @@ pub trait SubPriority<P: Ord + Copy>: Send + Sync {
         pick.try_pop_min(tok)
     }
 
+    /// Batched [`try_pop_min`](Self::try_pop_min): claim the minimum and
+    /// append up to `extra` successors, in ascending order, to `out` —
+    /// the refill of a session's deletion buffer. Locked backends
+    /// override this to take all of them under one acquisition; the
+    /// default claims one at a time and stops at the first miss.
+    fn try_pop_many(
+        &self,
+        extra: usize,
+        out: &mut Vec<(usize, P)>,
+        tok: &Self::Token,
+    ) -> TryPopMin<P> {
+        let first = self.try_pop_min(tok);
+        if matches!(first, TryPopMin::Item(_)) {
+            for _ in 0..extra {
+                match self.try_pop_min(tok) {
+                    TryPopMin::Item(e) => out.push(e),
+                    TryPopMin::Empty | TryPopMin::Contended => break,
+                }
+            }
+        }
+        first
+    }
+
     /// Delete-min, waiting on a lock if the backend has one (lock-free
     /// backends are identical to [`try_pop_min`](Self::try_pop_min)).
     fn pop_min_wait(&self, tok: &Self::Token) -> Option<(usize, P)>;
@@ -173,6 +200,18 @@ pub trait SubPriority<P: Ord + Copy>: Send + Sync {
     /// count the enclosing queue's `len` and the runtime's termination
     /// detector track).
     fn push_or_decrease(&self, item: usize, prio: P, tok: &Self::Token) -> bool;
+
+    /// Batched [`push_or_decrease`](Self::push_or_decrease) over
+    /// `entries`, all of which hash to this shard — one group of a
+    /// session's spawn-buffer flush. Returns how many were net-new.
+    /// Locked backends override this to publish the group under one
+    /// acquisition.
+    fn push_or_decrease_many(&self, entries: &[(usize, P)], tok: &Self::Token) -> usize {
+        entries
+            .iter()
+            .filter(|&&(item, prio)| self.push_or_decrease(item, prio, tok))
+            .count()
+    }
 
     /// Unconditional insert (used by the duplicate-insertion ablation;
     /// the keyed lookups then track only one instance of the item).
@@ -209,8 +248,7 @@ pub trait SubPriority<P: Ord + Copy>: Send + Sync {
 // Mutex + indexed-binary-heap baseline
 // ---------------------------------------------------------------------
 
-/// The locked baseline shard: a mutex around an [`IndexedBinaryHeap`]
-/// (exactly the pre-PR 3 `ConcurrentMultiQueue` shard).
+/// The locked shard: a mutex around an [`IndexedBinaryHeap`].
 #[derive(Debug)]
 pub struct MutexHeapSub<P> {
     heap: Mutex<IndexedBinaryHeap<P>>,
@@ -221,6 +259,22 @@ impl<P: Ord + Copy> Default for MutexHeapSub<P> {
         Self {
             heap: Mutex::new(IndexedBinaryHeap::new()),
         }
+    }
+}
+
+/// Merge-insert into a held heap; `true` iff `item` was net-new.
+#[inline]
+fn heap_push_or_decrease<P: Ord + Copy>(
+    heap: &mut IndexedBinaryHeap<P>,
+    item: usize,
+    prio: P,
+) -> bool {
+    if heap.contains(item) {
+        heap.decrease_key(item, prio);
+        false
+    } else {
+        heap.push(item, prio);
+        true
     }
 }
 
@@ -257,6 +311,17 @@ impl<P: Ord + Copy + Send> SubPriority<P> for MutexHeapSub<P> {
                 None => TryPopMin::Empty,
             },
         }
+    }
+
+    fn try_pop_many(&self, extra: usize, out: &mut Vec<(usize, P)>, _tok: &()) -> TryPopMin<P> {
+        let Some(mut h) = self.heap.try_lock() else {
+            return TryPopMin::Contended;
+        };
+        let Some(first) = h.pop() else {
+            return TryPopMin::Empty;
+        };
+        out.extend((0..extra).map_while(|_| h.pop()));
+        TryPopMin::Item(first)
     }
 
     fn pop_min_wait(&self, _tok: &()) -> Option<(usize, P)> {
@@ -298,14 +363,15 @@ impl<P: Ord + Copy + Send> SubPriority<P> for MutexHeapSub<P> {
     }
 
     fn push_or_decrease(&self, item: usize, prio: P, _tok: &()) -> bool {
+        heap_push_or_decrease(&mut self.heap.lock(), item, prio)
+    }
+
+    fn push_or_decrease_many(&self, entries: &[(usize, P)], _tok: &()) -> usize {
         let mut heap = self.heap.lock();
-        if heap.contains(item) {
-            heap.decrease_key(item, prio);
-            false
-        } else {
-            heap.push(item, prio);
-            true
-        }
+        entries
+            .iter()
+            .filter(|&&(item, prio)| heap_push_or_decrease(&mut heap, item, prio))
+            .count()
     }
 
     fn push(&self, item: usize, prio: P, _tok: &()) {

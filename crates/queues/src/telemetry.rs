@@ -33,7 +33,7 @@
 //! | [`OpHist::Steal`] | choice/probe rounds per successful pop | `DRaQueue`/`DCboQueue`/`ConcurrentMultiQueue`/`BucketFifoQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
 //! | [`OpHist::Floor`] | buckets examined per `BucketFifoQueue` pop | the floor scan in `pop_with_homes` |
-//! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` worker loop |
+//! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |
 //! | [`OpCount::EmptyPop`] | pops that swept everything and found nothing | all pop engines |
 //! | [`OpCount::RegistryProbe`] | item-registry slot probes | `SkipShard` keyed operations |
 //! | [`OpCount::SegInstall`] | directory segment/bucket install CAS wins | `BucketFifoQueue::get_or_alloc_bucket` |
@@ -217,9 +217,10 @@ pub enum OpHist {
     Sweep = 2,
     /// Buckets examined per `BucketFifoQueue` pop (floor-scan distance).
     Floor = 3,
-    /// Per-op duration ticks (nanoseconds) — recorded by the runtime
-    /// worker loop around each task-handler invocation, so log₂ bucket
-    /// k holds ops that ran for [2^(k-1), 2^k) ns.
+    /// Per-op duration ticks (nanoseconds) — recorded by the runtime's
+    /// service loop around each task it executes (the closed-loop
+    /// `run` never reads the clock per task), so log₂ bucket k holds
+    /// ops that ran for [2^(k-1), 2^k) ns.
     Tick = 4,
 }
 
@@ -484,7 +485,7 @@ pub struct TelemetrySnapshot {
     pub sweep: HistSnapshot,
     /// Bucket floor-scan distances (`BucketFifoQueue` only).
     pub floor: HistSnapshot,
-    /// Per-op duration ticks in nanoseconds (runtime worker loop only).
+    /// Per-op duration ticks in nanoseconds (runtime service loop only).
     pub tick: HistSnapshot,
     /// Pops that swept everything and found nothing.
     pub empty_pops: u64,

@@ -28,7 +28,8 @@ use rsched_queues::{
 /// Keyed MultiQueue over any priority-shard backend: pushes merge via
 /// `push_or_decrease` (locally in the session buffer when batching),
 /// pops are the choice-of-two relaxed delete-min with the session's
-/// sticky peek cache — mutex-free on the default skiplist backend.
+/// sticky peek cache — mutex-free on the default skiplist backend —
+/// and, when batching, its deletion buffer.
 impl<P: Ord + Copy + Send, S: SubPriority<P>> Scheduler<P> for ConcurrentMultiQueue<P, S> {
     type Session = MqSession<P>;
 

@@ -117,7 +117,7 @@ pub use pool::{
     map_chunks, run, PoolStats, RuntimeConfig, Scheduler, TaskOutcome, Worker, WorkerStats,
 };
 pub use service::{service, Injector, ServiceHandle};
-pub use termination::{ActiveCounter, ShardedCounter};
+pub use termination::ActiveCounter;
 
 // The worker-session vocabulary lives in `rsched-queues` (the sessions
 // are queue state); re-exported here because every `Scheduler`

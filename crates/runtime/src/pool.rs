@@ -30,7 +30,7 @@
 //! steals are folded into [`WorkerStats::home_hits`] /
 //! [`WorkerStats::steals`].
 
-use crate::termination::ActiveCounter;
+use crate::termination::{ActiveCounter, CounterSlot};
 use crossbeam::utils::Backoff;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -114,8 +114,10 @@ pub struct RuntimeConfig {
     /// variable, else 1; `0` disables affinity.
     pub shards_per_worker: usize,
     /// Spawn-buffer capacity per worker session; spawns park there and
-    /// publish as one batch. Defaults to the `RSCHED_SPAWN_BATCH`
-    /// environment variable, else 1 (publish immediately).
+    /// publish as one batch (MultiQueue sessions also pop
+    /// `min(spawn_batch / 8, 8)` successors with each minimum). Defaults
+    /// to the `RSCHED_SPAWN_BATCH` environment variable, else 1
+    /// (publish immediately, pop one at a time).
     pub spawn_batch: usize,
     /// Adaptive spawn batching: sessions start unbatched, double their
     /// live buffer toward `spawn_batch` while home-shard pops hit, and
@@ -280,6 +282,9 @@ pub struct Worker<'a, P: Copy, S: Scheduler<P> + ?Sized> {
     rng: SmallRng,
     queue: &'a S,
     counter: &'a ActiveCounter,
+    /// This worker's own slot of `counter`: every add/done it announces
+    /// lands there.
+    slot: &'a CounterSlot,
     pub(crate) stats: WorkerStats,
     session: S::Session,
     _payload: PhantomData<P>,
@@ -291,14 +296,14 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
     /// poppable (buffered spawns stay announced until their flush), and
     /// merged pushes retract the announcement.
     pub fn spawn(&mut self, item: usize, prio: P) {
-        self.counter.task_added();
+        self.slot.task_added();
         trace::emit(EventKind::TaskInject, item as u64);
         let queue = self.queue;
         let out = queue.push(&mut self.session, item, prio);
         match out.push {
             SessionPush::Inserted | SessionPush::Buffered => self.stats.spawned += 1,
             SessionPush::Merged => {
-                self.counter.task_done();
+                self.slot.tasks_done(1);
                 self.stats.merged += 1;
             }
         }
@@ -318,7 +323,7 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
         if report.merged > 0 {
             self.stats.spawned -= report.merged;
             self.stats.merged += report.merged;
-            self.counter.tasks_done(report.merged);
+            self.slot.tasks_done(report.merged);
         }
     }
 
@@ -342,6 +347,7 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
             rng: SmallRng::seed_from_u64(session_cfg.seed),
             queue,
             counter,
+            slot: counter.slot(tid),
             stats: WorkerStats::default(),
             session: queue.open_session(&session_cfg),
             _payload: PhantomData,
@@ -372,9 +378,6 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
             PopSource::Shared => {}
         }
         trace::emit(EventKind::TaskPop, item as u64);
-        // Per-op duration ticks: only pay for the clock reads
-        // when the telemetry window is actually recording.
-        let op_start = telemetry::enabled().then(Instant::now);
         match handler(self, item, prio) {
             TaskOutcome::Executed => {
                 self.stats.executed += 1;
@@ -392,14 +395,8 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
                 blocked.snooze();
             }
         }
-        if let Some(t) = op_start {
-            telemetry::record(
-                telemetry::OpHist::Tick,
-                t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
         trace::emit(EventKind::TaskComplete, item as u64);
-        self.counter.task_done();
+        self.slot.tasks_done(1);
     }
 
     /// One relaxed pop through the worker's own session.
@@ -485,7 +482,7 @@ where
         // The state is process-global; overlapping runs share a window.
         telemetry::reset();
     }
-    let counter = ActiveCounter::new();
+    let counter = ActiveCounter::for_workers(cfg.threads);
     {
         // Seed through a session of the seeding thread's own; the final
         // flush resolves any parked seeds before workers start.

@@ -273,7 +273,7 @@ where
     telemetry::set_enabled(cfg.telemetry);
     trace::set_enabled(cfg.trace);
     let core = Arc::new(ServiceCore {
-        counter: ActiveCounter::new(),
+        counter: ActiveCounter::for_workers(cfg.threads),
         idle: IdleGate::default(),
         shutdown: AtomicBool::new(false),
         injector_seq: AtomicU64::new(0),
@@ -312,7 +312,17 @@ where
         match worker.try_pop() {
             Some(((item, prio), source)) => {
                 backoff.reset();
+                // Per-op duration ticks, read by the `Metrics` reply:
+                // only pay for the clock reads when the telemetry
+                // window is actually recording.
+                let op_start = telemetry::enabled().then(Instant::now);
                 worker.execute_popped(handler, item, prio, source, &blocked);
+                if let Some(t) = op_start {
+                    telemetry::record(
+                        telemetry::OpHist::Tick,
+                        t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                    );
+                }
             }
             None => {
                 if worker.flush_on_miss() {

@@ -1,4 +1,4 @@
-//! Quiescence-based termination detection and contention-free statistics.
+//! Quiescence-based termination detection.
 //!
 //! Relaxed concurrent queues cannot give a linearizable emptiness check
 //! (`pop` returning `None` races with concurrent pushes), so the runtime's
@@ -10,8 +10,39 @@
 //! workspace shares; it used to live in `rsched-core::parallel` and moved
 //! here when the runtime became the single concurrency substrate.
 
-use crossbeam::utils::Backoff;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crossbeam::utils::{Backoff, CachePadded};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// One monotone `(added, done)` pair of an [`ActiveCounter`], on a cache
+/// line of its own.
+#[derive(Debug, Default)]
+pub(crate) struct CounterSlot {
+    added: AtomicU64,
+    done: AtomicU64,
+}
+
+impl CounterSlot {
+    // `Release` on every update: a reader that observes a task's `done`
+    // also observes every `added` its handler made before finishing
+    // (and, through the queue's own synchronization, the `added` of the
+    // task itself), which is what the done-before-added read order
+    // relies on.
+    //
+    // A worker slot has one writer — the worker thread that
+    // [`ActiveCounter::slot`] handed it to — so its updates are plain
+    // load-then-store, not read-modify-writes.
+    #[inline]
+    pub(crate) fn task_added(&self) {
+        let n = self.added.load(Ordering::Relaxed);
+        self.added.store(n + 1, Ordering::Release);
+    }
+
+    #[inline]
+    pub(crate) fn tasks_done(&self, n: u64) {
+        let d = self.done.load(Ordering::Relaxed);
+        self.done.store(d + n, Ordering::Release);
+    }
+}
 
 /// Termination-detection counter for concurrent task pools.
 ///
@@ -25,6 +56,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///    [`wait_or_quiescent`](ActiveCounter::wait_or_quiescent); `true` means
 ///    globally done, `false` means "retry popping".
 ///
+/// The count is kept as monotone `(added, done)` pairs, one cache-padded
+/// slot per pool worker plus one shared slot for everyone else (seeders,
+/// injectors, callers of the methods below), so the per-task updates of
+/// different workers never touch the same cache line. A reading sums all
+/// `done` values **before** all `added` values: `done ≤ added` holds at
+/// every instant, so equal sums mean the pool was quiescent between the
+/// two passes — and quiescence, once reached, is stable.
+///
 /// # Examples
 ///
 /// ```
@@ -36,31 +75,49 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// c.task_done();
 /// assert!(c.is_quiescent());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ActiveCounter {
-    active: AtomicUsize,
+    /// `slots[0]` is the shared slot, `slots[1 + tid]` worker `tid`'s.
+    slots: Box<[CachePadded<CounterSlot>]>,
+}
+
+impl Default for ActiveCounter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ActiveCounter {
-    /// A counter starting at zero (quiescent).
+    /// A counter starting at zero (quiescent), with the shared slot only.
     pub fn new() -> Self {
+        Self::for_workers(0)
+    }
+
+    /// A counter starting at zero with a slot of its own for each of
+    /// `workers` pool workers.
+    pub fn for_workers(workers: usize) -> Self {
         Self {
-            active: AtomicUsize::new(0),
+            slots: (0..=workers).map(|_| CachePadded::default()).collect(),
         }
+    }
+
+    /// Worker `tid`'s own slot, for that worker's thread alone to
+    /// update. Panics if the counter was built for fewer workers.
+    pub(crate) fn slot(&self, tid: usize) -> &CounterSlot {
+        &self.slots[1 + tid]
     }
 
     /// Announce a task about to be queued.
     #[inline]
     pub fn task_added(&self) {
-        self.active.fetch_add(1, Ordering::AcqRel);
+        self.slots[0].added.fetch_add(1, Ordering::Release);
     }
 
     /// Announce completion of a popped task (after its children, if any,
     /// were announced and queued).
     #[inline]
     pub fn task_done(&self) {
-        let prev = self.active.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "task_done without matching task_added");
+        self.tasks_done(1);
     }
 
     /// Batch form of [`task_done`](Self::task_done): retract `n`
@@ -69,15 +126,8 @@ impl ActiveCounter {
     #[inline]
     pub fn tasks_done(&self, n: u64) {
         if n > 0 {
-            let prev = self.active.fetch_sub(n as usize, Ordering::AcqRel);
-            debug_assert!(prev >= n as usize, "tasks_done without matching adds");
+            self.slots[0].done.fetch_add(n, Ordering::Release);
         }
-    }
-
-    /// `true` iff no tasks are queued or in flight.
-    #[inline]
-    pub fn is_quiescent(&self) -> bool {
-        self.active.load(Ordering::Acquire) == 0
     }
 
     /// Tasks queued or in flight right now — a racy observability
@@ -85,7 +135,24 @@ impl ActiveCounter {
     /// admission logic and stats endpoints report.
     #[inline]
     pub fn active(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        let done: u64 = self
+            .slots
+            .iter()
+            .map(|s| s.done.load(Ordering::Acquire))
+            .sum();
+        let added: u64 = self
+            .slots
+            .iter()
+            .map(|s| s.added.load(Ordering::Acquire))
+            .sum();
+        debug_assert!(added >= done, "task_done without matching task_added");
+        (added - done) as usize
+    }
+
+    /// `true` iff no tasks are queued or in flight.
+    #[inline]
+    pub fn is_quiescent(&self) -> bool {
+        self.active() == 0
     }
 
     /// Back off briefly; returns `true` if the pool is quiescent (caller
@@ -97,36 +164,6 @@ impl ActiveCounter {
         }
         backoff.snooze();
         false
-    }
-}
-
-/// A cache-padded set of per-thread counters summed on demand — cheap
-/// statistics aggregation for concurrent executors (task counts, wasted
-/// pops) without cross-thread contention on a single atomic.
-#[derive(Debug)]
-pub struct ShardedCounter {
-    shards: Box<[crossbeam::utils::CachePadded<AtomicU64>]>,
-}
-
-impl ShardedCounter {
-    /// One shard per thread.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            shards: (0..threads.max(1))
-                .map(|_| crossbeam::utils::CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    /// Increment thread `tid`'s shard by `by`.
-    #[inline]
-    pub fn add(&self, tid: usize, by: u64) {
-        self.shards[tid].fetch_add(by, Ordering::Relaxed);
-    }
-
-    /// Sum over all shards (exact once threads are joined).
-    pub fn sum(&self) -> u64 {
-        self.shards.iter().map(|s| s.load(Ordering::Acquire)).sum()
     }
 }
 
@@ -147,12 +184,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counter_sums() {
-        let c = ShardedCounter::new(4);
-        c.add(0, 5);
-        c.add(3, 7);
-        c.add(0, 1);
-        assert_eq!(c.sum(), 13);
+    fn worker_slots_and_shared_slot_sum_to_one_count() {
+        let c = ActiveCounter::for_workers(2);
+        c.task_added(); // a seed, on the shared slot
+        c.slot(0).task_added(); // worker 0 spawns a child ...
+        c.slot(0).tasks_done(1); // ... and finishes the seed
+        assert_eq!(c.active(), 1);
+        c.slot(1).tasks_done(1); // worker 1 finishes the child
+        assert!(c.is_quiescent());
     }
 
     #[test]
@@ -160,7 +199,6 @@ mod tests {
         // A synthetic task pool: each task spawns children until a depth
         // budget runs out; termination detection must not fire early and
         // must fire eventually.
-        use crossbeam::utils::Backoff;
         use std::sync::Arc;
         let queue: Arc<crossbeam::queue::SegQueue<u32>> =
             Arc::new(crossbeam::queue::SegQueue::new());

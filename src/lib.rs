@@ -145,7 +145,7 @@ pub mod prelude {
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{
-        map_chunks, ActiveCounter, PoolStats, RuntimeConfig, Scheduler, ShardedCounter,
-        TaskOutcome, Worker, WorkerStats,
+        map_chunks, ActiveCounter, PoolStats, RuntimeConfig, Scheduler, TaskOutcome, Worker,
+        WorkerStats,
     };
 }

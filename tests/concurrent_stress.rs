@@ -391,7 +391,7 @@ fn multiqueue_backend_matrix_storm() {
     use rand::{Rng, SeedableRng};
     use rsched_queues::{MutexHeapSub, SkipShard, SubPriority};
 
-    fn storm<S: SubPriority<u64> + 'static>(name: &str) {
+    fn storm<S: SubPriority<u64> + 'static>(name: &str, spawn_batch: usize) {
         let threads = 4 * stress();
         let per = 2_500 * stress();
         let q: Arc<ConcurrentMultiQueue<u64, S>> = Arc::new(QueueBuilder::new(6).multiqueue_on());
@@ -401,7 +401,7 @@ fn multiqueue_backend_matrix_storm() {
                 std::thread::spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(t as u64 * 37 + 2);
                     let mut session = q.session(&SessionConfig {
-                        spawn_batch: 8,
+                        spawn_batch,
                         stickiness: 4,
                         ..SessionConfig::for_worker(t, threads)
                     });
@@ -464,8 +464,11 @@ fn multiqueue_backend_matrix_storm() {
         );
     }
 
-    storm::<SkipShard<u64>>("skiplist");
-    storm::<MutexHeapSub<u64>>("mutexheap");
+    // 8 parks one popped successor per pop, 64 the full eight.
+    for spawn_batch in [8, 64] {
+        storm::<SkipShard<u64>>("skiplist", spawn_batch);
+        storm::<MutexHeapSub<u64>>("mutexheap", spawn_batch);
+    }
 }
 
 /// Rank-error envelope of the **skiplist-backed MultiQueue** under real
