@@ -9,20 +9,12 @@
 //! distance later improves) — which is exactly the correspondence the
 //! Theorem 6.1 proof exploits.
 //!
-//! Two engines live here:
-//!
-//! * [`parallel_delta_stepping`] is bucket-synchronous: a coordinator
-//!   advances through buckets; each light-edge iteration and the final
-//!   heavy-edge pass fan the current frontier out over the runtime's
-//!   fork-join helper ([`rsched_runtime::map_chunks`]), whose workers
-//!   relax edges with atomic fetch-min updates and collect bucket
-//!   insertions locally.
-//! * [`relaxed_delta_stepping`] is barrier-free: it runs on the
-//!   bucketed relaxed-FIFO hybrid
-//!   ([`BucketFifoQueue`](rsched_queues::BucketFifoQueue)), which owns
-//!   the Δ-quantization — a relaxed FIFO of buckets, each bucket a
-//!   relaxed priority shard set — so bucket advance and termination are
-//!   the runtime's ordinary floor-race and quiescence machinery.
+//! [`parallel_delta_stepping`] is bucket-synchronous: a coordinator
+//! advances through buckets; each light-edge iteration and the final
+//! heavy-edge pass fan the current frontier out over the runtime's
+//! fork-join helper ([`rsched_runtime::map_chunks`]), whose workers
+//! relax edges with atomic fetch-min updates and collect bucket
+//! insertions locally.
 
 use rsched_graph::{CsrGraph, Weight, INF};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,141 +179,11 @@ pub fn parallel_delta_stepping(
     }
 }
 
-/// Δ-stepping on the **bucketed relaxed-FIFO hybrid**
-/// ([`BucketFifoQueue`]) instead of the bucket-synchronous coordinator:
-/// vertices are queued at their full tentative distance; the queue
-/// itself quantizes into Δ-wide buckets, drains them oldest-first (a
-/// relaxed FIFO *of buckets*), and relaxes the order only *inside* the
-/// current bucket (a relaxed priority shard set per bucket, with
-/// per-bucket decrease-key merging). This is the paper's Theorem 6.1
-/// correspondence between Δ-stepping and relaxed SSSP built as one
-/// structure: priority displacement per pop is bounded by Δ plus the
-/// outer FIFO slack, instead of the flat MultiQueue's unbounded
-/// priority spread at rank `O(q log q)`. With `Δ = 1` every bucket is a
-/// single distance value (Dijkstra order, FIFO-relaxed); with
-/// `Δ ≥ max-path-weight` it is one big relaxed priority queue.
-///
-/// Unlike [`parallel_delta_stepping`] there is no barrier between
-/// buckets: bucket advance is just the hybrid's floor racing past
-/// drained buckets, and workers drain to global quiescence — exactly
-/// the paper's asynchronous execution model, detected by the runtime's
-/// ordinary termination machinery.
-///
-/// [`RuntimeConfig::delta`] (env `RSCHED_DELTA`) overrides `delta`;
-/// [`RuntimeConfig::bucket_shards`] (env `RSCHED_BUCKET_SHARDS`) sets
-/// the priority shards per bucket (default `2 × threads`).
-///
-/// # Examples
-///
-/// ```
-/// use rsched_algos::delta_par::relaxed_delta_stepping;
-/// use rsched_graph::{gen::grid_road, dijkstra};
-///
-/// let g = grid_road(16, 16, 1);
-/// let r = relaxed_delta_stepping(&g, 0, 40, 4, 7);
-/// assert_eq!(r.dist, dijkstra(&g, 0).dist);
-/// ```
-///
-/// [`BucketFifoQueue`]: rsched_queues::BucketFifoQueue
-/// [`RuntimeConfig::delta`]: rsched_runtime::RuntimeConfig
-/// [`RuntimeConfig::bucket_shards`]: rsched_runtime::RuntimeConfig
-pub fn relaxed_delta_stepping(
-    g: &CsrGraph,
-    src: usize,
-    delta: Weight,
-    threads: usize,
-    seed: u64,
-) -> ParDeltaStats {
-    use rsched_queues::QueueBuilder;
-    use rsched_runtime::{run, RuntimeConfig, TaskOutcome};
-
-    assert!(delta >= 1 && threads >= 1);
-    let cfg = RuntimeConfig {
-        threads,
-        seed,
-        ..RuntimeConfig::default()
-    };
-    let delta = if cfg.delta >= 1 { cfg.delta } else { delta };
-    // Default shards per bucket: 2× threads like the MultiQueue, but
-    // capped — every touched bucket owns a full shard set and bucket
-    // memory is not reclaimed mid-run (ROADMAP follow-up), so an
-    // uncapped shards×buckets product can exhaust memory on
-    // many-bucket graphs at high thread counts.
-    let bucket_shards = if cfg.bucket_shards >= 1 {
-        cfg.bucket_shards
-    } else {
-        (2 * threads).clamp(2, 16)
-    };
-    let n = g.num_vertices();
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    dist[src].store(0, Ordering::Release);
-    let queue = QueueBuilder::new(bucket_shards).delta(delta).bucket_fifo();
-    let start = Instant::now();
-    let stats = run(&queue, cfg, [(src, 0u64)], |w, v, queued| {
-        let d = dist[v].load(Ordering::Acquire);
-        if queued > d {
-            // A smaller distance for `v` was queued (in a lower bucket
-            // or merged into this one) after this entry; that copy does
-            // the work.
-            return TaskOutcome::Stale;
-        }
-        for (u, wt) in g.neighbors(v) {
-            let nd = d + wt;
-            if relax_min(&dist[u], nd) {
-                w.spawn(u, nd);
-            }
-        }
-        TaskOutcome::Executed
-    });
-    ParDeltaStats {
-        dist: dist.into_iter().map(|d| d.into_inner()).collect(),
-        pops: stats.total.pops,
-        wall: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rsched_graph::dijkstra;
     use rsched_graph::gen::{bucket_chain_weights, grid_road, path_graph, power_law, random_gnm};
-
-    #[test]
-    fn relaxed_variant_matches_dijkstra_across_deltas() {
-        let graphs = [
-            random_gnm(600, 3000, 1..=100, 5),
-            grid_road(20, 20, 2),
-            path_graph(200, 9),
-        ];
-        for (i, g) in graphs.iter().enumerate() {
-            let want = dijkstra(g, 0).dist;
-            let reachable = want.iter().filter(|&&d| d != INF).count() as u64;
-            for delta in [1 as Weight, 37, 1_000_000] {
-                for threads in [1usize, 4] {
-                    let got = relaxed_delta_stepping(g, 0, delta, threads, 13);
-                    assert_eq!(got.dist, want, "graph {i}, delta {delta}, {threads}t");
-                    assert!(got.pops >= reachable);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_matches_sequential_sssp_on_random_graphs() {
-        // The PR 5 equivalence gate: the hybrid engine must produce
-        // exact shortest-path distances on random graphs across bucket
-        // widths, thread counts and graph seeds.
-        for gseed in [1u64, 2, 3] {
-            let g = random_gnm(500, 2_500, 1..=100, gseed);
-            let want = dijkstra(&g, 0).dist;
-            for delta in [5 as Weight, 64, 1_000] {
-                for threads in [1usize, 3, 8] {
-                    let got = relaxed_delta_stepping(&g, 0, delta, threads, gseed ^ 0xABCD);
-                    assert_eq!(got.dist, want, "seed {gseed}, delta {delta}, {threads}t");
-                }
-            }
-        }
-    }
 
     #[test]
     fn matches_dijkstra_across_graphs_and_deltas() {

@@ -54,7 +54,7 @@ pub use bst_sort::BstSort;
 pub use coloring::GreedyColoring;
 pub use concurrent::{ConcurrentBstSort, ConcurrentColoring, ConcurrentMis};
 pub use delaunay::DelaunayIncremental;
-pub use delta_par::{parallel_delta_stepping, relaxed_delta_stepping, ParDeltaStats};
+pub use delta_par::{parallel_delta_stepping, ParDeltaStats};
 pub use kcore::{kcore_sequential, parallel_kcore, KcoreStats};
 pub use label_prop::{
     label_components, parallel_label_propagation, LabelPropConfig, LabelPropStats,

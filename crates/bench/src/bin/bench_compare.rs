@@ -15,8 +15,8 @@
 //! Both files are JSON arrays of flat records, the framing every
 //! contention sweep writes via `RSCHED_JSON_OUT`. Records pair up on
 //! their identity axes (`queue`, `backend`, `threads`, plus any of
-//! `shards_per_worker`, `spawn_batch`, `stickiness`, `delta` present in
-//! the baseline). The gate fails when:
+//! `shards_per_worker`, `spawn_batch`, `stickiness` present in the
+//! baseline). The gate fails when:
 //!
 //! * a baseline cell has no matching fresh cell, or a fresh record is
 //!   missing a field its baseline record carries (schema regression);
@@ -103,7 +103,6 @@ const KEY_FIELDS: &[&str] = &[
     "shards_per_worker",
     "spawn_batch",
     "stickiness",
-    "delta",
     "mix",
     "trace",
     "arrival_process",

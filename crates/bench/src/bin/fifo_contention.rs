@@ -25,8 +25,7 @@
 //! faithful d-CBO configuration), and the session axes ride on
 //! `RSCHED_SHARDS_PER_WORKER` (home shards per worker, 0 = no affinity)
 //! and `RSCHED_SPAWN_BATCH` (enqueue batching) — both recorded in every
-//! JSON line, plus `RSCHED_SPAWN_BATCH_ADAPTIVE` (grow/shrink the live
-//! batch with the home-pop signal; recorded as a non-identity field).
+//! JSON line.
 //! `RSCHED_TRACE=1` additionally feeds the flight recorder
 //! (`rsched_queues::trace`) from the measured loop — inject/pop/steal/
 //! complete events per worker lane — and exports Chrome-trace JSON to
@@ -43,8 +42,8 @@
 //! [`FifoSession`]: rsched_queues::FifoSession
 
 use rsched_bench::{
-    env_opt_usize, env_thread_list, env_usize, session_knobs, spawn_batch_adaptive,
-    telemetry_json_fields, write_json_artifact, Scale,
+    env_opt_usize, env_thread_list, env_usize, session_knobs, telemetry_json_fields,
+    write_json_artifact, Scale,
 };
 use rsched_queues::instrument::ConcurrentRankEstimator;
 use rsched_queues::lockfree::SegRingQueue;
@@ -137,7 +136,6 @@ impl Mix {
 struct Tuning {
     shards_per_worker: usize,
     spawn_batch: usize,
-    adaptive: bool,
 }
 
 /// Run one contention cell: `threads` workers, each `ops_per_thread`
@@ -178,7 +176,6 @@ fn trial<Q: ContendedFifo>(
                 let mut session = queue.open(&SessionConfig {
                     shards_per_worker: tuning.shards_per_worker,
                     spawn_batch: tuning.spawn_batch,
-                    adaptive_spawn: tuning.adaptive,
                     ..SessionConfig::for_worker(tid, threads)
                 });
                 // A private coin for the random mix (the session owns the
@@ -272,16 +269,14 @@ fn main() {
     let threads_sweep = env_thread_list(&[1, 2, 4, 8, 16]);
     let mix = Mix::from_env();
     let (shards_per_worker, spawn_batch) = session_knobs();
-    let adaptive = spawn_batch_adaptive();
     let tuning = Tuning {
         shards_per_worker,
         spawn_batch,
-        adaptive,
     };
     println!(
         "== relaxed-FIFO contention sweep (scale {scale:?}, {ops_per_thread} ops/thread, \
          {} workload, best of {reps}, threads {threads_sweep:?}, \
-         shards/worker {shards_per_worker}, spawn batch {spawn_batch}, adaptive {adaptive}) ==",
+         shards/worker {shards_per_worker}, spawn batch {spawn_batch}) ==",
         if mix == Mix::Pairs {
             "pairs"
         } else {
@@ -375,14 +370,12 @@ fn main() {
                 "{{\"queue\":\"{queue}\",\"backend\":\"{backend}\",\"threads\":{threads},\
                  \"shards\":{shards},\"prefill\":{prefill},\"trace\":{},\
                  \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
-                 \"spawn_batch_adaptive\":{},\
                  \"ops\":{},\"wall_s\":{:.6},\
                  \"ops_per_sec\":{:.1},\"pops\":{},\"pops_per_sec\":{:.1},\
                  \"home_hits\":{},\"home_fraction\":{:.4},\"steals\":{},\
                  \"steal_fraction\":{:.4},\"dequeues_measured\":{},\"mean_rank_error\":{:.4},\
                  \"p99_rank_error\":{},\"max_rank_error\":{},{}}}",
                 trace_on as u8,
-                adaptive as u8,
                 t.ops,
                 t.wall_s,
                 t.ops as f64 / t.wall_s,

@@ -44,7 +44,9 @@
 //!   server schedules by arrival, deadlines are only measured);
 //!   `edf` requests [`FEAT_EDF`], so the deadline *is* the scheduling
 //!   key. Same traffic, same measurements — the mode axis isolates
-//!   exactly the scheduling-policy effect on miss rate.
+//!   exactly the scheduling-policy effect on miss rate. Only the
+//!   key-ordered backends grant it: an `edf` cell on `dcbo` runs
+//!   arrival order and says so (`"edf_granted":0` in its record).
 //! * `deadline_budget` — `tight` (every request gets
 //!   `RSCHED_BUDGET_TIGHT_NS`), `loose` (`RSCHED_BUDGET_LOOSE_NS`), or
 //!   `mixed` (alternating per request). `mixed` is where EDF earns its
@@ -306,6 +308,8 @@ struct ConnTotals {
     deadline_met: u64,
     /// Completions that missed.
     deadline_misses: u64,
+    /// The ack granted [`FEAT_EDF`]: deadlines steered scheduling.
+    edf_granted: bool,
     /// The server's final per-run stats snapshot (last Stats reply).
     server_stats: Option<StatsReply>,
     /// The server's live telemetry + gauges (last Metrics reply).
@@ -331,9 +335,9 @@ fn drive_connection(
         .expect("v2 handshake");
     assert_eq!(ack.version, PROTO_V2, "server negotiated below v2");
     assert_eq!(
-        ack.features,
-        w.mode.features(),
-        "server granted unexpected features"
+        ack.features & !w.mode.features(),
+        0,
+        "server granted features nobody asked for"
     );
     let (mut tx, mut rx) = client.split();
     // req_id → scheduled arrival instant; sender inserts *before* the
@@ -431,7 +435,10 @@ fn drive_connection(
         submitted
     });
 
-    let mut totals = ConnTotals::default();
+    let mut totals = ConnTotals {
+        edf_granted: ack.features & FEAT_EDF != 0,
+        ..ConnTotals::default()
+    };
     loop {
         let resp = rx
             .recv()
@@ -555,6 +562,13 @@ fn run_cell(endpoint: &Endpoint, cell: &Cell, clients: usize, w_proto: &Workload
     } else {
         deadline_misses as f64 / completed as f64
     };
+    let edf_granted = totals.iter().all(|t| t.edf_granted);
+    if cell.mode == Mode::Edf && !edf_granted {
+        println!(
+            "note: backend {} granted no FEAT_EDF; this edf cell ran arrival order",
+            cell.backend_name
+        );
+    }
     let srv = totals
         .iter()
         .rev()
@@ -571,7 +585,7 @@ fn run_cell(endpoint: &Endpoint, cell: &Cell, clients: usize, w_proto: &Workload
         "{{\"bench\":\"serve_latency\",\"backend\":\"{}\",\"threads\":{},\
          \"arrival_process\":\"{}\",\"offered_rate\":{:.1},\"clients\":{},\
          \"work_ns\":{},\"queue_cap\":{},\"duration_s\":{:.3},\
-         \"mode\":\"{}\",\"deadline_budget\":\"{}\",\
+         \"mode\":\"{}\",\"edf_granted\":{},\"deadline_budget\":\"{}\",\
          \"submitted\":{},\"accepted\":{},\"rejected\":{},\"completed\":{},\
          \"achieved_rate\":{:.1},\"accepted_per_sec\":{:.1},\
          \"lat_p50\":{},\"lat_p99\":{},\"lat_p999\":{},\"lat_max\":{},\
@@ -591,6 +605,7 @@ fn run_cell(endpoint: &Endpoint, cell: &Cell, clients: usize, w_proto: &Workload
         cell.queue_cap,
         elapsed,
         cell.mode.name(),
+        edf_granted as u8,
         cell.budget.name(),
         submitted,
         accepted,
@@ -747,7 +762,6 @@ fn main() {
                                     threads,
                                     queue_cap,
                                     seed,
-                                    delta_ns: env_u64("RSCHED_SERVE_DELTA_NS", 1_000_000).max(1),
                                 })
                                 .expect("server start");
                                 let endpoint = server.endpoint().clone();

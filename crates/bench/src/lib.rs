@@ -113,24 +113,13 @@ pub fn session_knobs() -> (usize, usize) {
     )
 }
 
-/// The adaptive-spawn-batch knob (`RSCHED_SPAWN_BATCH_ADAPTIVE`,
-/// non-zero enables; default off): sessions start unbatched and grow
-/// the live spawn buffer toward `RSCHED_SPAWN_BATCH` on home-shard pop
-/// hits, shrinking toward 1 on misses. Emitted in every contention
-/// JSON record as a *non-identity* field (`spawn_batch_adaptive`), so
-/// runs with the flag flipped still compare against the same baseline
-/// cell.
-pub fn spawn_batch_adaptive() -> bool {
-    env_usize("RSCHED_SPAWN_BATCH_ADAPTIVE", 0) != 0
-}
-
 /// The shared telemetry tail-field fragment of the bench JSON schema
 /// (no surrounding braces, no leading comma): per-op CAS-retry and
 /// steal-round quantiles, fallback-sweep p99, empty-pop and flush
 /// counters, and the epoch-GC progress pair. Every contention bin
 /// appends this to its record so `bench_compare` can gate the tails
-/// uniformly; structure-specific extras (floor scan, registry probes,
-/// segment installs) ride separately.
+/// uniformly; structure-specific extras (registry probes) ride
+/// separately.
 pub fn telemetry_json_fields(t: &rsched_queues::TelemetrySnapshot) -> String {
     format!(
         "\"retry_p50\":{},\"retry_p99\":{},\"retry_p999\":{},\"retry_max\":{},\

@@ -1,10 +1,10 @@
 //! One construction path for every relaxed queue in the crate.
 //!
 //! [`QueueBuilder`] is the only way to build [`ConcurrentMultiQueue`],
-//! [`BucketFifoQueue`], [`DRaQueue`] and [`DCboQueue`]: one fluent
-//! spelling with **typed backend selection** — the terminal method
-//! names the structure, its `_on::<S>()` twin names the shard backend,
-//! and every knob has exactly one place to live.
+//! [`DRaQueue`] and [`DCboQueue`]: one fluent spelling with **typed
+//! backend selection** — the terminal method names the structure, its
+//! `_on::<S>()` twin names the shard backend, and every knob has
+//! exactly one place to live.
 //!
 //! ```
 //! use rsched_queues::{QueueBuilder, MutexHeapSub};
@@ -13,18 +13,15 @@
 //! let mq = QueueBuilder::new(8).universe(1024).multiqueue::<u64>();
 //! let dra = QueueBuilder::new(4).choices(2).seed(7).d_ra::<usize>();
 //! let dcbo = QueueBuilder::new(4).seed(7).d_cbo::<usize>();
-//! let bucket = QueueBuilder::new(2).delta(64).bucket_fifo();
 //! assert_eq!(mq.nqueues(), 8);
 //! assert_eq!(dra.choices(), 2);
 //! assert_eq!(dcbo.num_shards(), 4);
-//! assert_eq!(bucket.delta(), 64);
 //!
 //! // Typed backend selection — the turbofish picks the shard type:
 //! let mutex_mq = QueueBuilder::new(8).multiqueue_on::<u64, MutexHeapSub<u64>>();
 //! assert_eq!(mutex_mq.nqueues(), 8);
 //! ```
 
-use crate::bucket::BucketFifoQueue;
 use crate::fifo::{DCboQueue, DRaQueue, SubFifo};
 use crate::lockfree::SegRingQueue;
 use crate::multiqueue::ConcurrentMultiQueue;
@@ -35,10 +32,10 @@ use crate::skipshard::{SkipShard, SubPriority};
 /// chain knobs, finish with a typed terminal method.
 ///
 /// Knob defaults: `choices = 2` (the classic two-choice
-/// configuration), `seed = 0x5EED`, `delta = 1`, no universe
-/// pre-allocation. Knobs a structure does not use are ignored by its
-/// terminal (a `seed` on a `multiqueue()` changes nothing — the
-/// MultiQueue's RNG is per-caller).
+/// configuration), `seed = 0x5EED`, no universe pre-allocation. Knobs
+/// a structure does not use are ignored by its terminal (a `seed` on a
+/// `multiqueue()` changes nothing — the MultiQueue's RNG is
+/// per-caller).
 #[derive(Clone, Copy, Debug)]
 #[must_use = "a QueueBuilder does nothing until a terminal method builds a queue"]
 pub struct QueueBuilder {
@@ -46,20 +43,17 @@ pub struct QueueBuilder {
     choices: usize,
     seed: u64,
     universe: Option<usize>,
-    delta: u64,
 }
 
 impl QueueBuilder {
     /// Start a builder for a structure with `shards` internal shards
-    /// (sub-queues for the FIFOs, priority shards for the MultiQueue,
-    /// shards *per bucket* for the bucket hybrid).
+    /// (sub-queues for the FIFOs, priority shards for the MultiQueue).
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
             choices: 2,
             seed: 0x5EED,
             universe: None,
-            delta: 1,
         }
     }
 
@@ -80,12 +74,6 @@ impl QueueBuilder {
     /// (keyed structures only: the MultiQueue's shard registries).
     pub fn universe(mut self, universe: usize) -> Self {
         self.universe = Some(universe);
-        self
-    }
-
-    /// Bucket width Δ for [`bucket_fifo`](Self::bucket_fifo). Default 1.
-    pub fn delta(mut self, delta: u64) -> Self {
-        self.delta = delta;
         self
     }
 
@@ -124,18 +112,6 @@ impl QueueBuilder {
     /// Build a [`DCboQueue`] on sub-FIFO backend `S`.
     pub fn d_cbo_on<T: Send, S: SubFifo<T>>(self) -> DCboQueue<T, S> {
         DCboQueue::construct(self.shards, self.choices, self.seed)
-    }
-
-    /// Build a [`BucketFifoQueue`] (Δ-bucket FIFO-of-priorities
-    /// hybrid) on the default lock-free skiplist backend. The
-    /// builder's shard count is the *per-bucket* shard count.
-    pub fn bucket_fifo(self) -> BucketFifoQueue<SkipShard<u64>> {
-        self.bucket_fifo_on::<SkipShard<u64>>()
-    }
-
-    /// Build a [`BucketFifoQueue`] on shard backend `S`.
-    pub fn bucket_fifo_on<S: SubPriority<u64>>(self) -> BucketFifoQueue<S> {
-        BucketFifoQueue::construct(self.delta, self.shards)
     }
 }
 
@@ -225,9 +201,6 @@ mod tests {
         let dcbo = QueueBuilder::new(5).d_cbo::<usize>();
         assert_eq!(dcbo.num_shards(), 5);
 
-        let bucket = QueueBuilder::new(2).delta(32).bucket_fifo();
-        assert_eq!((bucket.shards_per_bucket(), bucket.delta()), (2, 32));
-
         let built = || BUILT_WITH.with(|b| std::mem::take(&mut *b.borrow_mut()));
         let _ = QueueBuilder::new(3)
             .universe(100)
@@ -259,11 +232,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         dra.enqueue(7, &mut rng);
         assert_eq!(dra.dequeue(&mut rng), Some(7));
-
-        let bucket = QueueBuilder::new(1)
-            .delta(8)
-            .bucket_fifo_on::<MutexHeapSub<u64>>();
-        bucket.push_or_decrease(3, 11);
-        assert_eq!(bucket.len(), 1);
     }
 }

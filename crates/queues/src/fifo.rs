@@ -360,15 +360,8 @@ pub struct FifoSession<T> {
     /// resumes there so a hot home shard keeps serving until it misses.
     rotor: usize,
     buf: Vec<T>,
-    /// Live spawn-buffer threshold. Fixed at the configured
-    /// `spawn_batch` unless `adaptive` is set, in which case it starts
-    /// at 1 and moves between 1 and `batch_cap` with the pop signal.
+    /// Spawn-buffer threshold: the configured `spawn_batch`, clamped.
     batch: usize,
-    /// Ceiling for the live threshold (the configured `spawn_batch`).
-    batch_cap: usize,
-    /// Adaptive batching on: double `batch` on a home-shard pop hit,
-    /// halve it on a pop miss (the quiescence signal).
-    adaptive: bool,
 }
 
 impl<T> FifoSession<T> {
@@ -380,30 +373,6 @@ impl<T> FifoSession<T> {
     /// Elements parked in the spawn buffer, not yet published.
     pub fn buffered(&self) -> usize {
         self.buf.len()
-    }
-
-    /// The live spawn-buffer threshold: the configured `spawn_batch`
-    /// when fixed, the current adapted value when
-    /// [`SessionConfig::adaptive_spawn`] is set.
-    pub fn spawn_batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Fold one pop outcome into the adaptive batch size: a home-shard
-    /// hit means this session's shards hold plenty of local work, so
-    /// batching pushes is cheap latency-wise — double the threshold
-    /// (up to the configured ceiling). A miss means the structure is
-    /// near quiescence and every buffered spawn is invisible progress —
-    /// halve toward 1 so pushes publish (almost) immediately.
-    fn adapt(&mut self, outcome: Option<PopSource>) {
-        if !self.adaptive {
-            return;
-        }
-        match outcome {
-            Some(PopSource::Home) => self.batch = (self.batch * 2).min(self.batch_cap),
-            None => self.batch = (self.batch / 2).max(1),
-            Some(PopSource::Steal) | Some(PopSource::Shared) => {}
-        }
     }
 
     fn is_home(&self, shard: usize) -> bool {
@@ -433,8 +402,7 @@ fn new_fifo_session<T>(q: usize, cfg: &SessionConfig) -> FifoSession<T> {
             homes.push(shard);
         }
     }
-    let batch_cap = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
-    let adaptive = cfg.adaptive_spawn && batch_cap > 1;
+    let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
     FifoSession {
         pin: PinSession::none(),
         // `cfg.seed` is already the per-worker stream (the config
@@ -444,13 +412,8 @@ fn new_fifo_session<T>(q: usize, cfg: &SessionConfig) -> FifoSession<T> {
         rng: SmallRng::seed_from_u64(cfg.seed),
         homes,
         rotor: 0,
-        buf: Vec::with_capacity(if batch_cap > 1 { batch_cap } else { 0 }),
-        // Adaptive sessions start unbatched and earn their buffer from
-        // home-shard pop hits; fixed sessions get the whole cap up
-        // front, exactly as before.
-        batch: if adaptive { 1 } else { batch_cap },
-        batch_cap,
-        adaptive,
+        buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
+        batch,
     }
 }
 
@@ -671,12 +634,7 @@ impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
         let mut rotor = s.rotor;
         let out = self.pop_with_homes(&s.homes, &mut rotor, &mut s.rng, &tok);
         s.rotor = rotor;
-        let out = out.map(|(item, shard)| {
-            let src = s.classify(shard);
-            (item, src)
-        });
-        s.adapt(out.as_ref().map(|&(_, src)| src));
-        out
+        out.map(|(item, shard)| (item, s.classify(shard)))
     }
 
     /// The shared pop engine: locality phase over `homes`, then steal
@@ -1039,12 +997,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         let mut rotor = s.rotor;
         let out = self.pop_with_homes(&s.homes, &mut rotor, &mut s.rng, &tok);
         s.rotor = rotor;
-        let out = out.map(|(item, shard)| {
-            let src = s.classify(shard);
-            (item, src)
-        });
-        s.adapt(out.as_ref().map(|&(_, src)| src));
-        out
+        out.map(|(item, shard)| (item, s.classify(shard)))
     }
 
     /// The shared pop engine: locality phase over `homes` (round-robin
@@ -1589,51 +1542,6 @@ mod tests {
         assert_eq!(q.len(), 16);
         // An explicit flush of an empty buffer is a no-op.
         assert_eq!(q.flush_session(&mut s), FlushReport::default());
-    }
-
-    #[test]
-    fn adaptive_session_grows_on_home_hits_and_shrinks_on_misses() {
-        // Worker 0 of 1 owning all 4 shards: every successful pop is a
-        // Home hit, so the adaptive ladder is fully deterministic.
-        let q: DCboQueue<u64> = QueueBuilder::new(4).seed(5).d_cbo();
-        let mut s = q.session(&SessionConfig {
-            spawn_batch: 8,
-            adaptive_spawn: true,
-            shards_per_worker: 4,
-            ..SessionConfig::for_worker(0, 1)
-        });
-        assert_eq!(s.spawn_batch(), 1, "adaptive sessions start unbatched");
-        // Unbatched pushes publish immediately, as spawn_batch=1 does.
-        assert_eq!(q.push_session(0, &mut s).push, SessionPush::Inserted);
-        let (_, src) = q.pop_session(&mut s).unwrap();
-        assert_eq!(src, PopSource::Home);
-        assert_eq!(s.spawn_batch(), 2, "a home hit doubles the threshold");
-        // Three more hits climb 2 → 4 → 8 and saturate at the ceiling.
-        for _ in 0..3 {
-            q.push_session(1, &mut s);
-            q.flush_session(&mut s);
-            let (_, src) = q.pop_session(&mut s).unwrap();
-            assert_eq!(src, PopSource::Home);
-        }
-        assert_eq!(s.spawn_batch(), 8, "growth is capped at spawn_batch");
-        // Pop misses halve toward 1: near quiescence the session must
-        // not park spawns invisibly.
-        assert!(q.pop_session(&mut s).is_none());
-        assert_eq!(s.spawn_batch(), 4, "a miss halves the threshold");
-        for _ in 0..3 {
-            assert!(q.pop_session(&mut s).is_none());
-        }
-        assert_eq!(s.spawn_batch(), 1, "misses shrink back to unbatched");
-        // Without the flag the threshold never moves off the config.
-        let fixed: DCboQueue<u64> = QueueBuilder::new(4).seed(5).d_cbo();
-        let mut f = fixed.session(&SessionConfig {
-            spawn_batch: 8,
-            shards_per_worker: 4,
-            ..SessionConfig::for_worker(0, 1)
-        });
-        assert_eq!(f.spawn_batch(), 8);
-        assert!(fixed.pop_session(&mut f).is_none());
-        assert_eq!(f.spawn_batch(), 8, "fixed sessions ignore the signal");
     }
 
     #[test]

@@ -41,11 +41,6 @@
 //!   skiplist ([`skipshard::SkipShard`], the default) and the
 //!   mutex-around-a-heap reference ([`skipshard::MutexHeapSub`]),
 //!   selectable through [`skipshard::SubPriority`].
-//! * **The bucketed hybrid** ([`bucket`]): [`bucket::BucketFifoQueue`],
-//!   a relaxed FIFO *of buckets* (Δ-wide priority bands, popped
-//!   oldest-visible) where each bucket is itself a relaxed priority
-//!   shard set over the same [`skipshard::SubPriority`] backends — the
-//!   Δ-stepping unification of the FIFO and priority engines.
 //! * **Instrumentation**: [`instrument::RankTracker`] wraps any relaxed queue
 //!   and measures the empirical rank of every returned element and the
 //!   inversion count of every element that becomes the global minimum,
@@ -85,7 +80,7 @@
 //! * [`skipshard::SubPriority`] — priority shards: `push_or_decrease` /
 //!   `try_pop_min` / `remove` / `decrease_key` plus the racy-safe
 //!   [`min_key`](skipshard::SubPriority::min_key) peek.
-//!   Composed by [`ConcurrentMultiQueue`] and [`BucketFifoQueue`].
+//!   Composed by [`ConcurrentMultiQueue`].
 //!
 //! The backend table — two per trait, the lock-free default and the
 //! locked reference the generic tests and the contention sweeps
@@ -139,12 +134,6 @@
 //!   (`I = spawn_batch`): the last of `D` successive minima of one of
 //!   `q` shards has expected global rank `q·D`, and each worker parks up
 //!   to `I` spawns no one else can pop.
-//! * [`bucket::BucketSession`] (from [`BucketFifoQueue::session`])
-//!   carries the pin, the RNG, owned **home shard columns** (the same
-//!   strided shard indices in *every* bucket), and the spawn buffer
-//!   with per-bucket merge dedup: flushes sort by bucket index so each
-//!   touched bucket pays one counter bump, and repeated items merge in
-//!   the buffer before any shared traffic.
 //!
 //! Buffered spawns interact with termination detection through the
 //! flush protocol: [`FlushReport`] tells the caller how many parked
@@ -174,13 +163,11 @@
 //! folded into process globals on thread exit. What is recorded where:
 //! the lock-free backends ([`SegRingQueue`], [`SkipShard`]) record
 //! CAS/claim **retries per successful pop**; the
-//! pop engines ([`DRaQueue`], [`DCboQueue`], [`ConcurrentMultiQueue`],
-//! [`BucketFifoQueue`]) record **steal/choice rounds** per pop,
-//! fallback **sweep lengths**, and **empty-pop** sweeps;
-//! [`BucketFifoQueue`] additionally records **floor-scan distances**
-//! and directory **segment installs**; [`SkipShard`] counts registry
-//! probes; every `flush_session` counts published vs merged elements;
-//! and the vendored `crossbeam::epoch` exports deferred/collected GC
+//! pop engines ([`DRaQueue`], [`DCboQueue`], [`ConcurrentMultiQueue`])
+//! record **steal/choice rounds** per pop, fallback **sweep lengths**,
+//! and **empty-pop** sweeps; [`SkipShard`] counts registry probes;
+//! every `flush_session` counts published vs merged elements; and the
+//! vendored `crossbeam::epoch` exports deferred/collected GC
 //! counts. The whole layer sits behind one process-wide gate
 //! (`RSCHED_TELEMETRY`, [`telemetry::set_enabled`]): when off, each
 //! instrumentation point costs a single relaxed atomic load and a
@@ -208,7 +195,6 @@
 //! with one `tid` per lane and `B`/`E` spans for pop→complete, so any
 //! run opens directly in Perfetto or `chrome://tracing`.
 
-pub mod bucket;
 pub mod builder;
 pub mod fifo;
 pub mod heap;
@@ -222,7 +208,6 @@ pub mod spraylist;
 pub mod telemetry;
 pub mod trace;
 
-pub use bucket::{BucketFifoQueue, BucketSession};
 pub use builder::QueueBuilder;
 pub use fifo::{
     DCboQueue, DRaQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub, PinSession,
@@ -278,13 +263,6 @@ pub struct SessionConfig {
     /// publishes every push immediately. MultiQueue sessions size their
     /// deletion buffer from it too (`min(spawn_batch / 8, 8)`).
     pub spawn_batch: usize,
-    /// Adapt the live spawn-buffer size at runtime (FIFO sessions):
-    /// start at 1, double toward `spawn_batch` while home-shard pops
-    /// hit, and halve toward 1 on every pop miss, so batching tracks
-    /// how much locally-produced work the session is actually seeing.
-    /// `spawn_batch` stays the hard ceiling. Off by default — the
-    /// buffer is then a fixed `spawn_batch` slots, as before.
-    pub adaptive_spawn: bool,
     /// How many consecutive pops may reuse the session's sticky peek
     /// cache before a forced re-sample (MultiQueue); `1` re-samples
     /// every pop — the classic two-choice protocol.
@@ -299,7 +277,6 @@ impl Default for SessionConfig {
             seed: 0,
             shards_per_worker: 1,
             spawn_batch: 1,
-            adaptive_spawn: false,
             stickiness: 1,
         }
     }

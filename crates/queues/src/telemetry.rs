@@ -30,13 +30,11 @@
 //! | series | kind | fed by |
 //! |---|---|---|
 //! | [`OpHist::Retry`] | CAS retries per successful claim | `SegRingQueue` pop claim loop, `SkipShard` claim/help-unlink loop |
-//! | [`OpHist::Steal`] | choice/probe rounds per successful pop | `DRaQueue`/`DCboQueue`/`ConcurrentMultiQueue`/`BucketFifoQueue` pop engines |
+//! | [`OpHist::Steal`] | choice/probe rounds per successful pop | `DRaQueue`/`DCboQueue`/`ConcurrentMultiQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
-//! | [`OpHist::Floor`] | buckets examined per `BucketFifoQueue` pop | the floor scan in `pop_with_homes` |
 //! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |
 //! | [`OpCount::EmptyPop`] | pops that swept everything and found nothing | all pop engines |
 //! | [`OpCount::RegistryProbe`] | item-registry slot probes | `SkipShard` keyed operations |
-//! | [`OpCount::SegInstall`] | directory segment/bucket install CAS wins | `BucketFifoQueue::get_or_alloc_bucket` |
 //! | [`OpCount::FlushPublished`] / [`OpCount::FlushMerged`] | session flush volume and merge ratio | every `flush_session` |
 //!
 //! Epoch-reclamation progress (`gc_deferred` / `gc_collected`) comes
@@ -215,17 +213,15 @@ pub enum OpHist {
     Steal = 1,
     /// Shards visited by a fallback sweep before it rescued a pop.
     Sweep = 2,
-    /// Buckets examined per `BucketFifoQueue` pop (floor-scan distance).
-    Floor = 3,
     /// Per-op duration ticks (nanoseconds) — recorded by the runtime's
     /// service loop around each task it executes (the closed-loop
     /// `run` never reads the clock per task), so log₂ bucket k holds
     /// ops that ran for [2^(k-1), 2^k) ns.
-    Tick = 4,
+    Tick = 3,
 }
 
 /// Number of [`OpHist`] series.
-pub const N_HISTS: usize = 5;
+pub const N_HISTS: usize = 4;
 
 /// The plain counter series (see the module table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -234,16 +230,14 @@ pub enum OpCount {
     EmptyPop = 0,
     /// `SkipShard` item-registry slot probes.
     RegistryProbe = 1,
-    /// `BucketFifoQueue` directory segment/bucket install CAS wins.
-    SegInstall = 2,
     /// Elements published by session flushes.
-    FlushPublished = 3,
+    FlushPublished = 2,
     /// Of those, elements that merged into existing entries.
-    FlushMerged = 4,
+    FlushMerged = 3,
 }
 
 /// Number of [`OpCount`] series.
-pub const N_COUNTS: usize = 5;
+pub const N_COUNTS: usize = 4;
 
 // ---------------------------------------------------------------------
 // Global state + enable gate
@@ -420,11 +414,10 @@ pub fn capture() -> TelemetrySnapshot {
         retry: HistSnapshot::of(&GLOBAL.hists[OpHist::Retry as usize]),
         steal: HistSnapshot::of(&GLOBAL.hists[OpHist::Steal as usize]),
         sweep: HistSnapshot::of(&GLOBAL.hists[OpHist::Sweep as usize]),
-        floor: HistSnapshot::of(&GLOBAL.hists[OpHist::Floor as usize]),
         tick: HistSnapshot::of(&GLOBAL.hists[OpHist::Tick as usize]),
         empty_pops: GLOBAL.counts[OpCount::EmptyPop as usize].load(Ordering::Relaxed),
         registry_probes: GLOBAL.counts[OpCount::RegistryProbe as usize].load(Ordering::Relaxed),
-        seg_installs: GLOBAL.counts[OpCount::SegInstall as usize].load(Ordering::Relaxed),
+        seg_installs: 0,
         flush_published: GLOBAL.counts[OpCount::FlushPublished as usize].load(Ordering::Relaxed),
         flush_merged: GLOBAL.counts[OpCount::FlushMerged as usize].load(Ordering::Relaxed),
         gc_deferred: deferred.saturating_sub(GC_BASE_DEFERRED.load(Ordering::Relaxed)),
@@ -483,15 +476,14 @@ pub struct TelemetrySnapshot {
     pub steal: HistSnapshot,
     /// Fallback-sweep lengths.
     pub sweep: HistSnapshot,
-    /// Bucket floor-scan distances (`BucketFifoQueue` only).
-    pub floor: HistSnapshot,
     /// Per-op duration ticks in nanoseconds (runtime service loop only).
     pub tick: HistSnapshot,
     /// Pops that swept everything and found nothing.
     pub empty_pops: u64,
     /// `SkipShard` registry slot probes.
     pub registry_probes: u64,
-    /// Bucket-directory install CAS wins.
+    /// Always 0: nothing feeds it any more. The field and its Metrics
+    /// wire slot stay because `benchmark/` reads them.
     pub seg_installs: u64,
     /// Elements published by session flushes.
     pub flush_published: u64,
@@ -640,13 +632,13 @@ mod tests {
 
     #[test]
     fn disabled_gate_drops_records() {
-        // Only checks the gate wiring; runs in its own series to avoid
-        // racing tests that enable recording.
+        // Only checks the gate wiring; uses the series nothing in this
+        // crate feeds, to avoid racing tests that enable recording.
         set_enabled(false);
-        let before = GLOBAL.hists[OpHist::Floor as usize].count();
-        record(OpHist::Floor, 42);
+        let before = GLOBAL.hists[OpHist::Tick as usize].count();
+        record(OpHist::Tick, 42);
         flush_local();
-        let after = GLOBAL.hists[OpHist::Floor as usize].count();
+        let after = GLOBAL.hists[OpHist::Tick as usize].count();
         set_enabled(true);
         assert_eq!(before, after, "disabled telemetry must not record");
     }

@@ -20,9 +20,9 @@ use crate::pool::Scheduler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rsched_queues::{
-    BucketFifoQueue, BucketSession, ConcurrentMultiQueue, ConcurrentSprayList, DCboQueue, DRaQueue,
-    DuplicateMultiQueue, FifoSession, FlushReport, MqSession, PopSource, PushOutcome,
-    SessionConfig, SessionPush, SubFifo, SubPriority,
+    ConcurrentMultiQueue, ConcurrentSprayList, DCboQueue, DRaQueue, DuplicateMultiQueue,
+    FifoSession, FlushReport, MqSession, PopSource, PushOutcome, SessionConfig, SessionPush,
+    SubFifo, SubPriority,
 };
 
 /// Keyed MultiQueue over any priority-shard backend: pushes merge via
@@ -46,32 +46,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> Scheduler<P> for ConcurrentMultiQu
     }
 
     fn flush(&self, session: &mut MqSession<P>) -> FlushReport {
-        self.flush_session(session)
-    }
-}
-
-/// Bucketed relaxed-FIFO hybrid (any priority-shard backend): the
-/// payload is the full priority (a distance); the queue buckets it by
-/// `⌊prio/Δ⌋`, pops oldest-bucket-first with priority relaxation inside
-/// the bucket, and merges repeated items per bucket. Δ-stepping without
-/// barriers: bucket advance is just the floor racing forward, and
-/// termination is the runtime's ordinary quiescence detection.
-impl<S: SubPriority<u64>> Scheduler<u64> for BucketFifoQueue<S> {
-    type Session = BucketSession;
-
-    fn open_session(&self, cfg: &SessionConfig) -> BucketSession {
-        self.session(cfg)
-    }
-
-    fn push(&self, session: &mut BucketSession, item: usize, prio: u64) -> PushOutcome {
-        self.push_session(item, prio, session)
-    }
-
-    fn pop(&self, session: &mut BucketSession) -> Option<((usize, u64), PopSource)> {
-        self.pop_session(session)
-    }
-
-    fn flush(&self, session: &mut BucketSession) -> FlushReport {
         self.flush_session(session)
     }
 }

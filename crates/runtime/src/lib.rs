@@ -29,13 +29,11 @@
 //!
 //! * [`Scheduler`] abstracts the queue: relaxed priority schedulers
 //!   (`ConcurrentMultiQueue`, `ConcurrentSprayList`,
-//!   `DuplicateMultiQueue`), the relaxed FIFOs (`DCboQueue`,
-//!   `DRaQueue`) and the bucketed hybrid (`BucketFifoQueue`, a relaxed
-//!   FIFO of Δ-wide buckets over relaxed priority shard sets) all
-//!   implement it, so one runtime serves priority-ordered (SSSP),
-//!   label-ordered (greedy iterative algorithms), FIFO-ordered (BFS,
-//!   label propagation, k-core) and bucket-ordered (barrier-free
-//!   Δ-stepping) scenarios.
+//!   `DuplicateMultiQueue`) and the relaxed FIFOs (`DCboQueue`,
+//!   `DRaQueue`) all implement it, so one runtime serves
+//!   priority-ordered (SSSP), label-ordered (greedy iterative
+//!   algorithms) and FIFO-ordered (BFS, label propagation, k-core)
+//!   scenarios.
 //! * Every worker owns one [`Scheduler::Session`] — *the* per-worker
 //!   state object (epoch pin, shard-picker RNG, owned home shards,
 //!   sticky peek cache, bounded spawn buffer), configured through

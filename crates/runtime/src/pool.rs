@@ -119,26 +119,11 @@ pub struct RuntimeConfig {
     /// to the `RSCHED_SPAWN_BATCH` environment variable, else 1
     /// (publish immediately, pop one at a time).
     pub spawn_batch: usize,
-    /// Adaptive spawn batching: sessions start unbatched, double their
-    /// live buffer toward `spawn_batch` while home-shard pops hit, and
-    /// halve toward 1 on pop misses (the quiescence signal). Defaults
-    /// to the `RSCHED_SPAWN_BATCH_ADAPTIVE` environment variable
-    /// (non-zero enables), else off.
-    pub spawn_batch_adaptive: bool,
     /// How many consecutive pops may reuse a MultiQueue session's
     /// sticky peek cache before a forced re-sample; `1` (the default)
     /// re-samples every pop — the classic two-choice protocol.
     /// Defaults to the `RSCHED_STICKINESS` environment variable, else 1.
     pub stickiness: usize,
-    /// Δ (bucket width) override for the bucket-hybrid schedulers built
-    /// by the algorithms layer (`relaxed_delta_stepping`); `0` keeps
-    /// the caller's Δ argument. Defaults to the `RSCHED_DELTA`
-    /// environment variable, else 0.
-    pub delta: u64,
-    /// Priority shards per bucket for the bucket hybrid; `0` lets the
-    /// algorithm pick (2 × threads). Defaults to the
-    /// `RSCHED_BUCKET_SHARDS` environment variable, else 0.
-    pub bucket_shards: usize,
     /// Per-op progress telemetry (retry/steal/sweep histograms, event
     /// counters — see `rsched_queues::telemetry`). When off, every
     /// instrumentation point is one relaxed load and a branch. Defaults
@@ -154,16 +139,13 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        use crate::env::{env_u64, env_usize};
+        use crate::env::env_usize;
         Self {
             threads: 4,
             seed: 0,
             shards_per_worker: env_usize("RSCHED_SHARDS_PER_WORKER", 1),
             spawn_batch: env_usize("RSCHED_SPAWN_BATCH", 1),
-            spawn_batch_adaptive: env_usize("RSCHED_SPAWN_BATCH_ADAPTIVE", 0) != 0,
             stickiness: env_usize("RSCHED_STICKINESS", 1).max(1),
-            delta: env_u64("RSCHED_DELTA", 0),
-            bucket_shards: env_usize("RSCHED_BUCKET_SHARDS", 0),
             telemetry: env_usize("RSCHED_TELEMETRY", 1) != 0,
             trace: env_usize("RSCHED_TRACE", 0) != 0,
         }
@@ -187,7 +169,6 @@ impl RuntimeConfig {
             seed: self.seed ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             shards_per_worker: self.shards_per_worker,
             spawn_batch: self.spawn_batch,
-            adaptive_spawn: self.spawn_batch_adaptive,
             stickiness: self.stickiness.max(1),
         }
     }

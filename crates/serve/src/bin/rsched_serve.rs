@@ -6,11 +6,10 @@
 //! | knob | default | meaning |
 //! |---|---|---|
 //! | `RSCHED_SERVE_ADDR` | `tcp:127.0.0.1:7411` | `tcp:host:port` or `unix:/path` |
-//! | `RSCHED_SERVE_BACKEND` | `mq` | `mq`, `mq-mutex`, `dcbo` or `bucket` |
+//! | `RSCHED_SERVE_BACKEND` | `mq` | `mq`, `mq-mutex` or `dcbo` (`dcbo` is arrival-order: it grants no `FEAT_EDF`) |
 //! | `RSCHED_SERVE_THREADS` | `2` | worker threads |
 //! | `RSCHED_SERVE_CAP` | `4096` | admission bound (in-flight tasks) |
 //! | `RSCHED_SERVE_SEED` | `0x5EED5EED` | pool RNG seed |
-//! | `RSCHED_SERVE_DELTA_NS` | `1000000` | Δ-bucket width for the `bucket` backend, ns |
 //! | `RSCHED_SERVE_LIFETIME_S` | unset | exit after this many seconds (CI); unset = run until SIGTERM/SIGINT kills the process |
 //!
 //! On start the daemon prints `rsched-serve listening on <endpoint>`
@@ -46,7 +45,6 @@ fn main() {
         threads: env_usize("RSCHED_SERVE_THREADS", 2).max(1),
         queue_cap: env_usize("RSCHED_SERVE_CAP", 4096).max(1),
         seed: env_u64("RSCHED_SERVE_SEED", 0x5EED_5EED),
-        delta_ns: env_u64("RSCHED_SERVE_DELTA_NS", 1_000_000).max(1),
     };
     let lifetime_s = env_f64("RSCHED_SERVE_LIFETIME_S", 0.0);
 

@@ -50,12 +50,12 @@
 //! | `0x88` | [`Response::HelloAck`] | [`HelloAck`]: `version u64, features u64, server_now_ns u64` |
 //! | `0x89` | [`Response::CompletedV2`] | [`CompletedV2`]: five `u64`s + `met u8` |
 
-use rsched_queues::telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS};
+use rsched_queues::telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS, N_HISTS};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on a frame payload. The largest legitimate frame
-/// ([`Response::Metrics`] at v2, whose six histogram blocks carry full
-/// 64-bucket arrays plus 128 worker gauges) is 4481 bytes; the slack
+/// ([`Response::Metrics`] at v2, whose five histogram blocks carry full
+/// 64-bucket arrays plus 128 worker gauges) is 3921 bytes; the slack
 /// leaves room for protocol growth while still rejecting nonsense
 /// headers instantly. v1 peers (compiled with the old 4096 ceiling)
 /// only ever receive v1 frames, which all fit under 4096.
@@ -471,7 +471,7 @@ impl StatsReply {
 }
 
 /// The live telemetry exposition carried by [`Response::Metrics`]: the
-/// **full** process [`TelemetrySnapshot`] — all five per-op histogram
+/// **full** process [`TelemetrySnapshot`] — all four per-op histogram
 /// series with their complete 64-bucket arrays and derived quantiles,
 /// the event counters, the epoch-GC deltas — plus gauge samples from
 /// the serving layer's lightweight sampler. On v2 connections a
@@ -482,8 +482,8 @@ impl StatsReply {
 ///
 /// | block | words |
 /// |---|---|
-/// | histograms ×5, in order retry/steal/sweep/floor/tick | each `count, p50, p90, p99, p999, max` + 64 buckets |
-/// | counters | `empty_pops, registry_probes, seg_installs, flush_published, flush_merged, gc_deferred, gc_collected` |
+/// | histograms ×4, in order retry/steal/sweep/tick | each `count, p50, p90, p99, p999, max` + 64 buckets |
+/// | counters | `empty_pops, registry_probes, seg_installs` (always 0), `flush_published, flush_merged, gc_deferred, gc_collected` |
 /// | gauges | `in_flight`, `n_workers`, then `n_workers` per-worker busy-permille samples |
 /// | v2 only: deadline block | tardiness histogram (same shape), then `deadline_met, deadline_misses, miss_permille` |
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -559,7 +559,7 @@ impl MetricsReply {
 const HIST_WIRE_WORDS: usize = 6 + HIST_BUCKETS;
 /// [`MetricsReply`] payload length before the variable per-worker gauge
 /// words (opcode byte included).
-const METRICS_FIXED: usize = 1 + (5 * HIST_WIRE_WORDS + 7 + 2) * 8;
+const METRICS_FIXED: usize = 1 + (N_HISTS * HIST_WIRE_WORDS + 7 + 2) * 8;
 /// The v2 deadline block appended after the gauges: one histogram plus
 /// the three scalar words.
 const METRICS_DEADLINE_BYTES: usize = (HIST_WIRE_WORDS + 3) * 8;
@@ -730,7 +730,7 @@ pub fn encode_response(resp: &Response, version: u64, out: &mut Vec<u8>) {
             frame(out, METRICS_FIXED + workers * 8 + deadline);
             out.push(OP_METRICS_REPLY);
             let t = &m.telemetry;
-            for h in [&t.retry, &t.steal, &t.sweep, &t.floor, &t.tick] {
+            for h in [&t.retry, &t.steal, &t.sweep, &t.tick] {
                 encode_hist(h, out);
             }
             for name in MetricsReply::COUNTER_FIELDS {
@@ -899,10 +899,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                     len: body.len(),
                 });
             }
-            let hists: Vec<HistSnapshot> = (0..5)
+            let hists: Vec<HistSnapshot> = (0..N_HISTS)
                 .map(|h| decode_hist(body, h * HIST_WIRE_WORDS * 8))
                 .collect();
-            let counters_off = 5 * HIST_WIRE_WORDS * 8;
+            let counters_off = N_HISTS * HIST_WIRE_WORDS * 8;
             let c = |i: usize| u64_at(body, counters_off + i * 8);
             let in_flight = c(7);
             let workers = c(8) as usize;
@@ -932,8 +932,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                 (HistSnapshot::default(), 0, 0, 0)
             };
             let mut it = hists.into_iter();
-            let (retry, steal, sweep, floor, tick) = (
-                it.next().unwrap(),
+            let (retry, steal, sweep, tick) = (
                 it.next().unwrap(),
                 it.next().unwrap(),
                 it.next().unwrap(),
@@ -944,7 +943,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                     retry,
                     steal,
                     sweep,
-                    floor,
                     tick,
                     empty_pops: c(0),
                     registry_probes: c(1),
@@ -1091,8 +1089,7 @@ mod tests {
                 retry: hist(1),
                 steal: hist(2),
                 sweep: hist(3),
-                floor: hist(4),
-                tick: hist(5),
+                tick: hist(4),
                 empty_pops: 11,
                 registry_probes: 22,
                 seg_installs: 33,
@@ -1103,7 +1100,7 @@ mod tests {
             },
             in_flight: 9,
             utilization_permille: vec![1000, 517, 0, 250],
-            tardiness: hist(6),
+            tardiness: hist(5),
             deadline_met: 88,
             deadline_misses: 12,
             miss_permille: 120,
@@ -1340,7 +1337,7 @@ mod tests {
         let mut wire = Vec::new();
         encode_response(&Response::Metrics(Box::new(m.clone())), PROTO_V2, &mut wire);
         let body = &wire[5..];
-        let counters_off = 5 * HIST_WIRE_WORDS * 8;
+        let counters_off = 4 * HIST_WIRE_WORDS * 8; // retry, steal, sweep, tick
         for (i, name) in MetricsReply::COUNTER_FIELDS.iter().enumerate() {
             assert_eq!(
                 u64_at(body, counters_off + i * 8),
@@ -1464,6 +1461,11 @@ mod tests {
             })),
             PROTO_V2,
             &mut big,
+        );
+        assert_eq!(
+            big.len() - 4,
+            3921,
+            "four telemetry histograms + tardiness, 7 counters, 128 gauges"
         );
         assert!(
             big.len() - 4 <= MAX_FRAME,

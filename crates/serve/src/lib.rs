@@ -38,15 +38,17 @@
 //! [`Response::HelloAck`] with the negotiated version (`min` of the two
 //! sides — it never answers higher than asked), the granted feature
 //! bits (the intersection with its own; [`FEAT_EDF`] is the only bit
-//! today) and its current monotonic clock reading `server_now_ns`, the
-//! timebase absolute deadlines are expressed in.
+//! today, and only the key-ordered backends `mq` / `mq-mutex` have it
+//! — a `dcbo` server is a FIFO and grants nothing) and its current
+//! monotonic clock reading `server_now_ns`, the timebase absolute
+//! deadlines are expressed in.
 //!
 //! At v2 the submission verb is [`Request::SubmitV2`]: the scheduling
 //! word becomes a client-set **deadline**, either absolute server-clock
 //! nanoseconds or a relative budget (flag bit 0 selects). On an
 //! EDF-granted connection the deadline *is* the scheduling key —
-//! earliest-deadline-first through whichever relaxed queue backs the
-//! pool — and every completion comes back as
+//! earliest-deadline-first through the relaxed priority queue backing
+//! the pool — and every completion comes back as
 //! [`Response::CompletedV2`] with the met/missed verdict and the
 //! tardiness. Stats and Metrics replies grow deadline blocks
 //! (`deadline_met`, `deadline_misses`, `miss_permille`,

@@ -147,29 +147,34 @@ pub enum Backend {
     MqMutexHeap,
     /// `DCboQueue` relaxed FIFO over segmented rings (`dcbo`).
     DcboSegring,
-    /// `BucketFifoQueue` Δ-bucket hybrid (`bucket`): deadline keys land
-    /// in Δ-wide buckets ([`ServeConfig::delta_ns`]), FIFO within.
-    Bucket,
 }
 
 impl Backend {
-    /// The wire/env name (`mq`, `mq-mutex`, `dcbo`, `bucket`).
+    /// The wire/env name (`mq`, `mq-mutex`, `dcbo`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::MqSkiplist => "mq",
             Backend::MqMutexHeap => "mq-mutex",
             Backend::DcboSegring => "dcbo",
-            Backend::Bucket => "bucket",
         }
     }
 
     /// Every backend, in the order benches sweep them.
-    pub const ALL: [Backend; 4] = [
+    pub const ALL: [Backend; 3] = [
         Backend::MqSkiplist,
         Backend::MqMutexHeap,
         Backend::DcboSegring,
-        Backend::Bucket,
     ];
+
+    /// Feature bits a server on this backend grants in a [`HelloAck`]:
+    /// EDF only where the queue orders by key — `dcbo` is a FIFO and
+    /// runs arrival order whatever key a task carries.
+    fn features(self) -> u64 {
+        match self {
+            Backend::MqSkiplist | Backend::MqMutexHeap => FEAT_EDF,
+            Backend::DcboSegring => 0,
+        }
+    }
 }
 
 impl FromStr for Backend {
@@ -180,9 +185,8 @@ impl FromStr for Backend {
             "mq" => Ok(Backend::MqSkiplist),
             "mq-mutex" => Ok(Backend::MqMutexHeap),
             "dcbo" => Ok(Backend::DcboSegring),
-            "bucket" => Ok(Backend::Bucket),
             other => Err(format!(
-                "unknown backend {other:?} (expected mq, mq-mutex, dcbo or bucket)"
+                "unknown backend {other:?} (expected mq, mq-mutex or dcbo)"
             )),
         }
     }
@@ -202,11 +206,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Pool RNG seed (shard picking, stealing).
     pub seed: u64,
-    /// Bucket width for [`Backend::Bucket`], in deadline-nanoseconds.
-    /// The default 1 ms gives the Δ-bucket directory roughly 17 minutes
-    /// of deadline horizon before keys clamp into the last bucket —
-    /// ample for a serving run; ignored by the other backends.
-    pub delta_ns: u64,
 }
 
 impl Default for ServeConfig {
@@ -217,7 +216,6 @@ impl Default for ServeConfig {
             threads: 2,
             queue_cap: 4096,
             seed: 0x5EED_5EED,
-            delta_ns: 1_000_000,
         }
     }
 }
@@ -289,6 +287,8 @@ struct Shared {
     /// is nanoseconds since this instant (see the module docs).
     epoch: Instant,
     queue_cap: usize,
+    /// Feature bits a [`HelloAck`] may grant ([`Backend::features`]).
+    features: u64,
     /// Deadline completions that finished at or before their deadline.
     deadline_met: AtomicU64,
     /// Deadline completions that finished after their deadline.
@@ -314,7 +314,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(queue_cap: usize, threads: usize) -> Self {
+    fn new(queue_cap: usize, threads: usize, features: u64) -> Self {
         Self {
             stop: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
@@ -324,6 +324,7 @@ impl Shared {
             in_flight: AtomicU64::new(0),
             epoch: Instant::now(),
             queue_cap,
+            features,
             deadline_met: AtomicU64::new(0),
             deadline_missed: AtomicU64::new(0),
             sojourn: PowHistogram::new(),
@@ -661,8 +662,7 @@ impl Server {
         let shards = (2 * cfg.threads).max(2);
         let builder = QueueBuilder::new(shards)
             .universe(cfg.queue_cap)
-            .seed(cfg.seed)
-            .delta(cfg.delta_ns.max(1));
+            .seed(cfg.seed);
         match cfg.backend {
             Backend::MqSkiplist => Server::start_with(
                 Arc::new(builder.multiqueue_on::<u64, SkipShard<u64>>()),
@@ -675,7 +675,6 @@ impl Server {
             Backend::DcboSegring => {
                 Server::start_with(Arc::new(builder.d_cbo::<(usize, u64)>()), cfg)
             }
-            Backend::Bucket => Server::start_with(Arc::new(builder.bucket_fifo()), cfg),
         }
     }
 
@@ -689,7 +688,11 @@ impl Server {
             Endpoint::Unix(p) => Some(p.clone()),
             Endpoint::Tcp(_) => None,
         };
-        let shared = Arc::new(Shared::new(cfg.queue_cap, cfg.threads));
+        let shared = Arc::new(Shared::new(
+            cfg.queue_cap,
+            cfg.threads,
+            cfg.backend.features(),
+        ));
         let handle = {
             let shared = Arc::clone(&shared);
             Arc::new(service(
@@ -839,9 +842,6 @@ fn acceptor_loop<S>(
         guard.joins.push(reader);
     }
 }
-
-/// Feature bits this server can grant in a [`HelloAck`].
-const SERVER_FEATURES: u64 = FEAT_EDF;
 
 /// One admission attempt, version-agnostic: what the reader hands to
 /// [`admit_and_inject`] after decoding either Submit flavour.
@@ -1020,7 +1020,7 @@ fn reader_loop<S>(
                 // speak; features are granted only at v2+.
                 version = h.version.min(PROTO_V2);
                 let features = if version >= PROTO_V2 {
-                    h.features & SERVER_FEATURES
+                    h.features & shared.features
                 } else {
                     0
                 };

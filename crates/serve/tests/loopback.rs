@@ -25,7 +25,6 @@ fn ephemeral(backend: Backend, threads: usize, cap: usize) -> Server {
         threads,
         queue_cap: cap,
         seed: 0x00C0_FFEE,
-        ..ServeConfig::default()
     })
     .expect("server start")
 }
@@ -157,7 +156,6 @@ fn unix_socket_roundtrip() {
         threads: 2,
         queue_cap: 1024,
         seed: 7,
-        ..ServeConfig::default()
     })
     .expect("unix server start");
     let endpoint = server.endpoint().clone();
@@ -262,14 +260,23 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
     };
     // The full snapshot really crossed the wire: every histogram block
     // carries its complete bucket array and internally-consistent
-    // quantiles.
-    for hist in [
-        &m.telemetry.retry,
-        &m.telemetry.steal,
-        &m.telemetry.sweep,
-        &m.telemetry.floor,
-        &m.telemetry.tick,
-    ] {
+    // quantiles. The destructure has no `..`, so a series added to or
+    // dropped from the snapshot has to be added or dropped here too.
+    let rsched_queues::TelemetrySnapshot {
+        retry,
+        steal,
+        sweep,
+        tick,
+        empty_pops: _,
+        registry_probes: _,
+        seg_installs,
+        flush_published: _,
+        flush_merged: _,
+        gc_deferred: _,
+        gc_collected: _,
+    } = &m.telemetry;
+    assert_eq!(*seg_installs, 0, "nothing feeds seg_installs");
+    for hist in [retry, steal, sweep, tick] {
         assert_eq!(hist.buckets.len(), 64, "bucket array truncated in flight");
         assert_eq!(
             hist.buckets.iter().sum::<u64>(),
@@ -365,7 +372,7 @@ fn drive_client_v2(
     let mut client = ServeClient::connect(endpoint).expect("connect");
     let ack = client.handshake(PROTO_V2, FEAT_EDF).expect("handshake");
     assert_eq!(ack.version, PROTO_V2, "server refused to speak v2");
-    assert_eq!(ack.features, FEAT_EDF, "EDF not granted at v2");
+    assert_eq!(ack.features & !FEAT_EDF, 0, "granted more than asked");
     let (mut tx, mut rx) = client.split();
     let sender = std::thread::spawn(move || {
         for i in 0..n {
@@ -457,6 +464,41 @@ fn v2_handshake_negotiates_and_reports_deadline_verdicts() {
     assert_eq!(report.deadline_met, 200);
     assert_eq!(report.deadline_misses, 0);
     assert_eq!(report.miss_permille, 0);
+}
+
+#[test]
+fn edf_is_granted_only_where_the_backend_orders_by_key() {
+    for backend in Backend::ALL {
+        let server = ephemeral(backend, 2, 1024);
+        let (_client, ack) = ServeClient::connect_v2(server.endpoint()).expect("connect v2");
+        assert_eq!(ack.version, PROTO_V2, "backend {backend:?}");
+        // dcbo is a FIFO: it runs arrival order whatever the key, so it
+        // must not tell the client that deadlines steer scheduling.
+        let want = match backend {
+            Backend::MqSkiplist | Backend::MqMutexHeap => FEAT_EDF,
+            Backend::DcboSegring => 0,
+        };
+        assert_eq!(ack.features, want, "backend {backend:?}");
+        // Granted or not, v2 submits complete with a verdict each.
+        let (acc, rej, met, missed) =
+            drive_client_v2(server.endpoint(), 0, 100, 1_000, 10_000_000_000);
+        assert_eq!((acc, rej, met, missed), (100, 0, 100, 0), "{backend:?}");
+        server.shutdown();
+    }
+}
+
+#[test]
+fn backend_names_round_trip_and_the_removed_one_is_refused() {
+    for backend in Backend::ALL {
+        assert_eq!(backend.name().parse::<Backend>(), Ok(backend));
+    }
+    let names: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
+    assert_eq!(names, ["mq", "mq-mutex", "dcbo"]);
+    let err = "bucket".parse::<Backend>().unwrap_err();
+    assert_eq!(
+        err,
+        "unknown backend \"bucket\" (expected mq, mq-mutex or dcbo)"
+    );
 }
 
 #[test]

@@ -34,16 +34,12 @@
 //! detection and per-worker statistics, while the queue behind it decides
 //! the scheduling order — relaxed *priority* (`ConcurrentMultiQueue`,
 //! `ConcurrentSprayList`, `DuplicateMultiQueue`) for SSSP and the
-//! iterative algorithms, relaxed *FIFO* (`DCboQueue`, `DRaQueue`) for
-//! BFS frontiers, label propagation and k-core peeling, and the
-//! **bucketed hybrid** (`BucketFifoQueue`: a relaxed FIFO of Δ-wide
-//! buckets, each bucket a relaxed priority shard set) for barrier-free
-//! Δ-stepping (`relaxed_delta_stepping`). The relaxed-FIFO shards
-//! default to the lock-free segmented ring buffer in
-//! `rsched_queues::lockfree` (the mutex reference stays selectable
-//! through the `SubFifo` trait); the priority shards —
-//! in the MultiQueue and inside every hybrid bucket — default to the
-//! lock-free skiplist in `rsched_queues::skipshard`.
+//! iterative algorithms, and relaxed *FIFO* (`DCboQueue`, `DRaQueue`)
+//! for BFS frontiers, label propagation and k-core peeling. The
+//! relaxed-FIFO shards default to the lock-free segmented ring buffer
+//! in `rsched_queues::lockfree` (the mutex reference stays selectable
+//! through the `SubFifo` trait); the MultiQueue's priority shards
+//! default to the lock-free skiplist in `rsched_queues::skipshard`.
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
 //! `rsched_queues` worker-session layer): the amortized epoch pin, the
@@ -115,10 +111,10 @@ pub mod prelude {
     pub use rsched_algos::{
         kcore_sequential, label_components, parallel_bfs, parallel_delta_stepping, parallel_kcore,
         parallel_label_propagation, parallel_sssp, parallel_sssp_duplicates,
-        parallel_sssp_spraylist, relaxed_delta_stepping, relaxed_sssp_seq, BnbStats, BstSort,
-        ConcurrentBstSort, ConcurrentColoring, ConcurrentMis, DelaunayIncremental, GreedyColoring,
-        GreedyMis, KcoreStats, Knapsack, LabelPropConfig, LabelPropStats, ParBfsStats,
-        ParSsspConfig, ParSsspStats, SeqSsspStats,
+        parallel_sssp_spraylist, relaxed_sssp_seq, BnbStats, BstSort, ConcurrentBstSort,
+        ConcurrentColoring, ConcurrentMis, DelaunayIncremental, GreedyColoring, GreedyMis,
+        KcoreStats, Knapsack, LabelPropConfig, LabelPropStats, ParBfsStats, ParSsspConfig,
+        ParSsspStats, SeqSsspStats,
     };
     pub use rsched_core::{
         run_exact, run_relaxed, run_relaxed_parallel, run_relaxed_traced, run_relaxed_with,
@@ -136,12 +132,12 @@ pub mod prelude {
         INF,
     };
     pub use rsched_queues::{
-        BucketFifoQueue, BucketSession, ConcurrentMultiQueue, ConcurrentRankEstimator,
-        ConcurrentSprayList, DCboQueue, DRaQueue, DecreaseKey, DuplicateMultiQueue, Exact,
-        FifoRankStats, FifoRankTracker, FifoSession, FlushReport, IndexedBinaryHeap, MqSession,
-        MutexSub, PairingHeap, PinSession, PopSource, PriorityQueue, PushOutcome, QueueBuilder,
-        RankStats, RankTracker, RelaxedFifo, RelaxedQueue, RotatingKQueue, SegRingQueue,
-        SessionConfig, SessionPush, SimMultiQueue, SprayList, SubFifo,
+        ConcurrentMultiQueue, ConcurrentRankEstimator, ConcurrentSprayList, DCboQueue, DRaQueue,
+        DecreaseKey, DuplicateMultiQueue, Exact, FifoRankStats, FifoRankTracker, FifoSession,
+        FlushReport, IndexedBinaryHeap, MqSession, MutexSub, PairingHeap, PinSession, PopSource,
+        PriorityQueue, PushOutcome, QueueBuilder, RankStats, RankTracker, RelaxedFifo,
+        RelaxedQueue, RotatingKQueue, SegRingQueue, SessionConfig, SessionPush, SimMultiQueue,
+        SprayList, SubFifo,
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{

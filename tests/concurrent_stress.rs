@@ -781,203 +781,3 @@ fn runtime_batched_spawns_conserve_with_merges() {
         stats.total.executed + stats.total.extra + stats.total.stale
     );
 }
-
-/// Producer/consumer storm on the bucketed relaxed-FIFO hybrid: mixed
-/// push_or_decrease / pop across many threads, then exhaustive
-/// accounting. Conservation is a *count* law here: each
-/// `push_or_decrease` returning `true` put one net-new element into some
-/// bucket (the same item in two buckets is legitimately two elements —
-/// the stale pop the handler tolerates), and after a full drain the pop
-/// count must equal the net-insert count exactly.
-#[test]
-fn bucket_hybrid_storm_conserves_elements() {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let threads = 8 * stress().min(4);
-    let per = 3000usize;
-    let q: Arc<BucketFifoQueue> = Arc::new(QueueBuilder::new(6).delta(64).bucket_fifo());
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(t as u64 * 31 + 1);
-                let (mut inserts, mut pops) = (0u64, 0u64);
-                for i in 0..per {
-                    let item = (t * per + i) % 1024;
-                    if q.push_or_decrease(item, rng.gen_range(0..20_000)) {
-                        inserts += 1;
-                    }
-                    // Decrease some items hard enough to move buckets;
-                    // a cross-bucket move inserts a duplicate element.
-                    if i % 7 == 0 && q.push_or_decrease(item, rng.gen_range(0..50)) {
-                        inserts += 1;
-                    }
-                    if i % 3 == 0 && q.pop(&mut rng).is_some() {
-                        pops += 1;
-                    }
-                }
-                (inserts, pops)
-            })
-        })
-        .collect();
-    let (mut inserted, mut popped) = (0u64, 0u64);
-    for h in handles {
-        let (i, p) = h.join().unwrap();
-        inserted += i;
-        popped += p;
-    }
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0);
-    while q.pop(&mut rng).is_some() {
-        popped += 1;
-    }
-    assert!(q.is_empty());
-    assert_eq!(inserted, popped, "bucket storm lost or duplicated elements");
-}
-
-/// Session-driven storm on the hybrid: batched spawns (per-bucket
-/// grouped flushes with in-buffer merge dedup) across threads, with the
-/// runtime's net-insert accounting rule ([`PushOutcome::net_new`] minus
-/// explicit flush merges), then a drain that must match exactly.
-#[test]
-fn bucket_hybrid_batched_sessions_conserve() {
-    use rand::Rng;
-    let threads = 6;
-    let per = 4000usize * stress();
-    let q: Arc<BucketFifoQueue> = Arc::new(QueueBuilder::new(8).delta(32).bucket_fifo());
-    let net: i64 = std::thread::scope(|s| {
-        (0..threads)
-            .map(|t| {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    let mut rng =
-                        <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(t as u64 + 9);
-                    let mut session = q.session(&SessionConfig {
-                        shards_per_worker: 2,
-                        spawn_batch: 16,
-                        ..SessionConfig::for_worker(t, threads)
-                    });
-                    let mut net = 0i64;
-                    for _ in 0..per {
-                        let item = rng.gen_range(0..512usize);
-                        let out = q.push_session(item, rng.gen_range(0..8_192u64), &mut session);
-                        net += out.net_new();
-                        if rng.gen_bool(0.4) && q.pop_session(&mut session).is_some() {
-                            net -= 1;
-                        }
-                    }
-                    net -= q.flush_session(&mut session).merged as i64;
-                    net
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .sum()
-    });
-    let mut drain = q.session(&SessionConfig::unaffine(1));
-    let mut drained = 0i64;
-    while q.pop_session(&mut drain).is_some() {
-        drained += 1;
-    }
-    assert_eq!(net, drained, "session accounting drifted from the drain");
-    assert!(q.is_empty());
-}
-
-/// The bucket-monotonicity envelope: with well-filled buckets and a
-/// pop-only phase, no thread observes its own pops jumping backwards by
-/// more than one bucket — a pop from bucket `b + k` while bucket `b` is
-/// still non-empty requires `k` independent full-bucket claim failures,
-/// which a filled bucket cannot produce. (The outer relaxation bound of
-/// the hybrid, measured rather than assumed.)
-#[test]
-fn bucket_monotonicity_envelope_under_contention() {
-    let buckets = 8u64;
-    let per_bucket = 1500usize * stress();
-    let delta = 100u64;
-    let threads = 4;
-    let q: Arc<BucketFifoQueue> = Arc::new(QueueBuilder::new(4).delta(delta).bucket_fifo());
-    for b in 0..buckets {
-        for i in 0..per_bucket {
-            let item = (b as usize) * per_bucket + i;
-            assert!(q.push_or_decrease(item, b * delta + (i as u64 % delta)));
-        }
-    }
-    let sequences: Vec<Vec<u64>> = std::thread::scope(|s| {
-        (0..threads)
-            .map(|t| {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    let mut session = q.session(&SessionConfig::for_worker(t, threads));
-                    let mut seq = Vec::new();
-                    while let Some(((_, prio), _)) = q.pop_session(&mut session) {
-                        seq.push(prio / delta);
-                    }
-                    seq
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
-    let total: usize = sequences.iter().map(Vec::len).sum();
-    assert_eq!(total, (buckets as usize) * per_bucket, "lost elements");
-    for (t, seq) in sequences.iter().enumerate() {
-        let mut running_max = 0u64;
-        let mut backward = 0u64;
-        for &b in seq {
-            assert!(
-                b + 1 >= running_max,
-                "thread {t} popped bucket {b} after bucket {running_max}: \
-                 outer FIFO envelope exceeded"
-            );
-            if b < running_max {
-                backward += 1;
-            }
-            running_max = running_max.max(b);
-        }
-        // Backward pops are races at bucket boundaries, not the common
-        // case: they must stay a tiny fraction of the thread's pops.
-        assert!(
-            backward * 10 <= seq.len() as u64 + 9,
-            "thread {t}: {backward} backward pops of {}",
-            seq.len()
-        );
-    }
-}
-
-/// The runtime drives the hybrid end to end: dynamic spawning through
-/// batched sessions, quiescence termination (no bucket barriers), and
-/// exact completion accounting.
-#[test]
-fn runtime_bucket_hybrid_executes_every_task_once() {
-    use std::sync::atomic::AtomicU64;
-    let queue: BucketFifoQueue = QueueBuilder::new(6).delta(8).bucket_fifo();
-    let executed = AtomicU64::new(0);
-    let n = 256usize;
-    let depth = 12u64;
-    let stats = run_pool(
-        &queue,
-        RuntimeConfig {
-            threads: 8,
-            seed: 3,
-            shards_per_worker: 2,
-            spawn_batch: 8,
-            ..RuntimeConfig::default()
-        },
-        (0..n).map(|i| (i, 0u64)),
-        |w, item, prio| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            // Walk each task forward `depth` buckets, one step per pop;
-            // distinct priorities per item so nothing merges.
-            if prio < depth * 8 {
-                w.spawn(item, prio + 8);
-            }
-            TaskOutcome::Executed
-        },
-    );
-    assert_eq!(stats.total.executed, n as u64 * (depth + 1));
-    assert_eq!(stats.total.executed, executed.load(Ordering::Acquire));
-    assert_eq!(stats.total.spawned, n as u64 * depth);
-    assert!(stats.total.home_hits + stats.total.steals <= stats.total.pops);
-}
