@@ -10,9 +10,9 @@
 //! * `dependency_aware` — prefer returning *blocked* tasks (the strongest
 //!   adversary; state-aware).
 //!
-//! This is the ablation DESIGN.md calls out for the claim that the paper's
-//! bounds hold for *any* admissible scheduler: the gap between benign and
-//! worst-case behaviours is the "price of adversariality".
+//! This is the ablation behind the claim that the paper's bounds hold for
+//! *any* admissible scheduler: the gap between benign and worst-case
+//! behaviours is the "price of adversariality".
 //!
 //! ```text
 //! cargo run -p rsched-bench --release --bin ablation_adversary

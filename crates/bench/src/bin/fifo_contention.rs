@@ -14,9 +14,14 @@
 //! while the lock-free backends only lose the preempted thread's own
 //! progress ("lock-free algorithms are practically wait-free").
 //!
-//! Results print as one JSON object per line (prefixed `json,`); set
-//! `RSCHED_JSON_OUT=<path>` to also write the full run as a JSON array
-//! (what CI uploads as the `BENCH_fifo_contention.json` artifact).
+//! A manual probe: nothing in CI runs it. It is the one measurement of
+//! the oversubscribed cells (more workers than cores), where preemption
+//! and lock-holder descheduling show, so decisions about the FIFO shard
+//! backends read it; it is deleted together with the backend axis it
+//! sweeps.
+//!
+//! Results print as one JSON object per line (prefixed `json,`;
+//! `grep ^json, | cut -c6-` keeps just the objects).
 //! `RSCHED_THREADS=1,2,4,8` overrides the default thread sweep,
 //! `RSCHED_SCALE` (small/medium/paper) the per-thread operation count,
 //! `RSCHED_REPS` the repetitions per cell (the best run is reported,
@@ -26,11 +31,6 @@
 //! `RSCHED_SHARDS_PER_WORKER` (home shards per worker, 0 = no affinity)
 //! and `RSCHED_SPAWN_BATCH` (enqueue batching) — both recorded in every
 //! JSON line.
-//! `RSCHED_TRACE=1` additionally feeds the flight recorder
-//! (`rsched_queues::trace`) from the measured loop — inject/pop/steal/
-//! complete events per worker lane — and exports Chrome-trace JSON to
-//! `RSCHED_TRACE_OUT` at exit; every record carries a `trace` flag so
-//! `bench_compare` never pairs traced and untraced cells.
 //!
 //! ```text
 //! cargo run -p rsched-bench --release --bin fifo_contention
@@ -42,12 +42,10 @@
 //! [`FifoSession`]: rsched_queues::FifoSession
 
 use rsched_bench::{
-    env_opt_usize, env_thread_list, env_usize, session_knobs, telemetry_json_fields,
-    write_json_artifact, Scale,
+    env_opt_usize, env_thread_list, env_usize, session_knobs, telemetry_json_fields, Scale,
 };
 use rsched_queues::instrument::ConcurrentRankEstimator;
 use rsched_queues::lockfree::SegRingQueue;
-use rsched_queues::trace::{self, EventKind};
 use rsched_queues::{
     telemetry, DCboQueue, DRaQueue, FifoRankStats, FifoSession, MutexSub, PopSource, QueueBuilder,
     SessionConfig, SubFifo, TelemetrySnapshot,
@@ -190,32 +188,16 @@ fn trial<Q: ContendedFifo>(
                         Mix::Pairs => op % 2 == 0,
                         Mix::Random => coin.gen_bool(0.5),
                     };
-                    // Flight-recorder probes sit in the measured loop on
-                    // purpose: with RSCHED_TRACE unset each `emit` is
-                    // one relaxed load and a branch, and the committed
-                    // baselines hold this bench to its usual tolerance —
-                    // that comparison *is* the disabled-path overhead
-                    // assertion.
                     if push {
-                        let stamp = rec.stamp_enqueue();
-                        trace::emit(EventKind::TaskInject, stamp);
-                        queue.enq(stamp, &mut session);
+                        queue.enq(rec.stamp_enqueue(), &mut session);
                     } else if let Some((stamp, src)) = queue.deq(&mut session) {
-                        // Steal before pop, matching the pool's emission
-                        // order: the steal round is what *found* the item
-                        // the pop event then claims.
                         match src {
                             PopSource::Home => my_homes += 1,
-                            PopSource::Steal => {
-                                trace::emit(EventKind::StealRound, stamp);
-                                my_steals += 1;
-                            }
+                            PopSource::Steal => my_steals += 1,
                             PopSource::Shared => {}
                         }
-                        trace::emit(EventKind::TaskPop, stamp);
                         rec.record_dequeue(stamp);
                         my_pops += 1;
-                        trace::emit(EventKind::TaskComplete, stamp);
                     }
                 }
                 // Forced flush at the end of the run: parked enqueues
@@ -283,11 +265,6 @@ fn main() {
             "random-mix"
         },
     );
-    let mut records: Vec<String> = Vec::new();
-    // `trace` rides in every record so baseline comparisons only ever
-    // pair traced cells with traced baselines (it's a key field in
-    // bench_compare).
-    let trace_on = trace::enabled();
     let shard_mult = env_usize("RSCHED_SHARD_MULT", 1).clamp(1, 8);
     let shards_override = env_opt_usize("RSCHED_SHARDS");
     for &threads in &threads_sweep {
@@ -366,16 +343,15 @@ fn main() {
             .map(|(&(q, b, _), t)| (q, b, t.expect("reps >= 1")))
             .collect();
         for (queue, backend, t) in cells {
-            let record = format!(
-                "{{\"queue\":\"{queue}\",\"backend\":\"{backend}\",\"threads\":{threads},\
-                 \"shards\":{shards},\"prefill\":{prefill},\"trace\":{},\
+            println!(
+                "json,{{\"queue\":\"{queue}\",\"backend\":\"{backend}\",\"threads\":{threads},\
+                 \"shards\":{shards},\"prefill\":{prefill},\
                  \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
                  \"ops\":{},\"wall_s\":{:.6},\
                  \"ops_per_sec\":{:.1},\"pops\":{},\"pops_per_sec\":{:.1},\
                  \"home_hits\":{},\"home_fraction\":{:.4},\"steals\":{},\
                  \"steal_fraction\":{:.4},\"dequeues_measured\":{},\"mean_rank_error\":{:.4},\
                  \"p99_rank_error\":{},\"max_rank_error\":{},{}}}",
-                trace_on as u8,
                 t.ops,
                 t.wall_s,
                 t.ops as f64 / t.wall_s,
@@ -399,13 +375,6 @@ fn main() {
                 t.stats.max_error,
                 telemetry_json_fields(&t.telemetry),
             );
-            println!("json,{record}");
-            records.push(record);
         }
     }
-    // With RSCHED_TRACE=1 the rings now hold the last events of every
-    // worker lane; write the Perfetto-loadable Chrome trace if a sink
-    // is configured (no-op when tracing is off).
-    trace::export_if_configured();
-    write_json_artifact(&records);
 }

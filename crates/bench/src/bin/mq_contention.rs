@@ -23,12 +23,17 @@
 //! baseline's throughput collapses (preempted holders, futex sleeps)
 //! while the skiplist's stays nearly flat, and it takes the lead — on a
 //! single-core host around 32–64 workers, earlier the more cores are
-//! contending. CI validates that the crossover exists at some measured
-//! thread count ≥ 8.
+//! contending. That is the design's claim; on a 2-vCPU host the skiplist
+//! won at most the 64-worker cell, and in some runs no cell at all
+//! (`ci/baselines/README.md`, gate stack decision record).
 //!
-//! Results print as one JSON object per line (prefixed `json,`); set
-//! `RSCHED_JSON_OUT=<path>` to also write the full run as a JSON array
-//! (what CI uploads as the `BENCH_mq_contention.json` artifact).
+//! A manual probe: nothing in CI runs it. It is the one measurement of
+//! the oversubscribed cells, where preemption and lock-holder
+//! descheduling show, so decisions about the priority shard backends
+//! read it; it is deleted together with the backend axis it sweeps.
+//!
+//! Results print as one JSON object per line (prefixed `json,`;
+//! `grep ^json, | cut -c6-` keeps just the objects).
 //! `RSCHED_THREADS=1,2,4,8` overrides the thread sweep, `RSCHED_SCALE`
 //! (small/medium/paper) the per-thread operation count, `RSCHED_REPS`
 //! the repetitions per cell (best run reported, suppressing scheduler
@@ -54,7 +59,7 @@
 
 use rsched_bench::{
     env_opt_usize, env_thread_list, env_usize, env_usize_list, session_knobs,
-    telemetry_json_fields, write_json_artifact, Scale,
+    telemetry_json_fields, Scale,
 };
 use rsched_queues::{
     telemetry, ConcurrentMultiQueue, FlushReport, MqSession, MutexHeapSub, PopSource, PushOutcome,
@@ -263,7 +268,6 @@ fn main() {
          threads {threads_sweep:?}, spawn batch {spawn_batch}, \
          stickiness {stickiness_sweep:?}) ==",
     );
-    let mut records: Vec<String> = Vec::new();
     for &threads in &threads_sweep {
         // Two shards per thread: the paper's Figure 1 MultiQueue
         // configuration (queue_multiplier = 2).
@@ -313,8 +317,8 @@ fn main() {
         }
         for ((backend, stickiness, _), t) in makes.iter().zip(best) {
             let t = t.expect("reps >= 1");
-            let record = format!(
-                "{{\"queue\":\"multiqueue\",\"backend\":\"{backend}\",\"threads\":{threads},\
+            println!(
+                "json,{{\"queue\":\"multiqueue\",\"backend\":\"{backend}\",\"threads\":{threads},\
                  \"shards\":{shards},\"prefill\":{prefill},\"universe\":{universe},\
                  \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
                  \"stickiness\":{stickiness},\
@@ -337,9 +341,6 @@ fn main() {
                 telemetry_json_fields(&t.telemetry),
                 t.telemetry.registry_probes,
             );
-            println!("json,{record}");
-            records.push(record);
         }
     }
-    write_json_artifact(&records);
 }

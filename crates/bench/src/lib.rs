@@ -1,6 +1,5 @@
 //! Shared infrastructure for the experiment binaries that regenerate every
-//! figure and theorem-shape experiment of the paper (see DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for recorded results).
+//! figure and theorem-shape experiment of the paper.
 //!
 //! All experiments print fixed-width text tables plus machine-readable CSV
 //! lines (prefixed `csv,`) so results can be collected with `grep ^csv`.
@@ -39,7 +38,7 @@ impl Scale {
 /// * `random` — uniform G(n, m), weights 1..=100 (paper: 1M nodes / 10M
 ///   edges);
 /// * `road` — grid with physical-distance-like weights (substitution for
-///   the USA road network, see DESIGN.md);
+///   the USA road network);
 /// * `social` — preferential-attachment power law, weights 1..=100
 ///   (substitution for LiveJournal).
 pub fn experiment_graphs(scale: Scale) -> Vec<(&'static str, CsrGraph)> {
@@ -92,20 +91,14 @@ pub fn env_thread_list(default: &[usize]) -> Vec<usize> {
 // with env-tunable configuration — `RuntimeConfig::default` and the
 // serve binary read knobs too); re-exported here so every bench bin
 // keeps its historical `rsched_bench::env_*` call sites.
-pub use rsched_runtime::env::{
-    env_f64, env_list, env_opt_usize, env_u64, env_usize, env_usize_list,
-};
-
-// Minimal JSON (values + artifact records), shared by the compare gate
-// and the diurnal-trace loader.
-pub mod json;
+pub use rsched_runtime::env::{env_opt_usize, env_usize, env_usize_list};
 
 /// The worker-session tuning knobs every contention benchmark sweeps and
 /// records: `RSCHED_SHARDS_PER_WORKER` (home shards per worker, default
 /// 1; 0 disables affinity) and `RSCHED_SPAWN_BATCH` (spawn-buffer
 /// capacity, default 1 = publish immediately). Returned as
 /// `(shards_per_worker, spawn_batch)`; emit both in every JSON record so
-/// the BENCH artifacts pin down the session axes of a run.
+/// each `json,` line pins down the session axes of its run.
 pub fn session_knobs() -> (usize, usize) {
     (
         env_usize("RSCHED_SHARDS_PER_WORKER", 1),
@@ -117,8 +110,8 @@ pub fn session_knobs() -> (usize, usize) {
 /// (no surrounding braces, no leading comma): per-op CAS-retry and
 /// steal-round quantiles, fallback-sweep p99, empty-pop and flush
 /// counters, and the epoch-GC progress pair. Every contention bin
-/// appends this to its record so `bench_compare` can gate the tails
-/// uniformly; structure-specific extras (registry probes) ride
+/// appends this to its record so the tails read the same in every
+/// artifact; structure-specific extras (registry probes) ride
 /// separately.
 pub fn telemetry_json_fields(t: &rsched_queues::TelemetrySnapshot) -> String {
     format!(
@@ -143,17 +136,6 @@ pub fn telemetry_json_fields(t: &rsched_queues::TelemetrySnapshot) -> String {
         t.gc_deferred,
         t.gc_collected,
     )
-}
-
-/// Write pre-serialized JSON object `records` as a JSON array to the
-/// path named by `RSCHED_JSON_OUT`, if set — the framing the CI
-/// perf-smoke validation parses for every `BENCH_*.json` artifact.
-pub fn write_json_artifact(records: &[String]) {
-    if let Ok(path) = std::env::var("RSCHED_JSON_OUT") {
-        let body = format!("[\n  {}\n]\n", records.join(",\n  "));
-        std::fs::write(&path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {} records to {path}", records.len());
-    }
 }
 
 /// Minimal fixed-width table printer with a parallel CSV emitter.

@@ -1,8 +1,8 @@
 //! Closed-form bounds from the paper, as executable formulas.
 //!
-//! The benchmark harness prints these next to measured values so
-//! EXPERIMENTS.md can record paper-vs-measured for every theorem. The
-//! constants hidden in the big-O are not specified by the paper; the
+//! The experiment binaries print these next to measured values, so every
+//! theorem reads as paper-vs-measured. The constants hidden in the big-O
+//! are not specified by the paper; the
 //! formulas here return the *parametric part* (e.g. `k⁴ · ln n` for
 //! Theorem 3.3), and experiments check **shape** (growth in each parameter)
 //! rather than absolute constants, as the reproduction bands prescribe.

@@ -4,7 +4,7 @@
 //! The paper explains the road network's higher relaxation overhead by its
 //! *diameter* (6261 for the USA road network versus 16 for LiveJournal and
 //! 6 for the random graph) — [`hop_diameter_estimate`] measures the same
-//! quantity for our generated graphs so EXPERIMENTS.md can report the
+//! quantity for our generated graphs, so the experiments can report the
 //! paper-vs-measured comparison.
 
 use crate::csr::CsrGraph;

@@ -700,7 +700,9 @@ impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
                 tried = c;
                 if let TryPop::Item((_, item)) = self.shards[c].sub.try_pop(tok) {
                     self.finish_pop(c);
-                    telemetry::record(telemetry::OpHist::Steal, round as u64);
+                    // A session with homes already spent attempt 0 on
+                    // them, so its steal rounds count from 1.
+                    telemetry::record(telemetry::OpHist::Steal, round as u64 + (nh > 0) as u64);
                     return Some((item, c));
                 }
             }
@@ -718,7 +720,10 @@ impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
             let Some((_, c)) = oldest else { break };
             if let Some((_, item)) = self.shards[c].sub.pop_wait(tok) {
                 self.finish_pop(c);
-                telemetry::record(telemetry::OpHist::Steal, (2 * q + 4) as u64);
+                telemetry::record(
+                    telemetry::OpHist::Steal,
+                    (2 * q + 4) as u64 + (nh > 0) as u64,
+                );
                 return Some((item, c));
             }
         }
@@ -1039,7 +1044,9 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
                 tried = c;
                 if let TryPop::Item((_, item)) = self.shards[c].sub.try_pop(tok) {
                     self.finish_pop(c);
-                    telemetry::record(telemetry::OpHist::Steal, round as u64);
+                    // A session with homes already spent attempt 0 on
+                    // them, so its steal rounds count from 1.
+                    telemetry::record(telemetry::OpHist::Steal, round as u64 + (nh > 0) as u64);
                     return Some((item, c));
                 }
             }

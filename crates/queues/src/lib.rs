@@ -175,7 +175,7 @@
 //! bracket a measured window with [`telemetry::reset`] /
 //! [`telemetry::capture`] and export the resulting
 //! [`TelemetrySnapshot`] (bucket arrays + p50/p90/p99/p999/max) into
-//! their JSON schema, where `bench_compare` gates p99 retry tails.
+//! their JSON records.
 //!
 //! ### The trace layer
 //!

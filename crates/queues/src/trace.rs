@@ -47,7 +47,9 @@
 //! events for [`EventKind::TaskPop`] → [`EventKind::TaskComplete`]
 //! spans, and `i` instant events for everything else (parks, steals,
 //! flushes, admission rejects). Open the file at <https://ui.perfetto.dev>
-//! (or `chrome://tracing`) to see per-worker timelines.
+//! (or `chrome://tracing`) to see per-worker timelines. The runtime
+//! exports through [`export_if_configured`] at the end of every `run()`
+//! and at `ServiceHandle::join`; each export overwrites the last.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};

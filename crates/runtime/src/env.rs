@@ -43,7 +43,7 @@ pub fn env_u64(key: &str, default: u64) -> u64 {
 }
 
 /// An `f64` knob from the environment, falling back to `default` when
-/// unset or unparsable (e.g. `RSCHED_COMPARE_TOL=0.35`).
+/// unset or unparsable (e.g. `RSCHED_SERVE_LIFETIME_S=2.5`).
 pub fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
         .ok()

@@ -10,7 +10,7 @@
 //! | `RSCHED_SERVE_THREADS` | `2` | worker threads |
 //! | `RSCHED_SERVE_CAP` | `4096` | admission bound (in-flight tasks) |
 //! | `RSCHED_SERVE_SEED` | `0x5EED5EED` | pool RNG seed |
-//! | `RSCHED_SERVE_LIFETIME_S` | unset | exit after this many seconds (CI); unset = run until SIGTERM/SIGINT kills the process |
+//! | `RSCHED_SERVE_LIFETIME_S` | unset | exit after this many seconds (tests, scripted runs); unset = run until SIGTERM/SIGINT kills the process |
 //!
 //! On start the daemon prints `rsched-serve listening on <endpoint>`
 //! so harnesses can wait for readiness, and on a timed exit it prints

@@ -486,6 +486,11 @@ impl StatsReply {
 /// | counters | `empty_pops, registry_probes, seg_installs` (always 0), `flush_published, flush_merged, gc_deferred, gc_collected` |
 /// | gauges | `in_flight`, `n_workers`, then `n_workers` per-worker busy-permille samples |
 /// | v2 only: deadline block | tardiness histogram (same shape), then `deadline_met, deadline_misses, miss_permille` |
+///
+/// The histogram and counter blocks are cumulative and the capture does
+/// not reset them, so polling never perturbs a later poll or the drain
+/// report. The busy-permille gauges cover the interval since the
+/// previous poll, so repeated polls read like `top`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsReply {
     /// Everything recorded since the server's telemetry window opened

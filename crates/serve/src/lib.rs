@@ -76,9 +76,9 @@
 //!
 //! The `rsched-serve` binary wraps [`Server`] with env-knob
 //! configuration (`RSCHED_SERVE_ADDR`, `RSCHED_SERVE_BACKEND`,
-//! `RSCHED_SERVE_THREADS`, `RSCHED_SERVE_CAP`); the `serve_latency`
-//! bench in rsched-bench drives either an in-process server or an
-//! external one through this crate's client.
+//! `RSCHED_SERVE_THREADS`, `RSCHED_SERVE_CAP`); the `serve-open` and
+//! `serve-closed` workloads of `benchmark/` drive an in-process server
+//! through this crate's client.
 
 pub mod client;
 pub mod codec;

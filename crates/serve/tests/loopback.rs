@@ -272,10 +272,13 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
         seg_installs,
         flush_published: _,
         flush_merged: _,
-        gc_deferred: _,
+        gc_deferred,
         gc_collected: _,
     } = &m.telemetry;
     assert_eq!(*seg_installs, 0, "nothing feeds seg_installs");
+    // Every skiplist pop retires its node through the epoch GC, and
+    // nothing in this binary re-anchors the GC baseline.
+    assert!(*gc_deferred > 0, "epoch-GC telemetry inert");
     for hist in [retry, steal, sweep, tick] {
         assert_eq!(hist.buckets.len(), 64, "bucket array truncated in flight");
         assert_eq!(
@@ -359,26 +362,30 @@ fn abrupt_disconnect_still_accounts_accepted_work() {
     assert_eq!(report.completed, report.accepted);
 }
 
-/// v2 analogue of [`drive_client`]: handshake at `PROTO_V2` with
-/// `FEAT_EDF`, pipeline `n` relative-deadline submits, then drain.
-/// Returns (accepted, rejected, met, missed) as observed on the wire.
+/// v2 analogue of [`drive_client`]: handshake at `PROTO_V2` asking for
+/// `features`, pipeline `n` relative-deadline submits (submit `i` gets
+/// budget `budgets[i % budgets.len()]`), then drain. Returns
+/// (accepted, rejected, met, missed) as observed on the wire.
 fn drive_client_v2(
     endpoint: &Endpoint,
+    features: u64,
     base_id: u64,
     n: u64,
     work_ns: u64,
-    budget_ns: u64,
+    budgets: &[u64],
 ) -> (u64, u64, u64, u64) {
     let mut client = ServeClient::connect(endpoint).expect("connect");
-    let ack = client.handshake(PROTO_V2, FEAT_EDF).expect("handshake");
+    let ack = client.handshake(PROTO_V2, features).expect("handshake");
     assert_eq!(ack.version, PROTO_V2, "server refused to speak v2");
-    assert_eq!(ack.features & !FEAT_EDF, 0, "granted more than asked");
+    assert_eq!(ack.features & !features, 0, "granted more than asked");
+    let budget_ns = *budgets.iter().min().expect("at least one budget");
+    let budgets = budgets.to_vec();
     let (mut tx, mut rx) = client.split();
     let sender = std::thread::spawn(move || {
         for i in 0..n {
             tx.send(&Request::SubmitV2(SubmitV2 {
                 req_id: base_id + i,
-                deadline: budget_ns,
+                deadline: budgets[i as usize % budgets.len()],
                 work_ns,
                 absolute: false,
             }))
@@ -413,7 +420,7 @@ fn drive_client_v2(
                 );
                 // The relative budget resolved against the admission
                 // stamp: the absolute deadline echoed back must be at
-                // least the budget itself.
+                // least the smallest budget.
                 assert!(c.deadline_ns >= budget_ns, "deadline resolved backwards");
                 assert_eq!(c.met, c.tardiness_ns == 0, "met flag disagrees");
                 if c.met {
@@ -457,7 +464,8 @@ fn v2_handshake_negotiates_and_reports_deadline_verdicts() {
     );
     // A 10 s budget on a loopback microtask is always met; every
     // completion must say so.
-    let (acc, rej, met, missed) = drive_client_v2(&endpoint, 0, 200, 1_000, 10_000_000_000);
+    let (acc, rej, met, missed) =
+        drive_client_v2(&endpoint, FEAT_EDF, 0, 200, 1_000, &[10_000_000_000]);
     assert_eq!((acc, rej), (200, 0));
     assert_eq!((met, missed), (200, 0), "loose budget missed");
     let report = server.shutdown();
@@ -480,8 +488,14 @@ fn edf_is_granted_only_where_the_backend_orders_by_key() {
         };
         assert_eq!(ack.features, want, "backend {backend:?}");
         // Granted or not, v2 submits complete with a verdict each.
-        let (acc, rej, met, missed) =
-            drive_client_v2(server.endpoint(), 0, 100, 1_000, 10_000_000_000);
+        let (acc, rej, met, missed) = drive_client_v2(
+            server.endpoint(),
+            FEAT_EDF,
+            0,
+            100,
+            1_000,
+            &[10_000_000_000],
+        );
         assert_eq!((acc, rej, met, missed), (100, 0, 100, 0), "{backend:?}");
         server.shutdown();
     }
@@ -593,8 +607,14 @@ fn mixed_version_concurrent_clients_conserve() {
                 let endpoint = &endpoint;
                 let v2_verdicts = &v2_verdicts;
                 scope.spawn(move || {
-                    let (acc, rej, met, missed) =
-                        drive_client_v2(endpoint, c * 1_000_000, per_client, 1_000, 10_000_000_000);
+                    let (acc, rej, met, missed) = drive_client_v2(
+                        endpoint,
+                        FEAT_EDF,
+                        c * 1_000_000,
+                        per_client,
+                        1_000,
+                        &[10_000_000_000],
+                    );
                     assert_eq!((acc, rej), (per_client, 0), "v2 client starved");
                     v2_verdicts.fetch_add(met + missed, Ordering::Relaxed);
                 });
@@ -624,7 +644,7 @@ fn rejection_is_side_effect_free_for_deadline_accounting() {
     let server = ephemeral(Backend::MqSkiplist, 1, 4);
     let n = 200u64;
     let (accepted, rejected, met, missed) =
-        drive_client_v2(server.endpoint(), 0, n, 1_000_000, 5_000_000);
+        drive_client_v2(server.endpoint(), FEAT_EDF, 0, n, 1_000_000, &[5_000_000]);
     assert!(
         rejected > 0,
         "burst of {n} into cap 4 never tripped admission"
@@ -639,4 +659,39 @@ fn rejection_is_side_effect_free_for_deadline_accounting() {
         "rejected submits leaked into the deadline ledger"
     );
     assert_eq!((report.deadline_met, report.deadline_misses), (met, missed));
+}
+
+#[test]
+fn edf_meets_more_deadlines_than_arrival_order_under_overload() {
+    // One worker, one pipelined connection: 200 submits of 200 µs work
+    // alternating a loose (10 s) and a tight (30 ms) budget arrive far
+    // faster than the 40 ms of work they carry. In arrival order the
+    // tight submits near the tail finish after ~30 ms and miss (about a
+    // quarter of them); EDF serves all 100 tight ones first, done by
+    // ~20 ms, so it misses none with ~10 ms to spare. The loose class
+    // never misses. Both modes run the same stream on a fresh server.
+    const BUDGETS: [u64; 2] = [10_000_000_000, 30_000_000];
+    for backend in [Backend::MqSkiplist, Backend::MqMutexHeap] {
+        let misses = |features| {
+            let server = ephemeral(backend, 1, 1024);
+            let (acc, rej, _, missed) =
+                drive_client_v2(server.endpoint(), features, 0, 200, 200_000, &BUDGETS);
+            assert_eq!((acc, rej), (200, 0), "{backend:?}");
+            server.shutdown();
+            missed
+        };
+        let arrival = misses(0);
+        let edf = misses(FEAT_EDF);
+        assert!(
+            arrival > 0,
+            "{backend:?}: arrival order met every deadline; the stream is not an overload"
+        );
+        // At most half, not just fewer: two arrival-order runs of the
+        // same stream differ by a few misses, so a bare `<` could pass
+        // with EDF switched off.
+        assert!(
+            2 * edf < arrival,
+            "{backend:?}: EDF missed {edf}, arrival order {arrival}"
+        );
+    }
 }
