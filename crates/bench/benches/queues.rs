@@ -210,10 +210,10 @@ fn bench_lockfree_subqueues(c: &mut Criterion) {
     group.bench_function("seg_ring", |b| {
         b.iter(|| {
             let q = SegRingQueue::new();
-            for (i, &k) in ks.iter().enumerate() {
-                q.push_stamped(i as u64, k);
+            for &k in &ks {
+                q.push(k);
             }
-            while q.pop_stamped().is_some() {}
+            while q.pop().is_some() {}
         })
     });
     group.bench_function("seg_ring_reused", |b| {
@@ -221,10 +221,10 @@ fn bench_lockfree_subqueues(c: &mut Criterion) {
         // every allocation, the steady state real workloads see.
         let q = SegRingQueue::new();
         b.iter(|| {
-            for (i, &k) in ks.iter().enumerate() {
-                q.push_stamped(i as u64, k);
+            for &k in &ks {
+                q.push(k);
             }
-            while q.pop_stamped().is_some() {}
+            while q.pop().is_some() {}
         })
     });
     group.bench_function("skiplist_shard", |b| {

@@ -1,11 +1,11 @@
-//! **FIFO-RANK** — ops-and-prefill sweep of d-RA / d-CBO rank errors.
+//! **FIFO-RANK** — ops-and-prefill sweep of d-CBO rank errors.
 //!
 //! The relaxed-FIFO analogue of `rank_profile`, following the methodology
 //! of the choice-of-two relaxation simulations (SNIPPETS.md §3): prefill
 //! the queue with `prefill` items, run `ops` mixed operations (alternating
 //! enqueue/dequeue so the fill level stays near the prefill), and record
-//! the empirical rank-error distribution per `(queue, subqueues, prefill,
-//! ops)` cell. Results print as one JSON object per line (prefixed
+//! the empirical rank-error distribution per `(subqueues, prefill, ops)`
+//! cell. Results print as one JSON object per line (prefixed
 //! `json,`) so the perf trajectory can be collected with `grep '^json,'`.
 //!
 //! ```text
@@ -50,24 +50,21 @@ fn main() {
         ),
     };
     let subqueues = [2usize, 4, 8, 16, 32];
-    println!("== d-RA / d-CBO FIFO rank-error sweep (scale {scale:?}) ==");
+    println!("== d-CBO FIFO rank-error sweep (scale {scale:?}) ==");
     for &q in &subqueues {
         for &prefill in prefill_list {
             for &ops in ops_list {
-                let (dra, dra_wall) = sweep(QueueBuilder::new(q).seed(7).d_ra(), prefill, ops);
-                let (dcbo, dcbo_wall) = sweep(QueueBuilder::new(q).seed(7).d_cbo(), prefill, ops);
-                for (name, s, wall) in [("d-ra", &dra, dra_wall), ("d-cbo", &dcbo, dcbo_wall)] {
-                    println!(
-                        "json,{{\"queue\":\"{name}\",\"subqueues\":{q},\"prefill\":{prefill},\
-                         \"ops\":{ops},\"dequeues\":{},\"mean_error\":{:.4},\"p99_error\":{},\
-                         \"max_error\":{},\"exact_fraction\":{:.4},\"ops_wall_s\":{wall:.6}}}",
-                        s.dequeues,
-                        s.mean_error(),
-                        s.error_quantile(0.99),
-                        s.max_error,
-                        s.exact_fraction(),
-                    );
-                }
+                let (s, wall) = sweep(QueueBuilder::new(q).seed(7).d_cbo(), prefill, ops);
+                println!(
+                    "json,{{\"queue\":\"d-cbo\",\"subqueues\":{q},\"prefill\":{prefill},\
+                     \"ops\":{ops},\"dequeues\":{},\"mean_error\":{:.4},\"p99_error\":{},\
+                     \"max_error\":{},\"exact_fraction\":{:.4},\"ops_wall_s\":{wall:.6}}}",
+                    s.dequeues,
+                    s.mean_error(),
+                    s.error_quantile(0.99),
+                    s.max_error,
+                    s.exact_fraction(),
+                );
             }
         }
     }

@@ -32,17 +32,16 @@
 //! descheduling show, so decisions about the priority shard backends
 //! read it; it is deleted together with the backend axis it sweeps.
 //!
-//! Results print as one JSON object per line (prefixed `json,`;
-//! `grep ^json, | cut -c6-` keeps just the objects).
-//! `RSCHED_THREADS=1,2,4,8` overrides the thread sweep, `RSCHED_SCALE`
-//! (small/medium/paper) the per-thread operation count, `RSCHED_REPS`
-//! the repetitions per cell (best run reported, suppressing scheduler
-//! noise on oversubscribed hosts), `RSCHED_SHARD_MULT` the
-//! shards-per-thread ratio (default 2, the paper's Figure 1
-//! configuration), `RSCHED_SHARDS` an absolute shard count,
-//! `RSCHED_PREFILL` / `RSCHED_UNIVERSE` the queue's starting depth and
-//! item-id range, and the session axes ride on `RSCHED_STICKINESS` — a
-//! comma-separated *sweep list* (e.g. `1,4,16`): every listed
+//! Every cell uses two shards per thread (the paper's Figure 1
+//! configuration), item ids in `0..65536` and a prefill of 4096
+//! pushes. Results print as one JSON object per line (prefixed `json,`;
+//! `grep ^json, | cut -c6-` keeps just the objects), each carrying the
+//! host's `nproc`. `RSCHED_THREADS=1,2,4,8` overrides the thread sweep,
+//! `RSCHED_SCALE` (small/medium/paper) the per-thread operation count,
+//! `RSCHED_REPS` the repetitions per cell (best run reported,
+//! suppressing scheduler noise on oversubscribed hosts), and the
+//! session axes ride on `RSCHED_STICKINESS` — a comma-separated *sweep
+//! list* (e.g. `1,4,16`): every listed
 //! peek-cache-reuse budget runs as its own cell, so the
 //! stickiness-vs-throughput trade on the SSSP workload lands in the
 //! JSON — plus `RSCHED_SPAWN_BATCH` and `RSCHED_SHARDS_PER_WORKER`
@@ -58,8 +57,7 @@
 //! [`MqSession`]: rsched_queues::MqSession
 
 use rsched_bench::{
-    env_opt_usize, env_thread_list, env_usize, env_usize_list, session_knobs,
-    telemetry_json_fields, Scale,
+    env_thread_list, env_usize, env_usize_list, session_knobs, telemetry_json_fields, Scale,
 };
 use rsched_queues::{
     telemetry, ConcurrentMultiQueue, FlushReport, MqSession, MutexHeapSub, PopSource, PushOutcome,
@@ -68,6 +66,13 @@ use rsched_queues::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
+
+/// Pushes before the measured window, so pops start on a populated
+/// queue.
+const PREFILL: usize = 4_096;
+/// Item ids are drawn from `0..UNIVERSE`; the shard registries are
+/// pre-allocated for it.
+const UNIVERSE: usize = 1 << 16;
 
 /// The operations the sweep needs, unified over every shard backend.
 /// All traffic flows through the worker session.
@@ -140,8 +145,6 @@ fn trial<Q: ContendedMq>(
     queue: &Q,
     threads: usize,
     ops_per_thread: usize,
-    prefill: usize,
-    universe: usize,
     session_cfg: SessionConfig,
 ) -> Trial {
     use rand::Rng;
@@ -149,8 +152,8 @@ fn trial<Q: ContendedMq>(
         let mut acct = Accounting::default();
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0x55_59);
         let mut session = queue.open(&SessionConfig::unaffine(0x55_59));
-        for _ in 0..prefill {
-            let item = rng.gen_range(0..universe);
+        for _ in 0..PREFILL {
+            let item = rng.gen_range(0..UNIVERSE);
             acct.push(queue.push_or_dec(item, rng.gen_range(0..1_000), &mut session));
         }
         acct.flush(queue.flush(&mut session));
@@ -186,7 +189,7 @@ fn trial<Q: ContendedMq>(
                 barrier.wait();
                 for op in 0..ops_per_thread {
                     if op % 2 == 0 {
-                        let item = rng.gen_range(0..universe);
+                        let item = rng.gen_range(0..UNIVERSE);
                         let prio = front + rng.gen_range(0..1_000u64);
                         acct.push(queue.push_or_dec(item, prio, &mut session));
                     } else if let Some(((_, d), src)) = queue.pop(&mut session) {
@@ -241,11 +244,8 @@ fn main() {
         Scale::Medium => 400_000,
         Scale::Paper => 1_000_000,
     };
-    let prefill = env_usize("RSCHED_PREFILL", 4_096);
-    let universe = env_usize("RSCHED_UNIVERSE", 1 << 16).max(1);
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let reps = env_usize("RSCHED_REPS", 8).clamp(1, 16);
-    let shard_mult = env_usize("RSCHED_SHARD_MULT", 2).clamp(1, 8);
-    let shards_override = env_opt_usize("RSCHED_SHARDS");
     let (shards_per_worker, spawn_batch) = session_knobs();
     // Stickiness is a *sweep* axis (`RSCHED_STICKINESS=1,4,...`): the
     // peek cache trades rank slack for peek traffic, and the SSSP-pop
@@ -264,14 +264,14 @@ fn main() {
     let threads_sweep = env_thread_list(&[1, 2, 4, 8, 16, 32, 64]);
     println!(
         "== MultiQueue contention sweep (scale {scale:?}, {ops_per_thread} ops/thread, \
-         SSSP-pop workload, universe {universe}, prefill {prefill}, best of {reps}, \
-         threads {threads_sweep:?}, spawn batch {spawn_batch}, \
+         SSSP-pop workload, universe {UNIVERSE}, prefill {PREFILL}, best of {reps}, \
+         threads {threads_sweep:?}, nproc {nproc}, spawn batch {spawn_batch}, \
          stickiness {stickiness_sweep:?}) ==",
     );
     for &threads in &threads_sweep {
         // Two shards per thread: the paper's Figure 1 MultiQueue
         // configuration (queue_multiplier = 2).
-        let shards = shards_override.unwrap_or((shard_mult * threads).max(2));
+        let shards = 2 * threads;
         type Cell<'a> = (&'a str, usize, Box<dyn Fn() -> Trial>);
         let mut makes: Vec<Cell<'_>> = Vec::new();
         for &stickiness in &stickiness_sweep {
@@ -286,8 +286,8 @@ fn main() {
                 stickiness,
                 Box::new(move || {
                     let q: ConcurrentMultiQueue<u64, MutexHeapSub<u64>> =
-                        QueueBuilder::new(shards).universe(universe).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
+                        QueueBuilder::new(shards).universe(UNIVERSE).multiqueue_on();
+                    trial(&q, threads, ops_per_thread, session_cfg)
                 }),
             ));
             makes.push((
@@ -295,8 +295,8 @@ fn main() {
                 stickiness,
                 Box::new(move || {
                     let q: ConcurrentMultiQueue<u64, SkipShard<u64>> =
-                        QueueBuilder::new(shards).universe(universe).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
+                        QueueBuilder::new(shards).universe(UNIVERSE).multiqueue_on();
+                    trial(&q, threads, ops_per_thread, session_cfg)
                 }),
             ));
         }
@@ -319,7 +319,7 @@ fn main() {
             let t = t.expect("reps >= 1");
             println!(
                 "json,{{\"queue\":\"multiqueue\",\"backend\":\"{backend}\",\"threads\":{threads},\
-                 \"shards\":{shards},\"prefill\":{prefill},\"universe\":{universe},\
+                 \"nproc\":{nproc},\"shards\":{shards},\"prefill\":{PREFILL},\"universe\":{UNIVERSE},\
                  \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
                  \"stickiness\":{stickiness},\
                  \"ops\":{},\"wall_s\":{:.6},\"ops_per_sec\":{:.1},\"pops\":{},\

@@ -91,7 +91,7 @@ pub fn env_thread_list(default: &[usize]) -> Vec<usize> {
 // with env-tunable configuration — `RuntimeConfig::default` and the
 // serve binary read knobs too); re-exported here so every bench bin
 // keeps its historical `rsched_bench::env_*` call sites.
-pub use rsched_runtime::env::{env_opt_usize, env_usize, env_usize_list};
+pub use rsched_runtime::env::{env_usize, env_usize_list};
 
 /// The worker-session tuning knobs every contention benchmark sweeps and
 /// records: `RSCHED_SHARDS_PER_WORKER` (home shards per worker, default

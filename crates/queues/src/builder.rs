@@ -1,7 +1,7 @@
 //! One construction path for every relaxed queue in the crate.
 //!
-//! [`QueueBuilder`] is the only way to build [`ConcurrentMultiQueue`],
-//! [`DRaQueue`] and [`DCboQueue`]: one fluent spelling with **typed
+//! [`QueueBuilder`] is the only way to build [`ConcurrentMultiQueue`]
+//! and [`DCboQueue`]: one fluent spelling with **typed
 //! backend selection** — the terminal method names the structure, its
 //! `_on::<S>()` twin names the shard backend, and every knob has
 //! exactly one place to live.
@@ -11,10 +11,8 @@
 //!
 //! // The default-backend spellings:
 //! let mq = QueueBuilder::new(8).universe(1024).multiqueue::<u64>();
-//! let dra = QueueBuilder::new(4).choices(2).seed(7).d_ra::<usize>();
 //! let dcbo = QueueBuilder::new(4).seed(7).d_cbo::<usize>();
 //! assert_eq!(mq.nqueues(), 8);
-//! assert_eq!(dra.choices(), 2);
 //! assert_eq!(dcbo.num_shards(), 4);
 //!
 //! // Typed backend selection — the turbofish picks the shard type:
@@ -22,7 +20,7 @@
 //! assert_eq!(mutex_mq.nqueues(), 8);
 //! ```
 
-use crate::fifo::{DCboQueue, DRaQueue, SubFifo};
+use crate::fifo::{DCboQueue, SubFifo};
 use crate::lockfree::SegRingQueue;
 use crate::multiqueue::ConcurrentMultiQueue;
 use crate::skipshard::{SkipShard, SubPriority};
@@ -31,16 +29,14 @@ use crate::skipshard::{SkipShard, SubPriority};
 /// [`QueueBuilder::new`] (the shard count — every structure has one),
 /// chain knobs, finish with a typed terminal method.
 ///
-/// Knob defaults: `choices = 2` (the classic two-choice
-/// configuration), `seed = 0x5EED`, no universe pre-allocation. Knobs
-/// a structure does not use are ignored by its terminal (a `seed` on a
+/// Knob defaults: `seed = 0x5EED`, no universe pre-allocation. Knobs a
+/// structure does not use are ignored by its terminal (a `seed` on a
 /// `multiqueue()` changes nothing — the MultiQueue's RNG is
 /// per-caller).
 #[derive(Clone, Copy, Debug)]
 #[must_use = "a QueueBuilder does nothing until a terminal method builds a queue"]
 pub struct QueueBuilder {
     shards: usize,
-    choices: usize,
     seed: u64,
     universe: Option<usize>,
 }
@@ -51,17 +47,9 @@ impl QueueBuilder {
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
-            choices: 2,
             seed: 0x5EED,
             universe: None,
         }
-    }
-
-    /// Choices per operation `d` for the choice-of-`d` structures
-    /// ([`d_ra`](Self::d_ra) / [`d_cbo`](Self::d_cbo)). Default 2.
-    pub fn choices(mut self, d: usize) -> Self {
-        self.choices = d;
-        self
     }
 
     /// RNG seed for structures that keep a sequential-interface RNG.
@@ -92,17 +80,6 @@ impl QueueBuilder {
         ConcurrentMultiQueue::construct(self.shards, self.universe)
     }
 
-    /// Build a [`DRaQueue`] (d-random-access relaxed FIFO) on the
-    /// default lock-free segmented-ring backend.
-    pub fn d_ra<T: Send>(self) -> DRaQueue<T, SegRingQueue<T>> {
-        self.d_ra_on::<T, SegRingQueue<T>>()
-    }
-
-    /// Build a [`DRaQueue`] on sub-FIFO backend `S`.
-    pub fn d_ra_on<T: Send, S: SubFifo<T>>(self) -> DRaQueue<T, S> {
-        DRaQueue::construct(self.shards, self.choices, self.seed)
-    }
-
     /// Build a [`DCboQueue`] (d-choice-of-best relaxed FIFO) on the
     /// default lock-free segmented-ring backend.
     pub fn d_cbo<T: Send>(self) -> DCboQueue<T, SegRingQueue<T>> {
@@ -111,7 +88,7 @@ impl QueueBuilder {
 
     /// Build a [`DCboQueue`] on sub-FIFO backend `S`.
     pub fn d_cbo_on<T: Send, S: SubFifo<T>>(self) -> DCboQueue<T, S> {
-        DCboQueue::construct(self.shards, self.choices, self.seed)
+        DCboQueue::construct(self.shards, self.seed)
     }
 }
 
@@ -195,9 +172,6 @@ mod tests {
         let mq = QueueBuilder::new(6).universe(100).multiqueue::<u64>();
         assert_eq!(mq.nqueues(), 6);
 
-        let dra = QueueBuilder::new(3).choices(4).seed(9).d_ra::<usize>();
-        assert_eq!((dra.num_shards(), dra.choices()), (3, 4));
-
         let dcbo = QueueBuilder::new(5).d_cbo::<usize>();
         assert_eq!(dcbo.num_shards(), 5);
 
@@ -208,12 +182,6 @@ mod tests {
         assert_eq!(built(), vec![Some(100); 3]);
         let _ = QueueBuilder::new(2).multiqueue_on::<u64, UniverseProbe>();
         assert_eq!(built(), vec![None; 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "d-RA supports 1..=8 choices, got 9")]
-    fn out_of_range_choices_panic_at_the_terminal() {
-        let _ = QueueBuilder::new(4).choices(9).d_ra::<u64>();
     }
 
     #[test]
@@ -228,9 +196,9 @@ mod tests {
         mq.push_or_decrease(0, 10);
         assert_eq!(mq.len(), 1);
 
-        let dra = QueueBuilder::new(2).d_ra_on::<usize, MutexSub<usize>>();
+        let dcbo = QueueBuilder::new(2).d_cbo_on::<usize, MutexSub<usize>>();
         let mut rng = SmallRng::seed_from_u64(1);
-        dra.enqueue(7, &mut rng);
-        assert_eq!(dra.dequeue(&mut rng), Some(7));
+        dcbo.enqueue(7, &mut rng);
+        assert_eq!(dcbo.dequeue(&mut rng), Some(7));
     }
 }

@@ -10,25 +10,19 @@
 //! the spirit of balanced allocations (Azar et al.), exactly as the
 //! MultiQueue does for priorities.
 //!
-//! Two family members, mirroring the d-RA / d-CBO line of relaxed-FIFO
-//! designs (see `relaxed-queue-simulations` and the PPoPP 2025 d-CBO
-//! paper referenced in SNIPPETS.md):
+//! The one relaxed FIFO is [`DCboQueue`] — **d-CBO** (*choice of
+//! balanced operations*, the PPoPP 2025 design behind the
+//! `relaxed-queue-simulations` simulator referenced in SNIPPETS.md):
+//! every shard counts its completed enqueues and dequeues; enqueue goes
+//! to the sampled shard with the fewest enqueues, dequeue pops the
+//! sampled shard with the fewest dequeues. Because both counters stay
+//! balanced, shard heads age at nearly the same rate and popping the
+//! least-dequeued shard approximates global FIFO order — without any
+//! global coordination or per-element stamp (two relaxed atomic loads
+//! per choice, two choices per operation).
 //!
-//! * [`DRaQueue`] — **d-RA**: `d` random sub-queue samples per
-//!   operation; enqueue goes to the sampled sub-queue with the fewest
-//!   live items (balanced allocation on *lengths*), dequeue takes the
-//!   oldest visible head among the sampled sub-queues (items carry a
-//!   global arrival stamp).
-//! * [`DCboQueue`] — **d-CBO** (*choice of balanced operations*): every
-//!   shard counts its completed enqueues and dequeues; enqueue goes to
-//!   the sampled shard with the fewest enqueues, dequeue pops the
-//!   sampled shard with the fewest dequeues. Because both counters stay
-//!   balanced, shard heads age at nearly the same rate and popping the
-//!   least-dequeued shard approximates global FIFO order — without any
-//!   global coordination (two relaxed atomic loads per choice).
-//!
-//! Both are concurrent (`&self` operations taking the caller's RNG, as
-//! the runtime expects) **and** implement the sequential [`RelaxedFifo`]
+//! It is concurrent (`&self` operations taking the caller's RNG, as the
+//! runtime expects) **and** implements the sequential [`RelaxedFifo`]
 //! trait for simulation and instrumentation.
 //!
 //! # Shard backends
@@ -46,9 +40,9 @@
 //!
 //! # Worker sessions
 //!
-//! Long-lived workers drive these queues through a [`FifoSession`]
-//! (from [`DRaQueue::session`] / [`DCboQueue::session`]): the amortized
-//! epoch pin, a private shard-picker RNG, **owned home shards** drained
+//! Long-lived workers drive the queue through a [`FifoSession`] (from
+//! [`DCboQueue::session`]): the amortized epoch pin, a private
+//! shard-picker RNG, **owned home shards** drained
 //! before any steal ([`pop_session`](DCboQueue::pop_session)), and a
 //! bounded **spawn buffer** whose contents publish as one
 //! balanced-choice batch ([`flush_session`](DCboQueue::flush_session)).
@@ -77,11 +71,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A queue with relaxed FIFO semantics (sequential interface).
 ///
 /// Dequeue returns *one of the oldest* items; how far from the oldest is
-/// bounded by the structure's relaxation. The concurrent members of the
-/// family ([`DRaQueue`], [`DCboQueue`]) additionally expose `&self`
-/// operations for the runtime; this trait is the sequential-model
-/// surface shared by every member, used for simulation and
-/// instrumentation.
+/// bounded by the structure's relaxation. The concurrent [`DCboQueue`]
+/// additionally exposes `&self` operations for the runtime; this trait
+/// is the sequential-model surface that [`FifoRankTracker`] wraps, used
+/// for simulation and instrumentation.
 pub trait RelaxedFifo<T> {
     /// Append `item` (relaxed tail position).
     fn enqueue(&mut self, item: T);
@@ -130,8 +123,8 @@ impl<G> std::ops::Deref for TokRef<'_, G> {
 /// Result of a non-blocking pop attempt on a [`SubFifo`].
 #[derive(Debug)]
 pub enum TryPop<T> {
-    /// Got the sub-queue's head element and its arrival stamp.
-    Item((u64, T)),
+    /// Got the sub-queue's head element.
+    Item(T),
     /// The sub-queue was observed empty (a hint under concurrency).
     Empty,
     /// The sub-queue is temporarily unavailable (a lock-based backend's
@@ -139,12 +132,11 @@ pub enum TryPop<T> {
     Contended,
 }
 
-/// One concurrent sub-queue (shard) of the relaxed FIFO family.
+/// One concurrent sub-queue (shard) of the relaxed FIFO.
 ///
-/// Elements carry a `u64` arrival stamp alongside the payload so that
-/// d-RA's oldest-head dequeue rule can peek stamps without touching the
-/// (racily moved-out) payload. d-CBO passes `0` — its policy never reads
-/// stamps.
+/// A shard stores bare elements: [`DCboQueue`]'s choice reads only the
+/// per-shard operation counters it keeps beside the shard, never the
+/// shard's contents.
 pub trait SubFifo<T>: Send + Sync {
     /// `true` when the backend's operations pin the epoch-reclamation
     /// scheme; lets [`PinSession`] and the runtime know whether holding
@@ -154,7 +146,7 @@ pub trait SubFifo<T>: Send + Sync {
     /// Per-operation protection token: an epoch guard for lock-free
     /// backends, zero-sized for lock-based ones. The composing queue
     /// creates **one** token per relaxed-FIFO operation and threads it
-    /// through every sample, peek and pop attempt, so backends never
+    /// through every push and pop attempt, so backends never
     /// re-enter the epoch scheme per sub-call.
     type Token;
 
@@ -168,19 +160,15 @@ pub trait SubFifo<T>: Send + Sync {
     /// An empty sub-queue.
     fn new() -> Self;
 
-    /// Append `item` stamped with `seq`.
-    fn push(&self, seq: u64, item: T, tok: &Self::Token);
+    /// Append `item`.
+    fn push(&self, item: T, tok: &Self::Token);
 
     /// Non-blocking pop attempt; never waits for another thread.
     fn try_pop(&self, tok: &Self::Token) -> TryPop<T>;
 
     /// Pop, waiting for a lock if the backend has one (lock-free
     /// backends are identical to [`try_pop`](SubFifo::try_pop)).
-    fn pop_wait(&self, tok: &Self::Token) -> Option<(u64, T)>;
-
-    /// The arrival stamp of the head element, if observable right now
-    /// (`None` when empty, unavailable, or not yet published).
-    fn head_seq(&self, tok: &Self::Token) -> Option<u64>;
+    fn pop_wait(&self, tok: &Self::Token) -> Option<T>;
 }
 
 /// The PR 1 baseline backend: a mutex around a `VecDeque`.
@@ -190,7 +178,7 @@ pub trait SubFifo<T>: Send + Sync {
 /// stalls every other thread on the shard.
 #[derive(Debug, Default)]
 pub struct MutexSub<T> {
-    fifo: Mutex<VecDeque<(u64, T)>>,
+    fifo: Mutex<VecDeque<T>>,
 }
 
 impl<T: Send> SubFifo<T> for MutexSub<T> {
@@ -208,38 +196,31 @@ impl<T: Send> SubFifo<T> for MutexSub<T> {
         }
     }
 
-    fn push(&self, seq: u64, item: T, _tok: &()) {
-        self.fifo.lock().push_back((seq, item));
+    fn push(&self, item: T, _tok: &()) {
+        self.fifo.lock().push_back(item);
     }
 
     fn try_pop(&self, _tok: &()) -> TryPop<T> {
         match self.fifo.try_lock() {
             None => TryPop::Contended,
             Some(mut fifo) => match fifo.pop_front() {
-                Some(pair) => TryPop::Item(pair),
+                Some(item) => TryPop::Item(item),
                 None => TryPop::Empty,
             },
         }
     }
 
-    fn pop_wait(&self, _tok: &()) -> Option<(u64, T)> {
+    fn pop_wait(&self, _tok: &()) -> Option<T> {
         self.fifo.lock().pop_front()
-    }
-
-    fn head_seq(&self, _tok: &()) -> Option<u64> {
-        self.fifo
-            .try_lock()
-            .and_then(|f| f.front().map(|&(s, _)| s))
     }
 }
 
 // ---------------------------------------------------------------------
-// Shared shard machinery
+// Shard machinery
 // ---------------------------------------------------------------------
 
-/// Largest supported `d` for [`DRaQueue`] / [`DCboQueue`] (candidate
-/// buffers are stack-allocated at this size).
-const MAX_CHOICES: usize = 8;
+/// Shards sampled per operation: d-CBO's `d`, the classic two choices.
+const CHOICES: usize = 2;
 
 /// One shard: a sub-queue plus its completed operation counters.
 /// Counters are read before popping/pushing (the choice is a heuristic;
@@ -326,27 +307,19 @@ impl PinSession {
     }
 }
 
-/// Fill `buf[..d]` with uniform shard samples — the steal-phase
-/// candidates (home shards were already drained by the locality phase).
-fn fill_candidates<R: Rng>(q: usize, d: usize, rng: &mut R, buf: &mut [usize; MAX_CHOICES]) {
-    for c in buf.iter_mut().take(d) {
-        *c = rng.gen_range(0..q);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The FIFO worker session
 // ---------------------------------------------------------------------
 
-/// A worker's session over a [`DRaQueue`] / [`DCboQueue`] — the single
-/// per-worker state object of the relaxed FIFO family (see the
+/// A worker's session over a [`DCboQueue`] — the single per-worker
+/// state object of the relaxed FIFO (see the
 /// worker-session section of the [crate docs](crate)).
 ///
 /// Carries the amortized epoch pin, the worker's private shard-picker
 /// RNG, the **owned home shards** drained before any steal, and the
 /// bounded **spawn buffer** whose contents publish as one batch to a
-/// single balanced-choice shard. Obtained from [`DRaQueue::session`] /
-/// [`DCboQueue::session`]; every session operation on the queue takes
+/// single balanced-choice shard. Obtained from [`DCboQueue::session`];
+/// every session operation on the queue takes
 /// `&mut` session and `&self` queue, so any number of sessions can work
 /// one queue concurrently.
 #[derive(Debug)]
@@ -390,405 +363,6 @@ impl<T> FifoSession<T> {
     }
 }
 
-/// Build a session over `q` shards from `cfg`: derive the RNG stream,
-/// stride the home shards, size the buffer.
-fn new_fifo_session<T>(q: usize, cfg: &SessionConfig) -> FifoSession<T> {
-    let workers = cfg.workers.max(1);
-    let spw = cfg.shards_per_worker.min(q);
-    let mut homes = Vec::with_capacity(spw);
-    for i in 0..spw {
-        let shard = (cfg.tid + i * workers) % q;
-        if !homes.contains(&shard) {
-            homes.push(shard);
-        }
-    }
-    let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
-    FifoSession {
-        pin: PinSession::none(),
-        // `cfg.seed` is already the per-worker stream (the config
-        // constructors mix the tid in exactly once); re-mixing the tid
-        // here would cancel that mix and hand every worker the same
-        // picker stream.
-        rng: SmallRng::seed_from_u64(cfg.seed),
-        homes,
-        rotor: 0,
-        buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
-        batch,
-    }
-}
-
-// ---------------------------------------------------------------------
-// d-RA
-// ---------------------------------------------------------------------
-
-/// d-RA relaxed FIFO: `d` random choices over sub-FIFO shards.
-///
-/// Enqueue samples `d` shards uniformly and appends to the one with the
-/// fewest live items; dequeue samples `d` shards and removes the *oldest
-/// visible head* among them (items carry a global arrival stamp). With
-/// `d = 1` both rules degenerate to uniform random placement/removal;
-/// with one sub-queue the structure is an exact FIFO.
-///
-/// Concurrent operations take the caller's RNG (`&self`); the
-/// [`RelaxedFifo`] impl provides the sequential-model interface. The
-/// shard backend defaults to the lock-free
-/// [`SegRingQueue`]; see [`SubFifo`].
-///
-/// # Examples
-///
-/// ```
-/// use rsched_queues::QueueBuilder;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let q = QueueBuilder::new(8).seed(42).d_ra();
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// for i in 0..100 {
-///     q.enqueue(i, &mut rng);
-/// }
-/// let first = q.dequeue(&mut rng).unwrap();
-/// // Relaxed: one of the oldest items, not necessarily item 0.
-/// assert!(first < 100);
-/// assert_eq!(q.len(), 99);
-/// ```
-pub struct DRaQueue<T, S = SegRingQueue<T>> {
-    shards: Box<[CachePadded<Shard<S>>]>,
-    /// Global arrival stamps (unique, monotone modulo fetch order).
-    arrivals: AtomicU64,
-    d: usize,
-    /// RNG for the sequential [`RelaxedFifo`] interface only; the
-    /// concurrent operations take the caller's RNG.
-    seq_rng: SmallRng,
-    _item: PhantomData<fn() -> T>,
-}
-
-impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
-    /// `subqueues` shards of backend `S` with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`); reached through
-    /// [`QueueBuilder`](crate::QueueBuilder).
-    pub(crate) fn construct(subqueues: usize, d: usize, seed: u64) -> Self {
-        assert!(subqueues > 0, "d-RA needs at least one sub-queue");
-        assert!(
-            (1..=MAX_CHOICES).contains(&d),
-            "d-RA supports 1..={MAX_CHOICES} choices, got {d}"
-        );
-        Self {
-            shards: new_shards::<T, S>(subqueues),
-            arrivals: AtomicU64::new(0),
-            d,
-            seq_rng: SmallRng::seed_from_u64(seed),
-            _item: PhantomData,
-        }
-    }
-
-    /// The number of choices `d`.
-    pub fn choices(&self) -> usize {
-        self.d
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of stored items, derived from the per-shard operation
-    /// counters — exact when quiescent, an approximation mid-flight, and
-    /// free of any shared hot-path counter.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.approx_len() as usize).sum()
-    }
-
-    /// `true` if empty (exact when quiescent).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append `item` to the sampled shard with the fewest live items.
-    pub fn enqueue<R: Rng>(&self, item: T, rng: &mut R) {
-        self.enqueue_tok(item, rng, &S::token());
-    }
-
-    fn enqueue_tok<R: Rng>(&self, item: T, rng: &mut R, tok: &S::Token) {
-        let q = self.shards.len();
-        let mut best = rng.gen_range(0..q);
-        let mut best_len = self.shards[best].approx_len();
-        for _ in 1..self.d {
-            let c = rng.gen_range(0..q);
-            let l = self.shards[c].approx_len();
-            if l < best_len {
-                best = c;
-                best_len = l;
-            }
-        }
-        let seq = self.arrivals.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[best];
-        shard.sub.push(seq, item, tok);
-        shard.enqueues.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pop the oldest visible head among `d` sampled shards; `None` only
-    /// after a full sweep found every shard empty (a hint, not a
-    /// linearizable emptiness check — callers own termination detection).
-    pub fn dequeue<R: Rng>(&self, rng: &mut R) -> Option<T> {
-        self.pop_with_homes(&[], &mut 0, rng, &S::token())
-            .map(|(item, _)| item)
-    }
-
-    /// Worker-affine dequeue without a session: shard `home % shards` is
-    /// drained first, then the choice-of-`d` steal rounds run. The
-    /// returned flag is `true` when the element came from a foreign
-    /// shard — a steal. Pass `usize::MAX` for no affinity. Workers in a
-    /// pool use [`session`](Self::session) + [`pop_session`] instead,
-    /// which add multi-shard ownership and the amortized epoch pin.
-    ///
-    /// [`pop_session`]: Self::pop_session
-    pub fn dequeue_from<R: Rng>(&self, home: usize, rng: &mut R) -> Option<(T, bool)> {
-        let q = self.shards.len();
-        let arr = [home % q.max(1)];
-        let homes: &[usize] = if home == usize::MAX { &[] } else { &arr };
-        self.pop_with_homes(homes, &mut 0, rng, &S::token())
-            .map(|(item, c)| (item, !homes.is_empty() && homes[0] != c))
-    }
-
-    /// Open a worker session (see [`FifoSession`]): home shards strided
-    /// by `cfg.tid`/`cfg.workers`, spawn buffer of `cfg.spawn_batch`,
-    /// epoch pin live iff the backend needs one.
-    pub fn session(&self, cfg: &SessionConfig) -> FifoSession<T> {
-        let mut s = new_fifo_session(self.shards.len(), cfg);
-        s.pin = PinSession::new(S::NEEDS_EPOCH);
-        s
-    }
-
-    /// Session push: publishes immediately when `spawn_batch == 1`,
-    /// otherwise parks the item in the session buffer, auto-flushing a
-    /// full buffer. FIFO pushes never merge, so the outcome is
-    /// [`SessionPush::Inserted`] or [`SessionPush::Buffered`].
-    pub fn push_session(&self, item: T, s: &mut FifoSession<T>) -> PushOutcome {
-        if s.batch <= 1 {
-            s.pin.tick();
-            let tok = S::borrow_token(&s.pin);
-            self.enqueue_tok(item, &mut s.rng, &tok);
-            return PushOutcome::immediate(SessionPush::Inserted);
-        }
-        s.buf.push(item);
-        let flushed = if s.buf.len() >= s.batch {
-            self.flush_session(s)
-        } else {
-            FlushReport::default()
-        };
-        PushOutcome {
-            push: SessionPush::Buffered,
-            flushed,
-        }
-    }
-
-    /// Publish everything parked in the session buffer as **one batch**:
-    /// one balanced choice (the session's current home shard competes
-    /// with `d − 1` random samples on live length), one arrival-stamp
-    /// range claim, one enqueue-counter bump.
-    pub fn flush_session(&self, s: &mut FifoSession<T>) -> FlushReport {
-        if s.buf.is_empty() {
-            return FlushReport::default();
-        }
-        s.pin.tick();
-        let tok = S::borrow_token(&s.pin);
-        let q = self.shards.len();
-        let mut best = s
-            .homes
-            .get(s.rotor)
-            .copied()
-            .unwrap_or_else(|| s.rng.gen_range(0..q));
-        let mut best_len = self.shards[best].approx_len();
-        for _ in 1..self.d {
-            let c = s.rng.gen_range(0..q);
-            let l = self.shards[c].approx_len();
-            if l < best_len {
-                best = c;
-                best_len = l;
-            }
-        }
-        let n = s.buf.len() as u64;
-        let base = self.arrivals.fetch_add(n, Ordering::Relaxed);
-        let shard = &self.shards[best];
-        for (i, item) in s.buf.drain(..).enumerate() {
-            shard.sub.push(base + i as u64, item, &tok);
-        }
-        shard.enqueues.fetch_add(n, Ordering::Relaxed);
-        telemetry::count(telemetry::OpCount::FlushPublished, n);
-        FlushReport {
-            published: n,
-            merged: 0,
-        }
-    }
-
-    /// Locality-aware session pop: drain the session's home shards first
-    /// (oldest visible home head — [`PopSource::Home`]), then fall back
-    /// to the choice-of-`d` steal rounds over random shards
-    /// ([`PopSource::Steal`]). Sessions without affinity report
-    /// [`PopSource::Shared`]. `None` semantics match
-    /// [`dequeue`](Self::dequeue). Buffered spawns are **not** popped
-    /// here — flush on a miss (the runtime's worker loop does).
-    pub fn pop_session(&self, s: &mut FifoSession<T>) -> Option<(T, PopSource)> {
-        s.pin.tick();
-        let tok = S::borrow_token(&s.pin);
-        let mut rotor = s.rotor;
-        let out = self.pop_with_homes(&s.homes, &mut rotor, &mut s.rng, &tok);
-        s.rotor = rotor;
-        out.map(|(item, shard)| (item, s.classify(shard)))
-    }
-
-    /// The shared pop engine: locality phase over `homes`, then steal
-    /// rounds, then the oldest-head and full-sweep fallbacks. Returns
-    /// the popped item and the shard it came from.
-    fn pop_with_homes<R: Rng>(
-        &self,
-        homes: &[usize],
-        rotor: &mut usize,
-        rng: &mut R,
-        tok: &S::Token,
-    ) -> Option<(T, usize)> {
-        let q = self.shards.len();
-        let d = self.d;
-        // Locality phase: start at the home shard with the oldest
-        // visible head, then fall through the remaining owned homes in
-        // rotor order — a lost race or a contended mutex on one home
-        // must not forfeit the whole phase to the steal rounds.
-        let nh = homes.len();
-        if nh > 0 {
-            let mut start = *rotor % nh;
-            let mut best: Option<u64> = None;
-            for i in 0..nh {
-                let idx = (*rotor + i) % nh;
-                if let Some(stamp) = self.shards[homes[idx]].sub.head_seq(tok) {
-                    if best.is_none_or(|b| stamp < b) {
-                        best = Some(stamp);
-                        start = idx;
-                    }
-                }
-            }
-            for i in 0..nh {
-                let idx = (start + i) % nh;
-                let c = homes[idx];
-                if let TryPop::Item((_, item)) = self.shards[c].sub.try_pop(tok) {
-                    *rotor = idx;
-                    self.finish_pop(c);
-                    telemetry::record(telemetry::OpHist::Steal, 0);
-                    return Some((item, c));
-                }
-            }
-        }
-        // Steal rounds: `d` random samples, oldest visible head first;
-        // shards with no visible head (empty, or a contended mutex
-        // backend) are skipped.
-        for round in 0..(2 * q + 4) {
-            let mut cand = [0usize; MAX_CHOICES];
-            fill_candidates(q, d, rng, &mut cand);
-            let mut heads = [(u64::MAX, usize::MAX); MAX_CHOICES];
-            let mut n = 0;
-            for &c in &cand[..d] {
-                if let Some(s) = self.shards[c].sub.head_seq(tok) {
-                    heads[n] = (s, c);
-                    n += 1;
-                }
-            }
-            heads[..n].sort_unstable();
-            let mut tried = usize::MAX;
-            for &(_, c) in &heads[..n] {
-                if c == tried {
-                    continue;
-                }
-                tried = c;
-                if let TryPop::Item((_, item)) = self.shards[c].sub.try_pop(tok) {
-                    self.finish_pop(c);
-                    // A session with homes already spent attempt 0 on
-                    // them, so its steal rounds count from 1.
-                    telemetry::record(telemetry::OpHist::Steal, round as u64 + (nh > 0) as u64);
-                    return Some((item, c));
-                }
-            }
-            if self.is_empty() {
-                break;
-            }
-        }
-        // Oldest-head fallback over *all* shards: preserves the
-        // sequential guarantee that a non-empty queue never reports
-        // empty, and keeps the error small at drain tails.
-        for _ in 0..2 {
-            let oldest = (0..q)
-                .filter_map(|c| self.shards[c].sub.head_seq(tok).map(|s| (s, c)))
-                .min();
-            let Some((_, c)) = oldest else { break };
-            if let Some((_, item)) = self.shards[c].sub.pop_wait(tok) {
-                self.finish_pop(c);
-                telemetry::record(
-                    telemetry::OpHist::Steal,
-                    (2 * q + 4) as u64 + (nh > 0) as u64,
-                );
-                return Some((item, c));
-            }
-        }
-        // Final sweep, rotated from a per-thread offset (first home
-        // shard if affine, else a random start) so convoys don't all
-        // line up on shard 0.
-        let start = homes
-            .first()
-            .copied()
-            .unwrap_or_else(|| rng.gen_range(0..q));
-        for k in 0..q {
-            let c = (start + k) % q;
-            if let Some((_, item)) = self.shards[c].sub.pop_wait(tok) {
-                self.finish_pop(c);
-                telemetry::record(telemetry::OpHist::Sweep, (k + 1) as u64);
-                return Some((item, c));
-            }
-        }
-        telemetry::count(telemetry::OpCount::EmptyPop, 1);
-        None
-    }
-
-    fn finish_pop(&self, c: usize) {
-        self.shards[c].dequeues.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl<T, S: SubFifo<T>> std::fmt::Debug for DRaQueue<T, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DRaQueue")
-            .field("shards", &self.shards.len())
-            .field("d", &self.d)
-            .field(
-                "len",
-                &self.shards.iter().map(|s| s.approx_len()).sum::<u64>(),
-            )
-            .finish()
-    }
-}
-
-impl<T: Send, S: SubFifo<T>> RelaxedFifo<T> for DRaQueue<T, S> {
-    fn enqueue(&mut self, item: T) {
-        // Exclusive access: run the concurrent op on a moved-out copy of
-        // the sequential RNG (cloning 4 words beats any lock).
-        let mut rng = self.seq_rng.clone();
-        DRaQueue::enqueue(&*self, item, &mut rng);
-        self.seq_rng = rng;
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        let mut rng = self.seq_rng.clone();
-        let out = DRaQueue::dequeue(&*self, &mut rng);
-        self.seq_rng = rng;
-        out
-    }
-
-    fn len(&self) -> usize {
-        DRaQueue::len(self)
-    }
-
-    fn subqueues(&self) -> usize {
-        self.num_shards()
-    }
-}
-
 // ---------------------------------------------------------------------
 // d-CBO
 // ---------------------------------------------------------------------
@@ -796,8 +370,8 @@ impl<T: Send, S: SubFifo<T>> RelaxedFifo<T> for DRaQueue<T, S> {
 /// Concurrent d-CBO relaxed FIFO: choice of two by balanced operation
 /// counts over sub-FIFO shards.
 ///
-/// `enqueue` samples `d` shards and appends to the one with the fewest
-/// *completed enqueues*; `dequeue` samples `d` shards and pops the one
+/// `enqueue` samples two shards and appends to the one with the fewest
+/// *completed enqueues*; `dequeue` samples two shards and pops the one
 /// with the fewest *completed dequeues* (skipping empty or contended
 /// shards). `None` is returned only after a full sweep found every shard
 /// empty — like the workspace's other concurrent queues this is a hint,
@@ -829,7 +403,6 @@ impl<T: Send, S: SubFifo<T>> RelaxedFifo<T> for DRaQueue<T, S> {
 /// ```
 pub struct DCboQueue<T, S = SegRingQueue<T>> {
     shards: Box<[CachePadded<Shard<S>>]>,
-    d: usize,
     /// RNG for the sequential [`RelaxedFifo`] interface only; the
     /// concurrent operations take the caller's RNG.
     seq_rng: SmallRng,
@@ -837,23 +410,12 @@ pub struct DCboQueue<T, S = SegRingQueue<T>> {
 }
 
 impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
-    /// Largest supported choice count `d` (the dequeue candidate buffer
-    /// is stack-allocated at this size).
-    pub const MAX_CHOICES: usize = MAX_CHOICES;
-
-    /// `shards` sub-FIFOs of backend `S` with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`); reached through
+    /// `shards` sub-FIFOs of backend `S`; reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
-    pub(crate) fn construct(shards: usize, d: usize, seed: u64) -> Self {
+    pub(crate) fn construct(shards: usize, seed: u64) -> Self {
         assert!(shards > 0, "d-CBO needs at least one shard");
-        assert!(
-            (1..=Self::MAX_CHOICES).contains(&d),
-            "d-CBO supports 1..={} choices, got {d}",
-            Self::MAX_CHOICES
-        );
         Self {
             shards: new_shards::<T, S>(shards),
-            d,
             seq_rng: SmallRng::seed_from_u64(seed ^ 0xD_CB0),
             _item: PhantomData,
         }
@@ -883,20 +445,26 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     }
 
     fn enqueue_tok<R: Rng>(&self, item: T, rng: &mut R, tok: &S::Token) {
-        let q = self.shards.len();
-        let mut best = rng.gen_range(0..q);
-        for _ in 1..self.d {
-            let c = rng.gen_range(0..q);
+        let first = rng.gen_range(0..self.shards.len());
+        let shard = &self.shards[self.push_target(first, rng)];
+        shard.sub.push(item, tok);
+        shard.enqueues.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The enqueue choice: `first` against `CHOICES − 1` uniform samples,
+    /// the shard with the fewest completed enqueues wins (ties keep the
+    /// earlier candidate).
+    fn push_target<R: Rng>(&self, first: usize, rng: &mut R) -> usize {
+        let mut best = first;
+        for _ in 1..CHOICES {
+            let c = rng.gen_range(0..self.shards.len());
             if self.shards[c].enqueues.load(Ordering::Relaxed)
                 < self.shards[best].enqueues.load(Ordering::Relaxed)
             {
                 best = c;
             }
         }
-        let shard = &self.shards[best];
-        // d-CBO never reads stamps; the balanced counters are the order.
-        shard.sub.push(0, item, tok);
-        shard.enqueues.fetch_add(1, Ordering::Relaxed);
+        best
     }
 
     /// Pop from the sampled shard with the fewest completed dequeues;
@@ -906,28 +474,33 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             .map(|(item, _)| item)
     }
 
-    /// Worker-affine dequeue without a session: shard `home % shards` is
-    /// drained first, then the choice-of-`d` steal rounds run. The
-    /// returned flag is `true` when the element came from a foreign
-    /// shard — a steal. Pass `usize::MAX` for no affinity. Workers in a
-    /// pool use [`session`](Self::session) + [`pop_session`] instead.
-    ///
-    /// [`pop_session`]: Self::pop_session
-    pub fn dequeue_from<R: Rng>(&self, home: usize, rng: &mut R) -> Option<(T, bool)> {
-        let q = self.shards.len();
-        let arr = [home % q.max(1)];
-        let homes: &[usize] = if home == usize::MAX { &[] } else { &arr };
-        self.pop_with_homes(homes, &mut 0, rng, &S::token())
-            .map(|(item, c)| (item, !homes.is_empty() && homes[0] != c))
-    }
-
     /// Open a worker session (see [`FifoSession`]): home shards strided
     /// by `cfg.tid`/`cfg.workers`, spawn buffer of `cfg.spawn_batch`,
     /// epoch pin live iff the backend needs one.
     pub fn session(&self, cfg: &SessionConfig) -> FifoSession<T> {
-        let mut s = new_fifo_session(self.shards.len(), cfg);
-        s.pin = PinSession::new(S::NEEDS_EPOCH);
-        s
+        let q = self.shards.len();
+        let workers = cfg.workers.max(1);
+        let spw = cfg.shards_per_worker.min(q);
+        let mut homes = Vec::with_capacity(spw);
+        for i in 0..spw {
+            let shard = (cfg.tid + i * workers) % q;
+            if !homes.contains(&shard) {
+                homes.push(shard);
+            }
+        }
+        let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
+        FifoSession {
+            pin: PinSession::new(S::NEEDS_EPOCH),
+            // `cfg.seed` is already the per-worker stream (the config
+            // constructors mix the tid in exactly once); re-mixing the tid
+            // here would cancel that mix and hand every worker the same
+            // picker stream.
+            rng: SmallRng::seed_from_u64(cfg.seed),
+            homes,
+            rotor: 0,
+            buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
+            batch,
+        }
     }
 
     /// Session push: publishes immediately when `spawn_batch == 1`,
@@ -955,33 +528,23 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
 
     /// Publish everything parked in the session buffer as **one batch**
     /// to a single shard: the session's current home shard competes with
-    /// `d − 1` random samples on completed enqueues, then the whole
-    /// batch lands there under one counter bump.
+    /// one random sample on completed enqueues, then the whole batch
+    /// lands there under one counter bump.
     pub fn flush_session(&self, s: &mut FifoSession<T>) -> FlushReport {
         if s.buf.is_empty() {
             return FlushReport::default();
         }
         s.pin.tick();
         let tok = S::borrow_token(&s.pin);
-        let q = self.shards.len();
-        let mut best = s
+        let first = s
             .homes
             .get(s.rotor)
             .copied()
-            .unwrap_or_else(|| s.rng.gen_range(0..q));
-        for _ in 1..self.d {
-            let c = s.rng.gen_range(0..q);
-            if self.shards[c].enqueues.load(Ordering::Relaxed)
-                < self.shards[best].enqueues.load(Ordering::Relaxed)
-            {
-                best = c;
-            }
-        }
+            .unwrap_or_else(|| s.rng.gen_range(0..self.shards.len()));
         let n = s.buf.len() as u64;
-        let shard = &self.shards[best];
+        let shard = &self.shards[self.push_target(first, &mut s.rng)];
         for item in s.buf.drain(..) {
-            // d-CBO never reads stamps; the balanced counters are the order.
-            shard.sub.push(0, item, &tok);
+            shard.sub.push(item, &tok);
         }
         shard.enqueues.fetch_add(n, Ordering::Relaxed);
         telemetry::count(telemetry::OpCount::FlushPublished, n);
@@ -992,7 +555,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     }
 
     /// Locality-aware session pop: drain the session's home shards first
-    /// ([`PopSource::Home`]), then run the fewest-dequeues choice-of-`d`
+    /// ([`PopSource::Home`]), then run the fewest-dequeues choice-of-two
     /// steal rounds ([`PopSource::Steal`]). Sessions without affinity
     /// report [`PopSource::Shared`]. Buffered spawns are **not** popped
     /// here — flush on a miss (the runtime's worker loop does).
@@ -1016,25 +579,22 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         tok: &S::Token,
     ) -> Option<(T, usize)> {
         let q = self.shards.len();
-        let d = self.d;
         // Locality phase: keep draining the last hot home shard, falling
         // through the other owned homes on a miss.
         let nh = homes.len();
         for i in 0..nh {
             let idx = (*rotor + i) % nh;
             let c = homes[idx];
-            if let TryPop::Item((_, item)) = self.shards[c].sub.try_pop(tok) {
+            if let TryPop::Item(item) = self.shards[c].sub.try_pop(tok) {
                 *rotor = idx;
                 self.finish_pop(c);
                 telemetry::record(telemetry::OpHist::Steal, 0);
                 return Some((item, c));
             }
         }
-        // Steal rounds: choice-of-d on completed dequeues, non-blocking.
+        // Steal rounds: choice of two on completed dequeues, non-blocking.
         for round in 0..(2 * q + 4) {
-            let mut cand = [0usize; MAX_CHOICES];
-            fill_candidates(q, d, rng, &mut cand);
-            let cand = &mut cand[..d];
+            let mut cand: [usize; CHOICES] = std::array::from_fn(|_| rng.gen_range(0..q));
             cand.sort_by_key(|&c| self.shards[c].dequeues.load(Ordering::Relaxed));
             let mut tried = usize::MAX;
             for &c in cand.iter() {
@@ -1042,7 +602,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
                     continue;
                 }
                 tried = c;
-                if let TryPop::Item((_, item)) = self.shards[c].sub.try_pop(tok) {
+                if let TryPop::Item(item) = self.shards[c].sub.try_pop(tok) {
                     self.finish_pop(c);
                     // A session with homes already spent attempt 0 on
                     // them, so its steal rounds count from 1.
@@ -1064,7 +624,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             .unwrap_or_else(|| rng.gen_range(0..q));
         for k in 0..q {
             let c = (start + k) % q;
-            if let Some((_, item)) = self.shards[c].sub.pop_wait(tok) {
+            if let Some(item) = self.shards[c].sub.pop_wait(tok) {
                 self.finish_pop(c);
                 telemetry::record(telemetry::OpHist::Sweep, (k + 1) as u64);
                 return Some((item, c));
@@ -1083,7 +643,6 @@ impl<T, S: SubFifo<T>> std::fmt::Debug for DCboQueue<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DCboQueue")
             .field("shards", &self.shards.len())
-            .field("d", &self.d)
             .field(
                 "len",
                 &self.shards.iter().map(|s| s.approx_len()).sum::<u64>(),
@@ -1193,7 +752,7 @@ impl FifoRankStats {
 /// use rsched_queues::fifo::{FifoRankTracker, RelaxedFifo};
 /// use rsched_queues::QueueBuilder;
 ///
-/// let mut q = FifoRankTracker::new(QueueBuilder::new(4).seed(7).d_ra());
+/// let mut q = FifoRankTracker::new(QueueBuilder::new(4).seed(7).d_cbo());
 /// for i in 0..1000 {
 ///     q.enqueue(i);
 /// }
@@ -1276,17 +835,11 @@ mod tests {
 
     #[test]
     fn single_subqueue_is_exact_fifo() {
-        let mut q = QueueBuilder::new(1).seed(3).d_ra();
-        for i in 0..500 {
-            RelaxedFifo::enqueue(&mut q, i);
-        }
-        assert_eq!(drain(&mut q), (0..500).collect::<Vec<_>>());
-
-        let mut q = FifoRankTracker::new(QueueBuilder::new(1).seed(3).d_ra());
+        let mut q = FifoRankTracker::new(QueueBuilder::new(1).seed(3).d_cbo());
         for i in 0..500 {
             q.enqueue(i);
         }
-        drain(&mut q);
+        assert_eq!(drain(&mut q), (0..500).collect::<Vec<_>>());
         assert_eq!(q.stats().max_error, 0, "one sub-queue is exact");
         assert_eq!(q.stats().exact_fraction(), 1.0);
     }
@@ -1294,11 +847,6 @@ mod tests {
     #[test]
     fn single_subqueue_exact_on_every_backend() {
         fn check<S: SubFifo<i32>>() {
-            let mut q: DRaQueue<i32, S> = QueueBuilder::new(1).seed(3).d_ra_on();
-            for i in 0..200 {
-                RelaxedFifo::enqueue(&mut q, i);
-            }
-            assert_eq!(drain(&mut q), (0..200).collect::<Vec<_>>());
             let mut q: DCboQueue<i32, S> = QueueBuilder::new(1).seed(3).d_cbo_on();
             for i in 0..200 {
                 RelaxedFifo::enqueue(&mut q, i);
@@ -1310,77 +858,30 @@ mod tests {
     }
 
     #[test]
-    fn dra_conserves_items_under_mixed_ops() {
-        let mut q = QueueBuilder::new(8).seed(11).d_ra();
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut pushed = 0u64;
-        let mut got = Vec::new();
-        for _ in 0..10_000 {
-            if rng.gen_range(0..3) > 0 {
-                RelaxedFifo::enqueue(&mut q, pushed);
-                pushed += 1;
-            } else if let Some(v) = RelaxedFifo::dequeue(&mut q) {
-                got.push(v);
-            }
-        }
-        got.extend(drain(&mut q));
-        got.sort_unstable();
-        assert_eq!(got, (0..pushed).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn backend_matrix_conserves_items_under_mixed_ops() {
         fn check<S: SubFifo<u64>>(name: &str) {
-            let mut dra: DRaQueue<u64, S> = QueueBuilder::new(6).seed(11).d_ra_on();
-            let mut dcbo: DCboQueue<u64, S> = QueueBuilder::new(6).seed(11).d_cbo_on();
+            let mut q: DCboQueue<u64, S> = QueueBuilder::new(6).seed(11).d_cbo_on();
             let mut rng = SmallRng::seed_from_u64(5);
             let mut pushed = 0u64;
-            let mut got_dra = Vec::new();
-            let mut got_dcbo = Vec::new();
+            let mut got = Vec::new();
             for _ in 0..5_000 {
                 if rng.gen_range(0..3) > 0 {
-                    RelaxedFifo::enqueue(&mut dra, pushed);
-                    RelaxedFifo::enqueue(&mut dcbo, pushed);
+                    RelaxedFifo::enqueue(&mut q, pushed);
                     pushed += 1;
-                } else {
-                    if let Some(v) = RelaxedFifo::dequeue(&mut dra) {
-                        got_dra.push(v);
-                    }
-                    if let Some(v) = RelaxedFifo::dequeue(&mut dcbo) {
-                        got_dcbo.push(v);
-                    }
+                } else if let Some(v) = RelaxedFifo::dequeue(&mut q) {
+                    got.push(v);
                 }
             }
-            got_dra.extend(drain(&mut dra));
-            got_dcbo.extend(drain(&mut dcbo));
-            got_dra.sort_unstable();
-            got_dcbo.sort_unstable();
-            let want: Vec<u64> = (0..pushed).collect();
-            assert_eq!(got_dra, want, "{name}: d-RA lost or duplicated items");
-            assert_eq!(got_dcbo, want, "{name}: d-CBO lost or duplicated items");
+            got.extend(drain(&mut q));
+            got.sort_unstable();
+            assert_eq!(
+                got,
+                (0..pushed).collect::<Vec<_>>(),
+                "{name}: d-CBO lost or duplicated items"
+            );
         }
         check::<MutexSub<u64>>("mutex");
         check::<SegRingQueue<u64>>("segring");
-    }
-
-    #[test]
-    fn choice_of_two_beats_random_placement() {
-        // d = 2 should give a substantially smaller mean rank error than
-        // d = 1 (pure random) on the same workload shape.
-        let mean_for = |d: usize| {
-            let mut q = FifoRankTracker::new(QueueBuilder::new(16).choices(d).seed(77).d_ra());
-            for i in 0..20_000 {
-                q.enqueue(i);
-            }
-            while q.dequeue().is_some() {}
-            q.stats().mean_error()
-        };
-        let random = mean_for(1);
-        let two = mean_for(2);
-        assert!(
-            two < random,
-            "choice-of-two error {two} not below random {random}"
-        );
     }
 
     #[test]
@@ -1435,66 +936,6 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, (0..threads * per).collect::<Vec<_>>());
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn dra_concurrent_no_loss_no_duplication() {
-        use std::sync::Arc;
-        let q: Arc<DRaQueue<usize>> = Arc::new(QueueBuilder::new(6).seed(3).d_ra());
-        let threads = 8;
-        let per = 5_000usize;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(t as u64 + 1);
-                    let mut got = Vec::new();
-                    for i in 0..per {
-                        q.enqueue(t * per + i, &mut rng);
-                        if i % 2 == 0 {
-                            if let Some(v) = q.dequeue(&mut rng) {
-                                got.push(v);
-                            }
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        let mut rng = SmallRng::seed_from_u64(0);
-        while let Some(v) = q.dequeue(&mut rng) {
-            all.push(v);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..threads * per).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn dcbo_home_shard_pops_are_not_steals() {
-        // A single worker draining with affinity takes mostly from its
-        // home shard at first; the flag distinguishes home from foreign.
-        let q: DCboQueue<u64> = QueueBuilder::new(4).seed(9).d_cbo();
-        let mut rng = SmallRng::seed_from_u64(2);
-        for i in 0..100 {
-            q.enqueue(i, &mut rng);
-        }
-        let mut home_pops = 0;
-        let mut steals = 0;
-        while let Some((_, stolen)) = q.dequeue_from(1, &mut rng) {
-            if stolen {
-                steals += 1;
-            } else {
-                home_pops += 1;
-            }
-        }
-        assert_eq!(home_pops + steals, 100);
-        assert!(home_pops > 0, "home shard never drained");
-        assert!(steals > 0, "foreign shards never drained");
     }
 
     #[test]
@@ -1580,10 +1021,10 @@ mod tests {
     }
 
     #[test]
-    fn dra_session_batch_keeps_fifo_exact_on_one_shard() {
+    fn session_batch_keeps_fifo_exact_on_one_shard() {
         // A single shard is an exact FIFO even through batched flushes:
-        // batches preserve buffer order and stamp order.
-        let q: DRaQueue<u64> = QueueBuilder::new(1).seed(3).d_ra();
+        // a flush publishes its batch in buffer order.
+        let q: DCboQueue<u64> = QueueBuilder::new(1).seed(3).d_cbo();
         let mut s = q.session(&SessionConfig {
             spawn_batch: 7,
             ..SessionConfig::for_worker(0, 1)

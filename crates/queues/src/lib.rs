@@ -24,15 +24,14 @@
 //!   - [`kbounded::RotatingKQueue`]: a *deterministic* k-relaxed queue that
 //!     provably satisfies the paper's RankBound and Fairness properties
 //!     (in the spirit of deterministic structures such as the k-LSM).
-//! * **Relaxed FIFO queues** ([`fifo`]): the choice-of-two relaxed FIFO
-//!   family — [`fifo::DRaQueue`] (d random choices over sub-FIFOs,
-//!   oldest-visible-head dequeues) and [`fifo::DCboQueue`] (d-CBO:
-//!   choice by balanced operation counts over sharded sub-FIFOs), both
-//!   concurrent and both behind the sequential [`fifo::RelaxedFifo`]
-//!   trait. These feed the `rsched-runtime` worker pool for FIFO-ordered
-//!   workloads (BFS frontiers, k-core peeling).
+//! * **The relaxed FIFO** ([`fifo`]): [`fifo::DCboQueue`] (d-CBO:
+//!   choice of two by balanced operation counts over sharded
+//!   sub-FIFOs), concurrent and behind the sequential
+//!   [`fifo::RelaxedFifo`] trait. It feeds the `rsched-runtime` worker
+//!   pool for FIFO-ordered workloads (BFS frontiers, k-core peeling,
+//!   label propagation).
 //! * **The lock-free sub-queue** ([`lockfree`]): the default shard
-//!   backend of the FIFO family — a CAS-claimed segmented ring buffer
+//!   backend of the relaxed FIFO — a CAS-claimed segmented ring buffer
 //!   ([`lockfree::SegRingQueue`]), reclaimed through the epoch scheme in
 //!   `crossbeam::epoch`, selectable per queue through [`fifo::SubFifo`]
 //!   (with [`fifo::MutexSub`] as the locked reference).
@@ -70,13 +69,13 @@
 //! a **composition layer** that owns the relaxation policy, over an
 //! array of **shards** that own the synchronization. The composition
 //! layer picks shards (two random choices, balanced counters, keyed
-//! hashing), compares cheap per-shard summaries (head stamp, minimum
-//! key), and claims from the winner; the shard provides those primitives
+//! hashing), compares cheap per-shard summaries (operation counters
+//! kept beside each FIFO shard, a priority shard's minimum key), and
+//! claims from the winner; the shard provides the storage primitives
 //! behind one of two parallel traits:
 //!
-//! * [`fifo::SubFifo`] — FIFO shards: `push`/`try_pop`/`pop_wait` plus
-//!   the racy-safe [`head_seq`](fifo::SubFifo::head_seq) peek.
-//!   Composed by [`DRaQueue`] and [`DCboQueue`].
+//! * [`fifo::SubFifo`] — FIFO shards: `push`/`try_pop`/`pop_wait` over
+//!   bare elements. Composed by [`DCboQueue`].
 //! * [`skipshard::SubPriority`] — priority shards: `push_or_decrease` /
 //!   `try_pop_min` / `remove` / `decrease_key` plus the racy-safe
 //!   [`min_key`](skipshard::SubPriority::min_key) peek.
@@ -108,16 +107,16 @@
 //! session types, built from one vocabulary ([`SessionConfig`],
 //! [`SessionPush`], [`PushOutcome`], [`FlushReport`], [`PopSource`]):
 //!
-//! * [`fifo::FifoSession`] (from [`DRaQueue::session`] /
-//!   [`DCboQueue::session`]) carries the worker's [`PinSession`] epoch
+//! * [`fifo::FifoSession`] (from [`DCboQueue::session`]) carries the
+//!   worker's [`PinSession`] epoch
 //!   pin, its private shard-picker RNG, its **owned home shards**
 //!   (`shards_per_worker ≥ 1`, strided over the workers so every shard
 //!   has at most one owner), and a **bounded spawn buffer** that parks
 //!   pushes and publishes them as one batch to a single
-//!   balanced-choice target shard (one choice, one counter bump and one
-//!   stamp-range claim per *batch*). Pops are locality-aware: drain the
-//!   session's home shards first ([`PopSource::Home`]), then fall back
-//!   to the choice-of-`d` steal rounds ([`PopSource::Steal`]).
+//!   balanced-choice target shard (one choice and one counter bump per
+//!   *batch*). Pops are locality-aware: drain the session's home shards
+//!   first ([`PopSource::Home`]), then fall back to the choice-of-two
+//!   steal rounds ([`PopSource::Steal`]).
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
 //!   carries the pin, the RNG, the same spawn buffer (deduplicating
 //!   repeated items locally — a buffered decrease-key that costs no
@@ -163,7 +162,7 @@
 //! folded into process globals on thread exit. What is recorded where:
 //! the lock-free backends ([`SegRingQueue`], [`SkipShard`]) record
 //! CAS/claim **retries per successful pop**; the
-//! pop engines ([`DRaQueue`], [`DCboQueue`], [`ConcurrentMultiQueue`])
+//! pop engines ([`DCboQueue`], [`ConcurrentMultiQueue`])
 //! record **steal/choice rounds** per pop, fallback **sweep lengths**,
 //! and **empty-pop** sweeps; [`SkipShard`] counts registry probes;
 //! every `flush_session` counts published vs merged elements; and the
@@ -210,8 +209,8 @@ pub mod trace;
 
 pub use builder::QueueBuilder;
 pub use fifo::{
-    DCboQueue, DRaQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub, PinSession,
-    RelaxedFifo, SubFifo, TryPop,
+    DCboQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub, PinSession, RelaxedFifo,
+    SubFifo, TryPop,
 };
 pub use heap::IndexedBinaryHeap;
 pub use instrument::{ConcurrentRankEstimator, RankRecorder, RankStats, RankTracker};
@@ -240,8 +239,7 @@ pub(crate) const NOT_PRESENT: usize = usize::MAX;
 pub const MAX_SPAWN_BATCH: usize = 4096;
 
 /// Configuration for a worker session over any concurrent queue in this
-/// crate ([`DRaQueue::session`], [`DCboQueue::session`],
-/// [`ConcurrentMultiQueue::session`]).
+/// crate ([`DCboQueue::session`], [`ConcurrentMultiQueue::session`]).
 ///
 /// A session is the worker-owned half of a queue: the epoch pin, the
 /// shard-picker RNG stream, the owned home shards, the sticky peek

@@ -1,4 +1,4 @@
-//! The lock-free sub-queue of the relaxed FIFO family.
+//! The lock-free sub-queue of the relaxed FIFO.
 //!
 //! One `parking_lot::Mutex` per shard caps scalability exactly where
 //! choice-of-two relaxation is supposed to shine: under contention, a
@@ -7,8 +7,8 @@
 //! Censor-Hillel, Shavit) argues lock-free designs behave wait-free
 //! under realistic schedulers — a descheduled thread mid-operation costs
 //! only its own progress. [`SegRingQueue`] is that design here; it
-//! implements [`SubFifo`] so [`DRaQueue`](crate::fifo::DRaQueue) and
-//! [`DCboQueue`](crate::fifo::DCboQueue) compose it per shard.
+//! implements [`SubFifo`] so [`DCboQueue`](crate::fifo::DCboQueue)
+//! composes it per shard.
 //!
 //! # [`SegRingQueue`] — segmented ring buffer
 //!
@@ -34,14 +34,11 @@
 //! the thread, unlinked segments are deferred, and the allocation is
 //! recycled or freed two epoch advances later, when no pinned thread
 //! can still reach it. Values are moved out at pop time; a drained
-//! segment destructs no element. Arrival stamps (`u64`) are stored in a
-//! word that is written once before publication and never mutated, so
-//! [`SubFifo::head_seq`] can peek the head's stamp without racing the
-//! popper that moves the value out.
+//! segment destructs no element.
 //!
 //! # Choosing a backend
 //!
-//! * **[`SegRingQueue`]** (the family default): slot claims are a
+//! * **[`SegRingQueue`]** (the default): slot claims are a
 //!   single RMW on a cursor shared only by one side of the queue, and
 //!   allocation is amortized. Use it whenever elements are `Send` and
 //!   throughput matters.
@@ -57,7 +54,7 @@ use crossbeam::utils::{Backoff, CachePadded};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Slots per [`SegRingQueue`] segment. Small enough that unit tests
@@ -70,21 +67,11 @@ pub const SEGMENT_CAP: usize = 256;
 // ---------------------------------------------------------------------
 
 struct Slot<T> {
-    /// Publication flag and arrival stamp in one word: `0` while empty,
-    /// `(seq << 1) | 1` once the value is written. A single acquire load
-    /// gives poppers and peekers both the "published?" answer and the
-    /// stamp, and the slot stays two words wide.
-    seq_state: AtomicU64,
+    /// Set by the claiming pusher's release store once `value` is
+    /// written; a popper's acquire load of `true` makes the value
+    /// readable.
+    published: AtomicBool,
     value: UnsafeCell<MaybeUninit<T>>,
-}
-
-impl<T> Slot<T> {
-    const EMPTY: u64 = 0;
-
-    fn pack(seq: u64) -> u64 {
-        debug_assert!(seq < u64::MAX / 2, "arrival stamp overflows the packing");
-        (seq << 1) | 1
-    }
 }
 
 struct Segment<T> {
@@ -117,7 +104,7 @@ impl<T> Segment<T> {
             next: Atomic::null(),
             pool: std::ptr::null(),
             slots: std::array::from_fn(|_| Slot {
-                seq_state: AtomicU64::new(Slot::<T>::EMPTY),
+                published: AtomicBool::new(false),
                 value: UnsafeCell::new(MaybeUninit::uninit()),
             }),
         }
@@ -139,7 +126,7 @@ impl<T> Segment<T> {
         self.next.store(Shared::null(), Ordering::Relaxed);
         self.pool = pool;
         for slot in &self.slots {
-            slot.seq_state.store(Slot::<T>::EMPTY, Ordering::Relaxed);
+            slot.published.store(false, Ordering::Relaxed);
         }
     }
 
@@ -160,7 +147,7 @@ impl<T> Drop for Segment<T> {
         let deq = self.deq.load(Ordering::Relaxed).min(SEGMENT_CAP);
         let enq = self.enq.load(Ordering::Relaxed).min(SEGMENT_CAP);
         for slot in &self.slots[deq.min(enq)..enq] {
-            if slot.seq_state.load(Ordering::Relaxed) != Slot::<T>::EMPTY {
+            if slot.published.load(Ordering::Relaxed) {
                 // SAFETY: published and never claimed by a popper.
                 unsafe { (*slot.value.get()).assume_init_drop() };
             }
@@ -269,7 +256,7 @@ fn return_unpublished_segment<T>(pool: &SegPool<T>, seg: Owned<Segment<T>>) {
     }
 }
 
-/// Lock-free segmented ring-buffer FIFO with arrival stamps.
+/// Lock-free segmented ring-buffer FIFO.
 ///
 /// Bounded segments are linked lock-free: a full segment is abandoned to
 /// its poppers and a fresh one appended, so pushes never wait for pops
@@ -281,13 +268,13 @@ fn return_unpublished_segment<T>(pool: &SegPool<T>, seg: Owned<Segment<T>>) {
 /// use rsched_queues::lockfree::{SegRingQueue, SEGMENT_CAP};
 ///
 /// let q = SegRingQueue::new();
-/// for i in 0..(3 * SEGMENT_CAP as u64) {
-///     q.push_stamped(i, i);
+/// for i in 0..3 * SEGMENT_CAP {
+///     q.push(i);
 /// }
-/// for i in 0..(3 * SEGMENT_CAP as u64) {
-///     assert_eq!(q.pop_stamped(), Some((i, i)));
+/// for i in 0..3 * SEGMENT_CAP {
+///     assert_eq!(q.pop(), Some(i));
 /// }
-/// assert_eq!(q.pop_stamped(), None);
+/// assert_eq!(q.pop(), None);
 /// ```
 pub struct SegRingQueue<T> {
     head: CachePadded<Atomic<Segment<T>>>,
@@ -350,13 +337,13 @@ impl<T> SegRingQueue<T> {
         self.len() == 0
     }
 
-    /// Append `value` stamped with `seq`.
-    pub fn push_stamped(&self, seq: u64, value: T) {
-        self.push_with(seq, value, &epoch::pin());
+    /// Append `value`.
+    pub fn push(&self, value: T) {
+        self.push_with(value, &epoch::pin());
     }
 
-    /// [`push_stamped`](Self::push_stamped) under a caller-held pin.
-    pub fn push_with(&self, seq: u64, value: T, guard: &epoch::Guard) {
+    /// [`push`](Self::push) under a caller-held pin.
+    pub fn push_with(&self, value: T, guard: &epoch::Guard) {
         loop {
             let tail = self.tail.load(Ordering::Acquire, guard);
             // SAFETY: tail is never null and is protected by the guard.
@@ -369,8 +356,7 @@ impl<T> SegRingQueue<T> {
                 unsafe {
                     (*slot.value.get()).write(value);
                 }
-                slot.seq_state
-                    .store(Slot::<T>::pack(seq), Ordering::Release);
+                slot.published.store(true, Ordering::Release);
                 return;
             }
             // Segment full: link a successor (or help whoever did), swing
@@ -420,13 +406,13 @@ impl<T> SegRingQueue<T> {
         }
     }
 
-    /// Remove the head element, returning its stamp and value.
-    pub fn pop_stamped(&self) -> Option<(u64, T)> {
+    /// Remove the head element.
+    pub fn pop(&self) -> Option<T> {
         self.pop_with(&epoch::pin())
     }
 
-    /// [`pop_stamped`](Self::pop_stamped) under a caller-held pin.
-    pub fn pop_with(&self, guard: &epoch::Guard) -> Option<(u64, T)> {
+    /// [`pop`](Self::pop) under a caller-held pin.
+    pub fn pop_with(&self, guard: &epoch::Guard) -> Option<T> {
         let mut retries = 0u64;
         'segment: loop {
             let head = self.head.load(Ordering::Acquire, guard);
@@ -469,8 +455,7 @@ impl<T> SegRingQueue<T> {
                     continue 'segment;
                 }
                 let slot = &h.slots[d];
-                let published = slot.seq_state.load(Ordering::Acquire);
-                if published != Slot::<T>::EMPTY {
+                if slot.published.load(Ordering::Acquire) {
                     // Fast path: the head slot is already published, so a
                     // successful claim needs no cursor comparison and no
                     // publication wait.
@@ -482,7 +467,7 @@ impl<T> SegRingQueue<T> {
                         // and the acquire load above saw the publication.
                         let value = unsafe { (*slot.value.get()).assume_init_read() };
                         telemetry::record(telemetry::OpHist::Retry, retries);
-                        return Some((published >> 1, value));
+                        return Some(value);
                     }
                     retries += 1;
                     continue;
@@ -513,15 +498,13 @@ impl<T> SegRingQueue<T> {
                     // for losing the publish race.
                     let backoff = Backoff::new();
                     let mut rounds = 0u64;
-                    let mut published = slot.seq_state.load(Ordering::Acquire);
-                    while published == Slot::<T>::EMPTY {
+                    while !slot.published.load(Ordering::Acquire) {
                         if backoff.is_completed() {
                             std::thread::yield_now();
                         } else {
                             backoff.snooze();
                         }
                         rounds += 1;
-                        published = slot.seq_state.load(Ordering::Acquire);
                     }
                     if rounds > 0 {
                         telemetry::record(telemetry::OpHist::Sweep, rounds);
@@ -530,33 +513,10 @@ impl<T> SegRingQueue<T> {
                     // and the acquire load above saw the publication.
                     let value = unsafe { (*slot.value.get()).assume_init_read() };
                     telemetry::record(telemetry::OpHist::Retry, retries);
-                    return Some((published >> 1, value));
+                    return Some(value);
                 }
                 retries += 1;
             }
-        }
-    }
-
-    /// The arrival stamp of the current head element, if one is visible.
-    pub fn head_seq(&self) -> Option<u64> {
-        self.head_seq_with(&epoch::pin())
-    }
-
-    /// [`head_seq`](Self::head_seq) under a caller-held pin.
-    pub fn head_seq_with(&self, guard: &epoch::Guard) -> Option<u64> {
-        let mut current = self.head.load(Ordering::Acquire, guard);
-        loop {
-            // SAFETY: segment pointers walked here are protected by the
-            // guard (reached from head, destruction deferred).
-            let h = unsafe { current.as_ref() }?;
-            let d = h.deq.load(Ordering::SeqCst);
-            if d < SEGMENT_CAP {
-                // The packed word is written once before publication and
-                // never mutated; racing the value move-out is fine.
-                let published = h.slots[d].seq_state.load(Ordering::Acquire);
-                return (published != Slot::<T>::EMPTY).then_some(published >> 1);
-            }
-            current = h.next.load(Ordering::Acquire, guard);
         }
     }
 }
@@ -603,23 +563,19 @@ impl<T: Send> SubFifo<T> for SegRingQueue<T> {
         SegRingQueue::new()
     }
 
-    fn push(&self, seq: u64, item: T, tok: &epoch::Guard) {
-        self.push_with(seq, item, tok);
+    fn push(&self, item: T, tok: &epoch::Guard) {
+        self.push_with(item, tok);
     }
 
     fn try_pop(&self, tok: &epoch::Guard) -> TryPop<T> {
         match self.pop_with(tok) {
-            Some(pair) => TryPop::Item(pair),
+            Some(item) => TryPop::Item(item),
             None => TryPop::Empty,
         }
     }
 
-    fn pop_wait(&self, tok: &epoch::Guard) -> Option<(u64, T)> {
+    fn pop_wait(&self, tok: &epoch::Guard) -> Option<T> {
         self.pop_with(tok)
-    }
-
-    fn head_seq(&self, tok: &epoch::Guard) -> Option<u64> {
-        self.head_seq_with(tok)
     }
 }
 
@@ -641,16 +597,15 @@ mod tests {
     #[test]
     fn segring_exact_fifo_across_segment_boundaries() {
         let q = SegRingQueue::new();
-        let n = (5 * SEGMENT_CAP + 3) as u64;
+        let n = 5 * SEGMENT_CAP + 3;
         for i in 0..n {
-            q.push_stamped(i, i);
+            q.push(i);
         }
-        assert_eq!(q.len(), n as usize);
+        assert_eq!(q.len(), n);
         for i in 0..n {
-            assert_eq!(q.head_seq(), Some(i));
-            assert_eq!(q.pop_stamped(), Some((i, i)));
+            assert_eq!(q.pop(), Some(i));
         }
-        assert_eq!(q.pop_stamped(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -669,29 +624,29 @@ mod tests {
             3,
         ] {
             for _ in 0..delta {
-                q.push_stamped(next, next);
+                q.push(next);
                 next += 1;
             }
             for _ in 0..delta {
-                assert_eq!(q.pop_stamped(), Some((expect, expect)));
+                assert_eq!(q.pop(), Some(expect));
                 expect += 1;
             }
             // Empty pop at a segment boundary must not lose a slot
             // reservation: the next push must still come out.
-            assert_eq!(q.pop_stamped(), None);
+            assert_eq!(q.pop(), None);
         }
         assert_eq!(next, expect);
-        q.push_stamped(next, next);
-        assert_eq!(q.pop_stamped(), Some((next, next)));
+        q.push(next);
+        assert_eq!(q.pop(), Some(next));
     }
 
     #[test]
     fn empty_pop_then_push_recovers() {
         let q = SegRingQueue::new();
-        for round in 0..(3 * SEGMENT_CAP as u64) {
-            assert_eq!(q.pop_stamped(), None);
-            q.push_stamped(round, round);
-            assert_eq!(q.pop_stamped(), Some((round, round)));
+        for round in 0..3 * SEGMENT_CAP {
+            assert_eq!(q.pop(), None);
+            q.push(round);
+            assert_eq!(q.pop(), Some(round));
         }
     }
 
@@ -704,9 +659,9 @@ mod tests {
                     let tok = Q::token();
                     for i in 0..per {
                         let v = t * per + i;
-                        q.push(v as u64, v, &tok);
+                        q.push(v, &tok);
                         if i % 3 == 0 {
-                            if let TryPop::Item((_, v)) = q.try_pop(&tok) {
+                            if let TryPop::Item(v) = q.try_pop(&tok) {
                                 got.push(v);
                             }
                         }
@@ -722,7 +677,7 @@ mod tests {
             }
         }
         let tok = Q::token();
-        while let Some((_, v)) = q.pop_wait(&tok) {
+        while let Some(v) = q.pop_wait(&tok) {
             assert!(seen.insert(v), "duplicate pop of {v}");
         }
         assert_eq!(seen.len(), threads * per, "elements lost");
@@ -741,8 +696,8 @@ mod tests {
         let q: SegRingQueue<u64> = SegRingQueue::new();
         let segments = 300u64; // > 64 deferrals, forcing collections
         for i in 0..segments * SEGMENT_CAP as u64 {
-            q.push_stamped(i, i);
-            assert_eq!(q.pop_stamped(), Some((i, i)));
+            q.push(i);
+            assert_eq!(q.pop(), Some(i));
         }
         let (recycled, reused) = q.segment_reuse_stats();
         assert!(
@@ -756,10 +711,10 @@ mod tests {
         // Reused segments must still deliver exact FIFO.
         let n = 3 * SEGMENT_CAP as u64;
         for i in 0..n {
-            q.push_stamped(i, i * 7);
+            q.push(i * 7);
         }
         for i in 0..n {
-            assert_eq!(q.pop_stamped(), Some((i, i * 7)));
+            assert_eq!(q.pop(), Some(i * 7));
         }
     }
 
@@ -784,11 +739,11 @@ mod tests {
         let drops = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let n = 2 * SEGMENT_CAP + 7;
         let q = SegRingQueue::new();
-        for i in 0..n {
-            q.push_stamped(i as u64, Counted(Arc::clone(&drops)));
+        for _ in 0..n {
+            q.push(Counted(Arc::clone(&drops)));
         }
         for _ in 0..10 {
-            drop(q.pop_stamped());
+            drop(q.pop());
         }
         drop(q);
         assert_eq!(
@@ -796,45 +751,5 @@ mod tests {
             n,
             "queue leaked elements on drop"
         );
-    }
-
-    #[test]
-    fn head_seq_is_racy_but_memory_safe() {
-        // Peeks racing pops must never crash or return stamps that were
-        // never pushed.
-        let q: Arc<SegRingQueue<u64>> = Arc::new(SegRingQueue::new());
-        let n = 20_000 * stress_mult() as u64;
-        let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || {
-            for i in 0..n {
-                q2.push_stamped(i, i);
-            }
-        });
-        let q3 = Arc::clone(&q);
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let done2 = Arc::clone(&done);
-        let peeker = std::thread::spawn(move || {
-            let mut peeks = 0u64;
-            while !done2.load(Ordering::Acquire) {
-                if let Some(s) = q3.head_seq() {
-                    assert!(s < n, "peeked stamp {s} never pushed");
-                    peeks += 1;
-                }
-            }
-            peeks
-        });
-        let mut got = 0u64;
-        while got < n {
-            if q.pop_stamped().is_some() {
-                got += 1;
-            }
-        }
-        done.store(true, Ordering::Release);
-        pusher.join().unwrap();
-        // Liveness is scheduler-dependent (a single-core host may never
-        // run the peeker mid-drain); the test's assertions are the bounds
-        // checks inside the peeker loop.
-        let _peeks = peeker.join().unwrap();
-        assert_eq!(q.pop_stamped(), None);
     }
 }

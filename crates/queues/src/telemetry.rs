@@ -30,7 +30,7 @@
 //! | series | kind | fed by |
 //! |---|---|---|
 //! | [`OpHist::Retry`] | CAS retries per successful claim | `SegRingQueue` pop claim loop, `SkipShard` claim/help-unlink loop |
-//! | [`OpHist::Steal`] | index of the attempt that won a pop: 0 = a home-shard hit, or the first choice round when the session has no homes | `DRaQueue`/`DCboQueue`/`ConcurrentMultiQueue` pop engines |
+//! | [`OpHist::Steal`] | index of the attempt that won a pop: 0 = a home-shard hit, or the first choice round when the session has no homes | `DCboQueue`/`ConcurrentMultiQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
 //! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |
 //! | [`OpCount::EmptyPop`] | pops that swept everything and found nothing | all pop engines |

@@ -10,30 +10,6 @@
 use rsched_queues::telemetry;
 use rsched_queues::{PopSource, QueueBuilder, SessionConfig};
 
-/// Drain through `pop` and check bucket 0 of the steal histogram
-/// against the home hits the session reported.
-fn check(name: &str, mut pop: impl FnMut() -> Option<PopSource>) {
-    telemetry::reset();
-    let (mut homes, mut steals) = (0u64, 0u64);
-    while let Some(src) = pop() {
-        match src {
-            PopSource::Home => homes += 1,
-            PopSource::Steal => steals += 1,
-            PopSource::Shared => panic!("{name}: a session with homes reported Shared"),
-        }
-    }
-    let snap = telemetry::capture();
-    assert_eq!(homes + steals, 200, "{name}: items lost or duplicated");
-    assert!(
-        homes > 0 && steals > 0,
-        "{name}: drain never used both shards"
-    );
-    assert_eq!(
-        snap.steal.buckets[0], homes,
-        "{name}: bucket 0 of the steal histogram must count home hits only"
-    );
-}
-
 #[test]
 fn steal_histogram_bucket_zero_counts_only_home_hits() {
     telemetry::set_enabled(true);
@@ -44,19 +20,27 @@ fn steal_histogram_bucket_zero_counts_only_home_hits() {
         shards_per_worker: 1,
         ..SessionConfig::for_worker(0, 2)
     };
-
-    let q = QueueBuilder::new(2).seed(11).d_ra::<u64>();
+    let q = QueueBuilder::new(2).seed(11).d_cbo::<u64>();
     let mut s = q.session(&cfg);
     assert_eq!(s.homes(), &[0]);
     for i in 0..200 {
         q.push_session(i, &mut s);
     }
-    check("d-RA", || q.pop_session(&mut s).map(|(_, src)| src));
 
-    let q = QueueBuilder::new(2).seed(11).d_cbo::<u64>();
-    let mut s = q.session(&cfg);
-    for i in 0..200 {
-        q.push_session(i, &mut s);
+    telemetry::reset();
+    let (mut homes, mut steals) = (0u64, 0u64);
+    while let Some((_, src)) = q.pop_session(&mut s) {
+        match src {
+            PopSource::Home => homes += 1,
+            PopSource::Steal => steals += 1,
+            PopSource::Shared => panic!("a session with homes reported Shared"),
+        }
     }
-    check("d-CBO", || q.pop_session(&mut s).map(|(_, src)| src));
+    let snap = telemetry::capture();
+    assert_eq!(homes + steals, 200, "items lost or duplicated");
+    assert!(homes > 0 && steals > 0, "drain never used both shards");
+    assert_eq!(
+        snap.steal.buckets[0], homes,
+        "bucket 0 of the steal histogram must count home hits only"
+    );
 }

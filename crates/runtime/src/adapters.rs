@@ -2,7 +2,7 @@
 //!
 //! One runtime, many orders: the relaxed *priority* schedulers drive
 //! label- and distance-ordered work (iterative algorithms, SSSP), the
-//! relaxed *FIFOs* drive frontier-ordered work (BFS, label propagation,
+//! relaxed *FIFO* drives frontier-ordered work (BFS, label propagation,
 //! k-core peeling). Every adapter maps the queue's native session onto
 //! the runtime's [`Scheduler::Session`] and routes the conservation
 //! signals ([`PushOutcome`], [`FlushReport`]) through unchanged so the
@@ -10,7 +10,7 @@
 //!
 //! The sharded queues are **backend-generic**: the MultiQueue adapter
 //! accepts any [`SubPriority`] priority shard (lock-free skiplist by
-//! default, mutex-heap baseline), the FIFO adapters any [`SubFifo`]
+//! default, mutex-heap baseline), the FIFO adapter any [`SubFifo`]
 //! sub-queue. Their sessions carry the amortized epoch pin, so the
 //! worker loop performs zero per-operation epoch entries; the simple
 //! schedulers (`DuplicateMultiQueue`, `ConcurrentSprayList`) use a bare
@@ -20,9 +20,9 @@ use crate::pool::Scheduler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rsched_queues::{
-    ConcurrentMultiQueue, ConcurrentSprayList, DCboQueue, DRaQueue, DuplicateMultiQueue,
-    FifoSession, FlushReport, MqSession, PopSource, PushOutcome, SessionConfig, SessionPush,
-    SubFifo, SubPriority,
+    ConcurrentMultiQueue, ConcurrentSprayList, DCboQueue, DuplicateMultiQueue, FifoSession,
+    FlushReport, MqSession, PopSource, PushOutcome, SessionConfig, SessionPush, SubFifo,
+    SubPriority,
 };
 
 /// Keyed MultiQueue over any priority-shard backend: pushes merge via
@@ -102,29 +102,6 @@ impl<P: Ord + Copy + Send> Scheduler<P> for ConcurrentSprayList<P> {
 /// carried value (e.g. a BFS depth) rather than an ordering key; the
 /// session owns home shards, drains them first and batches spawns.
 impl<P: Copy + Send, S: SubFifo<(usize, P)>> Scheduler<P> for DCboQueue<(usize, P), S> {
-    type Session = FifoSession<(usize, P)>;
-
-    fn open_session(&self, cfg: &SessionConfig) -> Self::Session {
-        self.session(cfg)
-    }
-
-    fn push(&self, session: &mut Self::Session, item: usize, prio: P) -> PushOutcome {
-        self.push_session((item, prio), session)
-    }
-
-    fn pop(&self, session: &mut Self::Session) -> Option<((usize, P), PopSource)> {
-        self.pop_session(session)
-    }
-
-    fn flush(&self, session: &mut Self::Session) -> FlushReport {
-        self.flush_session(session)
-    }
-}
-
-/// Relaxed FIFO (d-RA, any shard backend): same contract as the d-CBO
-/// adapter, with oldest-visible-head dequeues instead of balanced
-/// operation counts.
-impl<P: Copy + Send, S: SubFifo<(usize, P)>> Scheduler<P> for DRaQueue<(usize, P), S> {
     type Session = FifoSession<(usize, P)>;
 
     fn open_session(&self, cfg: &SessionConfig) -> Self::Session {

@@ -24,15 +24,6 @@ pub fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// An *optional* `usize` knob: `None` when the variable is unset or
-/// unparsable — for knobs whose absence means "derive it" (e.g.
-/// `RSCHED_SHARDS` falling back to a per-thread multiplier).
-pub fn env_opt_usize(key: &str) -> Option<usize> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-}
-
 /// A `u64` knob from the environment, falling back to `default` when
 /// unset or unparsable.
 pub fn env_u64(key: &str, default: u64) -> u64 {
@@ -93,14 +84,6 @@ mod tests {
         std::env::set_var("RSCHED_ENV_TEST_A", "nope");
         assert_eq!(env_usize("RSCHED_ENV_TEST_A", 7), 7);
         std::env::remove_var("RSCHED_ENV_TEST_A");
-    }
-
-    #[test]
-    fn opt_usize_distinguishes_absent() {
-        assert_eq!(env_opt_usize("RSCHED_ENV_TEST_UNSET_B"), None);
-        std::env::set_var("RSCHED_ENV_TEST_B", "3");
-        assert_eq!(env_opt_usize("RSCHED_ENV_TEST_B"), Some(3));
-        std::env::remove_var("RSCHED_ENV_TEST_B");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! * [`Scheduler`] abstracts the queue: relaxed priority schedulers
 //!   (`ConcurrentMultiQueue`, `ConcurrentSprayList`,
-//!   `DuplicateMultiQueue`) and the relaxed FIFOs (`DCboQueue`,
-//!   `DRaQueue`) all implement it, so one runtime serves
+//!   `DuplicateMultiQueue`) and the relaxed FIFO (`DCboQueue`) all
+//!   implement it, so one runtime serves
 //!   priority-ordered (SSSP), label-ordered (greedy iterative
 //!   algorithms) and FIFO-ordered (BFS, label propagation, k-core)
 //!   scenarios.

@@ -24,8 +24,8 @@
 //! The queue behind the runtime is anything implementing [`Scheduler`]:
 //! the relaxed priority schedulers (`ConcurrentMultiQueue`,
 //! `ConcurrentSprayList`, `DuplicateMultiQueue`) for label- or
-//! distance-ordered work, and the relaxed FIFOs (`DCboQueue`,
-//! `DRaQueue`) for frontier-ordered work. Sessions expose worker
+//! distance-ordered work, and the relaxed FIFO (`DCboQueue`) for
+//! frontier-ordered work. Sessions expose worker
 //! locality through [`PopSource`]: home-shard hits and choice-of-two
 //! steals are folded into [`WorkerStats::home_hits`] /
 //! [`WorkerStats::steals`].

@@ -4,9 +4,9 @@
 //!
 //! * **executed overhead** — vertices expanded more than once because a
 //!   provisional (too deep) hop count was popped before the true one;
-//! * **frontier rank errors** — how far from global FIFO order the d-RA /
-//!   d-CBO frontier actually dequeues, measured with the sequential
-//!   rank-error instrumentation on the same shard counts.
+//! * **frontier rank errors** — how far from global FIFO order the d-CBO
+//!   frontier actually dequeues, measured with the sequential rank-error
+//!   instrumentation on the same shard counts.
 //!
 //! ```text
 //! cargo run --release --example bfs_frontier
@@ -73,24 +73,20 @@ fn main() {
 
     // Why does the relaxed frontier stay nearly exact? Because choice-of-two
     // keeps FIFO rank errors around the shard count. Profile the frontier
-    // structures themselves on a drain of `reachable` items.
-    println!("\nfrontier rank errors (sequential profile, {reachable} items):");
+    // structure itself on a drain of `reachable` items.
+    println!("\nd-CBO frontier rank errors (sequential profile, {reachable} items):");
     println!(
-        "{:>14} {:>8} {:>10} {:>10} {:>10}",
-        "queue", "shards", "mean_err", "p99_err", "max_err"
+        "{:>8} {:>10} {:>10} {:>10}",
+        "shards", "mean_err", "p99_err", "max_err"
     );
     for shards in [4usize, 8, 16] {
-        let dra = fifo_profile(QueueBuilder::new(shards).seed(7).d_ra(), reachable);
-        let dcbo = fifo_profile(QueueBuilder::new(shards).seed(7).d_cbo(), reachable);
-        for (name, s) in [("d-RA", dra), ("d-CBO", dcbo)] {
-            println!(
-                "{:>14} {:>8} {:>10.2} {:>10} {:>10}",
-                name,
-                shards,
-                s.mean_error(),
-                s.error_quantile(0.99),
-                s.max_error
-            );
-        }
+        let s = fifo_profile(QueueBuilder::new(shards).seed(7).d_cbo(), reachable);
+        println!(
+            "{:>8} {:>10.2} {:>10} {:>10}",
+            shards,
+            s.mean_error(),
+            s.error_quantile(0.99),
+            s.max_error
+        );
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO family (d-RA, d-CBO) over pluggable shard backends (the epoch-reclaimed lock-free segmented ring, and a mutex reference), rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
+//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over pluggable shard backends (the epoch-reclaimed lock-free segmented ring, and a mutex reference), rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
 //! | [`runtime`] | the sharded concurrent scheduling runtime: worker pool, `Scheduler` trait over relaxed queues, quiescence termination detection, per-worker stats, fork-join helper |
 //! | [`core`] | the `Q_k` scheduler model, Algorithm 1/2 executors with extra-step accounting, adversarial schedulers, the Section 4 transactional simulator, theorem formulas |
 //! | [`graph`] | CSR graphs, random/road/social generators, DIMACS & SNAP loaders, BFS / Dijkstra / Δ-stepping / Bellman–Ford baselines |
@@ -34,7 +34,7 @@
 //! detection and per-worker statistics, while the queue behind it decides
 //! the scheduling order — relaxed *priority* (`ConcurrentMultiQueue`,
 //! `ConcurrentSprayList`, `DuplicateMultiQueue`) for SSSP and the
-//! iterative algorithms, and relaxed *FIFO* (`DCboQueue`, `DRaQueue`)
+//! iterative algorithms, and relaxed *FIFO* (`DCboQueue`)
 //! for BFS frontiers, label propagation and k-core peeling. The
 //! relaxed-FIFO shards default to the lock-free segmented ring buffer
 //! in `rsched_queues::lockfree` (the mutex reference stays selectable
@@ -132,12 +132,12 @@ pub mod prelude {
         INF,
     };
     pub use rsched_queues::{
-        ConcurrentMultiQueue, ConcurrentRankEstimator, ConcurrentSprayList, DCboQueue, DRaQueue,
-        DecreaseKey, DuplicateMultiQueue, Exact, FifoRankStats, FifoRankTracker, FifoSession,
-        FlushReport, IndexedBinaryHeap, MqSession, MutexSub, PairingHeap, PinSession, PopSource,
-        PriorityQueue, PushOutcome, QueueBuilder, RankStats, RankTracker, RelaxedFifo,
-        RelaxedQueue, RotatingKQueue, SegRingQueue, SessionConfig, SessionPush, SimMultiQueue,
-        SprayList, SubFifo,
+        ConcurrentMultiQueue, ConcurrentRankEstimator, ConcurrentSprayList, DCboQueue, DecreaseKey,
+        DuplicateMultiQueue, Exact, FifoRankStats, FifoRankTracker, FifoSession, FlushReport,
+        IndexedBinaryHeap, MqSession, MutexSub, PairingHeap, PinSession, PopSource, PriorityQueue,
+        PushOutcome, QueueBuilder, RankStats, RankTracker, RelaxedFifo, RelaxedQueue,
+        RotatingKQueue, SegRingQueue, SessionConfig, SessionPush, SimMultiQueue, SprayList,
+        SubFifo,
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{

@@ -317,9 +317,9 @@ fn concurrent_spraylist_drain_storm() {
     assert_eq!(seen.len(), n);
 }
 
-/// The full backend matrix {mutex, segring} x {d-RA, d-CBO} under a
-/// concurrent enqueue/dequeue storm: no element may be lost or
-/// duplicated regardless of the shard sub-queue implementation.
+/// d-CBO over both shard backends {mutex, segring} under a concurrent
+/// enqueue/dequeue storm: no element may be lost or duplicated
+/// regardless of the shard sub-queue implementation.
 #[test]
 fn relaxed_fifo_backend_matrix_storm() {
     use rand::rngs::SmallRng;
@@ -327,26 +327,20 @@ fn relaxed_fifo_backend_matrix_storm() {
     use rsched_queues::lockfree::SegRingQueue;
     use rsched_queues::{MutexSub, SubFifo};
 
-    fn storm_pair<S: SubFifo<usize> + 'static>(name: &str) {
+    fn storm<S: SubFifo<usize> + 'static>(name: &str) {
         let threads = 4 * stress();
         let per = 4_000 * stress();
-        let dra: Arc<DRaQueue<usize, S>> = Arc::new(QueueBuilder::new(6).seed(13).d_ra_on());
-        let dcbo: Arc<DCboQueue<usize, S>> = Arc::new(QueueBuilder::new(6).seed(13).d_cbo_on());
+        let q: Arc<DCboQueue<usize, S>> = Arc::new(QueueBuilder::new(6).seed(13).d_cbo_on());
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let dra = Arc::clone(&dra);
-                let dcbo = Arc::clone(&dcbo);
+                let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(t as u64 * 91 + 5);
                     let mut got = Vec::new();
                     for i in 0..per {
-                        dra.enqueue(2 * (t * per + i), &mut rng);
-                        dcbo.enqueue(2 * (t * per + i) + 1, &mut rng);
+                        q.enqueue(t * per + i, &mut rng);
                         if i % 3 == 0 {
-                            if let Some(v) = dra.dequeue(&mut rng) {
-                                got.push(v);
-                            }
-                            if let Some(v) = dcbo.dequeue(&mut rng) {
+                            if let Some(v) = q.dequeue(&mut rng) {
                                 got.push(v);
                             }
                         }
@@ -362,18 +356,15 @@ fn relaxed_fifo_backend_matrix_storm() {
             }
         }
         let mut rng = SmallRng::seed_from_u64(0);
-        while let Some(v) = dra.dequeue(&mut rng) {
+        while let Some(v) = q.dequeue(&mut rng) {
             assert!(seen.insert(v), "{name}: duplicate {v}");
         }
-        while let Some(v) = dcbo.dequeue(&mut rng) {
-            assert!(seen.insert(v), "{name}: duplicate {v}");
-        }
-        assert_eq!(seen.len(), 2 * threads * per, "{name}: elements lost");
-        assert!(dra.is_empty() && dcbo.is_empty());
+        assert_eq!(seen.len(), threads * per, "{name}: elements lost");
+        assert!(q.is_empty());
     }
 
-    storm_pair::<MutexSub<usize>>("mutex");
-    storm_pair::<SegRingQueue<usize>>("segring");
+    storm::<MutexSub<usize>>("mutex");
+    storm::<SegRingQueue<usize>>("segring");
 }
 
 /// The priority-shard backend matrix {skiplist, mutexheap} under a
