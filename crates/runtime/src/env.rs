@@ -24,15 +24,6 @@ pub fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// A `u64` knob from the environment, falling back to `default` when
-/// unset or unparsable.
-pub fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
 /// An `f64` knob from the environment, falling back to `default` when
 /// unset or unparsable (e.g. `RSCHED_SERVE_LIFETIME_S=2.5`).
 pub fn env_f64(key: &str, default: f64) -> f64 {
@@ -42,31 +33,21 @@ pub fn env_f64(key: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// A comma-separated sweep list from the environment, parsed into any
-/// `FromStr` element type; falls back to `default` when the variable is
-/// unset or yields no parsable entries. The one list parser every
-/// contention/ablation/serving bin uses for its multi-valued axes.
-pub fn env_list<T: std::str::FromStr + Clone>(key: &str, default: &[T]) -> Vec<T> {
-    match std::env::var(key) {
-        Ok(list) => {
-            let parsed: Vec<T> = list
-                .split(',')
-                .filter_map(|v| v.trim().parse::<T>().ok())
-                .collect();
-            if parsed.is_empty() {
-                default.to_vec()
-            } else {
-                parsed
-            }
-        }
-        Err(_) => default.to_vec(),
-    }
-}
-
-/// [`env_list`] specialized to `usize` (the common case; e.g.
-/// `RSCHED_STICKINESS=1,4,16`).
+/// A comma-separated `usize` sweep list from the environment (e.g.
+/// `RSCHED_STICKINESS=1,4,16`); falls back to `default` when the
+/// variable is unset or yields no parsable entries. The one list parser
+/// the experiment bins use for their multi-valued axes.
 pub fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
-    env_list(key, default)
+    let parsed: Vec<usize> = std::env::var(key)
+        .unwrap_or_default()
+        .split(',')
+        .filter_map(|v| v.trim().parse().ok())
+        .collect();
+    if parsed.is_empty() {
+        default.to_vec()
+    } else {
+        parsed
+    }
 }
 
 #[cfg(test)]
@@ -97,11 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn float_and_u64_knobs() {
+    fn float_knob_defaults_and_parses() {
         assert!((env_f64("RSCHED_ENV_TEST_UNSET_D", 0.4) - 0.4).abs() < 1e-12);
         std::env::set_var("RSCHED_ENV_TEST_D", "0.25");
         assert!((env_f64("RSCHED_ENV_TEST_D", 0.4) - 0.25).abs() < 1e-12);
         std::env::remove_var("RSCHED_ENV_TEST_D");
-        assert_eq!(env_u64("RSCHED_ENV_TEST_UNSET_D", 9), 9);
     }
 }

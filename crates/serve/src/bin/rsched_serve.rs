@@ -9,14 +9,13 @@
 //! | `RSCHED_SERVE_BACKEND` | `mq` | `mq`, `mq-mutex` or `dcbo` (`dcbo` is arrival-order: it grants no `FEAT_EDF`) |
 //! | `RSCHED_SERVE_THREADS` | `2` | worker threads |
 //! | `RSCHED_SERVE_CAP` | `4096` | admission bound (in-flight tasks) |
-//! | `RSCHED_SERVE_SEED` | `0x5EED5EED` | pool RNG seed |
 //! | `RSCHED_SERVE_LIFETIME_S` | unset | exit after this many seconds (tests, scripted runs); unset = run until SIGTERM/SIGINT kills the process |
 //!
 //! On start the daemon prints `rsched-serve listening on <endpoint>`
 //! so harnesses can wait for readiness, and on a timed exit it prints
 //! the final conservation counters and sojourn quantiles.
 
-use rsched_runtime::env::{env_f64, env_u64, env_usize};
+use rsched_runtime::env::{env_f64, env_usize};
 use rsched_serve::{Backend, Endpoint, ServeConfig, Server};
 use std::time::Duration;
 
@@ -44,7 +43,7 @@ fn main() {
         backend,
         threads: env_usize("RSCHED_SERVE_THREADS", 2).max(1),
         queue_cap: env_usize("RSCHED_SERVE_CAP", 4096).max(1),
-        seed: env_u64("RSCHED_SERVE_SEED", 0x5EED_5EED),
+        ..ServeConfig::default()
     };
     let lifetime_s = env_f64("RSCHED_SERVE_LIFETIME_S", 0.0);
 

@@ -7,17 +7,15 @@
 //! submit from one thread while another drains responses — the wire
 //! protocol is fully pipelined; nothing waits for a reply.
 //!
-//! A freshly connected client is a v1 peer. [`ServeClient::handshake`]
-//! (or the [`ServeClient::connect_v2`] shorthand) upgrades the
-//! connection: it sends [`Request::Hello`] and blocks for the
-//! [`Response::HelloAck`], returning the negotiated version and
-//! granted feature bits. The handshake must run before the halves are
-//! split and before any pipelined traffic, since it consumes exactly
-//! one response frame.
+//! A freshly connected client must shake hands before it submits:
+//! [`ServeClient::handshake`] sends [`Request::Hello`] and blocks for
+//! the [`Response::HelloAck`], returning the version and granted
+//! feature bits. The handshake must run before the halves are split and
+//! before any pipelined traffic, since it consumes exactly one response
+//! frame.
 
 use crate::codec::{
-    decode_response, encode_request, read_frame, Hello, HelloAck, Request, Response, FEAT_EDF,
-    PROTO_V2,
+    decode_response, encode_request, read_frame, Hello, HelloAck, Request, Response,
 };
 use crate::server::Endpoint;
 use std::io::{self, Read, Write};
@@ -130,21 +128,13 @@ impl ServeClient {
         })
     }
 
-    /// Connect and negotiate v2 with the EDF feature — the common
-    /// deadline-client spelling. Returns the client and the ack; check
-    /// `ack.features & FEAT_EDF` to learn whether deadlines will
-    /// actually steer scheduling (an un-granted v2 connection still
-    /// submits deadlines and gets verdicts, it just runs arrival-order).
-    pub fn connect_v2(endpoint: &Endpoint) -> io::Result<(ServeClient, HelloAck)> {
-        let mut client = ServeClient::connect(endpoint)?;
-        let ack = client.handshake(PROTO_V2, FEAT_EDF)?;
-        Ok((client, ack))
-    }
-
-    /// Negotiate: send [`Request::Hello`] and block for the ack. The
+    /// Shake hands: send [`Request::Hello`] and block for the ack. The
     /// server may answer with a *lower* version than requested (it
-    /// never answers higher); a [`Response::Rejected`] here (bad
-    /// version) or a close surfaces as `InvalidData`.
+    /// never answers higher). Check `ack.features & FEAT_EDF` to learn
+    /// whether deadlines will steer scheduling: an un-granted
+    /// connection still submits deadlines and gets verdicts, it just
+    /// runs arrival order. A [`Response::Rejected`] here (bad version)
+    /// surfaces as `InvalidData`, a close as `UnexpectedEof`.
     pub fn handshake(&mut self, version: u64, features: u64) -> io::Result<HelloAck> {
         self.send(&Request::Hello(Hello { version, features }))?;
         match self.recv()? {

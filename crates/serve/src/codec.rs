@@ -13,61 +13,49 @@
 //! values — never a panic — because a serving front-end's parser is
 //! exactly the code an arbitrary peer gets to exercise.
 //!
-//! ## Versioning
+//! ## The handshake
 //!
-//! The protocol has two negotiated versions. A connection starts at
-//! [`PROTO_V1`]; a client that opens with [`Request::Hello`] negotiates
-//! up to [`PROTO_V2`] (the server answers [`Response::HelloAck`] with
-//! the granted version and feature bits). v1 framing is a strict subset
-//! — a v1 client that never sends `Hello` sees exactly the PR 7/8 wire
-//! format, including the 80-byte `StatsReply` — and the v2 additions
-//! are either new opcodes or length-distinguished extensions of
-//! existing replies, so both generations decode with the same
-//! [`decode_response`].
+//! There is one protocol version, [`PROTO_V2`]. A client opens with
+//! [`Request::Hello`] and the server answers [`Response::HelloAck`]
+//! with that version and the feature bits it grants. A `Hello` below
+//! version 2, or a [`Request::SubmitV2`] before any `Hello`, is answered
+//! [`RejectCode::BadVersion`] and the connection is closed.
 //!
 //! Fixed-layout frames keep their field order in one place: each
 //! carries a struct with a `WIRE_FIELDS` name list and
-//! `to_wire`/`from_wire` word arrays (the PR 8 `StatsReply` pattern),
-//! and the codec tests assert name-by-name that byte offset `i * 8`
-//! really carries `WIRE_FIELDS[i]`.
+//! `to_wire`/`from_wire` word arrays, and the codec tests assert
+//! name-by-name that byte offset `i * 8` really carries
+//! `WIRE_FIELDS[i]`.
 //!
 //! | opcode | frame | payload after the opcode byte |
 //! |---|---|---|
-//! | `0x01` | [`Request::Submit`] | [`Submit`]: `req_id u64, prio u64, work_ns u64` |
-//! | `0x02` | [`Request::Ping`] | `token u64` |
-//! | `0x03` | [`Request::Stats`] | — |
 //! | `0x04` | [`Request::Drain`] | — |
 //! | `0x05` | [`Request::Metrics`] | — |
 //! | `0x06` | [`Request::Hello`] | [`Hello`]: `version u64, features u64` |
 //! | `0x07` | [`Request::SubmitV2`] | [`SubmitV2`]: `req_id u64, deadline u64, work_ns u64, flags u8` |
 //! | `0x81` | [`Response::Accepted`] | `req_id u64` |
 //! | `0x82` | [`Response::Rejected`] | `req_id u64, code u8` |
-//! | `0x83` | [`Response::Completed`] | [`Completed`]: `req_id u64, sojourn_ns u64, inject_ns u64` |
-//! | `0x84` | [`Response::Pong`] | `token u64` |
 //! | `0x85` | [`Response::Drained`] | `completed u64` |
-//! | `0x86` | [`Response::Stats`] | [`StatsReply`], ten `u64`s (v1) or fifteen (v2) |
-//! | `0x87` | [`Response::Metrics`] | [`MetricsReply`]: histogram blocks, counters, gauges (+ deadline block on v2) |
+//! | `0x87` | [`Response::Metrics`] | [`MetricsReply`]: histogram blocks, counters, gauges |
 //! | `0x88` | [`Response::HelloAck`] | [`HelloAck`]: `version u64, features u64, server_now_ns u64` |
 //! | `0x89` | [`Response::CompletedV2`] | [`CompletedV2`]: five `u64`s + `met u8` |
+//!
+//! Opcodes `0x01`–`0x03`, `0x83`, `0x84` and `0x86` are unassigned and
+//! decode as [`CodecError::UnknownOpcode`].
 
 use rsched_queues::telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS, N_HISTS};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on a frame payload. The largest legitimate frame
-/// ([`Response::Metrics`] at v2, whose five histogram blocks carry full
-/// 64-bucket arrays plus 128 worker gauges) is 3921 bytes; the slack
+/// ([`Response::Metrics`] with [`METRICS_MAX_WORKERS`] gauges, seven
+/// histogram blocks of full 64-bucket arrays) is 5073 bytes; the slack
 /// leaves room for protocol growth while still rejecting nonsense
-/// headers instantly. v1 peers (compiled with the old 4096 ceiling)
-/// only ever receive v1 frames, which all fit under 4096.
+/// headers instantly.
 pub const MAX_FRAME: usize = 8192;
 
-/// The original protocol: implicit, no handshake. `Submit.prio` is an
-/// opaque word the server overwrites with its own arrival stamp.
-pub const PROTO_V1: u64 = 1;
-/// The deadline-aware protocol: negotiated via [`Request::Hello`].
-/// Adds [`Request::SubmitV2`] (client-set deadlines),
-/// [`Response::CompletedV2`] (met/missed verdicts), and the extended
-/// Stats/Metrics replies.
+/// The protocol version, negotiated via [`Request::Hello`]: a `Hello`
+/// asking for a higher version is acked at this one, a lower one is
+/// refused.
 pub const PROTO_V2: u64 = 2;
 
 /// Feature bit in [`Hello::features`] / [`HelloAck::features`]:
@@ -140,13 +128,12 @@ impl From<CodecError> for io::Error {
 pub enum RejectCode {
     /// The bounded admission queue is full: back off and retry.
     QueueFull = 1,
-    /// The connection is draining; no new work on this socket.
-    Draining = 2,
     /// The server is shutting down.
     Shutdown = 3,
-    /// A [`Request::Hello`] asked for a protocol version this server
-    /// cannot speak (currently: version 0). Carried with `req_id = 0`;
-    /// the server closes the connection after sending it.
+    /// A [`Request::Hello`] asked for a version below [`PROTO_V2`]
+    /// (carried with `req_id = 0`), or a [`Request::SubmitV2`] arrived
+    /// before any `Hello`. The server closes the connection after
+    /// sending it.
     BadVersion = 4,
 }
 
@@ -155,7 +142,6 @@ impl RejectCode {
     pub fn from_u8(b: u8) -> Option<Self> {
         match b {
             1 => Some(RejectCode::QueueFull),
-            2 => Some(RejectCode::Draining),
             3 => Some(RejectCode::Shutdown),
             4 => Some(RejectCode::BadVersion),
             _ => None,
@@ -240,22 +226,7 @@ macro_rules! wire_table {
     };
 }
 
-/// The v1 submission body: `prio` is an opaque scheduling word. The
-/// server ignores it (it stamps its own arrival clock), but it stays on
-/// the wire for v1 compatibility.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Submit {
-    /// Client-chosen id, echoed on every response about this request.
-    pub req_id: u64,
-    /// Legacy priority word (ignored by the server since v2).
-    pub prio: u64,
-    /// Synthetic service time the worker spends on the task, ns.
-    pub work_ns: u64,
-}
-
-wire_table!(Submit, 3, [req_id, prio, work_ns]);
-
-/// The v2 submission body: the scheduling word is a client-set
+/// The submission body: the scheduling word is a client-set
 /// **deadline**. `flags` bit 0 selects the timebase: set = `deadline`
 /// is absolute nanoseconds on the server's monotonic clock (as learned
 /// from [`HelloAck::server_now_ns`]); clear = `deadline` is a relative
@@ -278,22 +249,9 @@ pub struct SubmitV2 {
 
 wire_table!(SubmitV2, 3, [req_id, deadline, work_ns], flags: [absolute]);
 
-/// The v1 completion body.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Completed {
-    /// Echo of the submission's id.
-    pub req_id: u64,
-    /// Submit→complete as measured by the server, ns.
-    pub sojourn_ns: u64,
-    /// Submit→inject prefix of the sojourn, ns.
-    pub inject_ns: u64,
-}
-
-wire_table!(Completed, 3, [req_id, sojourn_ns, inject_ns]);
-
-/// The v2 completion body: every deadline-carrying task reports its
-/// verdict. `tardiness_ns` is `completion - deadline` saturated at zero
-/// (a met deadline has tardiness 0), `met` is the boolean verdict.
+/// The completion body: every task reports its deadline verdict.
+/// `tardiness_ns` is `completion - deadline` saturated at zero (a met
+/// deadline has tardiness 0), `met` is the boolean verdict.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompletedV2 {
     /// Echo of the submission's id.
@@ -317,10 +275,10 @@ wire_table!(
     flags: [met]
 );
 
-/// The client's opening handshake. Optional: a connection that submits
-/// without one is a v1 connection. `version` is the highest protocol
-/// the client speaks; `features` the capabilities it requests (the
-/// server grants the intersection with its own).
+/// The client's opening handshake, required before the first
+/// [`SubmitV2`]. `version` is the highest protocol the client speaks
+/// (at least [`PROTO_V2`]); `features` the capabilities it requests
+/// (the server grants the intersection with its own).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Hello {
     /// Highest protocol version the client speaks.
@@ -331,13 +289,13 @@ pub struct Hello {
 
 wire_table!(Hello, 2, [version, features]);
 
-/// The server's handshake answer: the negotiated version
-/// (`min(client, server)`), the granted feature bits, and the server's
+/// The server's handshake answer: the protocol version
+/// ([`PROTO_V2`]), the granted feature bits, and the server's
 /// monotonic clock at reply time — the epoch clients use to convert
 /// wall deadlines into absolute [`SubmitV2::deadline`] values.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HelloAck {
-    /// Negotiated protocol version for this connection.
+    /// Protocol version for this connection.
     pub version: u64,
     /// Granted feature bits (subset of the request).
     pub features: u64,
@@ -350,21 +308,16 @@ wire_table!(HelloAck, 3, [version, features, server_now_ns]);
 /// Client → server frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Submit one task (v1 body).
-    Submit(Submit),
-    /// Submit one deadline-carrying task (v2 body). Accepted on any
-    /// connection that negotiated [`PROTO_V2`].
+    /// Submit one deadline-carrying task. Accepted only after the
+    /// [`Request::Hello`] handshake.
     SubmitV2(SubmitV2),
-    /// Liveness probe; the server echoes the token in a [`Response::Pong`].
-    Ping { token: u64 },
-    /// Ask for a [`StatsReply`] snapshot.
-    Stats,
     /// Graceful per-connection drain: the server stops reading this
     /// socket, finishes every task it accepted from it, then sends
     /// [`Response::Drained`] and closes.
     Drain,
-    /// Ask for a [`MetricsReply`] — the live telemetry exposition: the
-    /// full process telemetry snapshot plus gauge samples.
+    /// Ask for a [`MetricsReply`] — the live exposition: the full
+    /// process telemetry snapshot, the server's request ledger and
+    /// histograms, and gauge samples.
     Metrics,
     /// Version/feature handshake; answered with [`Response::HelloAck`].
     Hello(Hello),
@@ -379,113 +332,36 @@ pub enum Response {
     /// state was touched (reject paths are side-effect-free beyond the
     /// `rejected` counter).
     Rejected { req_id: u64, code: RejectCode },
-    /// The task finished (v1 body — replies to [`Request::Submit`]).
-    Completed(Completed),
-    /// The task finished with a deadline verdict (replies to
-    /// [`Request::SubmitV2`]).
+    /// The task finished, with its deadline verdict.
     CompletedV2(CompletedV2),
-    /// [`Request::Ping`] echo.
-    Pong { token: u64 },
     /// Drain finished: every task accepted on this connection has
     /// completed (`completed` counts them, over the connection's life).
     Drained { completed: u64 },
-    /// [`Request::Stats`] answer.
-    Stats(StatsReply),
-    /// [`Request::Metrics`] answer. Boxed: the reply is ~4 KB of
+    /// [`Request::Metrics`] answer. Boxed: the reply is ~5 KB of
     /// histogram blocks, and the enum rides writer channels whose
-    /// common traffic is 24-byte `Completed`s.
+    /// common traffic is `Accepted`s and `CompletedV2`s.
     Metrics(Box<MetricsReply>),
     /// [`Request::Hello`] answer.
     HelloAck(HelloAck),
 }
 
-/// Server-side counters and sojourn quantiles, as reported over the
-/// wire. Quantiles come from the server's log₂ `PowHistogram`s, so they
-/// are conservative bucket upper bounds in nanoseconds.
-///
-/// The v1 frame carries the first [`StatsReply::V1_WORDS`] words; the
-/// v2 frame appends the deadline block (`deadline_met` onward). Both
-/// lengths decode — missing fields come back zero.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Submissions seen (accepted + rejected).
-    pub submitted: u64,
-    /// Submissions that passed admission.
-    pub accepted: u64,
-    /// Submissions refused by admission control.
-    pub rejected: u64,
-    /// Tasks completed.
-    pub completed: u64,
-    /// Tasks currently queued or running (`accepted - completed`).
-    pub in_flight: u64,
-    /// Median submit→complete sojourn, ns.
-    pub sojourn_p50: u64,
-    /// 99th-percentile sojourn, ns.
-    pub sojourn_p99: u64,
-    /// 99.9th-percentile sojourn, ns.
-    pub sojourn_p999: u64,
-    /// Largest observed sojourn bucket, ns.
-    pub sojourn_max: u64,
-    /// 99th-percentile submit→inject prefix, ns.
-    pub inject_p99: u64,
-    /// Deadline-carrying completions that met their deadline.
-    pub deadline_met: u64,
-    /// Deadline-carrying completions that missed.
-    pub deadline_misses: u64,
-    /// `deadline_misses` per thousand deadline-carrying completions
-    /// (0 when none have completed).
-    pub miss_permille: u64,
-    /// 99th-percentile tardiness over deadline-carrying completions,
-    /// ns (met deadlines record tardiness 0).
-    pub tardiness_p99: u64,
-    /// 99.9th-percentile tardiness, ns.
-    pub tardiness_p999: u64,
-}
-
-wire_table!(
-    StatsReply,
-    15,
-    [
-        submitted,
-        accepted,
-        rejected,
-        completed,
-        in_flight,
-        sojourn_p50,
-        sojourn_p99,
-        sojourn_p999,
-        sojourn_max,
-        inject_p99,
-        deadline_met,
-        deadline_misses,
-        miss_permille,
-        tardiness_p99,
-        tardiness_p999,
-    ]
-);
-
-impl StatsReply {
-    /// How many leading [`WIRE_FIELDS`](Self::WIRE_FIELDS) words the v1
-    /// frame carries (everything before the deadline block).
-    pub const V1_WORDS: usize = 10;
-}
-
-/// The live telemetry exposition carried by [`Response::Metrics`]: the
-/// **full** process [`TelemetrySnapshot`] — all four per-op histogram
-/// series with their complete 64-bucket arrays and derived quantiles,
-/// the event counters, the epoch-GC deltas — plus gauge samples from
-/// the serving layer's lightweight sampler. On v2 connections a
-/// deadline block rides after the gauges: the full tardiness histogram
-/// and the [`MetricsReply::DEADLINE_FIELDS`] counters.
+/// The live exposition carried by [`Response::Metrics`]: the **full**
+/// process [`TelemetrySnapshot`] — all four per-op histogram series
+/// with their complete 64-bucket arrays and derived quantiles, the
+/// event counters, the epoch-GC deltas — plus everything the serving
+/// layer records: the request ledger, the sojourn, inject and tardiness
+/// histograms, the deadline verdicts, and gauge samples from its
+/// lightweight sampler. Quantiles come from log₂ `PowHistogram`s, so
+/// they are conservative bucket upper bounds in nanoseconds.
 ///
 /// Wire layout after the opcode byte (all `u64` LE):
 ///
 /// | block | words |
 /// |---|---|
-/// | histograms ×4, in order retry/steal/sweep/tick | each `count, p50, p90, p99, p999, max` + 64 buckets |
-/// | counters | `empty_pops, registry_probes, seg_installs` (always 0), `flush_published, flush_merged, gc_deferred, gc_collected` |
-/// | gauges | `in_flight`, `n_workers`, then `n_workers` per-worker busy-permille samples |
-/// | v2 only: deadline block | tardiness histogram (same shape), then `deadline_met, deadline_misses, miss_permille` |
+/// | histograms ×7, in order retry/steal/sweep/tick/sojourn/inject/tardiness | each `count, p50, p90, p99, p999, max` + 64 buckets |
+/// | telemetry counters | [`COUNTER_FIELDS`](Self::COUNTER_FIELDS): `empty_pops, registry_probes, seg_installs` (always 0), `flush_published, flush_merged, gc_deferred, gc_collected` |
+/// | server counters | `submitted, accepted, rejected, completed, deadline_met, deadline_misses, miss_permille, in_flight` |
+/// | gauges | `n_workers`, then `n_workers` per-worker busy-permille samples |
 ///
 /// The histogram and counter blocks are cumulative and the capture does
 /// not reset them, so polling never perturbs a later poll or the drain
@@ -496,20 +372,32 @@ pub struct MetricsReply {
     /// Everything recorded since the server's telemetry window opened
     /// (server start, or an explicit reset).
     pub telemetry: TelemetrySnapshot,
+    /// Submissions decoded (accepted + rejected).
+    pub submitted: u64,
+    /// Submissions that passed admission.
+    pub accepted: u64,
+    /// Submissions refused by admission control.
+    pub rejected: u64,
+    /// Tasks completed.
+    pub completed: u64,
     /// Tasks admitted but not yet completed, at reply time.
     pub in_flight: u64,
     /// Per-worker busy time since the previous `Metrics` poll, in
     /// permille of the elapsed wall interval (0 = idle, 1000 = fully
     /// busy), indexed by worker id.
     pub utilization_permille: Vec<u64>,
-    /// Tardiness histogram over deadline-carrying completions, ns
-    /// (v2 frames only; zero/empty on a v1 frame).
+    /// Submit→complete sojourn histogram, ns.
+    pub sojourn: HistSnapshot,
+    /// Submit→inject prefix histogram, ns.
+    pub inject: HistSnapshot,
+    /// Tardiness histogram over completions, ns (a met deadline
+    /// records 0).
     pub tardiness: HistSnapshot,
-    /// Deadline-carrying completions that met their deadline (v2 only).
+    /// Completions that met their deadline.
     pub deadline_met: u64,
-    /// Deadline-carrying completions that missed (v2 only).
+    /// Completions that missed their deadline.
     pub deadline_misses: u64,
-    /// Misses per thousand deadline-carrying completions (v2 only).
+    /// Misses per thousand completions (0 before the first).
     pub miss_permille: u64,
 }
 
@@ -527,10 +415,18 @@ impl MetricsReply {
         "gc_collected",
     ];
 
-    /// The v2 deadline block's trailing scalar words, in wire order
-    /// (they follow the tardiness histogram block).
-    pub const DEADLINE_FIELDS: [&'static str; 3] =
-        ["deadline_met", "deadline_misses", "miss_permille"];
+    /// The server counter block's wire order, by field name; it follows
+    /// the telemetry counters.
+    const SERVER_FIELDS: [&'static str; 8] = [
+        "submitted",
+        "accepted",
+        "rejected",
+        "completed",
+        "deadline_met",
+        "deadline_misses",
+        "miss_permille",
+        "in_flight",
+    ];
 
     /// Counter-block word by wire name, reading through to the
     /// underlying telemetry snapshot.
@@ -548,12 +444,17 @@ impl MetricsReply {
         })
     }
 
-    /// Deadline-block scalar by wire name.
-    pub fn deadline_field(&self, name: &str) -> Option<u64> {
+    /// Server-counter word by wire name.
+    fn server_field(&self, name: &str) -> Option<u64> {
         Some(match name {
+            "submitted" => self.submitted,
+            "accepted" => self.accepted,
+            "rejected" => self.rejected,
+            "completed" => self.completed,
             "deadline_met" => self.deadline_met,
             "deadline_misses" => self.deadline_misses,
             "miss_permille" => self.miss_permille,
+            "in_flight" => self.in_flight,
             _ => return None,
         })
     }
@@ -562,30 +463,28 @@ impl MetricsReply {
 /// Wire size of one histogram block: the six derived words plus the
 /// full bucket array.
 const HIST_WIRE_WORDS: usize = 6 + HIST_BUCKETS;
+/// Histogram blocks in a [`MetricsReply`]: the telemetry series, then
+/// sojourn, inject and tardiness.
+const METRICS_HISTS: usize = N_HISTS + 3;
+/// [`MetricsReply`] words between the histogram blocks and the gauge
+/// samples: both counter blocks, then `n_workers`.
+const METRICS_WORDS: usize =
+    MetricsReply::COUNTER_FIELDS.len() + MetricsReply::SERVER_FIELDS.len() + 1;
 /// [`MetricsReply`] payload length before the variable per-worker gauge
 /// words (opcode byte included).
-const METRICS_FIXED: usize = 1 + (N_HISTS * HIST_WIRE_WORDS + 7 + 2) * 8;
-/// The v2 deadline block appended after the gauges: one histogram plus
-/// the three scalar words.
-const METRICS_DEADLINE_BYTES: usize = (HIST_WIRE_WORDS + 3) * 8;
+const METRICS_FIXED: usize = 1 + (METRICS_HISTS * HIST_WIRE_WORDS + METRICS_WORDS) * 8;
 /// Per-worker gauge entries are capped so the frame stays under
 /// [`MAX_FRAME`] whatever the pool width; pools wider than this report
 /// their first 128 workers.
 pub const METRICS_MAX_WORKERS: usize = 128;
 
-const OP_SUBMIT: u8 = 0x01;
-const OP_PING: u8 = 0x02;
-const OP_STATS: u8 = 0x03;
 const OP_DRAIN: u8 = 0x04;
 const OP_METRICS: u8 = 0x05;
 const OP_HELLO: u8 = 0x06;
 const OP_SUBMIT2: u8 = 0x07;
 const OP_ACCEPTED: u8 = 0x81;
 const OP_REJECTED: u8 = 0x82;
-const OP_COMPLETED: u8 = 0x83;
-const OP_PONG: u8 = 0x84;
 const OP_DRAINED: u8 = 0x85;
-const OP_STATS_REPLY: u8 = 0x86;
 const OP_METRICS_REPLY: u8 = 0x87;
 const OP_HELLO_ACK: u8 = 0x88;
 const OP_COMPLETED2: u8 = 0x89;
@@ -610,25 +509,11 @@ fn put_words<const N: usize>(out: &mut Vec<u8>, words: [u64; N]) {
 /// Append the full frame (header + payload) for `req` to `out`.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     match req {
-        Request::Submit(s) => {
-            frame(out, 25);
-            out.push(OP_SUBMIT);
-            put_words(out, s.to_wire());
-        }
         Request::SubmitV2(s) => {
             frame(out, 26);
             out.push(OP_SUBMIT2);
             put_words(out, s.to_wire());
             out.push(s.absolute as u8);
-        }
-        Request::Ping { token } => {
-            frame(out, 9);
-            out.push(OP_PING);
-            out.extend_from_slice(&token.to_le_bytes());
-        }
-        Request::Stats => {
-            frame(out, 1);
-            out.push(OP_STATS);
         }
         Request::Drain => {
             frame(out, 1);
@@ -671,12 +556,11 @@ fn decode_hist(body: &[u8], off: usize) -> HistSnapshot {
     }
 }
 
-/// Append the full frame (header + payload) for `resp` to `out`,
-/// encoded for a connection that negotiated `version`. Only the
-/// [`Response::Stats`] and [`Response::Metrics`] layouts depend on it
-/// (v1 peers get the original shorter frames, with the deadline blocks
-/// dropped); every other frame encodes identically at either version.
-pub fn encode_response(resp: &Response, version: u64, out: &mut Vec<u8>) {
+/// Append the full frame (header + payload) for `resp` to `out`.
+///
+/// `_version` is ignored: there is one protocol, so every frame has a
+/// single layout. The argument stays so existing callers compile.
+pub fn encode_response(resp: &Response, _version: u64, out: &mut Vec<u8>) {
     match resp {
         Response::Accepted { req_id } => {
             frame(out, 9);
@@ -689,72 +573,44 @@ pub fn encode_response(resp: &Response, version: u64, out: &mut Vec<u8>) {
             out.extend_from_slice(&req_id.to_le_bytes());
             out.push(*code as u8);
         }
-        Response::Completed(c) => {
-            frame(out, 25);
-            out.push(OP_COMPLETED);
-            put_words(out, c.to_wire());
-        }
         Response::CompletedV2(c) => {
             frame(out, 42);
             out.push(OP_COMPLETED2);
             put_words(out, c.to_wire());
             out.push(c.met as u8);
         }
-        Response::Pong { token } => {
-            frame(out, 9);
-            out.push(OP_PONG);
-            out.extend_from_slice(&token.to_le_bytes());
-        }
         Response::Drained { completed } => {
             frame(out, 9);
             out.push(OP_DRAINED);
             out.extend_from_slice(&completed.to_le_bytes());
         }
-        Response::Stats(s) => {
-            // One canonical field order: `to_wire` (named fields, same
-            // list `from_wire` destructures) is the only place the
-            // layout lives. v1 peers get the leading V1_WORDS words.
-            let words = if version >= PROTO_V2 {
-                StatsReply::WIRE_FIELDS.len()
-            } else {
-                StatsReply::V1_WORDS
-            };
-            frame(out, 1 + words * 8);
-            out.push(OP_STATS_REPLY);
-            for v in s.to_wire().into_iter().take(words) {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
         Response::Metrics(m) => {
             let workers = m.utilization_permille.len().min(METRICS_MAX_WORKERS);
-            let deadline = if version >= PROTO_V2 {
-                METRICS_DEADLINE_BYTES
-            } else {
-                0
-            };
-            frame(out, METRICS_FIXED + workers * 8 + deadline);
+            frame(out, METRICS_FIXED + workers * 8);
             out.push(OP_METRICS_REPLY);
             let t = &m.telemetry;
-            for h in [&t.retry, &t.steal, &t.sweep, &t.tick] {
+            for h in [
+                &t.retry,
+                &t.steal,
+                &t.sweep,
+                &t.tick,
+                &m.sojourn,
+                &m.inject,
+                &m.tardiness,
+            ] {
                 encode_hist(h, out);
             }
             for name in MetricsReply::COUNTER_FIELDS {
                 let v = m.counter(name).expect("COUNTER_FIELDS is exhaustive");
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            out.extend_from_slice(&m.in_flight.to_le_bytes());
+            for name in MetricsReply::SERVER_FIELDS {
+                let v = m.server_field(name).expect("SERVER_FIELDS is exhaustive");
+                out.extend_from_slice(&v.to_le_bytes());
+            }
             out.extend_from_slice(&(workers as u64).to_le_bytes());
             for u in m.utilization_permille.iter().take(workers) {
                 out.extend_from_slice(&u.to_le_bytes());
-            }
-            if deadline > 0 {
-                encode_hist(&m.tardiness, out);
-                for name in MetricsReply::DEADLINE_FIELDS {
-                    let v = m
-                        .deadline_field(name)
-                        .expect("DEADLINE_FIELDS is exhaustive");
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
             }
         }
         Response::HelloAck(a) => {
@@ -797,25 +653,11 @@ fn words_at<const N: usize>(body: &[u8], off: usize) -> [u64; N] {
 pub fn decode_request(payload: &[u8]) -> Result<Request, CodecError> {
     let (&opcode, body) = payload.split_first().ok_or(CodecError::Empty)?;
     match opcode {
-        OP_SUBMIT => {
-            expect_len(opcode, body, 24)?;
-            Ok(Request::Submit(Submit::from_wire(words_at(body, 0))))
-        }
         OP_SUBMIT2 => {
             expect_len(opcode, body, 25)?;
             let mut s = SubmitV2::from_wire(words_at(body, 0));
             s.absolute = expect_bool(opcode, body, body[24])?;
             Ok(Request::SubmitV2(s))
-        }
-        OP_PING => {
-            expect_len(opcode, body, 8)?;
-            Ok(Request::Ping {
-                token: u64_at(body, 0),
-            })
-        }
-        OP_STATS => {
-            expect_len(opcode, body, 0)?;
-            Ok(Request::Stats)
         }
         OP_DRAIN => {
             expect_len(opcode, body, 0)?;
@@ -854,21 +696,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                 code,
             })
         }
-        OP_COMPLETED => {
-            expect_len(opcode, body, 24)?;
-            Ok(Response::Completed(Completed::from_wire(words_at(body, 0))))
-        }
         OP_COMPLETED2 => {
             expect_len(opcode, body, 41)?;
             let mut c = CompletedV2::from_wire(words_at(body, 0));
             c.met = expect_bool(opcode, body, body[40])?;
             Ok(Response::CompletedV2(c))
-        }
-        OP_PONG => {
-            expect_len(opcode, body, 8)?;
-            Ok(Response::Pong {
-                token: u64_at(body, 0),
-            })
         }
         OP_DRAINED => {
             expect_len(opcode, body, 8)?;
@@ -876,79 +708,31 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                 completed: u64_at(body, 0),
             })
         }
-        OP_STATS_REPLY => {
-            // Length-distinguished versions: 10 words from a v1 server,
-            // 15 from v2. Missing trailing fields decode as zero.
-            let n = StatsReply::WIRE_FIELDS.len();
-            if body.len() != StatsReply::V1_WORDS * 8 && body.len() != n * 8 {
-                return Err(CodecError::BadPayload {
-                    opcode,
-                    len: body.len(),
-                });
-            }
-            let mut w = [0u64; 15];
-            for (i, slot) in w.iter_mut().enumerate().take(body.len() / 8) {
-                *slot = u64_at(body, i * 8);
-            }
-            Ok(Response::Stats(StatsReply::from_wire(w)))
-        }
         OP_METRICS_REPLY => {
             // Fixed blocks plus a self-describing per-worker gauge tail:
-            // the declared worker count must match the frame exactly —
-            // either the v1 length or the v1 length plus the deadline
-            // block.
+            // the declared worker count must match the frame exactly. It
+            // is bounded before any length arithmetic, so a lying count
+            // cannot overflow.
             let fixed = METRICS_FIXED - 1;
-            if body.len() < fixed {
-                return Err(CodecError::BadPayload {
-                    opcode,
-                    len: body.len(),
-                });
-            }
-            let hists: Vec<HistSnapshot> = (0..N_HISTS)
-                .map(|h| decode_hist(body, h * HIST_WIRE_WORDS * 8))
-                .collect();
-            let counters_off = N_HISTS * HIST_WIRE_WORDS * 8;
-            let c = |i: usize| u64_at(body, counters_off + i * 8);
-            let in_flight = c(7);
-            let workers = c(8) as usize;
-            let v1_len = fixed + workers * 8;
-            let v2_len = v1_len + METRICS_DEADLINE_BYTES;
-            if workers > METRICS_MAX_WORKERS || (body.len() != v1_len && body.len() != v2_len) {
-                return Err(CodecError::BadPayload {
-                    opcode,
-                    len: body.len(),
-                });
-            }
-            let gauges_off = counters_off + 9 * 8;
-            let utilization_permille = (0..workers)
-                .map(|i| u64_at(body, gauges_off + i * 8))
-                .collect();
-            let (tardiness, deadline_met, deadline_misses, miss_permille) = if body.len() == v2_len
-            {
-                let off = gauges_off + workers * 8;
-                let scalars = off + HIST_WIRE_WORDS * 8;
-                (
-                    decode_hist(body, off),
-                    u64_at(body, scalars),
-                    u64_at(body, scalars + 8),
-                    u64_at(body, scalars + 16),
-                )
-            } else {
-                (HistSnapshot::default(), 0, 0, 0)
+            let bad = CodecError::BadPayload {
+                opcode,
+                len: body.len(),
             };
-            let mut it = hists.into_iter();
-            let (retry, steal, sweep, tick) = (
-                it.next().unwrap(),
-                it.next().unwrap(),
-                it.next().unwrap(),
-                it.next().unwrap(),
-            );
+            if body.len() < fixed {
+                return Err(bad);
+            }
+            let hist = |i: usize| decode_hist(body, i * HIST_WIRE_WORDS * 8);
+            let c = |i: usize| u64_at(body, (METRICS_HISTS * HIST_WIRE_WORDS + i) * 8);
+            let workers = c(METRICS_WORDS - 1);
+            if workers > METRICS_MAX_WORKERS as u64 || body.len() != fixed + workers as usize * 8 {
+                return Err(bad);
+            }
             Ok(Response::Metrics(Box::new(MetricsReply {
                 telemetry: TelemetrySnapshot {
-                    retry,
-                    steal,
-                    sweep,
-                    tick,
+                    retry: hist(0),
+                    steal: hist(1),
+                    sweep: hist(2),
+                    tick: hist(3),
                     empty_pops: c(0),
                     registry_probes: c(1),
                     seg_installs: c(2),
@@ -957,12 +741,20 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, CodecError> {
                     gc_deferred: c(5),
                     gc_collected: c(6),
                 },
-                in_flight,
-                utilization_permille,
-                tardiness,
-                deadline_met,
-                deadline_misses,
-                miss_permille,
+                sojourn: hist(4),
+                inject: hist(5),
+                tardiness: hist(6),
+                submitted: c(7),
+                accepted: c(8),
+                rejected: c(9),
+                completed: c(10),
+                deadline_met: c(11),
+                deadline_misses: c(12),
+                miss_permille: c(13),
+                in_flight: c(14),
+                utilization_permille: (0..workers as usize)
+                    .map(|i| c(METRICS_WORDS + i))
+                    .collect(),
             })))
         }
         OP_HELLO_ACK => {
@@ -1038,20 +830,24 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<
     Ok(true)
 }
 
-/// Encode `resp` at `version` and write the frame (no flush).
-pub fn write_response<W: Write + ?Sized>(
-    w: &mut W,
-    resp: &Response,
-    version: u64,
-) -> io::Result<()> {
+/// Encode `resp` and write the frame (no flush).
+pub fn write_response<W: Write + ?Sized>(w: &mut W, resp: &Response) -> io::Result<()> {
     let mut buf = Vec::with_capacity(32);
-    encode_response(resp, version, &mut buf);
+    encode_response(resp, PROTO_V2, &mut buf);
     w.write_all(&buf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn encoded_response(resp: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        encode_response(resp, PROTO_V2, &mut wire);
+        wire
+    }
 
     fn roundtrip_request(req: Request) {
         let mut wire = Vec::new();
@@ -1065,9 +861,7 @@ mod tests {
     }
 
     fn roundtrip_response(resp: Response) {
-        let mut wire = Vec::new();
-        encode_response(&resp, PROTO_V2, &mut wire);
-        let mut cursor = io::Cursor::new(wire);
+        let mut cursor = io::Cursor::new(encoded_response(&resp));
         let mut payload = Vec::new();
         assert!(read_frame(&mut cursor, &mut payload).unwrap());
         assert_eq!(decode_response(&payload).unwrap(), resp);
@@ -1103,22 +897,32 @@ mod tests {
                 gc_deferred: 66,
                 gc_collected: 77,
             },
+            submitted: 101,
+            accepted: 100,
+            rejected: 1,
+            completed: 91,
             in_flight: 9,
             utilization_permille: vec![1000, 517, 0, 250],
-            tardiness: hist(5),
+            sojourn: hist(5),
+            inject: hist(6),
+            tardiness: hist(7),
             deadline_met: 88,
-            deadline_misses: 12,
-            miss_permille: 120,
+            deadline_misses: 3,
+            miss_permille: 32,
+        }
+    }
+
+    /// The same reply with the gauge tail at its cap: the largest frame
+    /// the protocol sends.
+    fn maximal_metrics_reply() -> MetricsReply {
+        MetricsReply {
+            utilization_permille: vec![1000; METRICS_MAX_WORKERS],
+            ..metrics_reply()
         }
     }
 
     #[test]
     fn all_frames_roundtrip() {
-        roundtrip_request(Request::Submit(Submit {
-            req_id: u64::MAX,
-            prio: 17,
-            work_ns: 1_000_000,
-        }));
         for absolute in [false, true] {
             roundtrip_request(Request::SubmitV2(SubmitV2 {
                 req_id: 7,
@@ -1127,8 +931,6 @@ mod tests {
                 absolute,
             }));
         }
-        roundtrip_request(Request::Ping { token: 0xDEAD_BEEF });
-        roundtrip_request(Request::Stats);
         roundtrip_request(Request::Drain);
         roundtrip_request(Request::Metrics);
         roundtrip_request(Request::Hello(Hello {
@@ -1138,17 +940,11 @@ mod tests {
         roundtrip_response(Response::Accepted { req_id: 1 });
         for code in [
             RejectCode::QueueFull,
-            RejectCode::Draining,
             RejectCode::Shutdown,
             RejectCode::BadVersion,
         ] {
             roundtrip_response(Response::Rejected { req_id: 2, code });
         }
-        roundtrip_response(Response::Completed(Completed {
-            req_id: 3,
-            sojourn_ns: 123_456,
-            inject_ns: 789,
-        }));
         for met in [false, true] {
             roundtrip_response(Response::CompletedV2(CompletedV2 {
                 req_id: 4,
@@ -1159,25 +955,7 @@ mod tests {
                 met,
             }));
         }
-        roundtrip_response(Response::Pong { token: 9 });
         roundtrip_response(Response::Drained { completed: 1_000 });
-        roundtrip_response(Response::Stats(StatsReply {
-            submitted: 10,
-            accepted: 8,
-            rejected: 2,
-            completed: 7,
-            in_flight: 1,
-            sojourn_p50: 1023,
-            sojourn_p99: 4095,
-            sojourn_p999: 8191,
-            sojourn_max: 16383,
-            inject_p99: 255,
-            deadline_met: 6,
-            deadline_misses: 1,
-            miss_permille: 142,
-            tardiness_p99: 511,
-            tardiness_p999: 1023,
-        }));
         roundtrip_response(Response::HelloAck(HelloAck {
             version: PROTO_V2,
             features: FEAT_EDF,
@@ -1189,51 +967,6 @@ mod tests {
             utilization_permille: vec![],
             ..metrics_reply()
         })));
-    }
-
-    /// A v1-encoded Stats frame (80 bytes) still decodes — the deadline
-    /// block comes back zero — and a v1-encoded Metrics frame drops the
-    /// deadline block the same way. This is the compatibility contract
-    /// for v1 clients talking to a v2 server and vice versa.
-    #[test]
-    fn v1_frames_decode_with_zero_deadline_blocks() {
-        let full = StatsReply {
-            submitted: 10,
-            deadline_met: 7,
-            deadline_misses: 3,
-            miss_permille: 300,
-            tardiness_p99: 99,
-            tardiness_p999: 999,
-            ..Default::default()
-        };
-        let mut wire = Vec::new();
-        encode_response(&Response::Stats(full), PROTO_V1, &mut wire);
-        assert_eq!(wire.len(), 4 + 1 + StatsReply::V1_WORDS * 8);
-        match decode_response(&wire[4..]).unwrap() {
-            Response::Stats(s) => {
-                assert_eq!(s.submitted, 10);
-                assert_eq!(
-                    (s.deadline_met, s.deadline_misses, s.miss_permille),
-                    (0, 0, 0),
-                    "v1 frame must not carry the deadline block"
-                );
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        let mut wire = Vec::new();
-        encode_response(
-            &Response::Metrics(Box::new(metrics_reply())),
-            PROTO_V1,
-            &mut wire,
-        );
-        match decode_response(&wire[4..]).unwrap() {
-            Response::Metrics(m) => {
-                assert_eq!(m.telemetry.empty_pops, 11);
-                assert_eq!(m.deadline_misses, 0);
-                assert_eq!(m.tardiness, HistSnapshot::default());
-            }
-            other => panic!("expected Metrics, got {other:?}"),
-        }
     }
 
     /// Sentinel guard shared by every fixed-layout frame: each wire
@@ -1261,29 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reply_field_order_is_named_end_to_end() {
-        let w: [u64; 15] = std::array::from_fn(|i| 0xA1 + i as u64);
-        let reply = StatsReply::from_wire(w);
-        let mut wire = Vec::new();
-        encode_response(&Response::Stats(reply), PROTO_V2, &mut wire);
-        assert_field_order(&wire, 120, StatsReply::WIRE_FIELDS, |n| {
-            reply.field(n).unwrap()
-        });
-        // And the decode side rebuilds by the same names.
-        let decoded = decode_response(&wire[4..]).unwrap();
-        assert_eq!(decoded, Response::Stats(reply));
-    }
-
-    #[test]
-    fn submit_field_order_is_named_end_to_end() {
-        let s = Submit::from_wire(std::array::from_fn(|i| 0xA1 + i as u64));
-        let mut wire = Vec::new();
-        encode_request(&Request::Submit(s), &mut wire);
-        assert_field_order(&wire, 24, Submit::WIRE_FIELDS, |n| s.field(n).unwrap());
-        assert_eq!(decode_request(&wire[4..]).unwrap(), Request::Submit(s));
-    }
-
-    #[test]
     fn submit_v2_field_order_is_named_end_to_end() {
         let mut s = SubmitV2::from_wire(std::array::from_fn(|i| 0xA1 + i as u64));
         s.absolute = true;
@@ -1296,20 +1006,10 @@ mod tests {
     }
 
     #[test]
-    fn completed_field_order_is_named_end_to_end() {
-        let c = Completed::from_wire(std::array::from_fn(|i| 0xA1 + i as u64));
-        let mut wire = Vec::new();
-        encode_response(&Response::Completed(c), PROTO_V1, &mut wire);
-        assert_field_order(&wire, 24, Completed::WIRE_FIELDS, |n| c.field(n).unwrap());
-        assert_eq!(decode_response(&wire[4..]).unwrap(), Response::Completed(c));
-    }
-
-    #[test]
     fn completed_v2_field_order_is_named_end_to_end() {
         let mut c = CompletedV2::from_wire(std::array::from_fn(|i| 0xA1 + i as u64));
         c.met = true;
-        let mut wire = Vec::new();
-        encode_response(&Response::CompletedV2(c), PROTO_V2, &mut wire);
+        let wire = encoded_response(&Response::CompletedV2(c));
         assert_field_order(&wire, 41, CompletedV2::WIRE_FIELDS, |n| c.field(n).unwrap());
         assert_eq!(wire[5 + 40], 1);
         assert_eq!(
@@ -1327,22 +1027,37 @@ mod tests {
         assert_eq!(decode_request(&wire[4..]).unwrap(), Request::Hello(h));
 
         let a = HelloAck::from_wire(std::array::from_fn(|i| 0xA1 + i as u64));
-        let mut wire = Vec::new();
-        encode_response(&Response::HelloAck(a), PROTO_V2, &mut wire);
+        let wire = encoded_response(&Response::HelloAck(a));
         assert_field_order(&wire, 24, HelloAck::WIRE_FIELDS, |n| a.field(n).unwrap());
         assert_eq!(decode_response(&wire[4..]).unwrap(), Response::HelloAck(a));
     }
 
-    /// The Metrics counter block and v2 deadline block are positional
-    /// on the wire; this pins each scalar to its named offset the same
-    /// way the frame structs pin theirs.
+    /// The Metrics histogram and counter blocks are positional on the
+    /// wire; this pins each block and scalar to its named offset the
+    /// same way the frame structs pin theirs.
     #[test]
     fn metrics_scalar_blocks_are_named_end_to_end() {
         let m = metrics_reply();
-        let mut wire = Vec::new();
-        encode_response(&Response::Metrics(Box::new(m.clone())), PROTO_V2, &mut wire);
+        let wire = encoded_response(&Response::Metrics(Box::new(m.clone())));
         let body = &wire[5..];
-        let counters_off = 4 * HIST_WIRE_WORDS * 8; // retry, steal, sweep, tick
+        let t = &m.telemetry;
+        let hists = [
+            &t.retry,
+            &t.steal,
+            &t.sweep,
+            &t.tick,
+            &m.sojourn,
+            &m.inject,
+            &m.tardiness,
+        ];
+        for (i, h) in hists.iter().enumerate() {
+            assert_eq!(
+                u64_at(body, i * HIST_WIRE_WORDS * 8),
+                h.count,
+                "histogram block {i} out of order"
+            );
+        }
+        let counters_off = METRICS_HISTS * HIST_WIRE_WORDS * 8;
         for (i, name) in MetricsReply::COUNTER_FIELDS.iter().enumerate() {
             assert_eq!(
                 u64_at(body, counters_off + i * 8),
@@ -1350,16 +1065,30 @@ mod tests {
                 "counter offset {i} must carry `{name}`"
             );
         }
-        let scalars_off = counters_off + 9 * 8 // in_flight + n_workers
-            + m.utilization_permille.len() * 8
-            + HIST_WIRE_WORDS * 8; // tardiness histogram
-        for (i, name) in MetricsReply::DEADLINE_FIELDS.iter().enumerate() {
+        let server_off = counters_off + MetricsReply::COUNTER_FIELDS.len() * 8;
+        let server = [
+            ("submitted", m.submitted),
+            ("accepted", m.accepted),
+            ("rejected", m.rejected),
+            ("completed", m.completed),
+            ("deadline_met", m.deadline_met),
+            ("deadline_misses", m.deadline_misses),
+            ("miss_permille", m.miss_permille),
+            ("in_flight", m.in_flight),
+        ];
+        assert_eq!(server.map(|(n, _)| n), MetricsReply::SERVER_FIELDS);
+        for (i, (name, value)) in server.into_iter().enumerate() {
             assert_eq!(
-                u64_at(body, scalars_off + i * 8),
-                m.deadline_field(name).unwrap(),
-                "deadline-block offset {i} must carry `{name}`"
+                u64_at(body, server_off + i * 8),
+                value,
+                "server counter offset {i} must carry `{name}`"
             );
         }
+        let n_workers_off = server_off + MetricsReply::SERVER_FIELDS.len() * 8;
+        assert_eq!(
+            u64_at(body, n_workers_off),
+            m.utilization_permille.len() as u64
+        );
     }
 
     /// Malformed deadline payloads — wrong lengths, invalid flag bytes,
@@ -1383,18 +1112,13 @@ mod tests {
             decode_request(&payload),
             Err(CodecError::BadPayload { .. })
         ));
-        // SubmitV2 truncated to the v1 Submit length.
+        // SubmitV2 without its flag byte.
         assert!(matches!(
             decode_request(&payload[..25]),
             Err(CodecError::BadPayload { .. })
         ));
         // CompletedV2 with a met byte out of range.
-        let mut wire = Vec::new();
-        encode_response(
-            &Response::CompletedV2(CompletedV2::default()),
-            PROTO_V2,
-            &mut wire,
-        );
+        let wire = encoded_response(&Response::CompletedV2(CompletedV2::default()));
         let mut payload = wire[4..].to_vec();
         *payload.last_mut().unwrap() = 7;
         assert!(matches!(
@@ -1420,99 +1144,167 @@ mod tests {
             decode_request(&wire[4..]).unwrap(),
             Request::SubmitV2(extreme)
         );
-        // Stats frames at any length other than the two versions fail.
-        let mut bogus = vec![OP_STATS_REPLY];
-        bogus.extend_from_slice(&[0u8; 88]);
-        assert!(matches!(
-            decode_response(&bogus),
-            Err(CodecError::BadPayload { .. })
-        ));
     }
 
     #[test]
     fn metrics_reply_bad_payloads_are_errors() {
-        let mut wire = Vec::new();
-        encode_response(
-            &Response::Metrics(Box::new(metrics_reply())),
-            PROTO_V2,
-            &mut wire,
-        );
+        let wire = encoded_response(&Response::Metrics(Box::new(metrics_reply())));
         let payload = wire[4..].to_vec();
         // Truncating below the fixed blocks is a BadPayload.
         assert!(matches!(
             decode_response(&payload[..METRICS_FIXED - 9]),
             Err(CodecError::BadPayload { .. })
         ));
-        // Chopping the deadline block in half leaves a length that is
-        // neither v1 nor v2.
+        // So is a gauge tail shorter than its declared worker count.
         assert!(matches!(
             decode_response(&payload[..payload.len() - 16]),
             Err(CodecError::BadPayload { .. })
         ));
-        // A worker count that disagrees with the frame length is too.
-        let mut lying = payload.clone();
+        // A worker count that disagrees with the frame length is too,
+        // including counts whose byte length overflows a usize.
         let n_off = METRICS_FIXED - 8; // n_workers word (opcode included)
-        lying[n_off..n_off + 8].copy_from_slice(&999u64.to_le_bytes());
-        assert!(matches!(
-            decode_response(&lying),
-            Err(CodecError::BadPayload { .. })
-        ));
+        for lie in [999u64, u64::MAX, 1 << 61] {
+            let mut lying = payload.clone();
+            lying[n_off..n_off + 8].copy_from_slice(&lie.to_le_bytes());
+            assert!(
+                matches!(decode_response(&lying), Err(CodecError::BadPayload { .. })),
+                "n_workers = {lie} decoded"
+            );
+        }
         // The largest legitimate frame still fits MAX_FRAME.
-        let mut big = Vec::new();
-        encode_response(
-            &Response::Metrics(Box::new(MetricsReply {
-                utilization_permille: vec![1000; METRICS_MAX_WORKERS + 50],
-                ..metrics_reply()
-            })),
-            PROTO_V2,
-            &mut big,
-        );
+        let big = encoded_response(&Response::Metrics(Box::new(MetricsReply {
+            utilization_permille: vec![1000; METRICS_MAX_WORKERS + 50],
+            ..metrics_reply()
+        })));
         assert_eq!(
             big.len() - 4,
-            3921,
-            "four telemetry histograms + tardiness, 7 counters, 128 gauges"
+            5073,
+            "seven histograms, 7 + 8 counters, 128 gauges"
         );
         assert!(
             big.len() - 4 <= MAX_FRAME,
             "metrics frame exceeds MAX_FRAME"
         );
         match decode_response(&big[4..]).unwrap() {
-            Response::Metrics(m) => {
-                assert_eq!(
-                    m.utilization_permille.len(),
-                    METRICS_MAX_WORKERS,
-                    "gauge tail is capped, not rejected"
-                );
-                assert_eq!(m.deadline_met, 88, "deadline block survives the cap");
-            }
+            Response::Metrics(m) => assert_eq!(
+                *m,
+                maximal_metrics_reply(),
+                "gauge tail is capped, not rejected"
+            ),
             other => panic!("expected Metrics, got {other:?}"),
         }
-        // The v1 encoding of the same maximal reply stays under the
-        // *old* 4096-byte ceiling — v1 peers never see a bigger frame.
-        let mut v1 = Vec::new();
-        encode_response(
-            &Response::Metrics(Box::new(MetricsReply {
-                utilization_permille: vec![1000; METRICS_MAX_WORKERS],
-                ..metrics_reply()
-            })),
-            PROTO_V1,
-            &mut v1,
-        );
-        assert!(v1.len() - 4 <= 4096, "v1 metrics frame exceeds old ceiling");
+    }
+
+    /// Seeded byte-level fuzz of both decoders. Each seed picks one
+    /// valid payload (every variant, plus the maximal Metrics frame)
+    /// and applies one to four mutations: a flipped byte, a truncation,
+    /// an 8-byte word overwritten with 0, `u64::MAX` or `1 << 61`, a
+    /// substituted opcode. Decoding must never panic, and whatever
+    /// decodes must re-encode to a frame that decodes to the same
+    /// value. `RSCHED_STRESS` scales the seed count; a failure names
+    /// its seed.
+    #[test]
+    fn seeded_byte_fuzz_never_panics_and_reencodes() {
+        let mut bases: Vec<Vec<u8>> = Vec::new();
+        for req in [
+            Request::SubmitV2(SubmitV2 {
+                req_id: 7,
+                deadline: 1_000_000,
+                work_ns: 20_000,
+                absolute: true,
+            }),
+            Request::Drain,
+            Request::Metrics,
+            Request::Hello(Hello {
+                version: PROTO_V2,
+                features: FEAT_EDF,
+            }),
+        ] {
+            let mut wire = Vec::new();
+            encode_request(&req, &mut wire);
+            bases.push(wire);
+        }
+        for resp in [
+            Response::Accepted { req_id: 1 },
+            Response::Rejected {
+                req_id: 2,
+                code: RejectCode::QueueFull,
+            },
+            Response::CompletedV2(CompletedV2 {
+                req_id: 3,
+                sojourn_ns: 55_555,
+                inject_ns: 444,
+                deadline_ns: 1_000_000,
+                tardiness_ns: 0,
+                met: true,
+            }),
+            Response::Drained { completed: 9 },
+            Response::Metrics(Box::new(metrics_reply())),
+            Response::Metrics(Box::new(maximal_metrics_reply())),
+            Response::HelloAck(HelloAck {
+                version: PROTO_V2,
+                features: FEAT_EDF,
+                server_now_ns: 123,
+            }),
+        ] {
+            bases.push(encoded_response(&resp));
+        }
+        // Payloads only: the decoders never see the length header.
+        let bases: Vec<Vec<u8>> = bases.into_iter().map(|w| w[4..].to_vec()).collect();
+        let stress = match std::env::var("RSCHED_STRESS").as_deref() {
+            Ok("0") | Err(_) => 1,
+            Ok(v) => v.parse::<u64>().unwrap_or(1).clamp(1, 64) * 4,
+        };
+        for seed in 0..100_000 * stress {
+            let case = std::panic::catch_unwind(|| fuzz_one(&bases, seed));
+            assert!(case.is_ok(), "codec fuzz failed at seed {seed}");
+        }
+    }
+
+    fn fuzz_one(bases: &[Vec<u8>], seed: u64) {
+        // Every opcode the protocol has ever assigned, removed ones too.
+        const OPCODES: [u8; 16] = [
+            0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87,
+            0x88, 0x89,
+        ];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut p = bases[rng.gen_range(0..bases.len())].clone();
+        for _ in 0..rng.gen_range(1..=4) {
+            match rng.gen_range(0..4) {
+                0 if !p.is_empty() => {
+                    let i = rng.gen_range(0..p.len());
+                    p[i] ^= rng.gen_range(1..=255u8);
+                }
+                1 => p.truncate(rng.gen_range(0..=p.len())),
+                2 if p.len() >= 9 => {
+                    let off = 1 + 8 * rng.gen_range(0..(p.len() - 1) / 8);
+                    let word = [0, u64::MAX, 1u64 << 61][rng.gen_range(0..3usize)];
+                    p[off..off + 8].copy_from_slice(&word.to_le_bytes());
+                }
+                3 if !p.is_empty() => p[0] = OPCODES[rng.gen_range(0..OPCODES.len())],
+                _ => {}
+            }
+        }
+        if let Ok(req) = decode_request(&p) {
+            let mut wire = Vec::new();
+            encode_request(&req, &mut wire);
+            assert_eq!(decode_request(&wire[4..]), Ok(req));
+        }
+        if let Ok(resp) = decode_response(&p) {
+            let wire = encoded_response(&resp);
+            assert_eq!(decode_response(&wire[4..]), Ok(resp));
+        }
     }
 
     #[test]
     fn back_to_back_frames_parse_in_order() {
         let mut wire = Vec::new();
-        encode_request(&Request::Ping { token: 1 }, &mut wire);
+        encode_request(&Request::Metrics, &mut wire);
         encode_request(&Request::Drain, &mut wire);
         let mut cursor = io::Cursor::new(wire);
         let mut payload = Vec::new();
         assert!(read_frame(&mut cursor, &mut payload).unwrap());
-        assert_eq!(
-            decode_request(&payload).unwrap(),
-            Request::Ping { token: 1 }
-        );
+        assert_eq!(decode_request(&payload).unwrap(), Request::Metrics);
         assert!(read_frame(&mut cursor, &mut payload).unwrap());
         assert_eq!(decode_request(&payload).unwrap(), Request::Drain);
         assert!(!read_frame(&mut cursor, &mut payload).unwrap());
@@ -1520,16 +1312,9 @@ mod tests {
 
     #[test]
     fn truncated_frames_error_not_panic() {
-        // Header promises 25 bytes; stream ends after 10.
+        // Header promises 26 bytes; stream ends after 10.
         let mut wire = Vec::new();
-        encode_request(
-            &Request::Submit(Submit {
-                req_id: 1,
-                prio: 2,
-                work_ns: 3,
-            }),
-            &mut wire,
-        );
+        encode_request(&Request::SubmitV2(SubmitV2::default()), &mut wire);
         wire.truncate(4 + 10);
         let mut cursor = io::Cursor::new(wire);
         let mut payload = Vec::new();
@@ -1563,27 +1348,32 @@ mod tests {
             decode_request(&[0x7F]),
             Err(CodecError::UnknownOpcode(0x7F))
         );
-        assert_eq!(
-            decode_response(&[0x01]),
-            Err(CodecError::UnknownOpcode(0x01))
-        );
+        // The unassigned opcodes stay unknown in both directions.
+        for op in [0x01, 0x02, 0x03] {
+            assert_eq!(decode_request(&[op]), Err(CodecError::UnknownOpcode(op)));
+        }
+        for op in [0x01, 0x83, 0x84, 0x86] {
+            assert_eq!(decode_response(&[op]), Err(CodecError::UnknownOpcode(op)));
+        }
         assert_eq!(decode_request(&[]), Err(CodecError::Empty));
-        // Submit with a short body.
+        // SubmitV2 with a short body.
         assert_eq!(
-            decode_request(&[OP_SUBMIT, 1, 2, 3]),
+            decode_request(&[OP_SUBMIT2, 1, 2, 3]),
             Err(CodecError::BadPayload {
-                opcode: OP_SUBMIT,
+                opcode: OP_SUBMIT2,
                 len: 3
             })
         );
-        // Rejected with an out-of-range code byte.
-        let mut body = vec![OP_REJECTED];
-        body.extend_from_slice(&7u64.to_le_bytes());
-        body.push(99);
-        assert!(matches!(
-            decode_response(&body),
-            Err(CodecError::BadPayload { .. })
-        ));
+        // Rejected with an out-of-range code byte, or the unassigned 2.
+        for code in [2, 99] {
+            let mut body = vec![OP_REJECTED];
+            body.extend_from_slice(&7u64.to_le_bytes());
+            body.push(code);
+            assert!(matches!(
+                decode_response(&body),
+                Err(CodecError::BadPayload { .. })
+            ));
+        }
         // Zero-length frame on the wire.
         let mut cursor = io::Cursor::new(vec![0u8, 0, 0, 0]);
         let mut payload = Vec::new();

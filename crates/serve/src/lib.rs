@@ -19,46 +19,36 @@
 //!   admission (`queue_cap` in-flight tasks, beyond which Submits get
 //!   an explicit [`RejectCode::QueueFull`] instead of queueing), and
 //!   per-request stamping at *submit*, *inject* and *complete* into
-//!   lock-free `PowHistogram`s so sojourn quantiles are always one
-//!   `Stats` frame away. Accepted tasks flow into the runtime through
-//!   [`rsched_runtime::service()`] — the long-lived worker pool whose
+//!   lock-free `PowHistogram`s. Accepted tasks flow into the runtime
+//!   through [`rsched_runtime::service()`] — the long-lived worker pool whose
 //!   [`Injector`](rsched_runtime::Injector) handles let connection
 //!   threads push into a running pool without being workers.
 //! * [`client`] — a small synchronous client whose split halves
 //!   ([`ClientSender`] / [`ClientReceiver`]) let an open-loop load
 //!   generator submit and drain on separate threads.
 //!
-//! # Protocol versions and the v2 handshake
+//! # The handshake
 //!
-//! The wire protocol is versioned. A connection that just starts
-//! submitting is a **v1** peer: its Submit carries an opaque `prio`
-//! word (ignored — the server schedules by arrival), and it receives
-//! v1-shaped replies. A client that wants more opens with
-//! [`Request::Hello`]`{version, features}`; the server answers
-//! [`Response::HelloAck`] with the negotiated version (`min` of the two
-//! sides — it never answers higher than asked), the granted feature
-//! bits (the intersection with its own; [`FEAT_EDF`] is the only bit
-//! today, and only the key-ordered backends `mq` / `mq-mutex` have it
-//! — a `dcbo` server is a FIFO and grants nothing) and its current
-//! monotonic clock reading `server_now_ns`, the timebase absolute
-//! deadlines are expressed in.
-//!
-//! At v2 the submission verb is [`Request::SubmitV2`]: the scheduling
-//! word becomes a client-set **deadline**, either absolute server-clock
-//! nanoseconds or a relative budget (flag bit 0 selects). On an
-//! EDF-granted connection the deadline *is* the scheduling key —
-//! earliest-deadline-first through the relaxed priority queue backing
-//! the pool — and every completion comes back as
-//! [`Response::CompletedV2`] with the met/missed verdict and the
-//! tardiness. Stats and Metrics replies grow deadline blocks
-//! (`deadline_met`, `deadline_misses`, `miss_permille`,
-//! tardiness quantiles / histogram); v1 peers keep receiving the
-//! shorter v1 frames, negotiated per connection, so mixed-version
-//! clients coexist on one server.
+//! A client opens with [`Request::Hello`]`{version, features}`; the
+//! server answers [`Response::HelloAck`] with version [`PROTO_V2`], the
+//! granted feature bits (the intersection with its own; [`FEAT_EDF`] is
+//! the only bit today, and only the key-ordered backends `mq` /
+//! `mq-mutex` have it — a `dcbo` server is a FIFO and grants nothing)
+//! and its current monotonic clock reading `server_now_ns`, the
+//! timebase absolute deadlines are expressed in. A `Hello` below
+//! version 2, or a submission before any `Hello`, is refused with
+//! [`RejectCode::BadVersion`] and the connection closed. Each
+//! [`Request::SubmitV2`] carries a client-set **deadline**, either
+//! absolute server-clock nanoseconds or a relative budget (flag bit 0
+//! selects). On an EDF-granted connection the deadline *is* the
+//! scheduling key — earliest-deadline-first through the relaxed
+//! priority queue backing the pool — and every completion comes back
+//! as [`Response::CompletedV2`] with the met/missed verdict and the
+//! tardiness.
 //!
 //! The request lifecycle is conservation-checked end to end: every
 //! Submit is answered Accepted or Rejected, every Accepted eventually
-//! produces exactly one Completed, and a Drain closes the connection
+//! produces exactly one CompletedV2, and a Drain closes the connection
 //! only after the two balance. [`Server::shutdown`] extends the same
 //! guarantee server-wide by joining connections and gracefully
 //! draining the pool before reporting final counters.
@@ -66,11 +56,12 @@
 //! Beyond per-request stamping, the wire carries **live exposition**:
 //! a [`Request::Metrics`] frame is answered with the server's full
 //! telemetry snapshot (every per-op histogram with its 64 log₂ buckets,
-//! the event counters and GC deltas) plus gauges sampled at the poll —
-//! in-flight tasks and per-worker busy permille since the previous
-//! poll — so an operator or a bench harness can watch a running server
-//! without touching its filesystem or perturbing its counters (the
-//! capture is non-resetting). When `RSCHED_TRACE=1` the server's
+//! the event counters and GC deltas), its request ledger, its sojourn,
+//! inject and tardiness histograms and deadline verdicts, plus gauges
+//! sampled at the poll — in-flight tasks and per-worker busy permille
+//! since the previous poll — so an operator or a bench harness can
+//! watch a running server without touching its filesystem or
+//! perturbing its counters (the capture is non-resetting). When `RSCHED_TRACE=1` the server's
 //! workers also feed the flight recorder in `rsched_queues::trace`,
 //! and a graceful shutdown exports the Chrome-trace JSON.
 //!
@@ -86,8 +77,7 @@ pub mod server;
 
 pub use client::{ClientReceiver, ClientSender, ServeClient};
 pub use codec::{
-    CodecError, Completed, CompletedV2, Hello, HelloAck, MetricsReply, RejectCode, Request,
-    Response, StatsReply, Submit, SubmitV2, FEAT_EDF, MAX_FRAME, METRICS_MAX_WORKERS, PROTO_V1,
-    PROTO_V2,
+    CodecError, CompletedV2, Hello, HelloAck, MetricsReply, RejectCode, Request, Response,
+    SubmitV2, FEAT_EDF, MAX_FRAME, METRICS_MAX_WORKERS, PROTO_V2,
 };
 pub use server::{spin_work, Backend, Endpoint, ServeConfig, Server, ServerReport};

@@ -10,7 +10,7 @@
 //!                        ▼                                      │  ▼
 //!  client ◀─frames── writer thread ◀──Accepted/Rejected─────────┘
 //!                        ▲
-//!                        └────── Completed (from the worker) ──────┘
+//!                        └───── CompletedV2 (from the worker) ─────┘
 //! ```
 //!
 //! Each connection runs **two** threads: a *reader* that decodes
@@ -18,7 +18,7 @@
 //! [`Injector`](rsched_runtime::Injector) session, and a *writer* that
 //! owns the write half and serialises every response — so the worker
 //! that completes a task never touches the socket racily; it just sends
-//! the [`Response::Completed`] through the connection's channel.
+//! the [`Response::CompletedV2`] through the connection's channel.
 //!
 //! Three timestamps bound each request's life, all measured by one
 //! server-side clock so the sojourn is free of client/server skew:
@@ -31,8 +31,8 @@
 //!
 //! # Admission control
 //!
-//! `in_flight` is bounded by `queue_cap`: a Submit that would exceed it
-//! is answered [`RejectCode::QueueFull`] *without creating a task* —
+//! `in_flight` is bounded by `queue_cap`: a submission that would
+//! exceed it is answered [`RejectCode::QueueFull`] *without creating a task* —
 //! reject-with-code backpressure instead of unbounded queueing, so an
 //! overloaded server degrades to a fast, explicit reject path and the
 //! sojourn histogram keeps describing *accepted* work. The bound also
@@ -42,7 +42,7 @@
 //! # Drain and shutdown
 //!
 //! A client's [`Request::Drain`] stops the reader; the writer counts
-//! `Accepted` vs `Completed` frames it has relayed and, once they
+//! `Accepted` vs `CompletedV2` frames it has relayed and, once they
 //! balance, emits [`Response::Drained`] and closes — every accepted
 //! task is accounted for. [`Server::shutdown`] does the server-wide
 //! version: stop the acceptor, unblock and join every connection, then
@@ -54,31 +54,28 @@
 //! Every scheduling key is a nanosecond reading of **one** monotonic
 //! clock, the server's epoch (`Shared::now_ns`):
 //!
-//! - a v1 [`Request::Submit`] (and a v2 submit on a connection that
-//!   was not granted [`FEAT_EDF`]) is keyed by its *arrival* stamp —
-//!   semantically "the deadline is now", so the relaxed queues
-//!   approximate FIFO;
-//! - a v2 [`Request::SubmitV2`] on an EDF connection is keyed by its
-//!   *absolute deadline* (a relative budget is resolved against the
-//!   same clock at admission, saturating on overflow).
+//! - a [`Request::SubmitV2`] on a connection that was not granted
+//!   [`FEAT_EDF`] is keyed by its *arrival* stamp — semantically "the
+//!   deadline is now", so the relaxed queues approximate FIFO;
+//! - on an EDF connection it is keyed by its *absolute deadline* (a
+//!   relative budget is resolved against the same clock at admission,
+//!   saturating on overflow).
 //!
-//! Because both kinds of key live on the same axis, mixed-version
-//! traffic coexists in one queue coherently: an arrival-stamped task
-//! is simply a task whose deadline already passed, and EDF tasks with
-//! slack yield to it. Deadline metadata rides the pending slab to the
-//! completing worker, which records the met/missed verdict and the
-//! tardiness histogram, and answers v2 submits with
-//! [`Response::CompletedV2`].
+//! Deadline metadata rides the pending slab to the completing worker,
+//! which records the met/missed verdict and the tardiness histogram,
+//! and answers with [`Response::CompletedV2`].
 //!
-//! The scheduling key is stamped **after** admission succeeds: a
-//! rejected Submit touches nothing but the `submitted`/`rejected`
-//! counters — no clock reads, no slab slot, no histogram, no deadline
-//! accounting — so reject paths are side-effect-free and an overloaded
-//! server's miss-rate describes *accepted* work only.
+//! The deadline and the scheduling key are stamped **after** admission
+//! succeeds. A rejected submission reads `Instant::now()` once, for the
+//! sojourn stamp every submission takes before admission, and touches
+//! nothing else but the `submitted`/`rejected` counters: no epoch
+//! read, no slab slot, no histogram, no deadline accounting. Reject
+//! paths are side-effect-free, and an overloaded server's miss-rate
+//! describes *accepted* work only.
 
 use crate::codec::{
-    decode_request, read_frame, write_response, Completed, CompletedV2, HelloAck, MetricsReply,
-    RejectCode, Request, Response, StatsReply, FEAT_EDF, PROTO_V1, PROTO_V2,
+    decode_request, read_frame, write_response, CompletedV2, HelloAck, MetricsReply, RejectCode,
+    Request, Response, SubmitV2, FEAT_EDF, PROTO_V2,
 };
 use rsched_queues::telemetry::{self, HistSnapshot, PowHistogram};
 use rsched_queues::trace::{self, EventKind};
@@ -232,11 +229,8 @@ struct Pending {
     inject_ns: u64,
     /// Synthetic service time the worker busy-spins.
     work_ns: u64,
-    /// Absolute deadline on the server epoch clock; `None` for v1
-    /// submits, which carry no deadline contract.
-    deadline_ns: Option<u64>,
-    /// Reply with [`Response::CompletedV2`] (the submit was a v2 frame).
-    v2: bool,
+    /// Absolute deadline on the server epoch clock.
+    deadline_ns: u64,
 }
 
 /// Fixed-capacity slot map for [`Pending`]. Capacity equals the
@@ -273,7 +267,7 @@ impl Slab {
 }
 
 /// State shared by every connection thread, the pool handler and the
-/// stats path. Deliberately non-generic: only the pool and the
+/// metrics path. Deliberately non-generic: only the pool and the
 /// injectors know the backend type.
 struct Shared {
     stop: AtomicBool,
@@ -342,33 +336,12 @@ impl Shared {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn stats(&self) -> StatsReply {
-        let met = self.deadline_met.load(Ordering::Relaxed);
-        let missed = self.deadline_missed.load(Ordering::Relaxed);
-        StatsReply {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            sojourn_p50: self.sojourn.quantile(0.50),
-            sojourn_p99: self.sojourn.quantile(0.99),
-            sojourn_p999: self.sojourn.quantile(0.999),
-            sojourn_max: self.sojourn.max_observed(),
-            inject_p99: self.inject.quantile(0.99),
-            deadline_met: met,
-            deadline_misses: missed,
-            miss_permille: miss_permille(met, missed),
-            tardiness_p99: self.tardiness.quantile(0.99),
-            tardiness_p999: self.tardiness.quantile(0.999),
-        }
-    }
-
     /// Build a [`Response::Metrics`] payload: the process-cumulative
     /// telemetry snapshot (non-resetting [`telemetry::capture`], so a
-    /// live poll never perturbs what a later drain reports) plus gauges
-    /// sampled here — in-flight now, and per-worker busy permille since
-    /// the previous poll.
+    /// live poll never perturbs what a later drain reports), the
+    /// request ledger and histograms, plus gauges sampled here —
+    /// in-flight now, and per-worker busy permille since the previous
+    /// poll.
     fn metrics(&self) -> MetricsReply {
         let now = Instant::now();
         let busy: Vec<u64> = self
@@ -396,8 +369,14 @@ impl Shared {
         let missed = self.deadline_missed.load(Ordering::Relaxed);
         MetricsReply {
             telemetry: telemetry::capture(),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            accepted: self.accepted.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             utilization_permille,
+            sojourn: HistSnapshot::of(&self.sojourn),
+            inject: HistSnapshot::of(&self.inject),
             tardiness: HistSnapshot::of(&self.tardiness),
             deadline_met: met,
             deadline_misses: missed,
@@ -449,41 +428,29 @@ fn complete_task(shared: &Shared, slot: usize, run_work: bool) {
     // Deadline verdict before the counters flip: tardiness is measured
     // at the moment service finished, met iff lateness is zero. A met
     // deadline still records (a zero) so the tardiness quantiles
-    // describe every deadline completion.
-    let verdict = p.deadline_ns.map(|deadline_ns| {
-        let tardiness_ns = shared.now_ns().saturating_sub(deadline_ns);
-        if tardiness_ns == 0 {
-            shared.deadline_met.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.tardiness.record(tardiness_ns);
-        (deadline_ns, tardiness_ns)
-    });
+    // describe every completion.
+    let tardiness_ns = shared.now_ns().saturating_sub(p.deadline_ns);
+    if tardiness_ns == 0 {
+        shared.deadline_met.fetch_add(1, Ordering::Relaxed);
+    } else {
+        shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
+    }
+    shared.tardiness.record(tardiness_ns);
     shared.completed.fetch_add(1, Ordering::Relaxed);
     // Release the admission unit after the slab slot is freed (that
     // ordering is what bounds the slab, see [`Slab`]) but *before* the
-    // completion is sent: a client that has received its Completed must
-    // never observe the request still in flight on a subsequent
-    // Stats/Metrics poll.
+    // completion is sent: a client that has received its CompletedV2
+    // must never observe the request still in flight on a subsequent
+    // Metrics poll.
     shared.in_flight.fetch_sub(1, Ordering::Release);
-    let resp = if p.v2 {
-        let (deadline_ns, tardiness_ns) = verdict.unwrap_or((0, 0));
-        Response::CompletedV2(CompletedV2 {
-            req_id: p.req_id,
-            sojourn_ns,
-            inject_ns: p.inject_ns,
-            deadline_ns,
-            tardiness_ns,
-            met: tardiness_ns == 0,
-        })
-    } else {
-        Response::Completed(Completed {
-            req_id: p.req_id,
-            sojourn_ns,
-            inject_ns: p.inject_ns,
-        })
-    };
+    let resp = Response::CompletedV2(CompletedV2 {
+        req_id: p.req_id,
+        sojourn_ns,
+        inject_ns: p.inject_ns,
+        deadline_ns: p.deadline_ns,
+        tardiness_ns,
+        met: tardiness_ns == 0,
+    });
     // The writer may already be gone (client vanished); the task is
     // still accounted, only the notification is lost.
     let _ = p.reply.send(WriterMsg::Resp(resp));
@@ -492,11 +459,6 @@ fn complete_task(shared: &Shared, slot: usize, run_work: bool) {
 /// Messages into a connection's writer thread.
 enum WriterMsg {
     Resp(Response),
-    /// Negotiation result: write the ack, then encode every subsequent
-    /// frame at the negotiated version. Routing the version flip
-    /// through the writer's own channel makes it race-free — the flip
-    /// is ordered against the response stream, no atomics needed.
-    Hello(HelloAck),
     /// The reader saw [`Request::Drain`]: finish relaying outstanding
     /// completions, then send [`Response::Drained`] and close.
     DrainRequested,
@@ -771,21 +733,23 @@ impl Server {
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
-        let s = self.shared.stats();
+        let s = &self.shared;
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (met, missed) = (load(&s.deadline_met), load(&s.deadline_missed));
         ServerReport {
-            submitted: s.submitted,
-            accepted: s.accepted,
-            rejected: s.rejected,
-            completed: s.completed,
-            sojourn_p50: s.sojourn_p50,
-            sojourn_p99: s.sojourn_p99,
-            sojourn_p999: s.sojourn_p999,
-            sojourn_max: s.sojourn_max,
-            inject_p99: s.inject_p99,
-            deadline_met: s.deadline_met,
-            deadline_misses: s.deadline_misses,
-            miss_permille: s.miss_permille,
-            tardiness_p99: s.tardiness_p99,
+            submitted: load(&s.submitted),
+            accepted: load(&s.accepted),
+            rejected: load(&s.rejected),
+            completed: load(&s.completed),
+            sojourn_p50: s.sojourn.quantile(0.50),
+            sojourn_p99: s.sojourn.quantile(0.99),
+            sojourn_p999: s.sojourn.quantile(0.999),
+            sojourn_max: s.sojourn.max_observed(),
+            inject_p99: s.inject.quantile(0.99),
+            deadline_met: met,
+            deadline_misses: missed,
+            miss_permille: miss_permille(met, missed),
+            tardiness_p99: s.tardiness.quantile(0.99),
             pool,
         }
     }
@@ -843,28 +807,16 @@ fn acceptor_loop<S>(
     }
 }
 
-/// One admission attempt, version-agnostic: what the reader hands to
-/// [`admit_and_inject`] after decoding either Submit flavour.
-struct Submission {
-    req_id: u64,
-    work_ns: u64,
-    /// Raw wire deadline `(value, absolute)`; `None` for v1 submits.
-    deadline: Option<(u64, bool)>,
-    /// Answer with [`Response::CompletedV2`].
-    v2: bool,
-    /// The connection holds an EDF grant: schedule by deadline, not
-    /// arrival.
-    edf: bool,
-}
-
-/// Admission + inject, shared by both Submit flavours. Reject paths
-/// return before any clock read or slab/histogram touch (see the
+/// Admission + inject for one submission; `edf` says the connection
+/// holds an EDF grant (schedule by deadline, not arrival). Reject
+/// paths return before any epoch read or slab/histogram touch (see the
 /// module docs on side-effect-free rejection).
 fn admit_and_inject<S>(
     shared: &Arc<Shared>,
     injector: &mut rsched_runtime::Injector<u64, S>,
     writer: &Sender<WriterMsg>,
-    sub: Submission,
+    sub: SubmitV2,
+    edf: bool,
 ) where
     S: Scheduler<u64> + Send + Sync + 'static,
 {
@@ -899,23 +851,19 @@ fn admit_and_inject<S>(
     // so the client (and the writer's drain accounting) always sees
     // Accepted before Completed.
     let _ = writer.send(WriterMsg::Resp(Response::Accepted { req_id: sub.req_id }));
-    // Only now, past admission, does the request touch the clock: one
-    // epoch reading serves as both the arrival stamp and the base a
-    // relative budget resolves against.
+    // Only now, past admission, does the request read the epoch: one
+    // reading serves as both the arrival stamp and the base a relative
+    // budget resolves against.
     let now_ns = shared.now_ns();
-    let deadline_ns = sub.deadline.map(|(value, absolute)| {
-        if absolute {
-            value
-        } else {
-            now_ns.saturating_add(value)
-        }
-    });
-    // EDF key = absolute deadline; everything else keys by arrival
-    // ("deadline is now"), the same axis — see the module docs.
-    let prio = match deadline_ns {
-        Some(d) if sub.edf => d,
-        _ => now_ns,
+    let deadline_ns = if sub.absolute {
+        sub.deadline
+    } else {
+        now_ns.saturating_add(sub.deadline)
     };
+    // EDF key = absolute deadline; without the grant the key is the
+    // arrival ("deadline is now"), on the same axis — see the module
+    // docs.
+    let prio = if edf { deadline_ns } else { now_ns };
     let inject_ns = submitted_at.elapsed().as_nanos() as u64;
     let slot = {
         let mut slab = shared.pending.lock().expect("pending slab poisoned");
@@ -926,7 +874,6 @@ fn admit_and_inject<S>(
             inject_ns,
             work_ns: sub.work_ns,
             deadline_ns,
-            v2: sub.v2,
         })
         .expect("slab exhausted under admission bound")
     };
@@ -952,10 +899,8 @@ fn reader_loop<S>(
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut injector = handle.injector();
     let mut payload = Vec::new();
-    // Per-connection negotiated state: implicitly v1 with no features
-    // until a Hello upgrades it.
-    let mut version = PROTO_V1;
-    let mut edf = false;
+    // The connection's EDF grant; `None` until its Hello.
+    let mut edf: Option<bool> = None;
     loop {
         if shared.stop.load(Ordering::Acquire) {
             let _ = writer.send(WriterMsg::Close);
@@ -990,12 +935,6 @@ fn reader_loop<S>(
             }
         };
         match req {
-            Request::Ping { token } => {
-                let _ = writer.send(WriterMsg::Resp(Response::Pong { token }));
-            }
-            Request::Stats => {
-                let _ = writer.send(WriterMsg::Resp(Response::Stats(shared.stats())));
-            }
             Request::Metrics => {
                 let _ = writer.send(WriterMsg::Resp(Response::Metrics(Box::new(
                     shared.metrics(),
@@ -1006,71 +945,38 @@ fn reader_loop<S>(
                 return;
             }
             Request::Hello(h) => {
-                if h.version == 0 {
-                    // A version the protocol reserves as invalid:
-                    // refuse and close rather than guess.
-                    let _ = writer.send(WriterMsg::Resp(Response::Rejected {
-                        req_id: 0,
-                        code: RejectCode::BadVersion,
-                    }));
-                    let _ = writer.send(WriterMsg::Close);
+                if h.version < PROTO_V2 {
+                    refuse_and_close(&writer, 0);
                     return;
                 }
-                // Negotiate down to the highest version both sides
-                // speak; features are granted only at v2+.
-                version = h.version.min(PROTO_V2);
-                let features = if version >= PROTO_V2 {
-                    h.features & shared.features
-                } else {
-                    0
-                };
-                edf = features & FEAT_EDF != 0;
-                let _ = writer.send(WriterMsg::Hello(HelloAck {
-                    version,
+                let features = h.features & shared.features;
+                edf = Some(features & FEAT_EDF != 0);
+                let _ = writer.send(WriterMsg::Resp(Response::HelloAck(HelloAck {
+                    version: PROTO_V2,
                     features,
                     server_now_ns: shared.now_ns(),
-                }));
+                })));
             }
-            Request::Submit(s) => {
-                admit_and_inject(
-                    &shared,
-                    &mut injector,
-                    &writer,
-                    Submission {
-                        req_id: s.req_id,
-                        work_ns: s.work_ns,
-                        deadline: None,
-                        v2: false,
-                        edf: false,
-                    },
-                );
-            }
-            Request::SubmitV2(s) => {
-                if version < PROTO_V2 {
-                    // SubmitV2 without a v2 handshake is a protocol
-                    // violation, same family as an unknown opcode.
-                    let _ = writer.send(WriterMsg::Resp(Response::Rejected {
-                        req_id: s.req_id,
-                        code: RejectCode::BadVersion,
-                    }));
-                    let _ = writer.send(WriterMsg::Close);
+            Request::SubmitV2(s) => match edf {
+                Some(edf) => admit_and_inject(&shared, &mut injector, &writer, s, edf),
+                None => {
+                    refuse_and_close(&writer, s.req_id);
                     return;
                 }
-                admit_and_inject(
-                    &shared,
-                    &mut injector,
-                    &writer,
-                    Submission {
-                        req_id: s.req_id,
-                        work_ns: s.work_ns,
-                        deadline: Some((s.deadline, s.absolute)),
-                        v2: true,
-                        edf,
-                    },
-                );
-            }
+            },
         }
     }
+}
+
+/// Answer a `Hello` below [`PROTO_V2`], or a submission before any
+/// `Hello`, with [`RejectCode::BadVersion`] and close the connection:
+/// the server refuses rather than guesses.
+fn refuse_and_close(writer: &Sender<WriterMsg>, req_id: u64) {
+    let _ = writer.send(WriterMsg::Resp(Response::Rejected {
+        req_id,
+        code: RejectCode::BadVersion,
+    }));
+    let _ = writer.send(WriterMsg::Close);
 }
 
 /// Own the write half; serialise responses; account the drain protocol.
@@ -1078,32 +984,21 @@ fn writer_loop(mut stream: ConnStream, rx: Receiver<WriterMsg>) {
     let mut accepted_seen: u64 = 0;
     let mut completed_seen: u64 = 0;
     let mut draining = false;
-    // Encoding version for outbound frames; flipped by the reader's
-    // Hello message *after* the ack is written, so the ack itself and
-    // everything before it stay v1-shaped on the wire.
-    let mut version = PROTO_V1;
     // Loop ends when every sender (reader + pending slots) is gone:
     // nothing more can arrive.
     while let Ok(msg) = rx.recv() {
         match msg {
             WriterMsg::Close => break,
-            WriterMsg::Hello(ack) => {
-                let ok = write_response(&mut stream, &Response::HelloAck(ack), version).is_ok();
-                version = ack.version;
-                if !ok {
-                    break;
-                }
-            }
             WriterMsg::DrainRequested => {
                 draining = true;
             }
             WriterMsg::Resp(resp) => {
                 match resp {
                     Response::Accepted { .. } => accepted_seen += 1,
-                    Response::Completed(_) | Response::CompletedV2(_) => completed_seen += 1,
+                    Response::CompletedV2(_) => completed_seen += 1,
                     _ => {}
                 }
-                if write_response(&mut stream, &resp, version).is_err() {
+                if write_response(&mut stream, &resp).is_err() {
                     break;
                 }
             }
@@ -1114,7 +1009,6 @@ fn writer_loop(mut stream: ConnStream, rx: Receiver<WriterMsg>) {
                 &Response::Drained {
                     completed: completed_seen,
                 },
-                version,
             );
             break;
         }

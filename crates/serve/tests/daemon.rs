@@ -48,7 +48,8 @@ fn daemon_serves_edf_traffic_and_reports_conservation_on_exit() {
         .unwrap_or_else(|| panic!("no readiness line, got {first:?}"));
     let endpoint = Endpoint::parse(addr).expect("endpoint");
 
-    let (client, ack) = ServeClient::connect_v2(&endpoint).expect("connect v2");
+    let mut client = ServeClient::connect(&endpoint).expect("connect");
+    let ack = client.handshake(PROTO_V2, FEAT_EDF).expect("handshake");
     assert_eq!((ack.version, ack.features), (PROTO_V2, FEAT_EDF));
     let (mut tx, mut rx) = client.split();
     let n = 200u64;

@@ -2,12 +2,27 @@
 //! real clients over the wire, exact conservation of every request.
 
 use rsched_serve::{
-    Backend, Endpoint, RejectCode, Request, Response, ServeClient, ServeConfig, Server, Submit,
-    SubmitV2, FEAT_EDF, PROTO_V1, PROTO_V2,
+    Backend, Endpoint, Hello, MetricsReply, RejectCode, Request, Response, ServeClient,
+    ServeConfig, Server, SubmitV2, FEAT_EDF, PROTO_V2,
 };
 use std::collections::HashSet;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
 use std::time::Duration;
+
+/// A budget no loopback microtask misses.
+const LOOSE_NS: u64 = 10_000_000_000;
+
+/// Every test here that starts a server holds this shared; the EDF
+/// comparison, whose assertion is about timing, holds it exclusively,
+/// so no sibling test's threads compete with its one worker.
+static HOST: RwLock<()> = RwLock::new(());
+
+fn share_host() -> RwLockReadGuard<'static, ()> {
+    HOST.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Iteration multiplier for the heavy tests; `RSCHED_STRESS=1` (or a
 /// number) raises it in the CI stress job.
@@ -29,18 +44,39 @@ fn ephemeral(backend: Backend, threads: usize, cap: usize) -> Server {
     .expect("server start")
 }
 
-/// Pipeline `n` submits, then drain; assert exactly-once completion
-/// per request id and Accepted-before-Completed ordering. Returns
-/// (accepted, rejected) as observed on the wire.
-fn drive_client(endpoint: &Endpoint, base_id: u64, n: u64, work_ns: u64) -> (u64, u64) {
-    let client = ServeClient::connect(endpoint).expect("connect");
+/// Connect and shake hands asking for `features`.
+fn handshaken(endpoint: &Endpoint, features: u64) -> ServeClient {
+    let mut client = ServeClient::connect(endpoint).expect("connect");
+    let ack = client.handshake(PROTO_V2, features).expect("handshake");
+    assert_eq!(ack.version, PROTO_V2, "server refused to speak v2");
+    assert_eq!(ack.features & !features, 0, "granted more than asked");
+    client
+}
+
+/// Handshake asking for `features`, pipeline `n` relative-deadline
+/// submits (submit `i` gets budget `budgets[i % budgets.len()]`), then
+/// drain. Asserts exactly-once completion per request id,
+/// Accepted-before-Completed ordering and one verdict per completion.
+/// Returns (accepted, rejected, met, missed) as observed on the wire.
+fn drive_client(
+    endpoint: &Endpoint,
+    features: u64,
+    base_id: u64,
+    n: u64,
+    work_ns: u64,
+    budgets: &[u64],
+) -> (u64, u64, u64, u64) {
+    let client = handshaken(endpoint, features);
+    let budget_ns = *budgets.iter().min().expect("at least one budget");
+    let budgets = budgets.to_vec();
     let (mut tx, mut rx) = client.split();
     let sender = std::thread::spawn(move || {
         for i in 0..n {
-            tx.send(&Request::Submit(Submit {
+            tx.send(&Request::SubmitV2(SubmitV2 {
                 req_id: base_id + i,
-                prio: i,
+                deadline: budgets[i as usize % budgets.len()],
                 work_ns,
+                absolute: false,
             }))
             .expect("send submit");
         }
@@ -49,6 +85,7 @@ fn drive_client(endpoint: &Endpoint, base_id: u64, n: u64, work_ns: u64) -> (u64
     let mut accepted = HashSet::new();
     let mut rejected = HashSet::new();
     let mut completed = HashSet::new();
+    let (mut met, mut missed) = (0u64, 0u64);
     let mut drained = None;
     while let Some(resp) = rx.recv().expect("recv") {
         match resp {
@@ -59,7 +96,7 @@ fn drive_client(endpoint: &Endpoint, base_id: u64, n: u64, work_ns: u64) -> (u64
                 assert_eq!(code, RejectCode::QueueFull);
                 assert!(rejected.insert(req_id), "double Rejected for {req_id}");
             }
-            Response::Completed(c) => {
+            Response::CompletedV2(c) => {
                 assert!(
                     accepted.contains(&c.req_id),
                     "Completed before Accepted for {}",
@@ -74,6 +111,16 @@ fn drive_client(endpoint: &Endpoint, base_id: u64, n: u64, work_ns: u64) -> (u64
                     c.sojourn_ns >= c.inject_ns,
                     "sojourn shorter than its prefix"
                 );
+                // The relative budget resolved against the admission
+                // stamp: the absolute deadline echoed back must be at
+                // least the smallest budget.
+                assert!(c.deadline_ns >= budget_ns, "deadline resolved backwards");
+                assert_eq!(c.met, c.tardiness_ns == 0, "met flag disagrees");
+                if c.met {
+                    met += 1;
+                } else {
+                    missed += 1;
+                }
             }
             Response::Drained { completed: c } => {
                 drained = Some(c);
@@ -88,11 +135,26 @@ fn drive_client(endpoint: &Endpoint, base_id: u64, n: u64, work_ns: u64) -> (u64
     assert_eq!(accepted.len() as u64 + rejected.len() as u64, n);
     assert_eq!(completed, accepted);
     assert_eq!(drained, Some(accepted.len() as u64));
-    (accepted.len() as u64, rejected.len() as u64)
+    assert_eq!(
+        met + missed,
+        accepted.len() as u64,
+        "a completion had no verdict"
+    );
+    (accepted.len() as u64, rejected.len() as u64, met, missed)
+}
+
+/// Send `Metrics` and return the reply; needs no handshake.
+fn poll_metrics(client: &mut ServeClient) -> Box<MetricsReply> {
+    client.send(&Request::Metrics).unwrap();
+    match client.recv().unwrap() {
+        Some(Response::Metrics(m)) => m,
+        other => panic!("expected Metrics, got {other:?}"),
+    }
 }
 
 #[test]
 fn loopback_conservation_under_concurrent_clients() {
+    let _host = share_host();
     for backend in Backend::ALL {
         let per_client = (400 * stress_mult()) as u64;
         let clients = 3u64;
@@ -104,7 +166,14 @@ fn loopback_conservation_under_concurrent_clients() {
                 let endpoint = &endpoint;
                 let accepted_total = &accepted_total;
                 scope.spawn(move || {
-                    let (acc, rej) = drive_client(endpoint, c * 1_000_000, per_client, 1_000);
+                    let (acc, rej, _, _) = drive_client(
+                        endpoint,
+                        FEAT_EDF,
+                        c * 1_000_000,
+                        per_client,
+                        1_000,
+                        &[LOOSE_NS],
+                    );
                     // Capacity is far above the offered load: nothing
                     // should have been rejected.
                     assert_eq!(rej, 0, "spurious rejection (backend {backend:?})");
@@ -119,6 +188,11 @@ fn loopback_conservation_under_concurrent_clients() {
         assert_eq!(report.rejected, 0, "backend {backend:?}");
         assert_eq!(report.completed, expect, "backend {backend:?}");
         assert_eq!(accepted_total.load(Ordering::Relaxed), expect);
+        assert_eq!(
+            report.deadline_met + report.deadline_misses,
+            expect,
+            "backend {backend:?}"
+        );
         // Quantiles are monotone by construction; spot-check the report.
         assert!(report.sojourn_p50 <= report.sojourn_p99);
         assert!(report.sojourn_p99 <= report.sojourn_p999);
@@ -128,13 +202,15 @@ fn loopback_conservation_under_concurrent_clients() {
 
 #[test]
 fn admission_rejects_when_full_and_never_hangs() {
+    let _host = share_host();
     // One slow worker (1 ms tasks), capacity 4: a fast burst of 200
     // submits must see QueueFull rejections, every frame must still be
     // answered, and the drain must terminate with exact conservation.
     let server = ephemeral(Backend::MqSkiplist, 1, 4);
     let endpoint = server.endpoint().clone();
     let n = 200u64;
-    let (accepted, rejected) = drive_client(&endpoint, 0, n, 1_000_000);
+    let (accepted, rejected, _, _) =
+        drive_client(&endpoint, FEAT_EDF, 0, n, 1_000_000, &[LOOSE_NS]);
     assert!(
         rejected > 0,
         "burst of {n} into cap 4 never tripped admission"
@@ -149,6 +225,7 @@ fn admission_rejects_when_full_and_never_hangs() {
 
 #[test]
 fn unix_socket_roundtrip() {
+    let _host = share_host();
     let path = std::env::temp_dir().join(format!("rsched-serve-test-{}.sock", std::process::id()));
     let server = Server::start(ServeConfig {
         endpoint: Endpoint::Unix(path.clone()),
@@ -159,7 +236,7 @@ fn unix_socket_roundtrip() {
     })
     .expect("unix server start");
     let endpoint = server.endpoint().clone();
-    let (accepted, rejected) = drive_client(&endpoint, 0, 300, 10_000);
+    let (accepted, rejected, _, _) = drive_client(&endpoint, FEAT_EDF, 0, 300, 10_000, &[LOOSE_NS]);
     assert_eq!((accepted, rejected), (300, 0));
     let report = server.shutdown();
     assert_eq!(report.completed, 300);
@@ -167,16 +244,16 @@ fn unix_socket_roundtrip() {
 }
 
 #[test]
-fn ping_and_stats_roundtrip() {
+fn metrics_counts_one_request_end_to_end() {
+    let _host = share_host();
     let server = ephemeral(Backend::MqMutexHeap, 2, 1024);
-    let mut client = ServeClient::connect(server.endpoint()).expect("connect");
-    client.send(&Request::Ping { token: 42 }).unwrap();
-    assert_eq!(client.recv().unwrap(), Some(Response::Pong { token: 42 }));
+    let mut client = handshaken(server.endpoint(), FEAT_EDF);
     client
-        .send(&Request::Submit(Submit {
+        .send(&Request::SubmitV2(SubmitV2 {
             req_id: 1,
-            prio: 0,
+            deadline: LOOSE_NS,
             work_ns: 0,
+            absolute: false,
         }))
         .unwrap();
     assert_eq!(
@@ -184,23 +261,26 @@ fn ping_and_stats_roundtrip() {
         Some(Response::Accepted { req_id: 1 })
     );
     match client.recv().unwrap() {
-        Some(Response::Completed(c)) if c.req_id == 1 => {}
-        other => panic!("expected Completed, got {other:?}"),
+        Some(Response::CompletedV2(c)) if c.req_id == 1 && c.met => {}
+        other => panic!("expected a met CompletedV2, got {other:?}"),
     }
-    // Stats after one completion: counters consistent, quantiles set.
-    client.send(&Request::Stats).unwrap();
-    match client.recv().unwrap() {
-        Some(Response::Stats(s)) => {
-            assert_eq!(s.submitted, 1);
-            assert_eq!(s.accepted, 1);
-            assert_eq!(s.rejected, 0);
-            assert_eq!(s.completed, 1);
-            assert_eq!(s.in_flight, 0);
-            assert!(s.sojourn_p50 > 0);
-            assert!(s.sojourn_p50 <= s.sojourn_p999);
-        }
-        other => panic!("expected Stats, got {other:?}"),
-    }
+    // Metrics after one completion: counters consistent, sojourn set.
+    let m = poll_metrics(&mut client);
+    assert_eq!(
+        (
+            m.submitted,
+            m.accepted,
+            m.rejected,
+            m.completed,
+            m.in_flight
+        ),
+        (1, 1, 0, 1, 0)
+    );
+    assert_eq!((m.deadline_met, m.deadline_misses), (1, 0));
+    assert_eq!(m.sojourn.count, 1);
+    assert!(m.sojourn.p50 > 0);
+    assert!(m.sojourn.p50 <= m.sojourn.p999);
+    assert_eq!(m.inject.count, 1);
     client.send(&Request::Drain).unwrap();
     assert_eq!(
         client.recv().unwrap(),
@@ -216,17 +296,19 @@ fn ping_and_stats_roundtrip() {
 
 #[test]
 fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
+    let _host = share_host();
     let threads = 2;
     let server = ephemeral(Backend::MqSkiplist, threads, 1024);
-    let mut client = ServeClient::connect(server.endpoint()).expect("connect");
+    let mut client = handshaken(server.endpoint(), FEAT_EDF);
     // Render some real service so the snapshot has something to say.
     let n = 64u64;
-    for i in 0..n {
+    for req_id in 0..n {
         client
-            .send(&Request::Submit(Submit {
-                req_id: i,
-                prio: i,
+            .send(&Request::SubmitV2(SubmitV2 {
+                req_id,
+                deadline: LOOSE_NS,
                 work_ns: 20_000,
+                absolute: false,
             }))
             .unwrap();
     }
@@ -234,7 +316,7 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
     while completed < n {
         match client.recv().unwrap() {
             Some(Response::Accepted { .. }) => {}
-            Some(Response::Completed(_)) => completed += 1,
+            Some(Response::CompletedV2(_)) => completed += 1,
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -243,11 +325,7 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
     // process-global, so assertions are ≥, never ==.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let m = loop {
-        client.send(&Request::Metrics).unwrap();
-        let m = match client.recv().unwrap() {
-            Some(Response::Metrics(m)) => m,
-            other => panic!("expected Metrics, got {other:?}"),
-        };
+        let m = poll_metrics(&mut client);
         if m.telemetry.tick.count >= n {
             break m;
         }
@@ -279,7 +357,15 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
     // Every skiplist pop retires its node through the epoch GC, and
     // nothing in this binary re-anchors the GC baseline.
     assert!(*gc_deferred > 0, "epoch-GC telemetry inert");
-    for hist in [retry, steal, sweep, tick] {
+    for hist in [
+        retry,
+        steal,
+        sweep,
+        tick,
+        &m.sojourn,
+        &m.inject,
+        &m.tardiness,
+    ] {
         assert_eq!(hist.buckets.len(), 64, "bucket array truncated in flight");
         assert_eq!(
             hist.buckets.iter().sum::<u64>(),
@@ -288,6 +374,7 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
         );
         assert!(hist.p50 <= hist.p99 && hist.p99 <= hist.p999);
     }
+    assert_eq!(m.sojourn.count, n, "one sojourn per completion");
     assert_eq!(
         m.utilization_permille.len(),
         threads,
@@ -297,13 +384,8 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
     assert_eq!(m.in_flight, 0, "all work completed before the poll");
     // A second poll still decodes: the sampler window reset is not a
     // one-shot.
-    client.send(&Request::Metrics).unwrap();
-    match client.recv().unwrap() {
-        Some(Response::Metrics(m2)) => {
-            assert!(m2.telemetry.tick.count >= m.telemetry.tick.count);
-        }
-        other => panic!("expected second Metrics, got {other:?}"),
-    }
+    let m2 = poll_metrics(&mut client);
+    assert!(m2.telemetry.tick.count >= m.telemetry.tick.count);
     client.send(&Request::Drain).unwrap();
     assert_eq!(
         client.recv().unwrap(),
@@ -314,6 +396,7 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
 
 #[test]
 fn abrupt_disconnect_still_accounts_accepted_work() {
+    let _host = share_host();
     // A client that vanishes mid-stream must not wedge the server or
     // leak in-flight accounting: every submit the server *decoded* is
     // accepted, completed and balanced. The count decoded may be below
@@ -324,13 +407,14 @@ fn abrupt_disconnect_still_accounts_accepted_work() {
     let server = ephemeral(Backend::MqSkiplist, 2, 1024);
     let n = 100u64;
     {
-        let mut client = ServeClient::connect(server.endpoint()).expect("connect");
-        for i in 0..n {
+        let mut client = handshaken(server.endpoint(), FEAT_EDF);
+        for req_id in 0..n {
             client
-                .send(&Request::Submit(Submit {
-                    req_id: i,
-                    prio: i,
+                .send(&Request::SubmitV2(SubmitV2 {
+                    req_id,
+                    deadline: LOOSE_NS,
                     work_ns: 50_000,
+                    absolute: false,
                 }))
                 .unwrap();
         }
@@ -340,21 +424,15 @@ fn abrupt_disconnect_still_accounts_accepted_work() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let mut probe = ServeClient::connect(server.endpoint()).expect("probe connect");
-        probe.send(&Request::Stats).unwrap();
-        match probe.recv().unwrap() {
-            Some(Response::Stats(s))
-                if s.submitted > 0
-                    && s.submitted <= n
-                    && s.completed == s.accepted
-                    && s.in_flight == 0 =>
-            {
-                break
-            }
-            Some(Response::Stats(_)) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("orphaned work never drained: {other:?}"),
+        let m = poll_metrics(&mut probe);
+        if m.submitted > 0 && m.submitted <= n && m.completed == m.accepted && m.in_flight == 0 {
+            break;
         }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "orphaned work never drained: {m:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
     let report = server.shutdown();
     assert!(report.submitted > 0 && report.submitted <= n);
@@ -362,101 +440,19 @@ fn abrupt_disconnect_still_accounts_accepted_work() {
     assert_eq!(report.completed, report.accepted);
 }
 
-/// v2 analogue of [`drive_client`]: handshake at `PROTO_V2` asking for
-/// `features`, pipeline `n` relative-deadline submits (submit `i` gets
-/// budget `budgets[i % budgets.len()]`), then drain. Returns
-/// (accepted, rejected, met, missed) as observed on the wire.
-fn drive_client_v2(
-    endpoint: &Endpoint,
-    features: u64,
-    base_id: u64,
-    n: u64,
-    work_ns: u64,
-    budgets: &[u64],
-) -> (u64, u64, u64, u64) {
-    let mut client = ServeClient::connect(endpoint).expect("connect");
-    let ack = client.handshake(PROTO_V2, features).expect("handshake");
-    assert_eq!(ack.version, PROTO_V2, "server refused to speak v2");
-    assert_eq!(ack.features & !features, 0, "granted more than asked");
-    let budget_ns = *budgets.iter().min().expect("at least one budget");
-    let budgets = budgets.to_vec();
-    let (mut tx, mut rx) = client.split();
-    let sender = std::thread::spawn(move || {
-        for i in 0..n {
-            tx.send(&Request::SubmitV2(SubmitV2 {
-                req_id: base_id + i,
-                deadline: budgets[i as usize % budgets.len()],
-                work_ns,
-                absolute: false,
-            }))
-            .expect("send submit v2");
-        }
-        tx.send(&Request::Drain).expect("send drain");
-    });
-    let mut accepted = HashSet::new();
-    let mut rejected = HashSet::new();
-    let mut completed = HashSet::new();
-    let (mut met, mut missed) = (0u64, 0u64);
-    let mut drained = None;
-    while let Some(resp) = rx.recv().expect("recv") {
-        match resp {
-            Response::Accepted { req_id } => {
-                assert!(accepted.insert(req_id), "double Accepted for {req_id}");
-            }
-            Response::Rejected { req_id, code } => {
-                assert_eq!(code, RejectCode::QueueFull);
-                assert!(rejected.insert(req_id), "double Rejected for {req_id}");
-            }
-            Response::CompletedV2(c) => {
-                assert!(
-                    accepted.contains(&c.req_id),
-                    "Completed before Accepted for {}",
-                    c.req_id
-                );
-                assert!(
-                    completed.insert(c.req_id),
-                    "double Completed for {}",
-                    c.req_id
-                );
-                // The relative budget resolved against the admission
-                // stamp: the absolute deadline echoed back must be at
-                // least the smallest budget.
-                assert!(c.deadline_ns >= budget_ns, "deadline resolved backwards");
-                assert_eq!(c.met, c.tardiness_ns == 0, "met flag disagrees");
-                if c.met {
-                    met += 1;
-                } else {
-                    missed += 1;
-                }
-            }
-            Response::Drained { completed: c } => {
-                drained = Some(c);
-                break;
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-    sender.join().unwrap();
-    assert_eq!(accepted.len() as u64 + rejected.len() as u64, n);
-    assert_eq!(completed, accepted);
-    assert_eq!(drained, Some(accepted.len() as u64));
-    assert_eq!(
-        met + missed,
-        accepted.len() as u64,
-        "a completion had no verdict"
-    );
-    (accepted.len() as u64, rejected.len() as u64, met, missed)
-}
-
 #[test]
 fn v2_handshake_negotiates_and_reports_deadline_verdicts() {
+    let _host = share_host();
     let server = ephemeral(Backend::MqSkiplist, 2, 1024);
     let endpoint = server.endpoint().clone();
     // Clock sanity: the ack carries the server's monotonic reading, and
-    // successive handshakes observe it advancing (never backwards).
-    let (_c1, ack1) = ServeClient::connect_v2(&endpoint).expect("connect v2");
-    let (_c2, ack2) = ServeClient::connect_v2(&endpoint).expect("connect v2");
-    assert_eq!(ack1.version, PROTO_V2);
+    // successive handshakes observe it advancing (never backwards). A
+    // client asking for a newer version is answered at v2.
+    let mut c1 = ServeClient::connect(&endpoint).expect("connect");
+    let ack1 = c1.handshake(PROTO_V2, FEAT_EDF).expect("handshake");
+    let mut c2 = ServeClient::connect(&endpoint).expect("connect");
+    let ack2 = c2.handshake(PROTO_V2 + 1, FEAT_EDF).expect("handshake");
+    assert_eq!((ack1.version, ack2.version), (PROTO_V2, PROTO_V2));
     assert_eq!(ack1.features, FEAT_EDF);
     assert!(
         ack2.server_now_ns >= ack1.server_now_ns,
@@ -464,8 +460,7 @@ fn v2_handshake_negotiates_and_reports_deadline_verdicts() {
     );
     // A 10 s budget on a loopback microtask is always met; every
     // completion must say so.
-    let (acc, rej, met, missed) =
-        drive_client_v2(&endpoint, FEAT_EDF, 0, 200, 1_000, &[10_000_000_000]);
+    let (acc, rej, met, missed) = drive_client(&endpoint, FEAT_EDF, 0, 200, 1_000, &[LOOSE_NS]);
     assert_eq!((acc, rej), (200, 0));
     assert_eq!((met, missed), (200, 0), "loose budget missed");
     let report = server.shutdown();
@@ -476,9 +471,11 @@ fn v2_handshake_negotiates_and_reports_deadline_verdicts() {
 
 #[test]
 fn edf_is_granted_only_where_the_backend_orders_by_key() {
+    let _host = share_host();
     for backend in Backend::ALL {
         let server = ephemeral(backend, 2, 1024);
-        let (_client, ack) = ServeClient::connect_v2(server.endpoint()).expect("connect v2");
+        let mut client = ServeClient::connect(server.endpoint()).expect("connect");
+        let ack = client.handshake(PROTO_V2, FEAT_EDF).expect("handshake");
         assert_eq!(ack.version, PROTO_V2, "backend {backend:?}");
         // dcbo is a FIFO: it runs arrival order whatever the key, so it
         // must not tell the client that deadlines steer scheduling.
@@ -487,15 +484,9 @@ fn edf_is_granted_only_where_the_backend_orders_by_key() {
             Backend::DcboSegring => 0,
         };
         assert_eq!(ack.features, want, "backend {backend:?}");
-        // Granted or not, v2 submits complete with a verdict each.
-        let (acc, rej, met, missed) = drive_client_v2(
-            server.endpoint(),
-            FEAT_EDF,
-            0,
-            100,
-            1_000,
-            &[10_000_000_000],
-        );
+        // Granted or not, submits complete with a verdict each.
+        let (acc, rej, met, missed) =
+            drive_client(server.endpoint(), FEAT_EDF, 0, 100, 1_000, &[LOOSE_NS]);
         assert_eq!((acc, rej, met, missed), (100, 0, 100, 0), "{backend:?}");
         server.shutdown();
     }
@@ -516,50 +507,55 @@ fn backend_names_round_trip_and_the_removed_one_is_refused() {
 }
 
 #[test]
-fn v1_client_negotiates_down_and_interoperates() {
-    let server = ephemeral(Backend::MqSkiplist, 2, 1024);
-    // A v1 client that *does* handshake gets v1 back and no features.
-    let mut client = ServeClient::connect(server.endpoint()).expect("connect");
-    let ack = client.handshake(PROTO_V1, FEAT_EDF).expect("v1 handshake");
-    assert_eq!(ack.version, PROTO_V1, "server upgraded a v1 client");
-    assert_eq!(ack.features, 0, "features granted below v2");
-    drop(client);
-    // A v1 client that never says Hello still works verbatim — the
-    // whole pre-handshake protocol is the v1 protocol.
-    let (acc, rej) = drive_client(server.endpoint(), 0, 100, 1_000);
-    assert_eq!((acc, rej), (100, 0));
-    let report = server.shutdown();
-    assert_eq!(report.completed, 100);
-    // v1 traffic carries no deadlines: no verdicts were recorded.
-    assert_eq!(report.deadline_met + report.deadline_misses, 0);
-}
-
-#[test]
-fn unknown_version_hello_is_rejected_and_closed() {
+fn removed_opcodes_and_versions_are_refused() {
+    let _host = share_host();
     let server = ephemeral(Backend::MqSkiplist, 1, 64);
-    let mut client = ServeClient::connect(server.endpoint()).expect("connect");
-    client
-        .send(&Request::Hello(rsched_serve::Hello {
-            version: 0,
-            features: 0,
-        }))
-        .unwrap();
-    match client.recv().unwrap() {
-        Some(Response::Rejected { req_id: 0, code }) => {
-            assert_eq!(code, RejectCode::BadVersion);
+    // A Hello below v2 is answered BadVersion and the connection closed.
+    for version in [0, 1] {
+        let mut client = ServeClient::connect(server.endpoint()).expect("connect");
+        client
+            .send(&Request::Hello(Hello {
+                version,
+                features: 0,
+            }))
+            .unwrap();
+        match client.recv().unwrap() {
+            Some(Response::Rejected { req_id: 0, code }) => {
+                assert_eq!(code, RejectCode::BadVersion, "version {version}");
+            }
+            other => panic!("version {version}: expected BadVersion, got {other:?}"),
         }
-        other => panic!("expected BadVersion reject, got {other:?}"),
+        assert_eq!(
+            client.recv().unwrap(),
+            None,
+            "connection open after Hello version {version}"
+        );
     }
-    assert_eq!(
-        client.recv().unwrap(),
-        None,
-        "connection open after bad Hello"
-    );
-    server.shutdown();
+    // Well-formed frames of the removed Submit (0x01), Ping (0x02) and
+    // Stats (0x03) opcodes: the server closes without a reply.
+    let Endpoint::Tcp(addr) = server.endpoint() else {
+        unreachable!("ephemeral servers listen on TCP")
+    };
+    for (opcode, body_len) in [(0x01u8, 24usize), (0x02, 8), (0x03, 0)] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut frame = ((1 + body_len) as u32).to_le_bytes().to_vec();
+        frame.push(opcode);
+        frame.resize(4 + 1 + body_len, 0);
+        stream.write_all(&frame).unwrap();
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).expect("server closes");
+        assert!(reply.is_empty(), "opcode {opcode:#04x} got {reply:?}");
+    }
+    let report = server.shutdown();
+    assert_eq!(report.submitted, 0);
 }
 
 #[test]
 fn submit_v2_without_handshake_is_rejected_and_closed() {
+    let _host = share_host();
     let server = ephemeral(Backend::MqSkiplist, 1, 64);
     let mut client = ServeClient::connect(server.endpoint()).expect("connect");
     client
@@ -579,7 +575,7 @@ fn submit_v2_without_handshake_is_rejected_and_closed() {
     assert_eq!(
         client.recv().unwrap(),
         None,
-        "connection open after v2-on-v1"
+        "connection open after a submit before Hello"
     );
     let report = server.shutdown();
     // The protocol error left no trace in admission accounting.
@@ -588,63 +584,16 @@ fn submit_v2_without_handshake_is_rejected_and_closed() {
 }
 
 #[test]
-fn mixed_version_concurrent_clients_conserve() {
-    for backend in Backend::ALL {
-        let per_client = (300 * stress_mult()) as u64;
-        let server = ephemeral(backend, 2, 100_000);
-        let endpoint = server.endpoint().clone();
-        let v2_verdicts = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            // Two v1 clients and two v2-EDF clients share the server.
-            for c in 0..2u64 {
-                let endpoint = &endpoint;
-                scope.spawn(move || {
-                    let (acc, rej) = drive_client(endpoint, c * 1_000_000, per_client, 1_000);
-                    assert_eq!((acc, rej), (per_client, 0), "v1 client starved");
-                });
-            }
-            for c in 2..4u64 {
-                let endpoint = &endpoint;
-                let v2_verdicts = &v2_verdicts;
-                scope.spawn(move || {
-                    let (acc, rej, met, missed) = drive_client_v2(
-                        endpoint,
-                        FEAT_EDF,
-                        c * 1_000_000,
-                        per_client,
-                        1_000,
-                        &[10_000_000_000],
-                    );
-                    assert_eq!((acc, rej), (per_client, 0), "v2 client starved");
-                    v2_verdicts.fetch_add(met + missed, Ordering::Relaxed);
-                });
-            }
-        });
-        let report = server.shutdown();
-        let expect = 4 * per_client;
-        assert_eq!(report.submitted, expect, "backend {backend:?}");
-        assert_eq!(report.completed, expect, "backend {backend:?}");
-        // Exactly the v2 half carried deadlines; v1 completions record
-        // no verdict.
-        assert_eq!(
-            report.deadline_met + report.deadline_misses,
-            2 * per_client,
-            "backend {backend:?}"
-        );
-        assert_eq!(v2_verdicts.load(Ordering::Relaxed), 2 * per_client);
-    }
-}
-
-#[test]
 fn rejection_is_side_effect_free_for_deadline_accounting() {
-    // A v2 burst into a cap-4 queue with slow (1 ms) work draws
+    let _host = share_host();
+    // A burst into a cap-4 queue with slow (1 ms) work draws
     // rejections. Rejected submits must leave no trace in the deadline
     // ledger: verdicts are recorded at completion only, so
     // met + missed == completed == accepted exactly.
     let server = ephemeral(Backend::MqSkiplist, 1, 4);
     let n = 200u64;
     let (accepted, rejected, met, missed) =
-        drive_client_v2(server.endpoint(), FEAT_EDF, 0, n, 1_000_000, &[5_000_000]);
+        drive_client(server.endpoint(), FEAT_EDF, 0, n, 1_000_000, &[5_000_000]);
     assert!(
         rejected > 0,
         "burst of {n} into cap 4 never tripped admission"
@@ -670,12 +619,15 @@ fn edf_meets_more_deadlines_than_arrival_order_under_overload() {
     // quarter of them); EDF serves all 100 tight ones first, done by
     // ~20 ms, so it misses none with ~10 ms to spare. The loose class
     // never misses. Both modes run the same stream on a fresh server.
-    const BUDGETS: [u64; 2] = [10_000_000_000, 30_000_000];
+    const BUDGETS: [u64; 2] = [LOOSE_NS, 30_000_000];
+    let _host = HOST
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     for backend in [Backend::MqSkiplist, Backend::MqMutexHeap] {
         let misses = |features| {
             let server = ephemeral(backend, 1, 1024);
             let (acc, rej, _, missed) =
-                drive_client_v2(server.endpoint(), features, 0, 200, 200_000, &BUDGETS);
+                drive_client(server.endpoint(), features, 0, 200, 200_000, &BUDGETS);
             assert_eq!((acc, rej), (200, 0), "{backend:?}");
             server.shutdown();
             missed
