@@ -19,7 +19,7 @@
 //! graph both the parallel and sequential versions peel by out-degree,
 //! and they still agree.
 
-use crate::sssp::ParSsspConfig;
+use crate::sssp::{ParSsspConfig, SPAWN_BATCH};
 use rsched_graph::CsrGraph;
 use rsched_queues::{DCboQueue, QueueBuilder};
 use rsched_runtime::{run, RuntimeConfig, TaskOutcome};
@@ -113,6 +113,7 @@ pub fn parallel_kcore(g: &CsrGraph, k: u64, cfg: ParSsspConfig) -> KcoreStats {
         RuntimeConfig {
             threads: cfg.threads,
             seed: cfg.seed,
+            spawn_batch: SPAWN_BATCH,
             ..RuntimeConfig::default()
         },
         seeds,

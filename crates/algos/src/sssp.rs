@@ -184,13 +184,14 @@ impl ParSsspStats {
     }
 }
 
-/// Spawn-buffer capacity of every concurrent SSSP worker session. A
-/// vertex expansion relaxes a handful of edges; 64 parks several
-/// expansions' worth, so a flush touches each shard once with a group
-/// rather than once per edge, and the keyed MultiQueue session pops
-/// `64 / 8` successors with each minimum. The schedulers without a
-/// session buffer (SprayList, duplicates) ignore it.
-const SPAWN_BATCH: usize = 64;
+/// Spawn-buffer capacity of every concurrent SSSP, BFS and k-core worker
+/// session. A vertex expansion spawns a handful of tasks; 64 parks
+/// several expansions' worth, so a flush touches each shard once with a
+/// group rather than once per edge, and both the keyed MultiQueue and
+/// the relaxed FIFO sessions pop `64 / 8` successors with each claim.
+/// The schedulers without a session buffer (SprayList, duplicates)
+/// ignore it.
+pub(crate) const SPAWN_BATCH: usize = 64;
 
 /// The shared concurrent-SSSP task handler over any runtime [`Scheduler`]:
 /// pop a `(vertex, distance)` task, drop it if stale, otherwise CAS-relax

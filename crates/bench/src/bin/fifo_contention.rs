@@ -7,8 +7,9 @@
 //! d-CBO paper's) while the [`ConcurrentRankEstimator`] stamps every
 //! enqueue and logs every dequeue. Each worker drives the queue through
 //! its **worker session** ([`FifoSession`]): the amortized epoch pin,
-//! owned home shards drained before stealing, and the bounded spawn
-//! buffer that publishes batches — so the sweep exercises exactly the
+//! owned home shards offered as each pop's first choice, the bounded
+//! spawn buffer that publishes batches and, at `RSCHED_SPAWN_BATCH` ≥ 8,
+//! the deletion buffer — so the sweep exercises exactly the
 //! path the runtime's worker pool uses. This is the experiment behind
 //! the lock-free-shards claim: under oversubscription a preempted mutex
 //! holder stalls its whole shard, while the lock-free backends only lose

@@ -42,10 +42,14 @@
 //!
 //! Long-lived workers drive the queue through a [`FifoSession`] (from
 //! [`DCboQueue::session`]): the amortized epoch pin, a private
-//! shard-picker RNG, **owned home shards** drained
-//! before any steal ([`pop_session`](DCboQueue::pop_session)), and a
-//! bounded **spawn buffer** whose contents publish as one
-//! balanced-choice batch ([`flush_session`](DCboQueue::flush_session)).
+//! shard-picker RNG, **owned home shards**, a bounded **spawn buffer**
+//! whose contents publish as one balanced-choice batch
+//! ([`flush_session`](DCboQueue::flush_session)), and a **deletion
+//! buffer**. A session pop ([`pop_session`](DCboQueue::pop_session))
+//! follows d-CBO's own rule — the fewer completed dequeues of two
+//! candidates wins — with the next home shard as one candidate and a
+//! uniform sample as the other, and parks up to `min(spawn_batch / 8,
+//! 8)` successors from the winning shard for the next pops.
 //! The raw `&self` + caller-RNG operations remain for tests and
 //! one-shot callers; the session path is what `rsched-runtime` workers
 //! and the contention benchmarks use.
@@ -57,6 +61,7 @@
 //! [`ConcurrentRankEstimator`](crate::instrument::ConcurrentRankEstimator).
 
 use crate::lockfree::SegRingQueue;
+use crate::multiqueue::MAX_POP_EXTRA;
 use crate::telemetry;
 use crate::{FlushReport, PopSource, PushOutcome, SessionConfig, SessionPush, MAX_SPAWN_BATCH};
 use crossbeam::epoch;
@@ -316,10 +321,11 @@ impl PinSession {
 /// worker-session section of the [crate docs](crate)).
 ///
 /// Carries the amortized epoch pin, the worker's private shard-picker
-/// RNG, the **owned home shards** drained before any steal, and the
+/// RNG, the **owned home shards** (each pop's first candidate), the
 /// bounded **spawn buffer** whose contents publish as one batch to a
-/// single balanced-choice shard. Obtained from [`DCboQueue::session`];
-/// every session operation on the queue takes
+/// single balanced-choice shard, and the **deletion buffer** of items
+/// claimed together with an earlier pop. Obtained from
+/// [`DCboQueue::session`]; every session operation on the queue takes
 /// `&mut` session and `&self` queue, so any number of sessions can work
 /// one queue concurrently.
 #[derive(Debug)]
@@ -329,12 +335,20 @@ pub struct FifoSession<T> {
     /// Home shards, strided across workers (`tid + i·workers mod q`), so
     /// with `workers × shards_per_worker ≤ q` no shard has two owners.
     homes: Vec<usize>,
-    /// Index into `homes` of the last home hit — the locality phase
-    /// resumes there so a hot home shard keeps serving until it misses.
+    /// Index into `homes` of the latest choice round's home candidate;
+    /// each round advances it, and a flush targets that home first.
     rotor: usize,
     buf: Vec<T>,
     /// Spawn-buffer threshold: the configured `spawn_batch`, clamped.
     batch: usize,
+    /// The deletion buffer: successors claimed from the shard that won
+    /// an earlier pop, newest first (the next pop is the last entry).
+    popped: Vec<T>,
+    /// Where the deletion buffer's items came from.
+    popped_src: PopSource,
+    /// Successors a winning shard yields beyond its head; 0 when
+    /// `batch < 8`.
+    pop_extra: usize,
 }
 
 impl<T> FifoSession<T> {
@@ -348,14 +362,10 @@ impl<T> FifoSession<T> {
         self.buf.len()
     }
 
-    fn is_home(&self, shard: usize) -> bool {
-        self.homes.contains(&shard)
-    }
-
     fn classify(&self, shard: usize) -> PopSource {
         if self.homes.is_empty() {
             PopSource::Shared
-        } else if self.is_home(shard) {
+        } else if self.homes.contains(&shard) {
             PopSource::Home
         } else {
             PopSource::Steal
@@ -489,6 +499,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             }
         }
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
+        let pop_extra = (batch / 8).min(MAX_POP_EXTRA);
         FifoSession {
             pin: PinSession::new(S::NEEDS_EPOCH),
             // `cfg.seed` is already the per-worker stream (the config
@@ -500,6 +511,9 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             rotor: 0,
             buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
             batch,
+            popped: Vec::with_capacity(pop_extra),
+            popped_src: PopSource::Shared,
+            pop_extra,
         }
     }
 
@@ -507,6 +521,8 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// otherwise parks the item in the session buffer, auto-flushing a
     /// full buffer. FIFO pushes never merge, so the outcome is
     /// [`SessionPush::Inserted`] or [`SessionPush::Buffered`].
+    /// The auto-flush publishes spawns only: re-appending parked pops
+    /// would queue old items behind newer ones at a shard's tail.
     pub fn push_session(&self, item: T, s: &mut FifoSession<T>) -> PushOutcome {
         if s.batch <= 1 {
             s.pin.tick();
@@ -516,7 +532,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         }
         s.buf.push(item);
         let flushed = if s.buf.len() >= s.batch {
-            self.flush_session(s)
+            self.publish(s, 0)
         } else {
             FlushReport::default()
         };
@@ -526,12 +542,21 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         }
     }
 
-    /// Publish everything parked in the session buffer as **one batch**
-    /// to a single shard: the session's current home shard competes with
-    /// one random sample on completed enqueues, then the whole batch
-    /// lands there under one counter bump.
+    /// Publish everything parked in the session — pops still in the
+    /// deletion buffer (oldest first), then the spawn buffer — as **one
+    /// batch** to a single shard: the session's current home shard
+    /// competes with one random sample on completed enqueues, then the
+    /// whole batch lands there under one counter bump.
     pub fn flush_session(&self, s: &mut FifoSession<T>) -> FlushReport {
-        if s.buf.is_empty() {
+        let parked = s.popped.len();
+        self.publish(s, parked)
+    }
+
+    /// The batch publication behind both flushes: the `parked` oldest
+    /// entries of the deletion buffer, then every buffered spawn.
+    fn publish(&self, s: &mut FifoSession<T>, parked: usize) -> FlushReport {
+        let n = (parked + s.buf.len()) as u64;
+        if n == 0 {
             return FlushReport::default();
         }
         s.pin.tick();
@@ -541,9 +566,9 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             .get(s.rotor)
             .copied()
             .unwrap_or_else(|| s.rng.gen_range(0..self.shards.len()));
-        let n = s.buf.len() as u64;
         let shard = &self.shards[self.push_target(first, &mut s.rng)];
-        for item in s.buf.drain(..) {
+        let oldest = s.popped.len() - parked;
+        for item in s.popped.drain(oldest..).rev().chain(s.buf.drain(..)) {
             shard.sub.push(item, &tok);
         }
         shard.enqueues.fetch_add(n, Ordering::Relaxed);
@@ -554,23 +579,35 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         }
     }
 
-    /// Locality-aware session pop: drain the session's home shards first
-    /// ([`PopSource::Home`]), then run the fewest-dequeues choice-of-two
-    /// steal rounds ([`PopSource::Steal`]). Sessions without affinity
-    /// report [`PopSource::Shared`]. Buffered spawns are **not** popped
-    /// here — flush on a miss (the runtime's worker loop does).
+    /// Session pop: the deletion buffer first, else d-CBO's choice of two
+    /// with the next home shard as one candidate, parking up to
+    /// `min(spawn_batch / 8, 8)` successors of the winner. Reports
+    /// [`PopSource::Home`]/[`PopSource::Steal`] by the winning shard,
+    /// [`PopSource::Shared`] without affinity. Buffered spawns are **not**
+    /// popped here — flush on a miss (the runtime's worker loop does).
     pub fn pop_session(&self, s: &mut FifoSession<T>) -> Option<(T, PopSource)> {
+        if let Some(item) = s.popped.pop() {
+            return Some((item, s.popped_src));
+        }
         s.pin.tick();
         let tok = S::borrow_token(&s.pin);
-        let mut rotor = s.rotor;
-        let out = self.pop_with_homes(&s.homes, &mut rotor, &mut s.rng, &tok);
-        s.rotor = rotor;
-        out.map(|(item, shard)| (item, s.classify(shard)))
+        let (item, shard) = self.pop_with_homes(&s.homes, &mut s.rotor, &mut s.rng, &tok)?;
+        for _ in 0..s.pop_extra {
+            let TryPop::Item(next) = self.shards[shard].sub.try_pop(&tok) else {
+                break;
+            };
+            self.finish_pop(shard);
+            s.popped.push(next);
+        }
+        s.popped.reverse();
+        s.popped_src = s.classify(shard);
+        Some((item, s.popped_src))
     }
 
-    /// The shared pop engine: locality phase over `homes` (round-robin
-    /// from the last hit), then fewest-dequeues steal rounds, then the
-    /// waiting fallback sweep. Returns the popped item and its shard.
+    /// The shared pop engine: fewest-dequeues choice rounds whose first
+    /// candidate is the next of `homes` (round-robin, one per round) or,
+    /// without homes, a uniform sample; then the waiting fallback sweep.
+    /// Returns the popped item and its shard.
     fn pop_with_homes<R: Rng>(
         &self,
         homes: &[usize],
@@ -579,22 +616,16 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         tok: &S::Token,
     ) -> Option<(T, usize)> {
         let q = self.shards.len();
-        // Locality phase: keep draining the last hot home shard, falling
-        // through the other owned homes on a miss.
-        let nh = homes.len();
-        for i in 0..nh {
-            let idx = (*rotor + i) % nh;
-            let c = homes[idx];
-            if let TryPop::Item(item) = self.shards[c].sub.try_pop(tok) {
-                *rotor = idx;
-                self.finish_pop(c);
-                telemetry::record(telemetry::OpHist::Steal, 0);
-                return Some((item, c));
-            }
-        }
-        // Steal rounds: choice of two on completed dequeues, non-blocking.
+        // Choice rounds, non-blocking; ties keep the earlier candidate.
         for round in 0..(2 * q + 4) {
-            let mut cand: [usize; CHOICES] = std::array::from_fn(|_| rng.gen_range(0..q));
+            let mut cand: [usize; CHOICES] = std::array::from_fn(|i| {
+                if i == 0 && !homes.is_empty() {
+                    *rotor = (*rotor + 1) % homes.len();
+                    homes[*rotor]
+                } else {
+                    rng.gen_range(0..q)
+                }
+            });
             cand.sort_by_key(|&c| self.shards[c].dequeues.load(Ordering::Relaxed));
             let mut tried = usize::MAX;
             for &c in cand.iter() {
@@ -604,9 +635,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
                 tried = c;
                 if let TryPop::Item(item) = self.shards[c].sub.try_pop(tok) {
                     self.finish_pop(c);
-                    // A session with homes already spent attempt 0 on
-                    // them, so its steal rounds count from 1.
-                    telemetry::record(telemetry::OpHist::Steal, round as u64 + (nh > 0) as u64);
+                    telemetry::record(telemetry::OpHist::Steal, round as u64);
                     return Some((item, c));
                 }
             }
@@ -993,7 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn session_home_pops_drain_home_first() {
+    fn session_pops_classify_home_and_steal() {
         // One worker owning 2 of 4 shards: everything it pushed through
         // immediate (unbatched) publication is spread over shards, so
         // draining must report both Home and Steal pops, never Shared.
@@ -1016,8 +1045,81 @@ mod tests {
             }
         }
         assert_eq!(homes + steals, 200);
-        assert!(homes > 0, "home shards never drained first");
+        assert!(homes > 0, "home shards never won a choice");
         assert!(steals > 0, "foreign shards never stolen from");
+    }
+
+    fn batched(spawn_batch: usize) -> SessionConfig {
+        SessionConfig {
+            spawn_batch,
+            ..SessionConfig::for_worker(0, 1)
+        }
+    }
+
+    #[test]
+    fn auto_flush_keeps_parked_pops_parked() {
+        // One shard is an exact FIFO. An auto-flush that re-appended the
+        // parked pops 1..=8 would queue them behind 9..100.
+        let q: DCboQueue<u64> = QueueBuilder::new(1).seed(3).d_cbo();
+        let mut s = q.session(&batched(64));
+        for i in 0..100u64 {
+            q.push_session(i, &mut s);
+        }
+        q.flush_session(&mut s);
+        assert_eq!(q.pop_session(&mut s), Some((0, PopSource::Home)));
+        assert_eq!(s.popped.len(), 8, "items 1..=8 are parked");
+        for i in 100..164u64 {
+            q.push_session(i, &mut s);
+        }
+        assert_eq!(s.buffered(), 0, "the 64th push auto-flushed");
+        assert_eq!(s.popped.len(), 8, "the auto-flush left the parked pops");
+        let mut got = vec![0];
+        while let Some((v, _)) = q.pop_session(&mut s) {
+            got.push(v);
+        }
+        assert_eq!(got, (0..164).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn explicit_flush_returns_parked_pops_and_conserves() {
+        fn check<S: SubFifo<u64>>() {
+            let q: DCboQueue<u64, S> = QueueBuilder::new(1).seed(3).d_cbo_on();
+            let mut s = q.session(&batched(64));
+            for i in 0..40u64 {
+                q.push_session(i, &mut s);
+            }
+            assert_eq!(q.flush_session(&mut s).published, 40);
+            let mut got = Vec::new();
+            for _ in 0..2 {
+                got.push(q.pop_session(&mut s).expect("queue holds 40").0);
+            }
+            assert_eq!(got, [0, 1], "the second pop is served from the buffer");
+            assert_eq!((s.popped.len(), q.len()), (7, 31));
+            for i in 40..43u64 {
+                q.push_session(i, &mut s);
+            }
+            let rep = q.flush_session(&mut s);
+            assert_eq!((rep.published, rep.merged), (7 + 3, 0));
+            assert_eq!((s.popped.len(), s.buffered(), q.len()), (0, 0, 41));
+            while let Some((v, _)) = q.pop_session(&mut s) {
+                got.push(v);
+            }
+            got.sort_unstable();
+            assert_eq!(got, (0..43).collect::<Vec<_>>(), "lost or duplicated");
+        }
+        check::<MutexSub<u64>>();
+        check::<SegRingQueue<u64>>();
+    }
+
+    #[test]
+    fn unbatched_session_never_parks_a_pop() {
+        let q: DCboQueue<u64> = QueueBuilder::new(1).seed(3).d_cbo();
+        let mut s = q.session(&SessionConfig::for_worker(0, 1));
+        for i in 0..20u64 {
+            q.push_session(i, &mut s);
+        }
+        assert!(q.pop_session(&mut s).is_some());
+        assert_eq!((s.popped.len(), q.len()), (0, 19));
     }
 
     #[test]

@@ -114,9 +114,12 @@
 //!   has at most one owner), and a **bounded spawn buffer** that parks
 //!   pushes and publishes them as one batch to a single
 //!   balanced-choice target shard (one choice and one counter bump per
-//!   *batch*). Pops are locality-aware: drain the session's home shards
-//!   first ([`PopSource::Home`]), then fall back to the choice-of-two
-//!   steal rounds ([`PopSource::Steal`]).
+//!   *batch*), and a **deletion buffer** shaped like the MultiQueue's
+//!   below. Pops follow d-CBO's own choice of two on completed
+//!   dequeues, with the session's next home shard as one candidate and
+//!   a uniform sample as the other; the winner is reported as
+//!   [`PopSource::Home`] or [`PopSource::Steal`], and it yields up to
+//!   `D` successors for the next pops.
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
 //!   carries the pin, the RNG, the same spawn buffer (deduplicating
 //!   repeated items locally — a buffered decrease-key that costs no
@@ -127,12 +130,15 @@
 //!   locally), and a **sticky peek cache** that pins the
 //!   shard *minimum* observed while losing the previous choice-of-two —
 //!   not the shard index, so going stale only costs relaxation slack,
-//!   never a wrong claim (the claim is still a validated CAS). Both
-//!   buffers exist only when `spawn_batch > 1` and widen the
-//!   MultiQueue's nominal `k = O(q log q)` by about `q·D + workers·I`
-//!   (`I = spawn_batch`): the last of `D` successive minima of one of
-//!   `q` shards has expected global rank `q·D`, and each worker parks up
-//!   to `I` spawns no one else can pop.
+//!   never a wrong claim (the claim is still a validated CAS).
+//!
+//! In both sessions the buffers exist only when `spawn_batch > 1` and
+//! widen the nominal relaxation (`k = O(q log q)` for the MultiQueue)
+//! by about `q·D + workers·I` (`I = spawn_batch`): the last of `D`
+//! successive items of one of `q` shards has expected global rank
+//! `q·D`, and each worker parks up to `I` spawns no one else can pop.
+//! A FIFO session's auto-flush of a full spawn buffer publishes the
+//! spawns only; an explicit flush also returns the parked pops.
 //!
 //! Buffered spawns interact with termination detection through the
 //! flush protocol: [`FlushReport`] tells the caller how many parked
@@ -253,12 +259,12 @@ pub struct SessionConfig {
     pub workers: usize,
     /// Seed for the session's private RNG stream (derive per worker).
     pub seed: u64,
-    /// Home shards this worker owns and drains first (FIFO queues).
-    /// `0` disables affinity entirely — every pop is an unbiased
-    /// choice-of-`d`, as the pre-session queues behaved.
+    /// Home shards this worker owns (FIFO queues); each pop's first
+    /// candidate is the next of them. `0` disables affinity entirely —
+    /// every pop is an unbiased choice-of-`d`.
     pub shards_per_worker: usize,
     /// Spawn-buffer capacity (clamped to [`MAX_SPAWN_BATCH`]); `1`
-    /// publishes every push immediately. MultiQueue sessions size their
+    /// publishes every push immediately. Both sessions size their
     /// deletion buffer from it too (`min(spawn_batch / 8, 8)`).
     pub spawn_batch: usize,
     /// How many consecutive pops may reuse the session's sticky peek
@@ -326,7 +332,7 @@ pub enum SessionPush {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushReport {
     /// Parked elements pushed to the shared structure: buffered spawns,
-    /// plus any pops a MultiQueue session still held and returned.
+    /// plus any pops the session still held and returned.
     pub published: u64,
     /// Of those, how many merged (net element count unchanged).
     pub merged: u64,

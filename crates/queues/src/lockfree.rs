@@ -695,9 +695,23 @@ mod tests {
         // starts absorbing allocations.
         let q: SegRingQueue<u64> = SegRingQueue::new();
         let segments = 300u64; // > 64 deferrals, forcing collections
-        for i in 0..segments * SEGMENT_CAP as u64 {
-            q.push(i);
-            assert_eq!(q.pop(), Some(i));
+        let churn = |from: u64, to: u64| {
+            for i in from * SEGMENT_CAP as u64..to * SEGMENT_CAP as u64 {
+                q.push(i);
+                assert_eq!(q.pop(), Some(i));
+            }
+        };
+        churn(0, segments);
+        // The epoch is process-global: another test's pinned thread can
+        // hold collection back. Keep churning (every retired segment is
+        // a deferral, and deferrals drive collection) and yield to it
+        // until the pool has absorbed an allocation or the deadline.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let mut next = segments;
+        while q.segment_reuse_stats().1 == 0 && std::time::Instant::now() < deadline {
+            churn(next, next + 1);
+            next += 1;
+            std::thread::yield_now();
         }
         let (recycled, reused) = q.segment_reuse_stats();
         assert!(

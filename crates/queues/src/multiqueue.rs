@@ -47,10 +47,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Most successors one winning shard yields beyond its minimum (see
-/// [`MqSession`]): a longer run of one shard's minima only widens the
-/// relaxation, the lock is already amortized.
-const MAX_POP_EXTRA: usize = 8;
+/// Most successors one winning shard yields beyond its minimum or head
+/// (see [`MqSession`] and [`FifoSession`](crate::fifo::FifoSession)): a
+/// longer run of one shard's items only widens the relaxation, the
+/// claim is already amortized.
+pub(crate) const MAX_POP_EXTRA: usize = 8;
 
 /// Multiply-shift hash used to map item ids to internal queues in keyed mode.
 ///

@@ -30,7 +30,7 @@
 //! | series | kind | fed by |
 //! |---|---|---|
 //! | [`OpHist::Retry`] | CAS retries per successful claim | `SegRingQueue` pop claim loop, `SkipShard` claim/help-unlink loop |
-//! | [`OpHist::Steal`] | index of the attempt that won a pop: 0 = a home-shard hit, or the first choice round when the session has no homes | `DCboQueue`/`ConcurrentMultiQueue` pop engines |
+//! | [`OpHist::Steal`] | index of the choice round that won a pop: 0 = the first round won, whether its winner was a home or a foreign shard; pops served from a deletion buffer record nothing | `DCboQueue`/`ConcurrentMultiQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
 //! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |
 //! | [`OpCount::EmptyPop`] | pops that swept everything and found nothing | all pop engines |
@@ -209,10 +209,9 @@ fn max_of(buckets: &[u64; HIST_BUCKETS]) -> u64 {
 pub enum OpHist {
     /// CAS retries per successful lock-free claim.
     Retry = 0,
-    /// Index of the attempt that won a pop (0 = first attempt won). A
-    /// FIFO session with home shards spends attempt 0 on them, so only
-    /// its home hits record 0 and its steal rounds record `round + 1`;
-    /// without homes, choice round `k` records `k`.
+    /// Index of the choice round that won a pop (0 = first round won),
+    /// whether the winner was a home or a foreign shard. A pop served
+    /// from a session's deletion buffer records nothing.
     Steal = 1,
     /// Shards visited by a fallback sweep before it rescued a pop.
     Sweep = 2,

@@ -100,7 +100,8 @@ impl<P: Ord + Copy + Send> Scheduler<P> for ConcurrentSprayList<P> {
 
 /// Relaxed FIFO (d-CBO, any shard backend): the payload rides along as a
 /// carried value (e.g. a BFS depth) rather than an ordering key; the
-/// session owns home shards, drains them first and batches spawns.
+/// session owns home shards, offers one as each pop's first candidate,
+/// and batches spawns and pops.
 impl<P: Copy + Send, S: SubFifo<(usize, P)>> Scheduler<P> for DCboQueue<(usize, P), S> {
     type Session = FifoSession<(usize, P)>;
 

@@ -109,13 +109,14 @@ pub struct RuntimeConfig {
     pub threads: usize,
     /// Base RNG seed; per-worker streams derive from it.
     pub seed: u64,
-    /// Home shards owned per worker (FIFO schedulers drain them before
-    /// stealing). Defaults to the `RSCHED_SHARDS_PER_WORKER` environment
-    /// variable, else 1; `0` disables affinity.
+    /// Home shards owned per worker (a FIFO session pop's first
+    /// candidate is the next of them). Defaults to the
+    /// `RSCHED_SHARDS_PER_WORKER` environment variable, else 1; `0`
+    /// disables affinity.
     pub shards_per_worker: usize,
     /// Spawn-buffer capacity per worker session; spawns park there and
-    /// publish as one batch (MultiQueue sessions also pop
-    /// `min(spawn_batch / 8, 8)` successors with each minimum). Defaults
+    /// publish as one batch (both sessions also pop
+    /// `min(spawn_batch / 8, 8)` successors with each claim). Defaults
     /// to the `RSCHED_SPAWN_BATCH` environment variable, else 1
     /// (publish immediately, pop one at a time).
     pub spawn_batch: usize,

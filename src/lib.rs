@@ -43,8 +43,8 @@
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
 //! `rsched_queues` worker-session layer): the amortized epoch pin, the
-//! worker's shard-picker RNG, its owned *home shards* (drained before
-//! choice-of-two stealing; `RSCHED_SHARDS_PER_WORKER`), the MultiQueue's
+//! worker's shard-picker RNG, its owned *home shards* (one of the two
+//! choices of every FIFO pop; `RSCHED_SHARDS_PER_WORKER`), the MultiQueue's
 //! sticky peek cache, and a bounded spawn buffer that publishes batches
 //! (`RSCHED_SPAWN_BATCH`) — one abstraction where earlier revisions had
 //! `PinSession` threading, `StickySession` and thread-local picker RNGs.

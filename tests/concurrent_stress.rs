@@ -318,8 +318,10 @@ fn concurrent_spraylist_drain_storm() {
 }
 
 /// d-CBO over both shard backends {mutex, segring} under a concurrent
-/// enqueue/dequeue storm: no element may be lost or duplicated
-/// regardless of the shard sub-queue implementation.
+/// enqueue/dequeue storm through **batched sessions** (spawn buffer and
+/// deletion buffer, a forced flush at the end returning parked pops):
+/// no element may be lost or duplicated regardless of the shard
+/// sub-queue implementation.
 #[test]
 fn relaxed_fifo_backend_matrix_storm() {
     use rand::rngs::SmallRng;
@@ -327,7 +329,7 @@ fn relaxed_fifo_backend_matrix_storm() {
     use rsched_queues::lockfree::SegRingQueue;
     use rsched_queues::{MutexSub, SubFifo};
 
-    fn storm<S: SubFifo<usize> + 'static>(name: &str) {
+    fn storm<S: SubFifo<usize> + 'static>(name: &str, spawn_batch: usize) {
         let threads = 4 * stress();
         let per = 4_000 * stress();
         let q: Arc<DCboQueue<usize, S>> = Arc::new(QueueBuilder::new(6).seed(13).d_cbo_on());
@@ -335,16 +337,20 @@ fn relaxed_fifo_backend_matrix_storm() {
             .map(|t| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(t as u64 * 91 + 5);
+                    let mut session = q.session(&SessionConfig {
+                        spawn_batch,
+                        ..SessionConfig::for_worker(t, threads)
+                    });
                     let mut got = Vec::new();
                     for i in 0..per {
-                        q.enqueue(t * per + i, &mut rng);
+                        q.push_session(t * per + i, &mut session);
                         if i % 3 == 0 {
-                            if let Some(v) = q.dequeue(&mut rng) {
+                            if let Some((v, _)) = q.pop_session(&mut session) {
                                 got.push(v);
                             }
                         }
                     }
+                    q.flush_session(&mut session);
                     got
                 })
             })
@@ -363,8 +369,11 @@ fn relaxed_fifo_backend_matrix_storm() {
         assert!(q.is_empty());
     }
 
-    storm::<MutexSub<usize>>("mutex");
-    storm::<SegRingQueue<usize>>("segring");
+    // 8 parks one popped successor per claim, 64 the full eight.
+    for spawn_batch in [8, 64] {
+        storm::<MutexSub<usize>>("mutex", spawn_batch);
+        storm::<SegRingQueue<usize>>("segring", spawn_batch);
+    }
 }
 
 /// The priority-shard backend matrix {skiplist, mutexheap} under a
