@@ -198,35 +198,14 @@ fn bench_multiqueue_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Single-thread push/pop throughput of the lock-free sub-queues (the
-/// segmented-ring FIFO shard plus the skiplist priority shard), mirroring the
-/// `fifo_contention` / `mq_contention` cells at the micro level.
-fn bench_lockfree_subqueues(c: &mut Criterion) {
+/// Single-thread push/pop throughput of the lock-free skiplist priority
+/// shard, mirroring the `mq_contention` cells at the micro level.
+fn bench_skiplist_shard(c: &mut Criterion) {
     use rsched_queues::skipshard::TryPopMin;
-    use rsched_queues::{SegRingQueue, SkipShard, SubPriority};
-    let mut group = c.benchmark_group("lockfree_push_pop_10k");
+    use rsched_queues::{SkipShard, SubPriority};
+    let mut group = c.benchmark_group("skiplist_push_pop_10k");
     group.throughput(Throughput::Elements(N as u64));
     let ks = keys(7);
-    group.bench_function("seg_ring", |b| {
-        b.iter(|| {
-            let q = SegRingQueue::new();
-            for &k in &ks {
-                q.push(k);
-            }
-            while q.pop().is_some() {}
-        })
-    });
-    group.bench_function("seg_ring_reused", |b| {
-        // One long-lived queue: after warm-up the segment pool absorbs
-        // every allocation, the steady state real workloads see.
-        let q = SegRingQueue::new();
-        b.iter(|| {
-            for &k in &ks {
-                q.push(k);
-            }
-            while q.pop().is_some() {}
-        })
-    });
     group.bench_function("skiplist_shard", |b| {
         b.iter(|| {
             let s: SkipShard<u64> = SubPriority::new();
@@ -246,6 +225,6 @@ criterion_group!(
     bench_decrease_key,
     bench_concurrent_multiqueue,
     bench_multiqueue_backends,
-    bench_lockfree_subqueues
+    bench_skiplist_shard
 );
 criterion_main!(benches);

@@ -1,10 +1,10 @@
 //! One construction path for every relaxed queue in the crate.
 //!
 //! [`QueueBuilder`] is the only way to build [`ConcurrentMultiQueue`]
-//! and [`DCboQueue`]: one fluent spelling with **typed
-//! backend selection** — the terminal method names the structure, its
-//! `_on::<S>()` twin names the shard backend, and every knob has
-//! exactly one place to live.
+//! and [`DCboQueue`]: one fluent spelling in which the terminal method
+//! names the structure, the MultiQueue's `_on::<S>()` twin names its
+//! priority-shard backend, and every knob has exactly one place to
+//! live.
 //!
 //! ```
 //! use rsched_queues::{QueueBuilder, MutexHeapSub};
@@ -15,13 +15,12 @@
 //! assert_eq!(mq.nqueues(), 8);
 //! assert_eq!(dcbo.num_shards(), 4);
 //!
-//! // Typed backend selection — the turbofish picks the shard type:
+//! // Typed backend selection — the turbofish picks the priority shard:
 //! let mutex_mq = QueueBuilder::new(8).multiqueue_on::<u64, MutexHeapSub<u64>>();
 //! assert_eq!(mutex_mq.nqueues(), 8);
 //! ```
 
-use crate::fifo::{DCboQueue, SubFifo};
-use crate::lockfree::SegRingQueue;
+use crate::fifo::DCboQueue;
 use crate::multiqueue::ConcurrentMultiQueue;
 use crate::skipshard::{SkipShard, SubPriority};
 
@@ -80,14 +79,8 @@ impl QueueBuilder {
         ConcurrentMultiQueue::construct(self.shards, self.universe)
     }
 
-    /// Build a [`DCboQueue`] (d-choice-of-best relaxed FIFO) on the
-    /// default lock-free segmented-ring backend.
-    pub fn d_cbo<T: Send>(self) -> DCboQueue<T, SegRingQueue<T>> {
-        self.d_cbo_on::<T, SegRingQueue<T>>()
-    }
-
-    /// Build a [`DCboQueue`] on sub-FIFO backend `S`.
-    pub fn d_cbo_on<T: Send, S: SubFifo<T>>(self) -> DCboQueue<T, S> {
+    /// Build a [`DCboQueue`] (d-choice-of-best relaxed FIFO).
+    pub fn d_cbo<T>(self) -> DCboQueue<T> {
         DCboQueue::construct(self.shards, self.seed)
     }
 }
@@ -95,8 +88,7 @@ impl QueueBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo::{MutexSub, PinSession, TokRef};
-    use crate::skipshard::{MutexHeapSub, TryPopMin};
+    use crate::skipshard::{MutexHeapSub, PinSession, TokRef, TryPopMin};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::cell::RefCell;
@@ -196,7 +188,7 @@ mod tests {
         mq.push_or_decrease(0, 10);
         assert_eq!(mq.len(), 1);
 
-        let dcbo = QueueBuilder::new(2).d_cbo_on::<usize, MutexSub<usize>>();
+        let dcbo = QueueBuilder::new(2).d_cbo::<usize>();
         let mut rng = SmallRng::seed_from_u64(1);
         dcbo.enqueue(7, &mut rng);
         assert_eq!(dcbo.dequeue(&mut rng), Some(7));

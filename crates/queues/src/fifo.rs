@@ -25,34 +25,31 @@
 //! runtime expects) **and** implements the sequential [`RelaxedFifo`]
 //! trait for simulation and instrumentation.
 //!
-//! # Shard backends
+//! # Shards
 //!
-//! The sub-queue inside each shard is pluggable through [`SubFifo`]:
-//!
-//! * [`SegRingQueue`] — lock-free segmented ring buffer, the
-//!   **default** backend;
-//! * [`MutexSub`] — a `Mutex<VecDeque>` per shard, the locked
-//!   reference.
-//!
-//! See [`lockfree`](crate::lockfree) for the algorithm and for guidance
-//! on choosing; `fifo_contention` in `rsched-bench` sweeps both under
-//! thread contention.
+//! Each shard is a `Mutex<VecDeque>` beside its two operation counters:
+//! a lock around a sequential queue, the baseline any scalable shard
+//! must beat. Every batch takes the lock once. A session flush appends
+//! its whole batch under one acquisition, and a session pop claims the
+//! head plus its parked successors under one `try_lock`. Choice rounds
+//! never wait for a lock: a held one sends the pop on to the next
+//! candidate, and only the fallback sweep blocks.
 //!
 //! # Worker sessions
 //!
 //! Long-lived workers drive the queue through a [`FifoSession`] (from
-//! [`DCboQueue::session`]): the amortized epoch pin, a private
-//! shard-picker RNG, **owned home shards**, a bounded **spawn buffer**
-//! whose contents publish as one balanced-choice batch
-//! ([`flush_session`](DCboQueue::flush_session)), and a **deletion
-//! buffer**. A session pop ([`pop_session`](DCboQueue::pop_session))
-//! follows d-CBO's own rule — the fewer completed dequeues of two
-//! candidates wins — with the next home shard as one candidate and a
-//! uniform sample as the other, and parks up to `min(spawn_batch / 8,
-//! 8)` successors from the winning shard for the next pops.
+//! [`DCboQueue::session`]): a private shard-picker RNG, **owned home
+//! shards**, a bounded **spawn buffer** whose contents publish as one
+//! balanced-choice batch ([`flush_session`](DCboQueue::flush_session)),
+//! and a **deletion buffer**. A session pop
+//! ([`pop_session`](DCboQueue::pop_session)) follows d-CBO's own rule —
+//! the fewer completed dequeues of two candidates wins — with the next
+//! home shard as one candidate and a uniform sample as the other, and
+//! claims up to `min(spawn_batch / 8, 8)` successors of the winner's
+//! head in the same lock acquisition, parking them for the next pops.
 //! The raw `&self` + caller-RNG operations remain for tests and
 //! one-shot callers; the session path is what `rsched-runtime` workers
-//! and the contention benchmarks use.
+//! use.
 //!
 //! [`FifoRankTracker`] wraps any [`RelaxedFifo`] and measures empirical
 //! rank errors against a shadow order, mirroring the priority-queue
@@ -60,17 +57,14 @@
 //! counterpart is
 //! [`ConcurrentRankEstimator`](crate::instrument::ConcurrentRankEstimator).
 
-use crate::lockfree::SegRingQueue;
 use crate::multiqueue::MAX_POP_EXTRA;
 use crate::telemetry;
 use crate::{FlushReport, PopSource, PushOutcome, SessionConfig, SessionPush, MAX_SPAWN_BATCH};
-use crossbeam::epoch;
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A queue with relaxed FIFO semantics (sequential interface).
@@ -101,143 +95,30 @@ pub trait RelaxedFifo<T> {
 }
 
 // ---------------------------------------------------------------------
-// Shard backends
-// ---------------------------------------------------------------------
-
-/// A per-operation token that is either borrowed from a live
-/// [`PinSession`] or freshly created — so workers holding a session pay
-/// no epoch entry at all per operation.
-pub enum TokRef<'a, G> {
-    /// Borrowed from the session's long-lived guard.
-    Borrowed(&'a G),
-    /// Freshly created for this operation.
-    Owned(G),
-}
-
-impl<G> std::ops::Deref for TokRef<'_, G> {
-    type Target = G;
-
-    fn deref(&self) -> &G {
-        match self {
-            TokRef::Borrowed(g) => g,
-            TokRef::Owned(g) => g,
-        }
-    }
-}
-
-/// Result of a non-blocking pop attempt on a [`SubFifo`].
-#[derive(Debug)]
-pub enum TryPop<T> {
-    /// Got the sub-queue's head element.
-    Item(T),
-    /// The sub-queue was observed empty (a hint under concurrency).
-    Empty,
-    /// The sub-queue is temporarily unavailable (a lock-based backend's
-    /// lock is held). Lock-free backends never report this.
-    Contended,
-}
-
-/// One concurrent sub-queue (shard) of the relaxed FIFO.
-///
-/// A shard stores bare elements: [`DCboQueue`]'s choice reads only the
-/// per-shard operation counters it keeps beside the shard, never the
-/// shard's contents.
-pub trait SubFifo<T>: Send + Sync {
-    /// `true` when the backend's operations pin the epoch-reclamation
-    /// scheme; lets [`PinSession`] and the runtime know whether holding
-    /// an amortized pin is worthwhile.
-    const NEEDS_EPOCH: bool = false;
-
-    /// Per-operation protection token: an epoch guard for lock-free
-    /// backends, zero-sized for lock-based ones. The composing queue
-    /// creates **one** token per relaxed-FIFO operation and threads it
-    /// through every push and pop attempt, so backends never
-    /// re-enter the epoch scheme per sub-call.
-    type Token;
-
-    /// Produce a token for one composed operation.
-    fn token() -> Self::Token;
-
-    /// Borrow the token from a live [`PinSession`] when possible,
-    /// falling back to a fresh one.
-    fn borrow_token(session: &PinSession) -> TokRef<'_, Self::Token>;
-
-    /// An empty sub-queue.
-    fn new() -> Self;
-
-    /// Append `item`.
-    fn push(&self, item: T, tok: &Self::Token);
-
-    /// Non-blocking pop attempt; never waits for another thread.
-    fn try_pop(&self, tok: &Self::Token) -> TryPop<T>;
-
-    /// Pop, waiting for a lock if the backend has one (lock-free
-    /// backends are identical to [`try_pop`](SubFifo::try_pop)).
-    fn pop_wait(&self, tok: &Self::Token) -> Option<T>;
-}
-
-/// The PR 1 baseline backend: a mutex around a `VecDeque`.
-///
-/// Fastest under zero contention (an uncontended lock is cheaper than an
-/// epoch pin), worst under oversubscription: a preempted lock holder
-/// stalls every other thread on the shard.
-#[derive(Debug, Default)]
-pub struct MutexSub<T> {
-    fifo: Mutex<VecDeque<T>>,
-}
-
-impl<T: Send> SubFifo<T> for MutexSub<T> {
-    type Token = ();
-
-    fn token() {}
-
-    fn borrow_token(_session: &PinSession) -> TokRef<'_, ()> {
-        TokRef::Owned(())
-    }
-
-    fn new() -> Self {
-        MutexSub {
-            fifo: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    fn push(&self, item: T, _tok: &()) {
-        self.fifo.lock().push_back(item);
-    }
-
-    fn try_pop(&self, _tok: &()) -> TryPop<T> {
-        match self.fifo.try_lock() {
-            None => TryPop::Contended,
-            Some(mut fifo) => match fifo.pop_front() {
-                Some(item) => TryPop::Item(item),
-                None => TryPop::Empty,
-            },
-        }
-    }
-
-    fn pop_wait(&self, _tok: &()) -> Option<T> {
-        self.fifo.lock().pop_front()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Shard machinery
 // ---------------------------------------------------------------------
 
 /// Shards sampled per operation: d-CBO's `d`, the classic two choices.
 const CHOICES: usize = 2;
 
-/// One shard: a sub-queue plus its completed operation counters.
+/// One shard: a locked sub-FIFO plus its completed operation counters.
 /// Counters are read before popping/pushing (the choice is a heuristic;
 /// slight staleness only costs rank error, never correctness).
-#[derive(Debug)]
-struct Shard<S> {
-    sub: S,
+struct Shard<T> {
+    fifo: Mutex<VecDeque<T>>,
     enqueues: AtomicU64,
     dequeues: AtomicU64,
 }
 
-impl<S> Shard<S> {
+impl<T> Shard<T> {
+    fn new() -> Self {
+        Shard {
+            fifo: Mutex::new(VecDeque::new()),
+            enqueues: AtomicU64::new(0),
+            dequeues: AtomicU64::new(0),
+        }
+    }
+
     /// Completed enqueues minus completed dequeues — the approximate
     /// live length (exact when quiescent).
     fn approx_len(&self) -> u64 {
@@ -245,70 +126,22 @@ impl<S> Shard<S> {
             .load(Ordering::Relaxed)
             .saturating_sub(self.dequeues.load(Ordering::Relaxed))
     }
-}
 
-fn new_shards<T, S: SubFifo<T>>(n: usize) -> Box<[CachePadded<Shard<S>>]> {
-    (0..n)
-        .map(|_| {
-            CachePadded::new(Shard {
-                sub: S::new(),
-                enqueues: AtomicU64::new(0),
-                dequeues: AtomicU64::new(0),
-            })
-        })
-        .collect()
-}
-
-/// How many operations a [`PinSession`] batches under one epoch pin
-/// before repinning (bounding how long reclamation can be held up).
-const REPIN_EVERY: u32 = 32;
-
-/// An amortized epoch pin for a batch of queue operations.
-///
-/// Entering the epoch scheme costs a fence; a worker doing millions of
-/// operations should not pay it per operation. Every worker session
-/// ([`FifoSession`], [`MqSession`](crate::multiqueue::MqSession)) embeds
-/// one pin so the per-operation pins inside the queue collapse to
-/// counter bumps, and [`tick`](Self::tick) repins every `REPIN_EVERY`
-/// (32) calls so the global epoch — and therefore memory reclamation —
-/// keeps advancing. For backends that don't use epochs (e.g.
-/// [`MutexSub`]) the pin is an inert no-op.
-#[derive(Debug, Default)]
-pub struct PinSession {
-    guard: Option<epoch::Guard>,
-    ops: u32,
-}
-
-impl PinSession {
-    /// A session that pins only if `needs_epoch`.
-    pub fn new(needs_epoch: bool) -> Self {
-        PinSession {
-            guard: needs_epoch.then(epoch::pin),
-            ops: 0,
-        }
-    }
-
-    /// An inert session (for schedulers without epoch reclamation).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// The held epoch guard, if this session is live. Queue operations
-    /// called through the `*_in` variants borrow it instead of pinning.
-    pub fn guard(&self) -> Option<&epoch::Guard> {
-        self.guard.as_ref()
-    }
-
-    /// Count one batched operation, repinning when the batch is full.
-    /// Call once per queue operation performed under the session.
-    pub fn tick(&mut self) {
-        if let Some(guard) = &mut self.guard {
-            self.ops += 1;
-            if self.ops >= REPIN_EVERY {
-                self.ops = 0;
-                guard.repin();
-            }
-        }
+    /// Claim the head of the locked `fifo` plus up to `extra` of its
+    /// successors (appended to `out`, oldest first) in the caller's one
+    /// lock acquisition, counting every claimed item as a dequeue.
+    fn claim(
+        &self,
+        mut fifo: MutexGuard<'_, VecDeque<T>>,
+        extra: usize,
+        out: &mut Vec<T>,
+    ) -> Option<T> {
+        let head = fifo.pop_front()?;
+        let k = extra.min(fifo.len());
+        out.extend(fifo.drain(..k));
+        drop(fifo);
+        self.dequeues.fetch_add(1 + k as u64, Ordering::Relaxed);
+        Some(head)
     }
 }
 
@@ -320,17 +153,16 @@ impl PinSession {
 /// state object of the relaxed FIFO (see the
 /// worker-session section of the [crate docs](crate)).
 ///
-/// Carries the amortized epoch pin, the worker's private shard-picker
-/// RNG, the **owned home shards** (each pop's first candidate), the
-/// bounded **spawn buffer** whose contents publish as one batch to a
-/// single balanced-choice shard, and the **deletion buffer** of items
-/// claimed together with an earlier pop. Obtained from
+/// Carries the worker's private shard-picker RNG, the **owned home
+/// shards** (each pop's first candidate), the bounded **spawn buffer**
+/// whose contents publish as one batch to a single balanced-choice
+/// shard, and the **deletion buffer** of items claimed together with an
+/// earlier pop. Obtained from
 /// [`DCboQueue::session`]; every session operation on the queue takes
 /// `&mut` session and `&self` queue, so any number of sessions can work
 /// one queue concurrently.
 #[derive(Debug)]
 pub struct FifoSession<T> {
-    pin: PinSession,
     rng: SmallRng,
     /// Home shards, strided across workers (`tid + i·workers mod q`), so
     /// with `workers × shards_per_worker ≤ q` no shard has two owners.
@@ -378,18 +210,15 @@ impl<T> FifoSession<T> {
 // ---------------------------------------------------------------------
 
 /// Concurrent d-CBO relaxed FIFO: choice of two by balanced operation
-/// counts over sub-FIFO shards.
+/// counts over locked sub-FIFO shards.
 ///
 /// `enqueue` samples two shards and appends to the one with the fewest
 /// *completed enqueues*; `dequeue` samples two shards and pops the one
-/// with the fewest *completed dequeues* (skipping empty or contended
-/// shards). `None` is returned only after a full sweep found every shard
-/// empty — like the workspace's other concurrent queues this is a hint,
-/// not a linearizable emptiness check, and callers own termination
-/// detection.
-///
-/// The shard backend defaults to the lock-free
-/// [`SegRingQueue`]; see [`SubFifo`].
+/// with the fewest *completed dequeues* (skipping empty shards and
+/// shards whose lock is held). `None` is returned only after a full
+/// sweep found every shard empty — like the workspace's other
+/// concurrent queues this is a hint, not a linearizable emptiness
+/// check, and callers own termination detection.
 ///
 /// # Examples
 ///
@@ -411,23 +240,23 @@ impl<T> FifoSession<T> {
 /// popped.sort_unstable();
 /// assert_eq!(popped, (0..100).collect::<Vec<_>>());
 /// ```
-pub struct DCboQueue<T, S = SegRingQueue<T>> {
-    shards: Box<[CachePadded<Shard<S>>]>,
+pub struct DCboQueue<T> {
+    shards: Box<[CachePadded<Shard<T>>]>,
     /// RNG for the sequential [`RelaxedFifo`] interface only; the
     /// concurrent operations take the caller's RNG.
     seq_rng: SmallRng,
-    _item: PhantomData<fn() -> T>,
 }
 
-impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
-    /// `shards` sub-FIFOs of backend `S`; reached through
+impl<T> DCboQueue<T> {
+    /// `shards` sub-FIFOs; reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
     pub(crate) fn construct(shards: usize, seed: u64) -> Self {
         assert!(shards > 0, "d-CBO needs at least one shard");
         Self {
-            shards: new_shards::<T, S>(shards),
+            shards: (0..shards)
+                .map(|_| CachePadded::new(Shard::new()))
+                .collect(),
             seq_rng: SmallRng::seed_from_u64(seed ^ 0xD_CB0),
-            _item: PhantomData,
         }
     }
 
@@ -451,13 +280,9 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// Append `item` to the sampled shard with the fewest completed
     /// enqueues.
     pub fn enqueue<R: Rng>(&self, item: T, rng: &mut R) {
-        self.enqueue_tok(item, rng, &S::token());
-    }
-
-    fn enqueue_tok<R: Rng>(&self, item: T, rng: &mut R, tok: &S::Token) {
         let first = rng.gen_range(0..self.shards.len());
         let shard = &self.shards[self.push_target(first, rng)];
-        shard.sub.push(item, tok);
+        shard.fifo.lock().push_back(item);
         shard.enqueues.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -480,13 +305,12 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// Pop from the sampled shard with the fewest completed dequeues;
     /// `None` only after a full sweep found every shard empty.
     pub fn dequeue<R: Rng>(&self, rng: &mut R) -> Option<T> {
-        self.pop_with_homes(&[], &mut 0, rng, &S::token())
+        self.pop_with_homes(&[], &mut 0, rng, 0, &mut Vec::new())
             .map(|(item, _)| item)
     }
 
     /// Open a worker session (see [`FifoSession`]): home shards strided
-    /// by `cfg.tid`/`cfg.workers`, spawn buffer of `cfg.spawn_batch`,
-    /// epoch pin live iff the backend needs one.
+    /// by `cfg.tid`/`cfg.workers`, spawn buffer of `cfg.spawn_batch`.
     pub fn session(&self, cfg: &SessionConfig) -> FifoSession<T> {
         let q = self.shards.len();
         let workers = cfg.workers.max(1);
@@ -501,7 +325,6 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
         let pop_extra = (batch / 8).min(MAX_POP_EXTRA);
         FifoSession {
-            pin: PinSession::new(S::NEEDS_EPOCH),
             // `cfg.seed` is already the per-worker stream (the config
             // constructors mix the tid in exactly once); re-mixing the tid
             // here would cancel that mix and hand every worker the same
@@ -525,9 +348,7 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// would queue old items behind newer ones at a shard's tail.
     pub fn push_session(&self, item: T, s: &mut FifoSession<T>) -> PushOutcome {
         if s.batch <= 1 {
-            s.pin.tick();
-            let tok = S::borrow_token(&s.pin);
-            self.enqueue_tok(item, &mut s.rng, &tok);
+            self.enqueue(item, &mut s.rng);
             return PushOutcome::immediate(SessionPush::Inserted);
         }
         s.buf.push(item);
@@ -546,7 +367,8 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// deletion buffer (oldest first), then the spawn buffer — as **one
     /// batch** to a single shard: the session's current home shard
     /// competes with one random sample on completed enqueues, then the
-    /// whole batch lands there under one counter bump.
+    /// whole batch lands there under one lock acquisition and one
+    /// counter bump.
     pub fn flush_session(&self, s: &mut FifoSession<T>) -> FlushReport {
         let parked = s.popped.len();
         self.publish(s, parked)
@@ -559,8 +381,6 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         if n == 0 {
             return FlushReport::default();
         }
-        s.pin.tick();
-        let tok = S::borrow_token(&s.pin);
         let first = s
             .homes
             .get(s.rotor)
@@ -568,9 +388,10 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             .unwrap_or_else(|| s.rng.gen_range(0..self.shards.len()));
         let shard = &self.shards[self.push_target(first, &mut s.rng)];
         let oldest = s.popped.len() - parked;
-        for item in s.popped.drain(oldest..).rev().chain(s.buf.drain(..)) {
-            shard.sub.push(item, &tok);
-        }
+        shard
+            .fifo
+            .lock()
+            .extend(s.popped.drain(oldest..).rev().chain(s.buf.drain(..)));
         shard.enqueues.fetch_add(n, Ordering::Relaxed);
         telemetry::count(telemetry::OpCount::FlushPublished, n);
         FlushReport {
@@ -580,8 +401,9 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     }
 
     /// Session pop: the deletion buffer first, else d-CBO's choice of two
-    /// with the next home shard as one candidate, parking up to
-    /// `min(spawn_batch / 8, 8)` successors of the winner. Reports
+    /// with the next home shard as one candidate, claiming the winner's
+    /// head and up to `min(spawn_batch / 8, 8)` successors in one lock
+    /// acquisition and parking the successors. Reports
     /// [`PopSource::Home`]/[`PopSource::Steal`] by the winning shard,
     /// [`PopSource::Shared`] without affinity. Buffered spawns are **not**
     /// popped here — flush on a miss (the runtime's worker loop does).
@@ -589,16 +411,13 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         if let Some(item) = s.popped.pop() {
             return Some((item, s.popped_src));
         }
-        s.pin.tick();
-        let tok = S::borrow_token(&s.pin);
-        let (item, shard) = self.pop_with_homes(&s.homes, &mut s.rotor, &mut s.rng, &tok)?;
-        for _ in 0..s.pop_extra {
-            let TryPop::Item(next) = self.shards[shard].sub.try_pop(&tok) else {
-                break;
-            };
-            self.finish_pop(shard);
-            s.popped.push(next);
-        }
+        let (item, shard) = self.pop_with_homes(
+            &s.homes,
+            &mut s.rotor,
+            &mut s.rng,
+            s.pop_extra,
+            &mut s.popped,
+        )?;
         s.popped.reverse();
         s.popped_src = s.classify(shard);
         Some((item, s.popped_src))
@@ -607,13 +426,16 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// The shared pop engine: fewest-dequeues choice rounds whose first
     /// candidate is the next of `homes` (round-robin, one per round) or,
     /// without homes, a uniform sample; then the waiting fallback sweep.
-    /// Returns the popped item and its shard.
+    /// The winning shard yields its head plus up to `extra` successors
+    /// (into `out`, oldest first) under one lock acquisition. Returns the
+    /// head and its shard.
     fn pop_with_homes<R: Rng>(
         &self,
         homes: &[usize],
         rotor: &mut usize,
         rng: &mut R,
-        tok: &S::Token,
+        extra: usize,
+        out: &mut Vec<T>,
     ) -> Option<(T, usize)> {
         let q = self.shards.len();
         // Choice rounds, non-blocking; ties keep the earlier candidate.
@@ -633,8 +455,12 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
                     continue;
                 }
                 tried = c;
-                if let TryPop::Item(item) = self.shards[c].sub.try_pop(tok) {
-                    self.finish_pop(c);
+                let shard = &self.shards[c];
+                if let Some(item) = shard
+                    .fifo
+                    .try_lock()
+                    .and_then(|f| shard.claim(f, extra, out))
+                {
                     telemetry::record(telemetry::OpHist::Steal, round as u64);
                     return Some((item, c));
                 }
@@ -653,8 +479,8 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
             .unwrap_or_else(|| rng.gen_range(0..q));
         for k in 0..q {
             let c = (start + k) % q;
-            if let Some(item) = self.shards[c].sub.pop_wait(tok) {
-                self.finish_pop(c);
+            let shard = &self.shards[c];
+            if let Some(item) = shard.claim(shard.fifo.lock(), extra, out) {
                 telemetry::record(telemetry::OpHist::Sweep, (k + 1) as u64);
                 return Some((item, c));
             }
@@ -662,25 +488,18 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
         telemetry::count(telemetry::OpCount::EmptyPop, 1);
         None
     }
-
-    fn finish_pop(&self, c: usize) {
-        self.shards[c].dequeues.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
-impl<T, S: SubFifo<T>> std::fmt::Debug for DCboQueue<T, S> {
+impl<T> std::fmt::Debug for DCboQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DCboQueue")
             .field("shards", &self.shards.len())
-            .field(
-                "len",
-                &self.shards.iter().map(|s| s.approx_len()).sum::<u64>(),
-            )
+            .field("len", &self.len())
             .finish()
     }
 }
 
-impl<T: Send, S: SubFifo<T>> RelaxedFifo<T> for DCboQueue<T, S> {
+impl<T> RelaxedFifo<T> for DCboQueue<T> {
     fn enqueue(&mut self, item: T) {
         let mut rng = self.seq_rng.clone();
         DCboQueue::enqueue(&*self, item, &mut rng);
@@ -874,43 +693,26 @@ mod tests {
     }
 
     #[test]
-    fn single_subqueue_exact_on_every_backend() {
-        fn check<S: SubFifo<i32>>() {
-            let mut q: DCboQueue<i32, S> = QueueBuilder::new(1).seed(3).d_cbo_on();
-            for i in 0..200 {
-                RelaxedFifo::enqueue(&mut q, i);
+    fn conserves_items_under_mixed_ops() {
+        let mut q: DCboQueue<u64> = QueueBuilder::new(6).seed(11).d_cbo();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut pushed = 0u64;
+        let mut got = Vec::new();
+        for _ in 0..5_000 {
+            if rng.gen_range(0..3) > 0 {
+                RelaxedFifo::enqueue(&mut q, pushed);
+                pushed += 1;
+            } else if let Some(v) = RelaxedFifo::dequeue(&mut q) {
+                got.push(v);
             }
-            assert_eq!(drain(&mut q), (0..200).collect::<Vec<_>>());
         }
-        check::<MutexSub<i32>>();
-        check::<SegRingQueue<i32>>();
-    }
-
-    #[test]
-    fn backend_matrix_conserves_items_under_mixed_ops() {
-        fn check<S: SubFifo<u64>>(name: &str) {
-            let mut q: DCboQueue<u64, S> = QueueBuilder::new(6).seed(11).d_cbo_on();
-            let mut rng = SmallRng::seed_from_u64(5);
-            let mut pushed = 0u64;
-            let mut got = Vec::new();
-            for _ in 0..5_000 {
-                if rng.gen_range(0..3) > 0 {
-                    RelaxedFifo::enqueue(&mut q, pushed);
-                    pushed += 1;
-                } else if let Some(v) = RelaxedFifo::dequeue(&mut q) {
-                    got.push(v);
-                }
-            }
-            got.extend(drain(&mut q));
-            got.sort_unstable();
-            assert_eq!(
-                got,
-                (0..pushed).collect::<Vec<_>>(),
-                "{name}: d-CBO lost or duplicated items"
-            );
-        }
-        check::<MutexSub<u64>>("mutex");
-        check::<SegRingQueue<u64>>("segring");
+        got.extend(drain(&mut q));
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            (0..pushed).collect::<Vec<_>>(),
+            "lost or duplicated items"
+        );
     }
 
     #[test]
@@ -1082,33 +884,75 @@ mod tests {
 
     #[test]
     fn explicit_flush_returns_parked_pops_and_conserves() {
-        fn check<S: SubFifo<u64>>() {
-            let q: DCboQueue<u64, S> = QueueBuilder::new(1).seed(3).d_cbo_on();
-            let mut s = q.session(&batched(64));
-            for i in 0..40u64 {
-                q.push_session(i, &mut s);
-            }
-            assert_eq!(q.flush_session(&mut s).published, 40);
-            let mut got = Vec::new();
-            for _ in 0..2 {
-                got.push(q.pop_session(&mut s).expect("queue holds 40").0);
-            }
-            assert_eq!(got, [0, 1], "the second pop is served from the buffer");
-            assert_eq!((s.popped.len(), q.len()), (7, 31));
-            for i in 40..43u64 {
-                q.push_session(i, &mut s);
-            }
-            let rep = q.flush_session(&mut s);
-            assert_eq!((rep.published, rep.merged), (7 + 3, 0));
-            assert_eq!((s.popped.len(), s.buffered(), q.len()), (0, 0, 41));
-            while let Some((v, _)) = q.pop_session(&mut s) {
-                got.push(v);
-            }
-            got.sort_unstable();
-            assert_eq!(got, (0..43).collect::<Vec<_>>(), "lost or duplicated");
+        let q: DCboQueue<u64> = QueueBuilder::new(1).seed(3).d_cbo();
+        let mut s = q.session(&batched(64));
+        for i in 0..40u64 {
+            q.push_session(i, &mut s);
         }
-        check::<MutexSub<u64>>();
-        check::<SegRingQueue<u64>>();
+        assert_eq!(q.flush_session(&mut s).published, 40);
+        let mut got = Vec::new();
+        for _ in 0..2 {
+            got.push(q.pop_session(&mut s).expect("queue holds 40").0);
+        }
+        assert_eq!(got, [0, 1], "the second pop is served from the buffer");
+        assert_eq!((s.popped.len(), q.len()), (7, 31));
+        for i in 40..43u64 {
+            q.push_session(i, &mut s);
+        }
+        let rep = q.flush_session(&mut s);
+        assert_eq!((rep.published, rep.merged), (7 + 3, 0));
+        assert_eq!((s.popped.len(), s.buffered(), q.len()), (0, 0, 41));
+        while let Some((v, _)) = q.pop_session(&mut s) {
+            got.push(v);
+        }
+        got.sort_unstable();
+        assert_eq!(got, (0..43).collect::<Vec<_>>(), "lost or duplicated");
+    }
+
+    #[test]
+    fn every_claim_is_one_consecutive_run() {
+        // Two sessions race over one exact-FIFO shard prefilled in order.
+        // A claim takes the head and its successors under one lock, so
+        // the other popper can never interleave inside a claim.
+        const N: u64 = 20_000;
+        let q: DCboQueue<u64> = QueueBuilder::new(1).seed(3).d_cbo();
+        let mut rng = SmallRng::seed_from_u64(1);
+        for i in 0..N {
+            q.enqueue(i, &mut rng);
+        }
+        let (q, start) = (&q, &std::sync::Barrier::new(2));
+        let mut all: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let mut s = q.session(&SessionConfig {
+                            spawn_batch: 64,
+                            ..SessionConfig::for_worker(t, 2)
+                        });
+                        let mut got = Vec::new();
+                        start.wait();
+                        while let Some((head, _)) = q.pop_session(&mut s) {
+                            let claim: Vec<u64> = std::iter::once(head)
+                                .chain(s.popped.drain(..).rev())
+                                .collect();
+                            assert!(
+                                claim.windows(2).all(|w| w[1] == w[0] + 1),
+                                "claim {claim:?} is not one consecutive run"
+                            );
+                            got.extend(claim);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        assert_eq!(all, (0..N).collect::<Vec<_>>(), "lost or duplicated");
+        assert!(q.is_empty());
     }
 
     #[test]

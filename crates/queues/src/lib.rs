@@ -25,16 +25,11 @@
 //!     provably satisfies the paper's RankBound and Fairness properties
 //!     (in the spirit of deterministic structures such as the k-LSM).
 //! * **The relaxed FIFO** ([`fifo`]): [`fifo::DCboQueue`] (d-CBO:
-//!   choice of two by balanced operation counts over sharded
-//!   sub-FIFOs), concurrent and behind the sequential
-//!   [`fifo::RelaxedFifo`] trait. It feeds the `rsched-runtime` worker
-//!   pool for FIFO-ordered workloads (BFS frontiers, k-core peeling,
-//!   label propagation).
-//! * **The lock-free sub-queue** ([`lockfree`]): the default shard
-//!   backend of the relaxed FIFO — a CAS-claimed segmented ring buffer
-//!   ([`lockfree::SegRingQueue`]), reclaimed through the epoch scheme in
-//!   `crossbeam::epoch`, selectable per queue through [`fifo::SubFifo`]
-//!   (with [`fifo::MutexSub`] as the locked reference).
+//!   choice of two by balanced operation counts over
+//!   `Mutex<VecDeque>` shards, one lock acquisition per batch),
+//!   concurrent and behind the sequential [`fifo::RelaxedFifo`] trait.
+//!   It feeds the `rsched-runtime` worker pool for FIFO-ordered
+//!   workloads (BFS frontiers, k-core peeling, label propagation).
 //! * **Lock-free priority shards** ([`skipshard`]): the shard backends
 //!   of the concurrent MultiQueue — an epoch-reclaimed Harris-style
 //!   skiplist ([`skipshard::SkipShard`], the default) and the
@@ -71,34 +66,30 @@
 //! layer picks shards (two random choices, balanced counters, keyed
 //! hashing), compares cheap per-shard summaries (operation counters
 //! kept beside each FIFO shard, a priority shard's minimum key), and
-//! claims from the winner; the shard provides the storage primitives
-//! behind one of two parallel traits:
+//! claims from the winner.
 //!
-//! * [`fifo::SubFifo`] — FIFO shards: `push`/`try_pop`/`pop_wait` over
-//!   bare elements. Composed by [`DCboQueue`].
-//! * [`skipshard::SubPriority`] — priority shards: `push_or_decrease` /
-//!   `try_pop_min` / `remove` / `decrease_key` plus the racy-safe
-//!   [`min_key`](skipshard::SubPriority::min_key) peek.
-//!   Composed by [`ConcurrentMultiQueue`].
+//! A FIFO shard is one `Mutex<VecDeque>`: [`DCboQueue`] takes its lock
+//! once per batch — one append per published batch, one `try_lock`
+//! per claim of a head and its successors. Priority shards sit behind
+//! the [`skipshard::SubPriority`] trait: `push_or_decrease` /
+//! `try_pop_min` / `remove` / `decrease_key` plus the racy-safe
+//! [`min_key`](skipshard::SubPriority::min_key) peek, composed by
+//! [`ConcurrentMultiQueue`]. Its two backends — the lock-free default
+//! and the locked reference the generic tests and the contention
+//! sweeps compare it against:
 //!
-//! The backend table — two per trait, the lock-free default and the
-//! locked reference the generic tests and the contention sweeps
-//! compare it against:
+//! | backend | synchronization | claim cost | regime |
+//! |---|---|---|---|
+//! | [`SkipShard`] (default) | Harris skiplist + registry | mark-bit CAS | multicore contention, oversubscription |
+//! | [`MutexHeapSub`] | mutex over indexed heap | lock (one per batch in buffered sessions) | threads ≤ cores; what `parallel_sssp` runs on |
 //!
-//! | backend | trait | synchronization | claim cost | regime |
-//! |---|---|---|---|---|
-//! | [`SegRingQueue`] (default) | `SubFifo` | segmented ring, CAS-claimed slots | slot CAS retry loop | steady churn, allocation-free |
-//! | [`MutexSub`] | `SubFifo` | mutex over `VecDeque` | lock | uncontended / few threads |
-//! | [`SkipShard`] (default) | `SubPriority` | Harris skiplist + registry | mark-bit CAS | multicore contention, oversubscription |
-//! | [`MutexHeapSub`] | `SubPriority` | mutex over indexed heap | lock (one per batch in buffered sessions) | threads ≤ cores; what `parallel_sssp` runs on |
-//!
-//! Both traits thread a per-operation **token** through every sub-call —
-//! an epoch [`Guard`](crossbeam::epoch::Guard) for lock-free backends,
-//! zero-sized for locked ones. Retired memory (ring segments,
-//! skiplist towers) is handed back through epoch-deferred callbacks that
-//! *recycle* into bounded per-structure pools instead of hitting the
-//! allocator, which keeps steady-state churn allocation-free without
-//! weakening the grace-period argument.
+//! `SubPriority` threads a per-operation **token** through every
+//! sub-call — an epoch [`Guard`](crossbeam::epoch::Guard) for the
+//! skiplist, zero-sized for the heap. Retired skiplist nodes are handed
+//! back through epoch-deferred callbacks that *recycle* into bounded
+//! per-shard pools instead of hitting the allocator, which keeps
+//! steady-state churn allocation-free without weakening the
+//! grace-period argument.
 //!
 //! ### The worker-session layer
 //!
@@ -108,8 +99,7 @@
 //! [`SessionPush`], [`PushOutcome`], [`FlushReport`], [`PopSource`]):
 //!
 //! * [`fifo::FifoSession`] (from [`DCboQueue::session`]) carries the
-//!   worker's [`PinSession`] epoch
-//!   pin, its private shard-picker RNG, its **owned home shards**
+//!   worker's private shard-picker RNG, its **owned home shards**
 //!   (`shards_per_worker ≥ 1`, strided over the workers so every shard
 //!   has at most one owner), and a **bounded spawn buffer** that parks
 //!   pushes and publishes them as one batch to a single
@@ -119,12 +109,12 @@
 //!   dequeues, with the session's next home shard as one candidate and
 //!   a uniform sample as the other; the winner is reported as
 //!   [`PopSource::Home`] or [`PopSource::Steal`], and it yields up to
-//!   `D` successors for the next pops.
+//!   `D` successors for the next pops in the same lock acquisition.
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
-//!   carries the pin, the RNG, the same spawn buffer (deduplicating
-//!   repeated items locally — a buffered decrease-key that costs no
-//!   shared-memory traffic — and flushed one shard acquisition per
-//!   touched shard), a **deletion buffer** (the winning shard of a
+//!   carries the amortized epoch pin ([`PinSession`]), the RNG, the
+//!   same spawn buffer (deduplicating repeated items locally — a
+//!   buffered decrease-key that costs no shared-memory traffic — and
+//!   flushed one shard acquisition per touched shard), a **deletion buffer** (the winning shard of a
 //!   choice-of-two yields its minimum plus up to `D = min(spawn_batch /
 //!   8, 8)` successors under one acquisition; the next pops are served
 //!   locally), and a **sticky peek cache** that pins the
@@ -149,14 +139,14 @@
 //! flushes on every pop miss, so a buffer can never hide the last tasks
 //! of a computation.
 //!
-//! The regime trade-off is consistent across both families: locked
-//! shards have the smaller constants and win while every critical
-//! section stays uncontended and un-preempted; the lock-free backends
-//! hold their throughput flat as threads exceed cores and win under
-//! oversubscription and real multicore contention (`fifo_contention`
-//! and `mq_contention` in `rsched-bench` measure exactly this
-//! crossover, now with the session `shards_per_worker × spawn_batch`
-//! axes swept alongside).
+//! The regime trade-off for the priority shards: the locked heap has the
+//! smaller constants and wins while every critical section stays
+//! uncontended and un-preempted; the skiplist holds its throughput flat
+//! as threads exceed cores (`mq_contention` in `rsched-bench` measures
+//! this crossover, with the session `shards_per_worker × spawn_batch`
+//! axes swept alongside). The FIFO side settled on the lock alone once
+//! every claim was batched; `ci/baselines/README.md` records the
+//! measurement and what would bring a lock-free FIFO shard back.
 //!
 //! ### The telemetry layer
 //!
@@ -166,8 +156,8 @@
 //! ([`PowHistogram`]) per series plus plain event counters, recorded
 //! into a thread-local buffer (no atomics, no allocation per op) and
 //! folded into process globals on thread exit. What is recorded where:
-//! the lock-free backends ([`SegRingQueue`], [`SkipShard`]) record
-//! CAS/claim **retries per successful pop**; the
+//! the lock-free [`SkipShard`] records CAS/claim **retries per
+//! successful pop**; the
 //! pop engines ([`DCboQueue`], [`ConcurrentMultiQueue`])
 //! record **steal/choice rounds** per pop, fallback **sweep lengths**,
 //! and **empty-pop** sweeps; [`SkipShard`] counts registry probes;
@@ -205,7 +195,6 @@ pub mod fifo;
 pub mod heap;
 pub mod instrument;
 pub mod kbounded;
-pub mod lockfree;
 pub mod multiqueue;
 pub mod pairing;
 pub mod skipshard;
@@ -214,20 +203,16 @@ pub mod telemetry;
 pub mod trace;
 
 pub use builder::QueueBuilder;
-pub use fifo::{
-    DCboQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub, PinSession, RelaxedFifo,
-    SubFifo, TryPop,
-};
+pub use fifo::{DCboQueue, FifoRankStats, FifoRankTracker, FifoSession, RelaxedFifo};
 pub use heap::IndexedBinaryHeap;
 pub use instrument::{ConcurrentRankEstimator, RankRecorder, RankStats, RankTracker};
 pub use kbounded::RotatingKQueue;
-pub use lockfree::SegRingQueue;
 pub use multiqueue::Placement;
 pub use multiqueue::{
     ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, MutexHeapMultiQueue, SimMultiQueue,
 };
 pub use pairing::PairingHeap;
-pub use skipshard::{MutexHeapSub, SkipShard, SubPriority, TryPopMin};
+pub use skipshard::{MutexHeapSub, PinSession, SkipShard, SubPriority, TryPopMin};
 pub use spraylist::{ConcurrentSprayList, SprayList};
 pub use telemetry::{HistSnapshot, PowHistogram, TelemetrySnapshot};
 pub use trace::{EventKind, LaneSnapshot, TraceEvent, TraceSink};

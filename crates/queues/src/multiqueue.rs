@@ -33,9 +33,8 @@
 //!   ([`MqSession`]) amortize the lock over a batch. `mq_contention` in
 //!   `rsched-bench` sweeps both backends under thread contention.
 
-use crate::fifo::PinSession;
 use crate::heap::IndexedBinaryHeap;
-use crate::skipshard::{MutexHeapSub, SkipShard, SubPriority, TryPopMin};
+use crate::skipshard::{MutexHeapSub, PinSession, SkipShard, SubPriority, TryPopMin};
 use crate::telemetry;
 use crate::{
     DecreaseKey, FlushReport, PopSource, PriorityQueue, PushOutcome, RelaxedQueue, SessionConfig,

@@ -2,17 +2,16 @@
 //!
 //! [`ConcurrentMultiQueue`](crate::multiqueue::ConcurrentMultiQueue) is
 //! `q` independent priority queues ("shards") composed by the choice-of-
-//! two rule. PR 2 made the *FIFO* family's shards pluggable and
-//! lock-free ([`SubFifo`](crate::fifo::SubFifo)); this module does the
-//! same for the *priority* shards, which is harder: a priority shard
-//! needs an **ordered** structure with `decrease_key`, not a queue.
+//! two rule. This module makes those shards pluggable, with a lock-free
+//! default: a priority shard needs an **ordered** structure with
+//! `decrease_key`, not a queue.
 //!
 //! # [`SubPriority`] — the shard-backend trait
 //!
-//! The per-shard contract mirrors `SubFifo`: a protection token threaded
-//! through every sub-call (an epoch guard for lock-free backends,
-//! zero-sized for locked ones, borrowable from an amortized
-//! [`PinSession`]), plus the operations the MultiQueue composes:
+//! The per-shard contract: a protection token threaded through every
+//! sub-call (an epoch guard for lock-free backends, zero-sized for
+//! locked ones, borrowable from an amortized [`PinSession`]), plus the
+//! operations the MultiQueue composes:
 //! [`min_key`](SubPriority::min_key) (a **racy-safe peek** of the shard
 //! minimum — the choice-of-two comparison), [`try_pop_min`] /
 //! [`pop_min_wait`] (claim the minimum),
@@ -65,7 +64,6 @@
 //! [`try_pop_min`]: SubPriority::try_pop_min
 //! [`pop_min_wait`]: SubPriority::pop_min_wait
 
-use crate::fifo::{PinSession, TokRef};
 use crate::heap::IndexedBinaryHeap;
 use crate::telemetry;
 use crate::{DecreaseKey, PriorityQueue};
@@ -85,6 +83,75 @@ pub const MAX_HEIGHT: usize = 8;
 
 /// The Harris deletion mark, stored in the tag bit of `next` pointers.
 const MARK: usize = 1;
+
+/// A per-operation token that is either borrowed from a live
+/// [`PinSession`] or freshly created — so workers holding a session pay
+/// no epoch entry at all per operation.
+pub enum TokRef<'a, G> {
+    /// Borrowed from the session's long-lived guard.
+    Borrowed(&'a G),
+    /// Freshly created for this operation.
+    Owned(G),
+}
+
+impl<G> std::ops::Deref for TokRef<'_, G> {
+    type Target = G;
+
+    fn deref(&self) -> &G {
+        match self {
+            TokRef::Borrowed(g) => g,
+            TokRef::Owned(g) => g,
+        }
+    }
+}
+
+/// How many operations a [`PinSession`] batches under one epoch pin
+/// before repinning (bounding how long reclamation can be held up).
+const REPIN_EVERY: u32 = 32;
+
+/// An amortized epoch pin for a batch of queue operations.
+///
+/// Entering the epoch scheme costs a fence; a worker doing millions of
+/// operations should not pay it per operation. The MultiQueue's worker
+/// session ([`MqSession`](crate::multiqueue::MqSession)) embeds one pin
+/// so the per-operation pins inside the queue collapse to counter bumps,
+/// and [`tick`](Self::tick) repins every `REPIN_EVERY` (32) calls so
+/// the global epoch — and therefore memory reclamation — keeps
+/// advancing. For backends that don't use epochs (e.g.
+/// [`MutexHeapSub`]) the pin is an inert no-op.
+#[derive(Debug, Default)]
+pub struct PinSession {
+    guard: Option<epoch::Guard>,
+    ops: u32,
+}
+
+impl PinSession {
+    /// A session that pins only if `needs_epoch`.
+    pub fn new(needs_epoch: bool) -> Self {
+        PinSession {
+            guard: needs_epoch.then(epoch::pin),
+            ops: 0,
+        }
+    }
+
+    /// The held epoch guard, if this session is live;
+    /// [`SubPriority::borrow_token`] lends it to every operation.
+    pub fn guard(&self) -> Option<&epoch::Guard> {
+        self.guard.as_ref()
+    }
+
+    /// Count one batched operation, repinning when the batch is full.
+    /// Call once per queue operation performed under the session.
+    pub fn tick(&mut self) {
+        if let Some(guard) = &mut self.guard {
+            self.ops += 1;
+            if self.ops >= REPIN_EVERY {
+                self.ops = 0;
+                guard.repin();
+            }
+        }
+    }
+}
 
 /// Result of a non-blocking delete-min attempt on a [`SubPriority`].
 #[derive(Debug)]
@@ -571,9 +638,8 @@ pub struct SkipShard<P> {
     reg: Registry<P>,
 }
 
-/// Per-shard free list of retired skiplist nodes, following the
-/// [`SegRingQueue`](crate::lockfree::SegRingQueue) segment-pool pattern:
-/// a claimed-and-unlinked node reaches the pool only through an
+/// Per-shard free list of retired skiplist nodes: a
+/// claimed-and-unlinked node reaches the pool only through an
 /// **epoch-deferred callback** (so reuse carries the same ABA protection
 /// outright destruction had). Nodes carry an owned `Arc` reference to
 /// the pool so the callback stays sound even if it runs after the shard

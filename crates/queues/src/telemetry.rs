@@ -29,7 +29,7 @@
 //!
 //! | series | kind | fed by |
 //! |---|---|---|
-//! | [`OpHist::Retry`] | CAS retries per successful claim | `SegRingQueue` pop claim loop, `SkipShard` claim/help-unlink loop |
+//! | [`OpHist::Retry`] | CAS retries per successful claim | the `SkipShard` claim/help-unlink loop (the only lock-free shard) |
 //! | [`OpHist::Steal`] | index of the choice round that won a pop: 0 = the first round won, whether its winner was a home or a foreign shard; pops served from a deletion buffer record nothing | `DCboQueue`/`ConcurrentMultiQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
 //! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |

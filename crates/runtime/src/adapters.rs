@@ -8,21 +8,20 @@
 //! signals ([`PushOutcome`], [`FlushReport`]) through unchanged so the
 //! termination counter stays exact.
 //!
-//! The sharded queues are **backend-generic**: the MultiQueue adapter
-//! accepts any [`SubPriority`] priority shard (lock-free skiplist by
-//! default, mutex-heap baseline), the FIFO adapter any [`SubFifo`]
-//! sub-queue. Their sessions carry the amortized epoch pin, so the
-//! worker loop performs zero per-operation epoch entries; the simple
-//! schedulers (`DuplicateMultiQueue`, `ConcurrentSprayList`) use a bare
-//! `SmallRng` as their session.
+//! The MultiQueue adapter is **backend-generic**: it accepts any
+//! [`SubPriority`] priority shard (lock-free skiplist by default,
+//! mutex-heap baseline), and its session carries the amortized epoch
+//! pin, so the worker loop performs zero per-operation epoch entries.
+//! The FIFO adapter has one shard type (a locked `VecDeque`) and no
+//! pin. The simple schedulers (`DuplicateMultiQueue`,
+//! `ConcurrentSprayList`) use a bare `SmallRng` as their session.
 
 use crate::pool::Scheduler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rsched_queues::{
     ConcurrentMultiQueue, ConcurrentSprayList, DCboQueue, DuplicateMultiQueue, FifoSession,
-    FlushReport, MqSession, PopSource, PushOutcome, SessionConfig, SessionPush, SubFifo,
-    SubPriority,
+    FlushReport, MqSession, PopSource, PushOutcome, SessionConfig, SessionPush, SubPriority,
 };
 
 /// Keyed MultiQueue over any priority-shard backend: pushes merge via
@@ -98,11 +97,11 @@ impl<P: Ord + Copy + Send> Scheduler<P> for ConcurrentSprayList<P> {
     }
 }
 
-/// Relaxed FIFO (d-CBO, any shard backend): the payload rides along as a
-/// carried value (e.g. a BFS depth) rather than an ordering key; the
-/// session owns home shards, offers one as each pop's first candidate,
-/// and batches spawns and pops.
-impl<P: Copy + Send, S: SubFifo<(usize, P)>> Scheduler<P> for DCboQueue<(usize, P), S> {
+/// Relaxed FIFO (d-CBO): the payload rides along as a carried value
+/// (e.g. a BFS depth) rather than an ordering key; the session owns home
+/// shards, offers one as each pop's first candidate, and batches spawns
+/// and pops.
+impl<P: Copy + Send> Scheduler<P> for DCboQueue<(usize, P)> {
     type Session = FifoSession<(usize, P)>;
 
     fn open_session(&self, cfg: &SessionConfig) -> Self::Session {

@@ -35,8 +35,9 @@
 //!   algorithms) and FIFO-ordered (BFS, label propagation, k-core)
 //!   scenarios.
 //! * Every worker owns one [`Scheduler::Session`] — *the* per-worker
-//!   state object (epoch pin, shard-picker RNG, owned home shards,
-//!   sticky peek cache, bounded spawn buffer), configured through
+//!   state object (shard-picker RNG, owned home shards, bounded spawn
+//!   and deletion buffers, plus the MultiQueue's epoch pin and sticky
+//!   peek cache), configured through
 //!   [`RuntimeConfig::shards_per_worker`] / `spawn_batch` (env:
 //!   `RSCHED_SHARDS_PER_WORKER`, `RSCHED_SPAWN_BATCH`).
 //! * [`run`] drives the pool: pop → handler → ([`TaskOutcome`]) →

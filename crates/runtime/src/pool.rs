@@ -8,9 +8,9 @@
 //!
 //! * the worker threads (scoped, one RNG stream per worker);
 //! * one **worker session** per thread ([`Scheduler::Session`]) carrying
-//!   every piece of per-worker queue state — the amortized epoch pin,
-//!   the shard-picker RNG, the owned home shards, the sticky peek cache
-//!   and the bounded spawn buffer;
+//!   every piece of per-worker queue state — the shard-picker RNG, the
+//!   owned home shards, the bounded spawn and deletion buffers, and the
+//!   MultiQueue's amortized epoch pin and sticky peek cache;
 //! * the pop → handle → re-queue loop with separate backoffs for
 //!   "queue empty" and "popped a blocked task", flushing the session's
 //!   spawn buffer on every pop miss so parked tasks can never stall

@@ -111,12 +111,13 @@ pub struct ServiceHandle<P: Copy, S: Scheduler<P> + ?Sized> {
 
 /// A per-thread handle for pushing tasks into a running service pool.
 ///
-/// Owns a scheduler session of its own (epoch pin, shard-picker RNG),
-/// configured unaffine — an injector has no home shards to keep hot —
-/// and with `spawn_batch` forced to 1, because a parked injection would
-/// trade exactly the latency a serving front-end exists to measure.
-/// Deliberately **not** `Send` when the underlying session is not: the
-/// epoch pin is thread-owned state.
+/// Owns a scheduler session of its own (shard-picker RNG, plus the
+/// MultiQueue's epoch pin), configured unaffine — an injector has no
+/// home shards to keep hot — and with `spawn_batch` forced to 1,
+/// because a parked injection would trade exactly the latency a serving
+/// front-end exists to measure.
+/// Deliberately **not** `Send` when the underlying session is not: a
+/// MultiQueue session's epoch pin is thread-owned state.
 pub struct Injector<P: Copy, S: Scheduler<P> + ?Sized> {
     core: Arc<ServiceCore<P, S>>,
     session: S::Session,

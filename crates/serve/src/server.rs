@@ -142,8 +142,8 @@ pub enum Backend {
     MqSkiplist,
     /// `ConcurrentMultiQueue` over mutex-heap shards (`mq-mutex`).
     MqMutexHeap,
-    /// `DCboQueue` relaxed FIFO over segmented rings (`dcbo`).
-    DcboSegring,
+    /// `DCboQueue` relaxed FIFO over `Mutex<VecDeque>` shards (`dcbo`).
+    Dcbo,
 }
 
 impl Backend {
@@ -152,16 +152,12 @@ impl Backend {
         match self {
             Backend::MqSkiplist => "mq",
             Backend::MqMutexHeap => "mq-mutex",
-            Backend::DcboSegring => "dcbo",
+            Backend::Dcbo => "dcbo",
         }
     }
 
     /// Every backend, in the order benches sweep them.
-    pub const ALL: [Backend; 3] = [
-        Backend::MqSkiplist,
-        Backend::MqMutexHeap,
-        Backend::DcboSegring,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::MqSkiplist, Backend::MqMutexHeap, Backend::Dcbo];
 
     /// Feature bits a server on this backend grants in a [`HelloAck`]:
     /// EDF only where the queue orders by key — `dcbo` is a FIFO and
@@ -169,7 +165,7 @@ impl Backend {
     fn features(self) -> u64 {
         match self {
             Backend::MqSkiplist | Backend::MqMutexHeap => FEAT_EDF,
-            Backend::DcboSegring => 0,
+            Backend::Dcbo => 0,
         }
     }
 }
@@ -181,7 +177,7 @@ impl FromStr for Backend {
         match s {
             "mq" => Ok(Backend::MqSkiplist),
             "mq-mutex" => Ok(Backend::MqMutexHeap),
-            "dcbo" => Ok(Backend::DcboSegring),
+            "dcbo" => Ok(Backend::Dcbo),
             other => Err(format!(
                 "unknown backend {other:?} (expected mq, mq-mutex or dcbo)"
             )),
@@ -634,9 +630,7 @@ impl Server {
                 Arc::new(builder.multiqueue_on::<u64, MutexHeapSub<u64>>()),
                 cfg,
             ),
-            Backend::DcboSegring => {
-                Server::start_with(Arc::new(builder.d_cbo::<(usize, u64)>()), cfg)
-            }
+            Backend::Dcbo => Server::start_with(Arc::new(builder.d_cbo::<(usize, u64)>()), cfg),
         }
     }
 

@@ -229,7 +229,7 @@ fn unix_socket_roundtrip() {
     let path = std::env::temp_dir().join(format!("rsched-serve-test-{}.sock", std::process::id()));
     let server = Server::start(ServeConfig {
         endpoint: Endpoint::Unix(path.clone()),
-        backend: Backend::DcboSegring,
+        backend: Backend::Dcbo,
         threads: 2,
         queue_cap: 1024,
         seed: 7,
@@ -481,7 +481,7 @@ fn edf_is_granted_only_where_the_backend_orders_by_key() {
         // must not tell the client that deadlines steer scheduling.
         let want = match backend {
             Backend::MqSkiplist | Backend::MqMutexHeap => FEAT_EDF,
-            Backend::DcboSegring => 0,
+            Backend::Dcbo => 0,
         };
         assert_eq!(ack.features, want, "backend {backend:?}");
         // Granted or not, submits complete with a verdict each.

@@ -18,7 +18,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over pluggable shard backends (the epoch-reclaimed lock-free segmented ring, and a mutex reference), rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
+//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over `Mutex<VecDeque>` shards locked once per batch, rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
 //! | [`runtime`] | the sharded concurrent scheduling runtime: worker pool, `Scheduler` trait over relaxed queues, quiescence termination detection, per-worker stats, fork-join helper |
 //! | [`core`] | the `Q_k` scheduler model, Algorithm 1/2 executors with extra-step accounting, adversarial schedulers, the Section 4 transactional simulator, theorem formulas |
 //! | [`graph`] | CSR graphs, random/road/social generators, DIMACS & SNAP loaders, BFS / Dijkstra / Δ-stepping / Bellman–Ford baselines |
@@ -35,16 +35,16 @@
 //! the scheduling order — relaxed *priority* (`ConcurrentMultiQueue`,
 //! `ConcurrentSprayList`, `DuplicateMultiQueue`) for SSSP and the
 //! iterative algorithms, and relaxed *FIFO* (`DCboQueue`)
-//! for BFS frontiers, label propagation and k-core peeling. The
-//! relaxed-FIFO shards default to the lock-free segmented ring buffer
-//! in `rsched_queues::lockfree` (the mutex reference stays selectable
-//! through the `SubFifo` trait); the MultiQueue's priority shards
-//! default to the lock-free skiplist in `rsched_queues::skipshard`.
+//! for BFS frontiers, label propagation and k-core peeling. Each
+//! relaxed-FIFO shard is a `Mutex<VecDeque>` that a batched session
+//! locks once per published batch and once per claim; the MultiQueue's
+//! priority shards default to the lock-free skiplist in
+//! `rsched_queues::skipshard`.
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
-//! `rsched_queues` worker-session layer): the amortized epoch pin, the
-//! worker's shard-picker RNG, its owned *home shards* (one of the two
-//! choices of every FIFO pop; `RSCHED_SHARDS_PER_WORKER`), the MultiQueue's
+//! `rsched_queues` worker-session layer): the worker's shard-picker RNG,
+//! its owned *home shards* (one of the two choices of every FIFO pop;
+//! `RSCHED_SHARDS_PER_WORKER`), the MultiQueue's amortized epoch pin and
 //! sticky peek cache, and a bounded spawn buffer that publishes batches
 //! (`RSCHED_SPAWN_BATCH`) — one abstraction where earlier revisions had
 //! `PinSession` threading, `StickySession` and thread-local picker RNGs.
@@ -134,10 +134,9 @@ pub mod prelude {
     pub use rsched_queues::{
         ConcurrentMultiQueue, ConcurrentRankEstimator, ConcurrentSprayList, DCboQueue, DecreaseKey,
         DuplicateMultiQueue, Exact, FifoRankStats, FifoRankTracker, FifoSession, FlushReport,
-        IndexedBinaryHeap, MqSession, MutexSub, PairingHeap, PinSession, PopSource, PriorityQueue,
+        IndexedBinaryHeap, MqSession, PairingHeap, PinSession, PopSource, PriorityQueue,
         PushOutcome, QueueBuilder, RankStats, RankTracker, RelaxedFifo, RelaxedQueue,
-        RotatingKQueue, SegRingQueue, SessionConfig, SessionPush, SimMultiQueue, SprayList,
-        SubFifo,
+        RotatingKQueue, SessionConfig, SessionPush, SimMultiQueue, SprayList,
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{

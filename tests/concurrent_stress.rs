@@ -317,22 +317,19 @@ fn concurrent_spraylist_drain_storm() {
     assert_eq!(seen.len(), n);
 }
 
-/// d-CBO over both shard backends {mutex, segring} under a concurrent
-/// enqueue/dequeue storm through **batched sessions** (spawn buffer and
-/// deletion buffer, a forced flush at the end returning parked pops):
-/// no element may be lost or duplicated regardless of the shard
-/// sub-queue implementation.
+/// d-CBO under a concurrent enqueue/dequeue storm through **batched
+/// sessions** (spawn buffer and deletion buffer, a forced flush at the
+/// end returning parked pops), over a `threads × spawn_batch` matrix
+/// whose last cell oversubscribes the cores, where a preempted lock
+/// holder shows: no element may be lost or duplicated.
 #[test]
-fn relaxed_fifo_backend_matrix_storm() {
+fn relaxed_fifo_session_storm_matrix() {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use rsched_queues::lockfree::SegRingQueue;
-    use rsched_queues::{MutexSub, SubFifo};
 
-    fn storm<S: SubFifo<usize> + 'static>(name: &str, spawn_batch: usize) {
-        let threads = 4 * stress();
+    fn storm(threads: usize, spawn_batch: usize) {
         let per = 4_000 * stress();
-        let q: Arc<DCboQueue<usize, S>> = Arc::new(QueueBuilder::new(6).seed(13).d_cbo_on());
+        let q: Arc<DCboQueue<usize>> = Arc::new(QueueBuilder::new(6).seed(13).d_cbo());
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let q = Arc::clone(&q);
@@ -355,25 +352,26 @@ fn relaxed_fifo_backend_matrix_storm() {
                 })
             })
             .collect();
+        let cell = format!("{threads} threads, spawn_batch {spawn_batch}");
         let mut seen = HashSet::new();
         for h in handles {
             for v in h.join().unwrap() {
-                assert!(seen.insert(v), "{name}: duplicate {v}");
+                assert!(seen.insert(v), "{cell}: duplicate {v}");
             }
         }
         let mut rng = SmallRng::seed_from_u64(0);
         while let Some(v) = q.dequeue(&mut rng) {
-            assert!(seen.insert(v), "{name}: duplicate {v}");
+            assert!(seen.insert(v), "{cell}: duplicate {v}");
         }
-        assert_eq!(seen.len(), threads * per, "{name}: elements lost");
+        assert_eq!(seen.len(), threads * per, "{cell}: elements lost");
         assert!(q.is_empty());
     }
 
     // 8 parks one popped successor per claim, 64 the full eight.
     for spawn_batch in [8, 64] {
-        storm::<MutexSub<usize>>("mutex", spawn_batch);
-        storm::<SegRingQueue<usize>>("segring", spawn_batch);
+        storm(4 * stress(), spawn_batch);
     }
+    storm(8 * stress(), 64);
 }
 
 /// The priority-shard backend matrix {skiplist, mutexheap} under a
