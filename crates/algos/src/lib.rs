@@ -61,6 +61,6 @@ pub use label_prop::{
 };
 pub use mis::GreedyMis;
 pub use sssp::{
-    parallel_sssp, parallel_sssp_duplicates, parallel_sssp_spraylist, relaxed_sssp_seq,
-    ParSsspConfig, ParSsspStats, SeqSsspStats,
+    parallel_sssp, parallel_sssp_duplicates, relaxed_sssp_seq, ParSsspConfig, ParSsspStats,
+    SeqSsspStats,
 };

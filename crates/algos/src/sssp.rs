@@ -44,9 +44,7 @@
 //! [`MutexHeapMultiQueue`]: rsched_queues::MutexHeapMultiQueue
 
 use rsched_graph::{CsrGraph, Weight, INF};
-use rsched_queues::{
-    ConcurrentSprayList, DuplicateMultiQueue, MutexHeapMultiQueue, QueueBuilder, RelaxedQueue,
-};
+use rsched_queues::{DuplicateMultiQueue, MutexHeapMultiQueue, QueueBuilder, RelaxedQueue};
 use rsched_runtime::{run, RuntimeConfig, Scheduler, TaskOutcome};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -189,14 +187,14 @@ impl ParSsspStats {
 /// several expansions' worth, so a flush touches each shard once with a
 /// group rather than once per edge, and both the keyed MultiQueue and
 /// the relaxed FIFO sessions pop `64 / 8` successors with each claim.
-/// The schedulers without a session buffer (SprayList, duplicates)
-/// ignore it.
+/// The duplicate-insertion MultiQueue has no session buffer and
+/// ignores it.
 pub(crate) const SPAWN_BATCH: usize = 64;
 
 /// The shared concurrent-SSSP task handler over any runtime [`Scheduler`]:
 /// pop a `(vertex, distance)` task, drop it if stale, otherwise CAS-relax
 /// every outgoing edge and spawn the improved neighbours. The scheduler
-/// determines the ablation: keyed MultiQueue (decrease-key), SprayList, or
+/// determines the ablation: keyed MultiQueue (decrease-key) or
 /// duplicate-insertion MultiQueue.
 fn parallel_sssp_on<S: Scheduler<Weight>>(
     g: &CsrGraph,
@@ -270,19 +268,6 @@ pub fn parallel_sssp(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspSta
     let queue: MutexHeapMultiQueue<Weight> = QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
         .universe(g.num_vertices())
         .multiqueue_on();
-    parallel_sssp_on(g, src, cfg, &queue)
-}
-
-/// Concurrent SSSP over the sharded [`ConcurrentSprayList`] — the paper's
-/// other cited DecreaseKey-capable relaxed scheduler (Section 6 mentions
-/// both the SprayList and MultiQueues as schedulers supporting the
-/// operation). Semantics and statistics match [`parallel_sssp`].
-pub fn parallel_sssp_spraylist(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspStats {
-    let queue = ConcurrentSprayList::<Weight>::new(
-        cfg.threads * cfg.queue_multiplier,
-        cfg.threads.max(2),
-        cfg.seed,
-    );
     parallel_sssp_on(g, src, cfg, &queue)
 }
 
@@ -466,24 +451,6 @@ mod tests {
         assert_eq!(stats.dist, want);
         // Without DecreaseKey, stale pops are the norm on dense relaxations.
         assert!(stats.pops >= stats.executed);
-    }
-
-    #[test]
-    fn parallel_spraylist_matches_dijkstra() {
-        let g = random_gnm(800, 4000, 1..=100, 12);
-        let want = dijkstra(&g, 0).dist;
-        let stats = parallel_sssp_spraylist(
-            &g,
-            0,
-            ParSsspConfig {
-                threads: 4,
-                queue_multiplier: 2,
-                seed: 5,
-            },
-        );
-        assert_eq!(stats.dist, want);
-        let reachable = want.iter().filter(|&&d| d != INF).count() as u64;
-        assert!(stats.executed >= reachable);
     }
 
     #[test]

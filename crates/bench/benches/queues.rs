@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rsched_queues::{
-    ConcurrentMultiQueue, Exact, IndexedBinaryHeap, PairingHeap, PriorityQueue, QueueBuilder,
-    RelaxedQueue, RotatingKQueue, SimMultiQueue, SprayList,
+    ConcurrentMultiQueue, Exact, IndexedBinaryHeap, PriorityQueue, QueueBuilder, RelaxedQueue,
+    RotatingKQueue, SessionConfig, SimMultiQueue, SprayList,
 };
 use std::sync::Arc;
 
@@ -27,15 +27,6 @@ fn bench_sequential_queues(c: &mut Criterion) {
     group.bench_function("indexed_binary_heap", |b| {
         b.iter(|| {
             let mut h = IndexedBinaryHeap::new();
-            for (i, &k) in ks.iter().enumerate() {
-                h.push(i, k);
-            }
-            while h.pop().is_some() {}
-        })
-    });
-    group.bench_function("pairing_heap", |b| {
-        b.iter(|| {
-            let mut h = PairingHeap::new();
             for (i, &k) in ks.iter().enumerate() {
                 h.push(i, k);
             }
@@ -97,18 +88,6 @@ fn bench_decrease_key(c: &mut Criterion) {
             while h.pop().is_some() {}
         })
     });
-    group.bench_function("pairing_heap", |b| {
-        b.iter(|| {
-            let mut h = PairingHeap::new();
-            for i in 0..N {
-                h.push(i, 1_000_000 + i as u64);
-            }
-            for i in 0..N {
-                h.decrease_key(i, i as u64);
-            }
-            while h.pop().is_some() {}
-        })
-    });
     group.finish();
 }
 
@@ -132,11 +111,12 @@ fn bench_concurrent_multiqueue(c: &mut Criterion) {
                         let q = Arc::clone(&q);
                         s.spawn(move || {
                             let mut rng = SmallRng::seed_from_u64(t as u64);
+                            let mut session = q.session(&SessionConfig::for_worker(t, threads));
                             for i in 0..per_thread {
                                 q.push_or_decrease(t * per_thread + i, rng.gen_range(0..1_000_000));
                             }
                             for _ in 0..per_thread {
-                                while q.pop(&mut rng).is_none() {
+                                while q.pop_session(&mut session).is_none() {
                                     if q.is_empty() {
                                         break;
                                     }
@@ -166,7 +146,6 @@ fn bench_multiqueue_backends(c: &mut Criterion) {
     group.throughput(Throughput::Elements((threads * per_thread) as u64));
     group.sample_size(10);
     fn cell<S: SubPriority<u64> + 'static>(threads: usize, per_thread: usize) {
-        use rsched_queues::SessionConfig;
         let q: Arc<ConcurrentMultiQueue<u64, S>> =
             Arc::new(QueueBuilder::new(2 * threads).multiqueue_on());
         std::thread::scope(|s| {

@@ -8,9 +8,9 @@
 //! and a two-choice relaxed `pop` — the operation mix Algorithm 3 of the
 //! paper issues while the distance frontier advances, including the
 //! decrease-key hits a keyed MultiQueue exists for. Every worker drives
-//! the queue through its [`MqSession`]: the amortized epoch pin, the
-//! sticky peek cache and the spawn buffer (`RSCHED_SPAWN_BATCH`), so
-//! the sweep exercises exactly the runtime's session path. This is the
+//! the queue through its [`MqSession`]: the amortized epoch pin and the
+//! spawn and deletion buffers (`RSCHED_SPAWN_BATCH`), so the sweep
+//! exercises exactly the runtime's session path. This is the
 //! experiment behind the lock-free-priority-shards claim: the mutex
 //! backend pays a lock per peek and convoys when a holder is preempted,
 //! while the skiplist backend peeks racily and claims with one CAS, so a
@@ -39,14 +39,9 @@
 //! host's `nproc`. `RSCHED_THREADS=1,2,4,8` overrides the thread sweep,
 //! `RSCHED_SCALE` (small/medium/paper) the per-thread operation count,
 //! `RSCHED_REPS` the repetitions per cell (best run reported,
-//! suppressing scheduler noise on oversubscribed hosts), and the
-//! session axes ride on `RSCHED_STICKINESS` — a comma-separated *sweep
-//! list* (e.g. `1,4,16`): every listed
-//! peek-cache-reuse budget runs as its own cell, so the
-//! stickiness-vs-throughput trade on the SSSP workload lands in the
-//! JSON — plus `RSCHED_SPAWN_BATCH` and `RSCHED_SHARDS_PER_WORKER`
-//! (recorded for artifact uniformity; keyed placement itself has no
-//! home shards).
+//! suppressing scheduler noise on oversubscribed hosts), and
+//! `RSCHED_SPAWN_BATCH` every session's spawn batch (default 1; recorded
+//! in each record).
 //!
 //! ```text
 //! cargo run -p rsched-bench --release --bin mq_contention
@@ -56,9 +51,7 @@
 //!
 //! [`MqSession`]: rsched_queues::MqSession
 
-use rsched_bench::{
-    env_thread_list, env_usize, env_usize_list, session_knobs, telemetry_json_fields, Scale,
-};
+use rsched_bench::{env_thread_list, env_usize, telemetry_json_fields, Scale};
 use rsched_queues::{
     telemetry, ConcurrentMultiQueue, FlushReport, MqSession, MutexHeapSub, PopSource, PushOutcome,
     QueueBuilder, SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
@@ -105,7 +98,6 @@ struct Trial {
     wall_s: f64,
     ops: u64,
     pops: u64,
-    cache_hits: u64,
     inserts: u64,
     merges: u64,
     telemetry: TelemetrySnapshot,
@@ -145,7 +137,7 @@ fn trial<Q: ContendedMq>(
     queue: &Q,
     threads: usize,
     ops_per_thread: usize,
-    session_cfg: SessionConfig,
+    spawn_batch: usize,
 ) -> Trial {
     use rand::Rng;
     let prefill_inserts = {
@@ -163,20 +155,19 @@ fn trial<Q: ContendedMq>(
     telemetry::reset();
     let barrier = Barrier::new(threads);
     let pops = AtomicU64::new(0);
-    let cache_hits = AtomicU64::new(0);
     let inserts = AtomicU64::new(0);
     let merges = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for tid in 0..threads {
-            let (barrier, pops, cache_hits, inserts, merges, queue) =
-                (&barrier, &pops, &cache_hits, &inserts, &merges, &queue);
+            let (barrier, pops, inserts, merges, queue) =
+                (&barrier, &pops, &inserts, &merges, &queue);
             scope.spawn(move || {
                 let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(
                     tid as u64 * 0x9E37 + 1,
                 );
                 let mut acct = Accounting::default();
-                let (mut my_pops, mut my_cache_hits) = (0u64, 0u64);
+                let mut my_pops = 0u64;
                 // The worker's advancing "distance front", as in SSSP:
                 // new priorities land just above the last popped one.
                 let mut front = 0u64;
@@ -184,7 +175,8 @@ fn trial<Q: ContendedMq>(
                     tid,
                     workers: threads,
                     seed: tid as u64 * 0x5E55 + 7,
-                    ..session_cfg
+                    spawn_batch,
+                    ..SessionConfig::default()
                 });
                 barrier.wait();
                 for op in 0..ops_per_thread {
@@ -192,11 +184,8 @@ fn trial<Q: ContendedMq>(
                         let item = rng.gen_range(0..UNIVERSE);
                         let prio = front + rng.gen_range(0..1_000u64);
                         acct.push(queue.push_or_dec(item, prio, &mut session));
-                    } else if let Some(((_, d), src)) = queue.pop(&mut session) {
+                    } else if let Some(((_, d), _)) = queue.pop(&mut session) {
                         my_pops += 1;
-                        if src == PopSource::Home {
-                            my_cache_hits += 1;
-                        }
                         front = front.max(d);
                     }
                 }
@@ -204,7 +193,6 @@ fn trial<Q: ContendedMq>(
                 // conservation accounting below.
                 acct.flush(queue.flush(&mut session));
                 pops.fetch_add(my_pops, Ordering::Relaxed);
-                cache_hits.fetch_add(my_cache_hits, Ordering::Relaxed);
                 inserts.fetch_add(acct.inserts(), Ordering::Relaxed);
                 merges.fetch_add(acct.merges(), Ordering::Relaxed);
             });
@@ -230,7 +218,6 @@ fn trial<Q: ContendedMq>(
         wall_s,
         ops: (threads * ops_per_thread) as u64,
         pops: popped,
-        cache_hits: cache_hits.load(Ordering::Relaxed),
         inserts: inserts.load(Ordering::Relaxed),
         merges: merges.load(Ordering::Relaxed),
         telemetry: snapshot,
@@ -246,66 +233,43 @@ fn main() {
     };
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let reps = env_usize("RSCHED_REPS", 8).clamp(1, 16);
-    let (shards_per_worker, spawn_batch) = session_knobs();
-    // Stickiness is a *sweep* axis (`RSCHED_STICKINESS=1,4,...`): the
-    // peek cache trades rank slack for peek traffic, and the SSSP-pop
-    // workload shows that trade as throughput + merge-fraction shifts
-    // per stickiness value in the JSON, not just as the drain
-    // displacement `ablation_stickiness` measures.
-    let mut stickiness_sweep = env_usize_list("RSCHED_STICKINESS", &[1]);
-    // Sanitize before the sweep is used as a cell identity axis: the
-    // session clamps stickiness to >= 1, so a raw 0 would emit a cell
-    // labelled differently from what actually ran.
-    for s in &mut stickiness_sweep {
-        *s = (*s).max(1);
-    }
-    stickiness_sweep.dedup();
+    let spawn_batch = env_usize("RSCHED_SPAWN_BATCH", 1);
     // Deep oversubscription on purpose: the crossover is the result.
     let threads_sweep = env_thread_list(&[1, 2, 4, 8, 16, 32, 64]);
     println!(
         "== MultiQueue contention sweep (scale {scale:?}, {ops_per_thread} ops/thread, \
          SSSP-pop workload, universe {UNIVERSE}, prefill {PREFILL}, best of {reps}, \
-         threads {threads_sweep:?}, nproc {nproc}, spawn batch {spawn_batch}, \
-         stickiness {stickiness_sweep:?}) ==",
+         threads {threads_sweep:?}, nproc {nproc}, spawn batch {spawn_batch}) ==",
     );
     for &threads in &threads_sweep {
         // Two shards per thread: the paper's Figure 1 MultiQueue
         // configuration (queue_multiplier = 2).
         let shards = 2 * threads;
-        type Cell<'a> = (&'a str, usize, Box<dyn Fn() -> Trial>);
-        let mut makes: Vec<Cell<'_>> = Vec::new();
-        for &stickiness in &stickiness_sweep {
-            let session_cfg = SessionConfig {
-                shards_per_worker,
-                spawn_batch,
-                stickiness: stickiness.max(1),
-                ..SessionConfig::default()
-            };
-            makes.push((
+        type Cell<'a> = (&'a str, Box<dyn Fn() -> Trial>);
+        let makes: [Cell<'_>; 2] = [
+            (
                 "mutexheap",
-                stickiness,
                 Box::new(move || {
                     let q: ConcurrentMultiQueue<u64, MutexHeapSub<u64>> =
                         QueueBuilder::new(shards).universe(UNIVERSE).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, session_cfg)
+                    trial(&q, threads, ops_per_thread, spawn_batch)
                 }),
-            ));
-            makes.push((
+            ),
+            (
                 "skiplist",
-                stickiness,
                 Box::new(move || {
                     let q: ConcurrentMultiQueue<u64, SkipShard<u64>> =
                         QueueBuilder::new(shards).universe(UNIVERSE).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, session_cfg)
+                    trial(&q, threads, ops_per_thread, spawn_batch)
                 }),
-            ));
-        }
+            ),
+        ];
         // Interleave the repetitions round-robin so background-load
         // drift on the host hits every cell equally; keep each cell's
         // best run.
         let mut best: Vec<Option<Trial>> = makes.iter().map(|_| None).collect();
         for _rep in 0..reps {
-            for (slot, (_, _, make)) in best.iter_mut().zip(&makes) {
+            for (slot, (_, make)) in best.iter_mut().zip(&makes) {
                 let t = make();
                 let better = slot
                     .as_ref()
@@ -315,22 +279,20 @@ fn main() {
                 }
             }
         }
-        for ((backend, stickiness, _), t) in makes.iter().zip(best) {
+        for ((backend, _), t) in makes.iter().zip(best) {
             let t = t.expect("reps >= 1");
             println!(
                 "json,{{\"queue\":\"multiqueue\",\"backend\":\"{backend}\",\"threads\":{threads},\
                  \"nproc\":{nproc},\"shards\":{shards},\"prefill\":{PREFILL},\"universe\":{UNIVERSE},\
-                 \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
-                 \"stickiness\":{stickiness},\
+                 \"spawn_batch\":{spawn_batch},\
                  \"ops\":{},\"wall_s\":{:.6},\"ops_per_sec\":{:.1},\"pops\":{},\
-                 \"pops_per_sec\":{:.1},\"cache_hits\":{},\"inserts\":{},\"merges\":{},\
+                 \"pops_per_sec\":{:.1},\"inserts\":{},\"merges\":{},\
                  \"merge_fraction\":{:.4},{},\"registry_probes\":{}}}",
                 t.ops,
                 t.wall_s,
                 t.ops as f64 / t.wall_s,
                 t.pops,
                 t.pops as f64 / t.wall_s,
-                t.cache_hits,
                 t.inserts,
                 t.merges,
                 if t.inserts + t.merges == 0 {

@@ -93,19 +93,6 @@ pub fn env_thread_list(default: &[usize]) -> Vec<usize> {
 // keeps its historical `rsched_bench::env_*` call sites.
 pub use rsched_runtime::env::{env_usize, env_usize_list};
 
-/// The worker-session tuning knobs every contention benchmark sweeps and
-/// records: `RSCHED_SHARDS_PER_WORKER` (home shards per worker, default
-/// 1; 0 disables affinity) and `RSCHED_SPAWN_BATCH` (spawn-buffer
-/// capacity, default 1 = publish immediately). Returned as
-/// `(shards_per_worker, spawn_batch)`; emit both in every JSON record so
-/// each `json,` line pins down the session axes of its run.
-pub fn session_knobs() -> (usize, usize) {
-    (
-        env_usize("RSCHED_SHARDS_PER_WORKER", 1),
-        env_usize("RSCHED_SPAWN_BATCH", 1),
-    )
-}
-
 /// The shared telemetry tail-field fragment of the bench JSON schema
 /// (no surrounding braces, no leading comma): per-op CAS-retry and
 /// steal-round quantiles, fallback-sweep p99, empty-pop and flush

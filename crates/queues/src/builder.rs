@@ -138,15 +138,7 @@ mod tests {
             unreachable!("probe shards are never operated on")
         }
 
-        fn push(&self, _item: usize, _prio: u64, _tok: &()) {
-            unreachable!("probe shards are never operated on")
-        }
-
         fn remove(&self, _item: usize, _tok: &()) -> Option<u64> {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn decrease_key(&self, _item: usize, _prio: u64, _tok: &()) -> bool {
             unreachable!("probe shards are never operated on")
         }
 

@@ -6,8 +6,8 @@
 //!
 //! It contains:
 //!
-//! * **Exact** priority queues with `DecreaseKey`: an indexed binary heap
-//!   ([`heap::IndexedBinaryHeap`]) and a pairing heap ([`pairing::PairingHeap`]).
+//! * An **exact** priority queue with `DecreaseKey`: an indexed binary
+//!   heap ([`heap::IndexedBinaryHeap`]).
 //! * **Relaxed** priority queues, i.e. schedulers that may return one of the
 //!   `k` highest-priority elements instead of the exact minimum:
 //!   - [`multiqueue::SimMultiQueue`]: the sequential-model MultiQueue
@@ -18,9 +18,9 @@
 //!     is supported (required by the paper's SSSP, Section 6), generic
 //!     over its per-shard backend — lock-free skiplist by default, mutex
 //!     heap as the baseline (see the shard-backend section below);
-//!   - [`spraylist::SprayList`]: a skip-list based relaxed queue whose
-//!     `pop_relaxed` performs a "spray" random walk, following the SprayList
-//!     of Alistarh et al. (PPoPP 2015);
+//!   - [`spraylist::SprayList`]: a sequential-model skip-list relaxed
+//!     queue whose `pop_relaxed` performs a "spray" random walk, following
+//!     the SprayList of Alistarh et al. (PPoPP 2015);
 //!   - [`kbounded::RotatingKQueue`]: a *deterministic* k-relaxed queue that
 //!     provably satisfies the paper's RankBound and Fairness properties
 //!     (in the spirit of deterministic structures such as the k-LSM).
@@ -72,7 +72,7 @@
 //! once per batch — one append per published batch, one `try_lock`
 //! per claim of a head and its successors. Priority shards sit behind
 //! the [`skipshard::SubPriority`] trait: `push_or_decrease` /
-//! `try_pop_min` / `remove` / `decrease_key` plus the racy-safe
+//! `try_pop_min` / `remove` plus the racy-safe
 //! [`min_key`](skipshard::SubPriority::min_key) peek, composed by
 //! [`ConcurrentMultiQueue`]. Its two backends — the lock-free default
 //! and the locked reference the generic tests and the contention
@@ -111,16 +111,16 @@
 //!   [`PopSource::Home`] or [`PopSource::Steal`], and it yields up to
 //!   `D` successors for the next pops in the same lock acquisition.
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
-//!   carries the amortized epoch pin ([`PinSession`]), the RNG, the
-//!   same spawn buffer (deduplicating repeated items locally — a
-//!   buffered decrease-key that costs no shared-memory traffic — and
-//!   flushed one shard acquisition per touched shard), a **deletion buffer** (the winning shard of a
+//!   is the MultiQueue's only pop path
+//!   ([`ConcurrentMultiQueue::pop_session`]: peek two random shards,
+//!   claim from the smaller minimum). It carries the amortized epoch pin
+//!   ([`PinSession`]), the RNG, the same spawn buffer (deduplicating
+//!   repeated items locally — a buffered decrease-key that costs no
+//!   shared-memory traffic — and flushed one shard acquisition per
+//!   touched shard), and a **deletion buffer** (the winning shard of a
 //!   choice-of-two yields its minimum plus up to `D = min(spawn_batch /
 //!   8, 8)` successors under one acquisition; the next pops are served
-//!   locally), and a **sticky peek cache** that pins the
-//!   shard *minimum* observed while losing the previous choice-of-two —
-//!   not the shard index, so going stale only costs relaxation slack,
-//!   never a wrong claim (the claim is still a validated CAS).
+//!   locally and reported as [`PopSource::Home`]).
 //!
 //! In both sessions the buffers exist only when `spawn_batch > 1` and
 //! widen the nominal relaxation (`k = O(q log q)` for the MultiQueue)
@@ -143,10 +143,10 @@
 //! smaller constants and wins while every critical section stays
 //! uncontended and un-preempted; the skiplist holds its throughput flat
 //! as threads exceed cores (`mq_contention` in `rsched-bench` measures
-//! this crossover, with the session `shards_per_worker × spawn_batch`
-//! axes swept alongside). The FIFO side settled on the lock alone once
-//! every claim was batched; `ci/baselines/README.md` records the
-//! measurement and what would bring a lock-free FIFO shard back.
+//! this crossover at the session's `spawn_batch`). The FIFO side
+//! settled on the lock alone once every claim was batched;
+//! `ci/baselines/README.md` records the measurement and what would
+//! bring a lock-free FIFO shard back.
 //!
 //! ### The telemetry layer
 //!
@@ -196,7 +196,6 @@ pub mod heap;
 pub mod instrument;
 pub mod kbounded;
 pub mod multiqueue;
-pub mod pairing;
 pub mod skipshard;
 pub mod spraylist;
 pub mod telemetry;
@@ -211,9 +210,8 @@ pub use multiqueue::Placement;
 pub use multiqueue::{
     ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, MutexHeapMultiQueue, SimMultiQueue,
 };
-pub use pairing::PairingHeap;
 pub use skipshard::{MutexHeapSub, PinSession, SkipShard, SubPriority, TryPopMin};
-pub use spraylist::{ConcurrentSprayList, SprayList};
+pub use spraylist::SprayList;
 pub use telemetry::{HistSnapshot, PowHistogram, TelemetrySnapshot};
 pub use trace::{EventKind, LaneSnapshot, TraceEvent, TraceSink};
 
@@ -233,9 +231,9 @@ pub const MAX_SPAWN_BATCH: usize = 4096;
 /// crate ([`DCboQueue::session`], [`ConcurrentMultiQueue::session`]).
 ///
 /// A session is the worker-owned half of a queue: the epoch pin, the
-/// shard-picker RNG stream, the owned home shards, the sticky peek
-/// cache and the bounded spawn buffer all live in it, so the shared
-/// structure stays free of any per-thread state.
+/// shard-picker RNG stream, the owned home shards and the bounded spawn
+/// and deletion buffers all live in it, so the shared structure stays
+/// free of any per-thread state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionConfig {
     /// This worker's id in `0..workers`.
@@ -244,18 +242,15 @@ pub struct SessionConfig {
     pub workers: usize,
     /// Seed for the session's private RNG stream (derive per worker).
     pub seed: u64,
-    /// Home shards this worker owns (FIFO queues); each pop's first
-    /// candidate is the next of them. `0` disables affinity entirely —
-    /// every pop is an unbiased choice-of-`d`.
+    /// Home shards this worker owns (FIFO queues; a MultiQueue session
+    /// ignores it); each pop's first candidate is the next of them. `0`
+    /// disables affinity entirely — every pop is an unbiased
+    /// choice-of-`d`.
     pub shards_per_worker: usize,
     /// Spawn-buffer capacity (clamped to [`MAX_SPAWN_BATCH`]); `1`
     /// publishes every push immediately. Both sessions size their
     /// deletion buffer from it too (`min(spawn_batch / 8, 8)`).
     pub spawn_batch: usize,
-    /// How many consecutive pops may reuse the session's sticky peek
-    /// cache before a forced re-sample (MultiQueue); `1` re-samples
-    /// every pop — the classic two-choice protocol.
-    pub stickiness: usize,
 }
 
 impl Default for SessionConfig {
@@ -266,7 +261,6 @@ impl Default for SessionConfig {
             seed: 0,
             shards_per_worker: 1,
             spawn_batch: 1,
-            stickiness: 1,
         }
     }
 }
@@ -366,8 +360,8 @@ impl PushOutcome {
 /// runtime folds into per-worker home-hit/steal counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PopSource {
-    /// One of the session's own home shards (FIFO queues), or a sticky
-    /// peek-cache hit (MultiQueue).
+    /// One of the session's own home shards (FIFO queues), or the
+    /// session's deletion buffer (MultiQueue).
     Home,
     /// A foreign shard of a session that owns home shards.
     Steal,

@@ -23,10 +23,10 @@
 //! * [`ConcurrentMultiQueue`] — thread-safe and **generic over its shard
 //!   backend** ([`SubPriority`]): the default
 //!   [`SkipShard`] is an epoch-reclaimed
-//!   lock-free skiplist, so `pop` performs its choice-of-two comparison
-//!   with two mutex-free [`min_key`](SubPriority::min_key) peeks and
-//!   claims the winner with a CAS — no lock anywhere on the pop path.
-//!   The mutex-around-a-heap shard [`MutexHeapSub`] (alias
+//!   lock-free skiplist, so a session pop performs its choice-of-two
+//!   comparison with two mutex-free [`min_key`](SubPriority::min_key)
+//!   peeks and claims the winner with a CAS — no lock anywhere on the
+//!   pop path. The mutex-around-a-heap shard [`MutexHeapSub`] (alias
 //!   [`MutexHeapMultiQueue`]) is the paper's own design and what
 //!   `parallel_sssp` runs on: with threads ≤ cores a try-lock around a
 //!   sequential heap has the smaller constants, and buffered sessions
@@ -239,8 +239,9 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
 /// per-shard [`SubPriority`] backend.
 ///
 /// This is the scheduler used by the paper's parallel SSSP experiments
-/// (Section 7): `q = queue_multiplier × threads` internal shards; `pop`
-/// compares the minima of two random shards and claims the smaller one.
+/// (Section 7): `q = queue_multiplier × threads` internal shards; a
+/// session pop ([`pop_session`](Self::pop_session)) compares the minima
+/// of two random shards and claims the smaller one.
 /// With the default [`SkipShard`] backend both the comparison
 /// ([`min_key`](SubPriority::min_key), a racy-safe peek of immutable
 /// node data) and the claim (a CAS on the head node's deletion mark) are
@@ -261,7 +262,7 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
 /// # Examples
 ///
 /// ```
-/// use rsched_queues::QueueBuilder;
+/// use rsched_queues::{QueueBuilder, SessionConfig};
 /// use std::sync::Arc;
 ///
 /// let mq = Arc::new(QueueBuilder::new(8).multiqueue());
@@ -279,8 +280,9 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
 ///     h.join().unwrap();
 /// }
 /// assert_eq!(mq.len(), 4 * 256);
+/// let mut session = mq.session(&SessionConfig::default());
 /// let mut popped = 0;
-/// while mq.pop(&mut rand::thread_rng()).is_some() {
+/// while mq.pop_session(&mut session).is_some() {
 ///     popped += 1;
 /// }
 /// assert_eq!(popped, 4 * 256);
@@ -376,71 +378,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         }
     }
 
-    /// Unconditionally insert `item` (which must not be present). Used by
-    /// the duplicate-insertion SSSP ablation, where the same vertex may be
-    /// queued multiple times under *different* item ids.
-    pub fn push(&self, item: usize, prio: P) {
-        self.shard_of(item).push(item, prio, &S::token());
-        self.len.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Relaxed delete-min: sample two random shards, compare their minima
-    /// via racy-safe peeks, and claim the smaller one.
-    ///
-    /// Returns `None` only after a full sweep over all shards found every
-    /// one of them empty; because concurrent pushes may land behind the
-    /// sweep, `None` is a hint, not a linearizable emptiness check — callers
-    /// must use their own element accounting for termination (as the SSSP
-    /// executor in `rsched-algos` does).
-    pub fn pop<R: Rng>(&self, rng: &mut R) -> Option<(usize, P)> {
-        self.pop_tok(rng, &S::token())
-    }
-
-    fn pop_tok<R: Rng>(&self, rng: &mut R, tok: &S::Token) -> Option<(usize, P)> {
-        let q = self.shards.len();
-        // Optimistic phase: a bounded number of two-choice samples.
-        for round in 0..(4 * q + 8) {
-            let a = rng.gen_range(0..q);
-            let b = rng.gen_range(0..q);
-            if let Some(got) = self.try_pop_pair(a, b, tok) {
-                telemetry::record(telemetry::OpHist::Steal, round as u64);
-                return Some(got);
-            }
-            if self.len.load(Ordering::Acquire) == 0 {
-                break;
-            }
-        }
-        // Fallback sweep: visit every shard once, waiting on any locks.
-        for (k, shard) in self.shards.iter().enumerate() {
-            if let Some((item, prio)) = shard.pop_min_wait(tok) {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                telemetry::record(telemetry::OpHist::Sweep, (k + 1) as u64);
-                return Some((item, prio));
-            }
-        }
-        telemetry::count(telemetry::OpCount::EmptyPop, 1);
-        None
-    }
-
-    /// One two-choice attempt, delegated to the backend's
-    /// [`SubPriority::try_pop_pair`]: racy peek-compare-claim for the
-    /// lock-free backends, both locks held across compare-and-pop for
-    /// the mutex baseline. Shards are passed in ascending index order so
-    /// lock-holding backends acquire consistently. Returns `None` if
-    /// both shards came up empty/contended or the claim raced with the
-    /// shard draining.
-    fn try_pop_pair(&self, a: usize, b: usize, tok: &S::Token) -> Option<(usize, P)> {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let second = (hi != lo).then(|| &*self.shards[hi]);
-        match S::try_pop_pair(&self.shards[lo], second, tok) {
-            TryPopMin::Item((item, prio)) => {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                Some((item, prio))
-            }
-            TryPopMin::Empty | TryPopMin::Contended => None,
-        }
-    }
-
     /// `true` if `item` is currently queued.
     pub fn contains(&self, item: usize) -> bool {
         self.shard_of(item).contains(item, &S::token())
@@ -480,8 +417,8 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 /// A worker's session over a [`ConcurrentMultiQueue`] — the MultiQueue
 /// member of the workspace's worker-session layer (see the crate docs).
 ///
-/// Carries the amortized epoch [`PinSession`], the worker's private
-/// RNG stream, the **sticky peek cache**, and — when
+/// The one way to pop a MultiQueue. Carries the amortized epoch
+/// [`PinSession`], the worker's private RNG stream, and — when
 /// [`SessionConfig::spawn_batch`] is above 1 — the two buffers of an
 /// engineered MultiQueue, which trade relaxation (see
 /// [`relaxation_factor`](ConcurrentMultiQueue::relaxation_factor)) for
@@ -507,18 +444,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 /// 1` neither buffer exists and every operation goes straight to the
 /// shards.
 ///
-/// The peek cache descends from the MultiQueue paper's batching idea
-/// (Rihani, Sanders, Dementiev, SPAA 2015) — reuse scheduling state
-/// across consecutive delete-mins — but pins the shard ***minimum***
-/// observed while losing the previous choice-of-two, not a shard
-/// *index*: the next pop compares the cached `(shard, min)` against one
-/// fresh random peek and claims the smaller, halving peek traffic.
-/// Because a claim is still a validated CAS on the shard's current
-/// minimum, a stale cache entry costs only relaxation slack, never a
-/// wrong result. [`SessionConfig::stickiness`] bounds consecutive cache
-/// reuses; `1` disables the cache — the classic two-fresh-peeks
-/// protocol.
-///
 /// # Examples
 ///
 /// ```
@@ -526,12 +451,13 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 ///
 /// let q = QueueBuilder::new(8).multiqueue::<u64>();
 /// let mut session = q.session(&SessionConfig {
-///     stickiness: 4,
+///     spawn_batch: 16,
 ///     ..SessionConfig::default()
 /// });
 /// for i in 0..100usize {
 ///     q.push_session(i, i as u64, &mut session);
 /// }
+/// q.flush_session(&mut session);
 /// let mut got = 0;
 /// while q.pop_session(&mut session).is_some() {
 ///     got += 1;
@@ -541,12 +467,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 pub struct MqSession<P> {
     pin: PinSession,
     rng: SmallRng,
-    stickiness: usize,
-    /// Cache-reuse budget left before a forced full re-sample.
-    remaining: usize,
-    /// The sticky peek cache: shard index plus the `(priority, item)`
-    /// minimum observed there.
-    cached: Option<(usize, (P, usize))>,
     buf: Vec<(usize, P)>,
     batch: usize,
     /// The deletion buffer: successors claimed together with an earlier
@@ -566,9 +486,9 @@ impl<P> MqSession<P> {
 
 impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     /// Open a worker session (see [`MqSession`]). Placement stays keyed
-    /// — a MultiQueue has no home shards; its locality levers are the
-    /// sticky peek cache (`cfg.stickiness`) and the spawn and deletion
-    /// buffers (`cfg.spawn_batch`).
+    /// — a MultiQueue has no home shards, so `cfg.shards_per_worker` is
+    /// ignored; its locality lever is the spawn and deletion buffers
+    /// (`cfg.spawn_batch`).
     pub fn session(&self, cfg: &SessionConfig) -> MqSession<P> {
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
         let pop_extra = (batch / 8).min(MAX_POP_EXTRA);
@@ -577,9 +497,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
             // `cfg.seed` is already the per-worker stream (the config
             // constructors mix the tid in exactly once).
             rng: SmallRng::seed_from_u64(cfg.seed),
-            stickiness: cfg.stickiness.max(1),
-            remaining: 0,
-            cached: None,
             buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
             batch,
             popped: Vec::with_capacity(pop_extra),
@@ -668,14 +585,19 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         rep
     }
 
-    /// Session pop: the choice-of-two relaxed delete-min, with candidate
-    /// A served from the sticky peek cache while its reuse budget lasts.
-    /// A pop that claims the cached shard, or is served from the
-    /// session's deletion buffer, reports [`PopSource::Home`];
-    /// everything else is [`PopSource::Shared`] — keyed placement has
-    /// no steal notion. `None` semantics match [`pop`](Self::pop);
-    /// buffered spawns are **not** popped here — flush on a miss (the
-    /// runtime's worker loop does).
+    /// Session pop: the choice-of-two relaxed delete-min — peek two
+    /// random shards, claim from the one with the smaller minimum. A pop
+    /// served from the session's deletion buffer reports
+    /// [`PopSource::Home`]; every claim from a shard is
+    /// [`PopSource::Shared`] — keyed placement has no steal notion.
+    ///
+    /// Returns `None` only after a full sweep over all shards found
+    /// every one of them empty; because concurrent pushes may land
+    /// behind the sweep, `None` is a hint, not a linearizable emptiness
+    /// check — callers keep their own element accounting for
+    /// termination (the runtime's quiescence counter does). Buffered
+    /// spawns are **not** popped here — flush on a miss (the runtime's
+    /// worker loop does).
     pub fn pop_session(&self, s: &mut MqSession<P>) -> Option<((usize, P), PopSource)> {
         if let Some(next) = s.popped.pop() {
             return Some((next, PopSource::Home));
@@ -684,43 +606,35 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         let tok = S::borrow_token(&s.pin);
         let q = self.shards.len();
         for round in 0..(4 * q + 8) {
-            // Candidate A: the cached minimum while budget lasts, else a
-            // fresh peek of a random shard.
-            let (a, ka, from_cache) = match s.cached.take() {
-                Some((shard, key)) if s.remaining > 0 => {
-                    s.remaining -= 1;
-                    (shard, Some(key), true)
-                }
-                _ => {
-                    let shard = s.rng.gen_range(0..q);
-                    (shard, self.shards[shard].min_key(&tok), false)
-                }
-            };
-            // Candidate B: always a fresh peek.
+            let a = s.rng.gen_range(0..q);
             let b = s.rng.gen_range(0..q);
+            let ka = self.shards[a].min_key(&tok);
             let kb = if b == a {
                 None
             } else {
                 self.shards[b].min_key(&tok)
             };
-            let (win, win_hit, loser) = match (ka, kb) {
+            // min_key returns (prio, item): tuple order is the
+            // workspace-wide (priority, id) tie-break.
+            let win = match (ka, kb) {
                 (None, None) => {
-                    s.remaining = 0;
                     if self.len.load(Ordering::Acquire) == 0 {
                         break;
                     }
                     continue;
                 }
-                (Some(_), None) => (a, from_cache, None),
-                (None, Some(k)) => (b, false, Some((b, k))),
+                (Some(_), None) => a,
+                (None, Some(_)) => b,
                 (Some(x), Some(y)) => {
                     if x <= y {
-                        (a, from_cache, Some((b, y)))
+                        a
                     } else {
-                        (b, false, Some((a, x)))
+                        b
                     }
                 }
             };
+            // The claimed element may differ from the peeked one if the
+            // shard moved meanwhile — relaxation slack, not an error.
             let claimed = if s.pop_extra == 0 {
                 self.shards[win].try_pop_min(&tok)
             } else {
@@ -730,32 +644,10 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
                 TryPopMin::Item((item, prio)) => {
                     self.len.fetch_sub(1 + s.popped.len(), Ordering::AcqRel);
                     s.popped.reverse();
-                    // Pin the losing shard's observed minimum for the
-                    // next pop — the "peek cache" form of stickiness.
-                    // Only a *fresh-sample* pop re-arms the reuse
-                    // budget; cache-served pops spend it, so a chain of
-                    // reuses ends after `stickiness − 1` pops and the
-                    // next pop peeks fresh.
-                    if s.stickiness > 1 {
-                        if !from_cache {
-                            s.remaining = s.stickiness - 1;
-                        }
-                        if s.remaining > 0 {
-                            if let Some((shard, key)) = loser {
-                                s.cached = Some((shard, key));
-                            }
-                        }
-                    }
-                    let src = if win_hit {
-                        PopSource::Home
-                    } else {
-                        PopSource::Shared
-                    };
                     telemetry::record(telemetry::OpHist::Steal, round as u64);
-                    return Some(((item, prio), src));
+                    return Some(((item, prio), PopSource::Shared));
                 }
                 TryPopMin::Empty | TryPopMin::Contended => {
-                    s.remaining = 0;
                     if self.len.load(Ordering::Acquire) == 0 {
                         break;
                     }
@@ -829,7 +721,7 @@ impl<P: Ord + Copy + Send> DuplicateMultiQueue<P> {
     }
 
     /// Two-choice relaxed pop; same contract as
-    /// [`ConcurrentMultiQueue::pop`].
+    /// [`ConcurrentMultiQueue::pop_session`].
     pub fn pop<R: Rng>(&self, rng: &mut R) -> Option<(usize, P)> {
         let q = self.shards.len();
         for _ in 0..(4 * q + 8) {
@@ -983,9 +875,9 @@ mod tests {
             mq.push_or_decrease(i, 500 - i as u64);
         }
         assert_eq!(mq.len(), 500);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut session = mq.session(&SessionConfig::unaffine(1));
         let mut seen = HashSet::new();
-        while let Some((item, _)) = mq.pop(&mut rng) {
+        while let Some(((item, _), _)) = mq.pop_session(&mut session) {
             assert!(seen.insert(item));
         }
         assert_eq!(seen.len(), 500);
@@ -1025,12 +917,13 @@ mod tests {
                 let mq = Arc::clone(&mq);
                 std::thread::spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(t as u64);
+                    let mut session = mq.session(&SessionConfig::for_worker(t, threads));
                     let mut popped = Vec::new();
                     for i in 0..per_thread {
                         let item = t * per_thread + i;
                         mq.push_or_decrease(item, rng.gen_range(0..1_000_000));
                         if i % 3 == 0 {
-                            if let Some((it, _)) = mq.pop(&mut rng) {
+                            if let Some(((it, _), _)) = mq.pop_session(&mut session) {
                                 popped.push(it);
                             }
                         }
@@ -1045,8 +938,8 @@ mod tests {
                 assert!(seen.insert(it), "duplicate pop of {it}");
             }
         }
-        let mut rng = SmallRng::seed_from_u64(123);
-        while let Some((it, _)) = mq.pop(&mut rng) {
+        let mut session = mq.session(&SessionConfig::unaffine(123));
+        while let Some(((it, _), _)) = mq.pop_session(&mut session) {
             assert!(seen.insert(it), "duplicate pop of {it}");
         }
         assert_eq!(seen.len(), threads * per_thread, "lost elements");
@@ -1080,9 +973,12 @@ mod tests {
         fn check<S: SubPriority<u64>>() {
             let mq: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(64).multiqueue_on();
             mq.push_or_decrease(42, 7);
-            let mut rng = SmallRng::seed_from_u64(0);
-            assert_eq!(mq.pop(&mut rng), Some((42, 7)));
-            assert_eq!(mq.pop(&mut rng), None);
+            let mut session = mq.session(&SessionConfig::default());
+            assert_eq!(
+                mq.pop_session(&mut session),
+                Some(((42, 7), PopSource::Shared))
+            );
+            assert_eq!(mq.pop_session(&mut session), None);
         }
         check::<SkipShard<u64>>();
         check::<MutexHeapSub<u64>>();
@@ -1109,36 +1005,6 @@ mod tests {
             assert!(seen.insert(it));
         }
         assert_eq!(seen.len(), 200);
-    }
-
-    #[test]
-    fn sticky_peek_cache_drains_both_backends() {
-        fn check<S: SubPriority<u64>>() {
-            let q: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(8).multiqueue_on();
-            for i in 0..100usize {
-                q.push_or_decrease(i, i as u64);
-            }
-            let mut session = q.session(&SessionConfig {
-                stickiness: 4,
-                seed: 42,
-                ..SessionConfig::default()
-            });
-            let mut got = 0;
-            let mut cache_hits = 0;
-            while let Some((_, src)) = q.pop_session(&mut session) {
-                got += 1;
-                if src == PopSource::Home {
-                    cache_hits += 1;
-                }
-            }
-            assert_eq!(got, 100);
-            assert!(
-                cache_hits > 0,
-                "stickiness 4 never claimed through the peek cache"
-            );
-        }
-        check::<SkipShard<u64>>();
-        check::<MutexHeapSub<u64>>();
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! minimum — the choice-of-two comparison), [`try_pop_min`] /
 //! [`pop_min_wait`] (claim the minimum),
 //! [`push_or_decrease`](SubPriority::push_or_decrease) (the merge-insert
-//! the paper's SSSP needs), and `remove` / `decrease_key` /
-//! `contains` / `priority_of` keyed lookups.
+//! the paper's SSSP needs), and `remove` / `contains` / `priority_of`
+//! keyed lookups.
 //!
 //! # [`SkipShard`] — epoch-reclaimed lock-free skiplist (the default)
 //!
@@ -27,9 +27,9 @@
 //! ownership), physical unlinking by every traversal, and reclamation
 //! through [`crossbeam::epoch`]. On top of the list sits a lock-free
 //! **item registry** (a growable segmented array of atomic node
-//! pointers) giving `O(1)` item → node lookups, so `decrease_key` is
-//! insert-new + claim-old with a registry CAS deciding races against
-//! concurrent pops of the same item.
+//! pointers) giving `O(1)` item → node lookups, so a decrease through
+//! `push_or_decrease` is insert-new + claim-old with a registry CAS
+//! deciding races against concurrent pops of the same item.
 //!
 //! The shard is entirely mutex-free: `min_key` walks the bottom level
 //! skipping claimed nodes (node fields are immutable after publication,
@@ -202,39 +202,6 @@ pub trait SubPriority<P: Ord + Copy>: Send + Sync {
     /// Non-blocking delete-min; never waits for another thread.
     fn try_pop_min(&self, tok: &Self::Token) -> TryPopMin<P>;
 
-    /// One choice-of-two attempt over a pair of shards: compare the two
-    /// minima, claim the smaller. The default composes the racy
-    /// [`min_key`](Self::min_key) peeks with
-    /// [`try_pop_min`](Self::try_pop_min) — no lock anywhere for
-    /// lock-free backends; locked backends may override it to hold both
-    /// locks across compare-and-pop (the pre-PR 3 MultiQueue protocol,
-    /// which also guarantees the popped element *is* the peeked one).
-    /// `second` is `None` when both samples hit the same shard. Callers
-    /// must pass the pair in a globally consistent order (the enclosing
-    /// queue uses ascending shard index) so lock-holding overrides
-    /// cannot deadlock.
-    fn try_pop_pair(first: &Self, second: Option<&Self>, tok: &Self::Token) -> TryPopMin<P> {
-        let ka = first.min_key(tok);
-        let kb = second.and_then(|s| s.min_key(tok));
-        let pick = match (ka, kb) {
-            (None, None) => return TryPopMin::Empty,
-            (Some(_), None) => first,
-            (None, Some(_)) => second.expect("a second minimum implies a second shard"),
-            // min_key returns (prio, item): tuple order is the
-            // workspace-wide (priority, id) tie-break.
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    first
-                } else {
-                    second.expect("a second minimum implies a second shard")
-                }
-            }
-        };
-        // The claimed element may differ from the peeked one if the
-        // shard moved meanwhile — relaxation slack, not an error.
-        pick.try_pop_min(tok)
-    }
-
     /// Batched [`try_pop_min`](Self::try_pop_min): claim the minimum and
     /// append up to `extra` successors, in ascending order, to `out` —
     /// the refill of a session's deletion buffer. Locked backends
@@ -280,29 +247,10 @@ pub trait SubPriority<P: Ord + Copy>: Send + Sync {
             .count()
     }
 
-    /// Unconditional insert (used by the duplicate-insertion ablation;
-    /// the keyed lookups then track only one instance of the item).
-    fn push(&self, item: usize, prio: P, tok: &Self::Token);
-
     /// Remove `item`, returning its priority. Under a race with a
     /// concurrent pop of the same item the popper wins and `None` is
     /// returned.
     fn remove(&self, item: usize, tok: &Self::Token) -> Option<P>;
-
-    /// Strictly lower `item`'s priority to `prio`. Returns `false` if
-    /// the item is absent or already at a priority `<= prio`.
-    ///
-    /// **Accounting caveat:** under a race with a concurrent pop of the
-    /// same item, a lock-free backend may realize the decrease as
-    /// remove-and-reinsert whose reinsertion is net-new in the counting
-    /// sense — information this method's return value does not carry.
-    /// Composers that maintain element counts (as
-    /// `ConcurrentMultiQueue::len` and the runtime's termination
-    /// detector do) must route updates through
-    /// [`push_or_decrease`](Self::push_or_decrease), whose return value
-    /// is the counting signal; `decrease_key` is for callers that only
-    /// need the priority effect.
-    fn decrease_key(&self, item: usize, prio: P, tok: &Self::Token) -> bool;
 
     /// `true` if `item` is currently queued.
     fn contains(&self, item: usize, tok: &Self::Token) -> bool;
@@ -395,40 +343,6 @@ impl<P: Ord + Copy + Send> SubPriority<P> for MutexHeapSub<P> {
         self.heap.lock().pop()
     }
 
-    /// The pre-PR 3 two-choice protocol verbatim: try-lock both shards
-    /// (callers pass them in ascending index order), compare the tops
-    /// under the held locks, and pop the smaller one — the popped
-    /// element is exactly the compared minimum.
-    fn try_pop_pair(first: &Self, second: Option<&Self>, _tok: &()) -> TryPopMin<P> {
-        let Some(ha) = first.heap.try_lock() else {
-            return TryPopMin::Contended;
-        };
-        let hb = match second {
-            Some(s) => match s.heap.try_lock() {
-                Some(h) => Some(h),
-                None => return TryPopMin::Contended,
-            },
-            None => None,
-        };
-        let ta = ha.peek();
-        let tb = hb.as_ref().and_then(|h| h.peek());
-        let use_first = match (ta, tb) {
-            (None, None) => return TryPopMin::Empty,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((ia, pa)), Some((ib, pb))) => (pa, ia) <= (pb, ib),
-        };
-        let popped = if use_first {
-            let mut ha = ha;
-            drop(hb);
-            ha.pop()
-        } else {
-            drop(ha);
-            hb.expect("second lock held").pop()
-        };
-        TryPopMin::Item(popped.expect("peeked entry vanished under lock"))
-    }
-
     fn push_or_decrease(&self, item: usize, prio: P, _tok: &()) -> bool {
         heap_push_or_decrease(&mut self.heap.lock(), item, prio)
     }
@@ -441,16 +355,8 @@ impl<P: Ord + Copy + Send> SubPriority<P> for MutexHeapSub<P> {
             .count()
     }
 
-    fn push(&self, item: usize, prio: P, _tok: &()) {
-        self.heap.lock().push(item, prio);
-    }
-
     fn remove(&self, item: usize, _tok: &()) -> Option<P> {
         self.heap.lock().remove(item)
-    }
-
-    fn decrease_key(&self, item: usize, prio: P, _tok: &()) -> bool {
-        self.heap.lock().decrease_key(item, prio)
     }
 
     fn contains(&self, item: usize, _tok: &()) -> bool {
@@ -1221,20 +1127,6 @@ impl<P: Ord + Copy + Send + Sync> SubPriority<P> for SkipShard<P> {
         }
     }
 
-    fn push(&self, item: usize, prio: P, tok: &epoch::Guard) {
-        let slot = self.reg.ensure(item, tok);
-        let node = self.insert_node(item, prio, tok);
-        // Best-effort registration so keyed lookups see one instance.
-        let _ = slot.compare_exchange(
-            Shared::null(),
-            node,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-            tok,
-        );
-        self.deregister_if_claimed(slot, node, tok);
-    }
-
     fn remove(&self, item: usize, tok: &epoch::Guard) -> Option<P> {
         let slot = self.reg.get(item, tok)?;
         loop {
@@ -1263,26 +1155,6 @@ impl<P: Ord + Copy + Send + Sync> SubPriority<P> for SkipShard<P> {
                 return None;
             }
         }
-    }
-
-    // Check-then-act by design: if a pop claims the item between the
-    // check and the update, the update degenerates to push_or_decrease
-    // semantics (re-insertion, popped later). See the trait's
-    // accounting caveat — counting callers use push_or_decrease.
-    fn decrease_key(&self, item: usize, prio: P, tok: &epoch::Guard) -> bool {
-        let Some(slot) = self.reg.get(item, tok) else {
-            return false;
-        };
-        let old = slot.load(Ordering::Acquire, tok);
-        // SAFETY: see `push_or_decrease`.
-        let Some(o) = (unsafe { old.as_ref() }) else {
-            return false;
-        };
-        if o.next[0].load(Ordering::Acquire, tok).tag() == MARK || o.prio <= prio {
-            return false;
-        }
-        self.push_or_decrease(item, prio, tok);
-        true
     }
 
     fn contains(&self, item: usize, tok: &epoch::Guard) -> bool {
@@ -1393,9 +1265,7 @@ mod tests {
         assert!(!s.push_or_decrease(7, 80, &tok), "no-op update");
         assert_eq!(s.priority_of(7, &tok), Some(50));
         assert!(s.contains(7, &tok));
-        assert!(!s.decrease_key(7, 60, &tok), "not strictly smaller");
-        assert!(s.decrease_key(7, 5, &tok));
-        assert_eq!(s.remove(7, &tok), Some(5));
+        assert_eq!(s.remove(7, &tok), Some(50));
         assert_eq!(s.remove(7, &tok), None);
         assert!(!s.contains(7, &tok));
         assert_eq!(s.priority_of(7, &tok), None);

@@ -345,118 +345,6 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SprayList<P> {
     }
 }
 
-/// Thread-safe sharded SprayList.
-///
-/// `shards` independent [`SprayList`]s behind per-shard locks; items are
-/// placed by consistent hashing (so `delete`/`decrease_key` can find them)
-/// and `pop` sprays a random shard via `try_lock`, falling back to a sweep.
-/// Composition keeps the relaxed semantics: a spray over a uniformly random
-/// shard of `s` lists of combined front window `w` lands within the first
-/// `O(s·w)` elements overall, so the structure is a relaxed priority queue
-/// with a correspondingly larger (still bounded) relaxation factor. The
-/// original SprayList is lock-free; this lock-based variant preserves the
-/// *relaxation semantics* the paper relies on.
-/// One shard of a [`ConcurrentSprayList`].
-type SprayShard<P> = crossbeam::utils::CachePadded<parking_lot::Mutex<SprayList<P>>>;
-
-pub struct ConcurrentSprayList<P> {
-    shards: Box<[SprayShard<P>]>,
-    len: std::sync::atomic::AtomicUsize,
-}
-
-impl<P: Ord + Copy + Send> ConcurrentSprayList<P> {
-    /// `shards` shards, each a SprayList tuned for `p_per_shard` threads.
-    pub fn new(shards: usize, p_per_shard: usize, seed: u64) -> Self {
-        assert!(shards > 0);
-        Self {
-            shards: (0..shards)
-                .map(|i| {
-                    crossbeam::utils::CachePadded::new(parking_lot::Mutex::new(SprayList::new(
-                        p_per_shard,
-                        seed ^ (i as u64).wrapping_mul(0x9E37_79B9),
-                    )))
-                })
-                .collect(),
-            len: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    fn shard_of(&self, item: usize) -> usize {
-        let h = (item as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) % self.shards.len()
-    }
-
-    /// Number of stored items (exact when quiescent).
-    pub fn len(&self) -> usize {
-        self.len.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// `true` if empty (exact when quiescent).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Insert `item` with priority `prio` (must not be present).
-    pub fn insert(&self, item: usize, prio: P) {
-        self.shards[self.shard_of(item)].lock().insert(item, prio);
-        self.len.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-    }
-
-    /// Insert, or lower the priority if present with a larger one. Returns
-    /// `true` if a new element was inserted.
-    pub fn push_or_decrease(&self, item: usize, prio: P) -> bool {
-        let mut shard = self.shards[self.shard_of(item)].lock();
-        if shard.contains(item) {
-            shard.decrease_key(item, prio);
-            false
-        } else {
-            shard.insert(item, prio);
-            drop(shard);
-            self.len.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-            true
-        }
-    }
-
-    /// Spray-pop from a random shard; `None` only after a full sweep found
-    /// every shard empty (same caveat as the concurrent MultiQueue: callers
-    /// own termination detection).
-    pub fn pop<R: rand::Rng>(&self, rng: &mut R) -> Option<(usize, P)> {
-        let s = self.shards.len();
-        for _ in 0..(4 * s + 8) {
-            let i = rng.gen_range(0..s);
-            let Some(mut shard) = self.shards[i].try_lock() else {
-                continue;
-            };
-            if let Some(got) = shard.pop_relaxed() {
-                drop(shard);
-                self.len.fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-                return Some(got);
-            }
-            if self.is_empty() {
-                break;
-            }
-        }
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            if let Some(got) = shard.pop_relaxed() {
-                drop(shard);
-                self.len.fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-                return Some(got);
-            }
-        }
-        None
-    }
-
-    /// Remove `item` wherever it is stored.
-    pub fn remove(&self, item: usize) -> bool {
-        let removed = self.shards[self.shard_of(item)].lock().delete(item);
-        if removed {
-            self.len.fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-        }
-        removed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,56 +445,6 @@ mod tests {
         }
         assert_eq!(sl.pop_relaxed(), Some((3, 33)));
         assert_eq!(sl.pop_relaxed(), None);
-    }
-
-    #[test]
-    fn concurrent_spraylist_multithreaded_no_loss() {
-        use std::sync::Arc;
-        let csl: Arc<ConcurrentSprayList<u64>> = Arc::new(ConcurrentSprayList::new(4, 4, 9));
-        let threads = 4;
-        let per = 1000usize;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let csl = Arc::clone(&csl);
-                std::thread::spawn(move || {
-                    use rand::SeedableRng;
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64(t as u64);
-                    let mut popped = Vec::new();
-                    for i in 0..per {
-                        csl.insert(t * per + i, (i as u64 * 31) % 997);
-                        if i % 2 == 0 {
-                            if let Some((it, _)) = csl.pop(&mut rng) {
-                                popped.push(it);
-                            }
-                        }
-                    }
-                    popped
-                })
-            })
-            .collect();
-        let mut seen = HashSet::new();
-        for h in handles {
-            for it in h.join().unwrap() {
-                assert!(seen.insert(it), "duplicate pop {it}");
-            }
-        }
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
-        while let Some((it, _)) = csl.pop(&mut rng) {
-            assert!(seen.insert(it), "duplicate pop {it}");
-        }
-        assert_eq!(seen.len(), threads * per);
-    }
-
-    #[test]
-    fn concurrent_spraylist_decrease_and_remove() {
-        let csl: ConcurrentSprayList<u64> = ConcurrentSprayList::new(2, 2, 1);
-        assert!(csl.push_or_decrease(5, 100));
-        assert!(!csl.push_or_decrease(5, 50));
-        assert_eq!(csl.len(), 1);
-        assert!(csl.remove(5));
-        assert!(!csl.remove(5));
-        assert!(csl.is_empty());
     }
 
     #[test]

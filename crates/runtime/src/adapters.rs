@@ -13,22 +13,22 @@
 //! mutex-heap baseline), and its session carries the amortized epoch
 //! pin, so the worker loop performs zero per-operation epoch entries.
 //! The FIFO adapter has one shard type (a locked `VecDeque`) and no
-//! pin. The simple schedulers (`DuplicateMultiQueue`,
-//! `ConcurrentSprayList`) use a bare `SmallRng` as their session.
+//! pin. The duplicate-insertion `DuplicateMultiQueue` uses a bare
+//! `SmallRng` as its session.
 
 use crate::pool::Scheduler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rsched_queues::{
-    ConcurrentMultiQueue, ConcurrentSprayList, DCboQueue, DuplicateMultiQueue, FifoSession,
-    FlushReport, MqSession, PopSource, PushOutcome, SessionConfig, SessionPush, SubPriority,
+    ConcurrentMultiQueue, DCboQueue, DuplicateMultiQueue, FifoSession, FlushReport, MqSession,
+    PopSource, PushOutcome, SessionConfig, SessionPush, SubPriority,
 };
 
 /// Keyed MultiQueue over any priority-shard backend: pushes merge via
 /// `push_or_decrease` (locally in the session buffer when batching),
-/// pops are the choice-of-two relaxed delete-min with the session's
-/// sticky peek cache — mutex-free on the default skiplist backend —
-/// and, when batching, its deletion buffer.
+/// pops are the choice-of-two relaxed delete-min — mutex-free on the
+/// default skiplist backend — and, when batching, served from the
+/// session's deletion buffer.
 impl<P: Ord + Copy + Send, S: SubPriority<P>> Scheduler<P> for ConcurrentMultiQueue<P, S> {
     type Session = MqSession<P>;
 
@@ -69,31 +69,6 @@ impl<P: Ord + Copy + Send> Scheduler<P> for DuplicateMultiQueue<P> {
 
     fn pop(&self, session: &mut SmallRng) -> Option<((usize, P), PopSource)> {
         DuplicateMultiQueue::pop(self, session).map(|t| (t, PopSource::Shared))
-    }
-}
-
-/// Sharded SprayList: merge-on-push, spray-walk pops, RNG-only session.
-impl<P: Ord + Copy + Send> Scheduler<P> for ConcurrentSprayList<P> {
-    type Session = SmallRng;
-
-    fn open_session(&self, cfg: &SessionConfig) -> SmallRng {
-        SmallRng::seed_from_u64(cfg.seed)
-    }
-
-    fn push(&self, _session: &mut SmallRng, item: usize, prio: P) -> PushOutcome {
-        let push = if self.push_or_decrease(item, prio) {
-            SessionPush::Inserted
-        } else {
-            SessionPush::Merged
-        };
-        PushOutcome {
-            push,
-            flushed: FlushReport::default(),
-        }
-    }
-
-    fn pop(&self, session: &mut SmallRng) -> Option<((usize, P), PopSource)> {
-        ConcurrentSprayList::pop(self, session).map(|t| (t, PopSource::Shared))
     }
 }
 

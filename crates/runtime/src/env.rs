@@ -34,7 +34,7 @@ pub fn env_f64(key: &str, default: f64) -> f64 {
 }
 
 /// A comma-separated `usize` sweep list from the environment (e.g.
-/// `RSCHED_STICKINESS=1,4,16`); falls back to `default` when the
+/// `RSCHED_THREADS=1,2,4,8`); falls back to `default` when the
 /// variable is unset or yields no parsable entries. The one list parser
 /// the experiment bins use for their multi-valued axes.
 pub fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {

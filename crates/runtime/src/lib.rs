@@ -28,18 +28,15 @@
 //! ```
 //!
 //! * [`Scheduler`] abstracts the queue: relaxed priority schedulers
-//!   (`ConcurrentMultiQueue`, `ConcurrentSprayList`,
-//!   `DuplicateMultiQueue`) and the relaxed FIFO (`DCboQueue`) all
-//!   implement it, so one runtime serves
+//!   (`ConcurrentMultiQueue`, `DuplicateMultiQueue`) and the relaxed
+//!   FIFO (`DCboQueue`) all implement it, so one runtime serves
 //!   priority-ordered (SSSP), label-ordered (greedy iterative
 //!   algorithms) and FIFO-ordered (BFS, label propagation, k-core)
 //!   scenarios.
 //! * Every worker owns one [`Scheduler::Session`] — *the* per-worker
 //!   state object (shard-picker RNG, owned home shards, bounded spawn
-//!   and deletion buffers, plus the MultiQueue's epoch pin and sticky
-//!   peek cache), configured through
-//!   [`RuntimeConfig::shards_per_worker`] / `spawn_batch` (env:
-//!   `RSCHED_SHARDS_PER_WORKER`, `RSCHED_SPAWN_BATCH`).
+//!   and deletion buffers, plus the MultiQueue's epoch pin), configured
+//!   through [`RuntimeConfig::shards_per_worker`] / `spawn_batch`.
 //! * [`run`] drives the pool: pop → handler → ([`TaskOutcome`]) →
 //!   re-queue blocked tasks, with quiescence termination detection
 //!   ([`ActiveCounter`]) over queued-plus-in-flight tasks (buffered

@@ -10,7 +10,7 @@
 //! * one **worker session** per thread ([`Scheduler::Session`]) carrying
 //!   every piece of per-worker queue state — the shard-picker RNG, the
 //!   owned home shards, the bounded spawn and deletion buffers, and the
-//!   MultiQueue's amortized epoch pin and sticky peek cache;
+//!   MultiQueue's amortized epoch pin;
 //! * the pop → handle → re-queue loop with separate backoffs for
 //!   "queue empty" and "popped a blocked task", flushing the session's
 //!   spawn buffer on every pop miss so parked tasks can never stall
@@ -23,11 +23,10 @@
 //!
 //! The queue behind the runtime is anything implementing [`Scheduler`]:
 //! the relaxed priority schedulers (`ConcurrentMultiQueue`,
-//! `ConcurrentSprayList`, `DuplicateMultiQueue`) for label- or
-//! distance-ordered work, and the relaxed FIFO (`DCboQueue`) for
-//! frontier-ordered work. Sessions expose worker
-//! locality through [`PopSource`]: home-shard hits and choice-of-two
-//! steals are folded into [`WorkerStats::home_hits`] /
+//! `DuplicateMultiQueue`) for label- or distance-ordered work, and the
+//! relaxed FIFO (`DCboQueue`) for frontier-ordered work. Sessions
+//! expose worker locality through [`PopSource`]: home-shard hits and
+//! choice-of-two steals are folded into [`WorkerStats::home_hits`] /
 //! [`WorkerStats::steals`].
 
 use crate::termination::{ActiveCounter, CounterSlot};
@@ -46,12 +45,10 @@ use std::time::{Duration, Instant};
 /// queues, a carried value (e.g. BFS depth) for relaxed FIFOs.
 ///
 /// Every operation flows through the scheduler's [`Session`] — the one
-/// worker-owned state object of the workspace (replacing the earlier
-/// `push_in`/`pop_from_in` method pairs, the MultiQueue `StickySession`
-/// and the thread-local picker RNGs). A session may buffer pushes; the
-/// worker loop calls [`flush`](Scheduler::flush) on every pop miss, so
-/// implementations are free to park spawns as long as a flush publishes
-/// them all.
+/// worker-owned state object of the workspace. A session may buffer
+/// pushes; the worker loop calls [`flush`](Scheduler::flush) on every
+/// pop miss, so implementations are free to park spawns as long as a
+/// flush publishes them all.
 ///
 /// [`Session`]: Scheduler::Session
 pub trait Scheduler<P: Copy>: Sync {
@@ -110,21 +107,15 @@ pub struct RuntimeConfig {
     /// Base RNG seed; per-worker streams derive from it.
     pub seed: u64,
     /// Home shards owned per worker (a FIFO session pop's first
-    /// candidate is the next of them). Defaults to the
-    /// `RSCHED_SHARDS_PER_WORKER` environment variable, else 1; `0`
-    /// disables affinity.
+    /// candidate is the next of them; a MultiQueue session ignores
+    /// it). Defaults to 1; `0` disables affinity.
     pub shards_per_worker: usize,
     /// Spawn-buffer capacity per worker session; spawns park there and
     /// publish as one batch (both sessions also pop
     /// `min(spawn_batch / 8, 8)` successors with each claim). Defaults
-    /// to the `RSCHED_SPAWN_BATCH` environment variable, else 1
-    /// (publish immediately, pop one at a time).
+    /// to 1 (publish immediately, pop one at a time); callers that batch
+    /// set it themselves.
     pub spawn_batch: usize,
-    /// How many consecutive pops may reuse a MultiQueue session's
-    /// sticky peek cache before a forced re-sample; `1` (the default)
-    /// re-samples every pop — the classic two-choice protocol.
-    /// Defaults to the `RSCHED_STICKINESS` environment variable, else 1.
-    pub stickiness: usize,
     /// Per-op progress telemetry (retry/steal/sweep histograms, event
     /// counters — see `rsched_queues::telemetry`). When off, every
     /// instrumentation point is one relaxed load and a branch. Defaults
@@ -144,9 +135,8 @@ impl Default for RuntimeConfig {
         Self {
             threads: 4,
             seed: 0,
-            shards_per_worker: env_usize("RSCHED_SHARDS_PER_WORKER", 1),
-            spawn_batch: env_usize("RSCHED_SPAWN_BATCH", 1),
-            stickiness: env_usize("RSCHED_STICKINESS", 1).max(1),
+            shards_per_worker: 1,
+            spawn_batch: 1,
             telemetry: env_usize("RSCHED_TELEMETRY", 1) != 0,
             trace: env_usize("RSCHED_TRACE", 0) != 0,
         }
@@ -170,7 +160,6 @@ impl RuntimeConfig {
             seed: self.seed ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             shards_per_worker: self.shards_per_worker,
             spawn_batch: self.spawn_batch,
-            stickiness: self.stickiness.max(1),
         }
     }
 }
@@ -195,7 +184,7 @@ pub struct WorkerStats {
     /// in the shared structure or inside the session's spawn buffer).
     pub merged: u64,
     /// Pops served by one of the worker's own home shards, or by the
-    /// MultiQueue session's sticky peek cache.
+    /// MultiQueue session's deletion buffer.
     pub home_hits: u64,
     /// Pops that took an element from a foreign shard of a
     /// worker-affine scheduler.

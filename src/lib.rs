@@ -18,7 +18,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`queues`] | indexed binary heap, pairing heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over `Mutex<VecDeque>` shards locked once per batch, rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
+//! | [`queues`] | indexed binary heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over `Mutex<VecDeque>` shards locked once per batch, rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
 //! | [`runtime`] | the sharded concurrent scheduling runtime: worker pool, `Scheduler` trait over relaxed queues, quiescence termination detection, per-worker stats, fork-join helper |
 //! | [`core`] | the `Q_k` scheduler model, Algorithm 1/2 executors with extra-step accounting, adversarial schedulers, the Section 4 transactional simulator, theorem formulas |
 //! | [`graph`] | CSR graphs, random/road/social generators, DIMACS & SNAP loaders, BFS / Dijkstra / Δ-stepping / Bellman–Ford baselines |
@@ -33,8 +33,7 @@
 //! threads, the pop→handle→re-queue loop, quiescence termination
 //! detection and per-worker statistics, while the queue behind it decides
 //! the scheduling order — relaxed *priority* (`ConcurrentMultiQueue`,
-//! `ConcurrentSprayList`, `DuplicateMultiQueue`) for SSSP and the
-//! iterative algorithms, and relaxed *FIFO* (`DCboQueue`)
+//! `DuplicateMultiQueue`) for SSSP and the iterative algorithms, and relaxed *FIFO* (`DCboQueue`)
 //! for BFS frontiers, label propagation and k-core peeling. Each
 //! relaxed-FIFO shard is a `Mutex<VecDeque>` that a batched session
 //! locks once per published batch and once per claim; the MultiQueue's
@@ -43,11 +42,11 @@
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
 //! `rsched_queues` worker-session layer): the worker's shard-picker RNG,
-//! its owned *home shards* (one of the two choices of every FIFO pop;
-//! `RSCHED_SHARDS_PER_WORKER`), the MultiQueue's amortized epoch pin and
-//! sticky peek cache, and a bounded spawn buffer that publishes batches
-//! (`RSCHED_SPAWN_BATCH`) — one abstraction where earlier revisions had
-//! `PinSession` threading, `StickySession` and thread-local picker RNGs.
+//! its owned *home shards* (one of the two choices of every FIFO pop),
+//! the MultiQueue's amortized epoch pin, a bounded spawn buffer that
+//! publishes batches and a deletion buffer that hands out a claimed
+//! shard's successors (both sized by `RuntimeConfig::spawn_batch`). A
+//! session is the only way to pop a `ConcurrentMultiQueue`.
 //!
 //! On top of the pool, [`runtime::service()`] keeps the workers resident
 //! between submissions (external injectors + idle parking instead of the
@@ -110,11 +109,10 @@ pub use rsched_serve as serve;
 pub mod prelude {
     pub use rsched_algos::{
         kcore_sequential, label_components, parallel_bfs, parallel_delta_stepping, parallel_kcore,
-        parallel_label_propagation, parallel_sssp, parallel_sssp_duplicates,
-        parallel_sssp_spraylist, relaxed_sssp_seq, BnbStats, BstSort, ConcurrentBstSort,
-        ConcurrentColoring, ConcurrentMis, DelaunayIncremental, GreedyColoring, GreedyMis,
-        KcoreStats, Knapsack, LabelPropConfig, LabelPropStats, ParBfsStats, ParSsspConfig,
-        ParSsspStats, SeqSsspStats,
+        parallel_label_propagation, parallel_sssp, parallel_sssp_duplicates, relaxed_sssp_seq,
+        BnbStats, BstSort, ConcurrentBstSort, ConcurrentColoring, ConcurrentMis,
+        DelaunayIncremental, GreedyColoring, GreedyMis, KcoreStats, Knapsack, LabelPropConfig,
+        LabelPropStats, ParBfsStats, ParSsspConfig, ParSsspStats, SeqSsspStats,
     };
     pub use rsched_core::{
         run_exact, run_relaxed, run_relaxed_parallel, run_relaxed_traced, run_relaxed_with,
@@ -132,11 +130,11 @@ pub mod prelude {
         INF,
     };
     pub use rsched_queues::{
-        ConcurrentMultiQueue, ConcurrentRankEstimator, ConcurrentSprayList, DCboQueue, DecreaseKey,
-        DuplicateMultiQueue, Exact, FifoRankStats, FifoRankTracker, FifoSession, FlushReport,
-        IndexedBinaryHeap, MqSession, PairingHeap, PinSession, PopSource, PriorityQueue,
-        PushOutcome, QueueBuilder, RankStats, RankTracker, RelaxedFifo, RelaxedQueue,
-        RotatingKQueue, SessionConfig, SessionPush, SimMultiQueue, SprayList,
+        ConcurrentMultiQueue, ConcurrentRankEstimator, DCboQueue, DecreaseKey, DuplicateMultiQueue,
+        Exact, FifoRankStats, FifoRankTracker, FifoSession, FlushReport, IndexedBinaryHeap,
+        MqSession, PinSession, PopSource, PriorityQueue, PushOutcome, QueueBuilder, RankStats,
+        RankTracker, RelaxedFifo, RelaxedQueue, RotatingKQueue, SessionConfig, SessionPush,
+        SimMultiQueue, SprayList,
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{

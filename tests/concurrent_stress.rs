@@ -28,6 +28,8 @@ fn stress() -> usize {
 /// so an item may be popped once per successful insertion. The queue is
 /// correct iff, once quiescent and drained, every item's pop count equals
 /// its successful-insert count (`push_or_decrease` returning `true`).
+/// Pops go through unbatched sessions, which park nothing, so every pop
+/// is one claim from a shard.
 #[test]
 fn multiqueue_storm_conserves_elements() {
     use rand::rngs::SmallRng;
@@ -40,6 +42,7 @@ fn multiqueue_storm_conserves_elements() {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(t as u64 * 31 + 1);
+                let mut session = q.session(&SessionConfig::for_worker(t, threads));
                 let mut inserts: Vec<usize> = Vec::new();
                 let mut pops: Vec<usize> = Vec::new();
                 for i in 0..per {
@@ -53,7 +56,7 @@ fn multiqueue_storm_conserves_elements() {
                         inserts.push(item);
                     }
                     if i % 3 == 0 {
-                        if let Some((it, _)) = q.pop(&mut rng) {
+                        if let Some(((it, _), _)) = q.pop_session(&mut session) {
                             pops.push(it);
                         }
                     }
@@ -73,8 +76,8 @@ fn multiqueue_storm_conserves_elements() {
             *popped.entry(it).or_default() += 1;
         }
     }
-    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0);
-    while let Some((it, _)) = q.pop(&mut rng) {
+    let mut session = q.session(&SessionConfig::unaffine(0));
+    while let Some(((it, _), _)) = q.pop_session(&mut session) {
         *popped.entry(it).or_default() += 1;
     }
     assert!(q.is_empty());
@@ -85,53 +88,6 @@ fn multiqueue_storm_conserves_elements() {
         popped, inserted,
         "pop multiset differs from insert multiset"
     );
-}
-
-/// Sticky-peek-cache sessions from many threads still conserve elements.
-#[test]
-fn sticky_sessions_under_contention() {
-    let threads = 6;
-    let per = 2000usize;
-    let q: Arc<ConcurrentMultiQueue<u64>> = Arc::new(QueueBuilder::new(4).multiqueue());
-    for i in 0..threads * per {
-        q.push_or_decrease(i, (i as u64 * 17) % 100_000);
-    }
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut session = q.session(&SessionConfig {
-                    stickiness: 8,
-                    ..SessionConfig::for_worker(t, threads)
-                });
-                let mut got = Vec::new();
-                for _ in 0..per {
-                    if let Some(((it, _), _)) = q.pop_session(&mut session) {
-                        got.push(it);
-                    }
-                }
-                got
-            })
-        })
-        .collect();
-    let mut seen = HashSet::new();
-    let mut total = 0usize;
-    for h in handles {
-        for it in h.join().unwrap() {
-            assert!(seen.insert(it), "duplicate sticky pop of {it}");
-            total += 1;
-        }
-    }
-    // Drain the remainder.
-    let mut session = q.session(&SessionConfig {
-        stickiness: 4,
-        ..SessionConfig::unaffine(999)
-    });
-    while let Some(((it, _), _)) = q.pop_session(&mut session) {
-        assert!(seen.insert(it));
-        total += 1;
-    }
-    assert_eq!(total, threads * per);
 }
 
 /// Concurrent SSSP is exact across seeds, thread counts and schedulers on a
@@ -156,11 +112,6 @@ fn parallel_sssp_exactness_matrix() {
                 parallel_sssp_duplicates(&g, 0, cfg).dist,
                 want,
                 "dup t{threads} s{seed}"
-            );
-            assert_eq!(
-                parallel_sssp_spraylist(&g, 0, cfg).dist,
-                want,
-                "spray t{threads} s{seed}"
             );
         }
     }
@@ -285,38 +236,6 @@ fn runtime_dcbo_executes_every_task_once() {
     }
 }
 
-/// ConcurrentSprayList under pop-only contention after a big fill.
-#[test]
-fn concurrent_spraylist_drain_storm() {
-    let q: Arc<ConcurrentSprayList<u64>> = Arc::new(ConcurrentSprayList::new(4, 8, 3));
-    let n = 20_000usize;
-    for i in 0..n {
-        q.insert(i, (i as u64 * 13) % 50_000);
-    }
-    let threads = 8;
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(t as u64);
-                let mut got = Vec::new();
-                while let Some((it, _)) = q.pop(&mut rng) {
-                    got.push(it);
-                }
-                got
-            })
-        })
-        .collect();
-    let mut seen = HashSet::new();
-    for h in handles {
-        for it in h.join().unwrap() {
-            assert!(seen.insert(it), "duplicate {it}");
-        }
-    }
-    assert_eq!(seen.len(), n);
-}
-
 /// d-CBO under a concurrent enqueue/dequeue storm through **batched
 /// sessions** (spawn buffer and deletion buffer, a forced flush at the
 /// end returning parked pops), over a `threads × spawn_batch` matrix
@@ -376,8 +295,10 @@ fn relaxed_fifo_session_storm_matrix() {
 
 /// The priority-shard backend matrix {skiplist, mutexheap} under a
 /// **batched-session** conservation storm: every push flows through an
-/// [`MqSession`] with a spawn buffer (and the sticky peek cache on the
-/// pop side), finishing with a forced flush at quiescence. Flush reports
+/// [`MqSession`] with a spawn buffer (and a deletion buffer on the pop
+/// side), finishing with a forced flush at quiescence, over a
+/// `threads × spawn_batch` matrix whose last cell oversubscribes the
+/// cores, where a preempted lock holder or CAS loser shows. Flush reports
 /// carry merge *counts*, not identities, so the law here is count
 /// conservation — net inserts (session outcomes, flush merges
 /// retracted) must equal pops plus drain — plus full coverage: every
@@ -389,8 +310,8 @@ fn multiqueue_backend_matrix_storm() {
     use rand::{Rng, SeedableRng};
     use rsched_queues::{MutexHeapSub, SkipShard, SubPriority};
 
-    fn storm<S: SubPriority<u64> + 'static>(name: &str, spawn_batch: usize) {
-        let threads = 4 * stress();
+    fn storm<S: SubPriority<u64> + 'static>(name: &str, threads: usize, spawn_batch: usize) {
+        let name = format!("{name} t{threads} b{spawn_batch}");
         let per = 2_500 * stress();
         let q: Arc<ConcurrentMultiQueue<u64, S>> = Arc::new(QueueBuilder::new(6).multiqueue_on());
         let handles: Vec<_> = (0..threads)
@@ -400,7 +321,6 @@ fn multiqueue_backend_matrix_storm() {
                     let mut rng = SmallRng::seed_from_u64(t as u64 * 37 + 2);
                     let mut session = q.session(&SessionConfig {
                         spawn_batch,
-                        stickiness: 4,
                         ..SessionConfig::for_worker(t, threads)
                     });
                     // Parked pushes are presumed net-new; flush reports
@@ -445,8 +365,8 @@ fn multiqueue_backend_matrix_storm() {
                 total_pops += 1;
             }
         }
-        let mut rng = SmallRng::seed_from_u64(0);
-        while let Some((it, _)) = q.pop(&mut rng) {
+        let mut session = q.session(&SessionConfig::unaffine(0));
+        while let Some(((it, _), _)) = q.pop_session(&mut session) {
             seen.insert(it);
             total_pops += 1;
         }
@@ -464,9 +384,11 @@ fn multiqueue_backend_matrix_storm() {
 
     // 8 parks one popped successor per pop, 64 the full eight.
     for spawn_batch in [8, 64] {
-        storm::<SkipShard<u64>>("skiplist", spawn_batch);
-        storm::<MutexHeapSub<u64>>("mutexheap", spawn_batch);
+        storm::<SkipShard<u64>>("skiplist", 4 * stress(), spawn_batch);
+        storm::<MutexHeapSub<u64>>("mutexheap", 4 * stress(), spawn_batch);
     }
+    storm::<SkipShard<u64>>("skiplist", 8 * stress(), 64);
+    storm::<MutexHeapSub<u64>>("mutexheap", 8 * stress(), 64);
 }
 
 /// Rank-error envelope of the **skiplist-backed MultiQueue** under real
@@ -493,10 +415,7 @@ fn skiplist_multiqueue_estimator_envelope() {
             let q = Arc::clone(&q);
             scope.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(t as u64 + 9);
-                let mut session = q.session(&SessionConfig {
-                    stickiness: 4,
-                    ..SessionConfig::for_worker(t, threads)
-                });
+                let mut session = q.session(&SessionConfig::for_worker(t, threads));
                 for _ in 0..per {
                     if rng.gen_bool(0.5) {
                         let stamp = rec.stamp_enqueue();
