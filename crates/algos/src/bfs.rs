@@ -10,52 +10,19 @@
 //! stale-task argument as concurrent SSSP applies with `w ≡ 1`; the rank
 //! error of the relaxed FIFO plays the role of the priority rank bound.
 //!
-//! Driven by the shared `rsched-runtime` worker pool with a
-//! [`DCboQueue`] frontier through buffered sessions (`SPAWN_BATCH` =
-//! 64, so each claim also parks up to 8 successors): every pop is
-//! d-CBO's choice of two, the worker's home shard against a uniform
-//! sample, and the per-worker statistics count which one won alongside
-//! the extra-step accounting. The handler reads a neighbour's distance
-//! before its `fetch_min`, so already-settled neighbours cost a load
-//! instead of a read-modify-write.
+//! The task handler is the relaxation kernel BFS shares with SSSP and
+//! label propagation (`relax.rs`), with step `d + 1`, driven by the
+//! shared `rsched-runtime` worker pool with a [`DCboQueue`] frontier
+//! through buffered sessions (`SPAWN_BATCH` = 64, so each claim also
+//! parks up to 8 successors): every pop is d-CBO's choice of two, the
+//! worker's home shard against a uniform sample, and the statistics
+//! count which one won ([`ParSsspStats::home_hits`] /
+//! [`ParSsspStats::steals`]).
 
-use crate::sssp::{ParSsspConfig, SPAWN_BATCH};
-use rsched_graph::{CsrGraph, Weight, INF};
+use crate::relax::{relax, source};
+use crate::sssp::{ParSsspConfig, ParSsspStats};
+use rsched_graph::{CsrGraph, Weight};
 use rsched_queues::{DCboQueue, QueueBuilder};
-use rsched_runtime::{run, RuntimeConfig, TaskOutcome};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Result of a concurrent relaxed-FIFO BFS run.
-#[derive(Clone, Debug)]
-pub struct ParBfsStats {
-    /// `dist[v]` = exact hop count from the source, or [`INF`].
-    pub dist: Vec<Weight>,
-    /// Frontier pops that expanded a vertex.
-    pub executed: u64,
-    /// Total frontier pops, including stale ones.
-    pub pops: u64,
-    /// Stale pops (outdated hop count at pop time).
-    pub stale: u64,
-    /// Pops served by a worker's own home shard of the d-CBO frontier.
-    pub home_hits: u64,
-    /// Pops stolen from a foreign shard of the d-CBO frontier.
-    pub steals: u64,
-    /// Worker wall-clock time.
-    pub wall: Duration,
-}
-
-impl ParBfsStats {
-    /// `executed / reachable` — wasted-expansion overhead (1.0 = every
-    /// vertex expanded exactly once, as in exact BFS).
-    pub fn overhead(&self) -> f64 {
-        let reachable = self.dist.iter().filter(|&&d| d != INF).count();
-        if reachable == 0 {
-            return 1.0;
-        }
-        self.executed as f64 / reachable as f64
-    }
-}
 
 /// Concurrent BFS: hop distances from `src` via a relaxed FIFO frontier
 /// (`shards = threads × queue_multiplier`).
@@ -75,57 +42,19 @@ impl ParBfsStats {
 /// assert_eq!(stats.dist, bfs(&g, 0));
 /// assert!(stats.overhead() >= 1.0);
 /// ```
-pub fn parallel_bfs(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParBfsStats {
-    assert!(cfg.threads >= 1 && cfg.queue_multiplier >= 1);
-    let n = g.num_vertices();
+pub fn parallel_bfs(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspStats {
     let frontier: DCboQueue<(usize, Weight)> =
         QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
             .seed(cfg.seed)
             .d_cbo();
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    dist[src].store(0, Ordering::Release);
-    let stats = run(
-        &frontier,
-        RuntimeConfig {
-            threads: cfg.threads,
-            seed: cfg.seed,
-            spawn_batch: SPAWN_BATCH,
-            ..RuntimeConfig::default()
-        },
-        [(src, 0)],
-        |w, v, d| {
-            if d > dist[v].load(Ordering::Acquire) {
-                return TaskOutcome::Stale;
-            }
-            let nd = d + 1;
-            for (u, _) in g.neighbors(v) {
-                // A plain read first: most neighbours are already settled,
-                // and the read skips their read-modify-write.
-                if dist[u].load(Ordering::Relaxed) > nd
-                    && dist[u].fetch_min(nd, Ordering::AcqRel) > nd
-                {
-                    w.spawn(u, nd);
-                }
-            }
-            TaskOutcome::Executed
-        },
-    );
-    ParBfsStats {
-        dist: dist.into_iter().map(|d| d.into_inner()).collect(),
-        executed: stats.total.executed,
-        pops: stats.total.pops,
-        stale: stats.total.stale,
-        home_hits: stats.total.home_hits,
-        steals: stats.total.steals,
-        wall: stats.wall,
-    }
+    relax(g, cfg, &frontier, source(src), |d, _| d + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rsched_graph::gen::{grid_road, path_graph, power_law, random_gnm, star_graph};
-    use rsched_graph::{bfs, GraphBuilder};
+    use rsched_graph::{bfs, GraphBuilder, INF};
 
     #[test]
     fn matches_sequential_bfs_on_graph_families() {

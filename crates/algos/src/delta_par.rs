@@ -13,9 +13,10 @@
 //! advances through buckets; each light-edge iteration and the final
 //! heavy-edge pass fan the current frontier out over the runtime's
 //! fork-join helper ([`rsched_runtime::map_chunks`]), whose workers
-//! relax edges with atomic fetch-min updates and collect bucket
-//! insertions locally.
+//! relax edges with the same atomic fetch-min as the task-parallel
+//! kernel (`relax.rs`) and collect bucket insertions locally.
 
+use crate::relax::relax_min;
 use rsched_graph::{CsrGraph, Weight, INF};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -29,19 +30,6 @@ pub struct ParDeltaStats {
     pub pops: u64,
     /// Worker wall-clock time.
     pub wall: Duration,
-}
-
-/// Atomic fetch-min on a distance slot; returns `true` if `nd` improved it.
-#[inline]
-fn relax_min(slot: &AtomicU64, nd: Weight) -> bool {
-    let mut cur = slot.load(Ordering::Acquire);
-    while nd < cur {
-        match slot.compare_exchange_weak(cur, nd, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return true,
-            Err(now) => cur = now,
-        }
-    }
-    false
 }
 
 /// Frontiers smaller than this per thread are processed inline: forking a

@@ -19,7 +19,8 @@
 //! graph both the parallel and sequential versions peel by out-degree,
 //! and they still agree.
 
-use crate::sssp::{ParSsspConfig, SPAWN_BATCH};
+use crate::relax::SPAWN_BATCH;
+use crate::sssp::ParSsspConfig;
 use rsched_graph::CsrGraph;
 use rsched_queues::{DCboQueue, QueueBuilder};
 use rsched_runtime::{run, RuntimeConfig, TaskOutcome};

@@ -23,9 +23,13 @@
 //!   queue: deletion order is confluent, so the relaxed result equals the
 //!   sequential k-core exactly.
 //! * [`label_prop`] — **connected components by min-label propagation**
-//!   over the relaxed FIFO frontier: another confluent fixed point, and
-//!   the workload that exercises the worker sessions' spawn-batching
-//!   path hardest (bursty spawns, batch-published frontiers).
+//!   over the keyed MultiQueue: another confluent fixed point, run
+//!   min-label-first.
+//!
+//! Concurrent SSSP, BFS and label propagation are one monotone
+//! relaxation `d[u] ← min(d[u], step(d[v], w))` with steps `d + w`,
+//! `d + 1` and `d`; they share one private task handler and return one
+//! stats type ([`ParSsspStats`]).
 //! * [`branch_bound`] — best-first **branch-and-bound** (0/1 knapsack)
 //!   under relaxed scheduling: the Karp–Zhang parallel-backtracking setting
 //!   the paper's introduction traces the whole approach to, with *dynamic*
@@ -46,9 +50,10 @@ pub mod delta_par;
 pub mod kcore;
 pub mod label_prop;
 pub mod mis;
+mod relax;
 pub mod sssp;
 
-pub use bfs::{parallel_bfs, ParBfsStats};
+pub use bfs::parallel_bfs;
 pub use branch_bound::{BnbStats, Knapsack};
 pub use bst_sort::BstSort;
 pub use coloring::GreedyColoring;
@@ -56,9 +61,7 @@ pub use concurrent::{ConcurrentBstSort, ConcurrentColoring, ConcurrentMis};
 pub use delaunay::DelaunayIncremental;
 pub use delta_par::{parallel_delta_stepping, ParDeltaStats};
 pub use kcore::{kcore_sequential, parallel_kcore, KcoreStats};
-pub use label_prop::{
-    label_components, parallel_label_propagation, LabelPropConfig, LabelPropStats,
-};
+pub use label_prop::{label_components, parallel_label_propagation};
 pub use mis::GreedyMis;
 pub use sssp::{
     parallel_sssp, parallel_sssp_duplicates, relaxed_sssp_seq, ParSsspConfig, ParSsspStats,

@@ -18,15 +18,16 @@
 //!   acquisition per touched shard, and the winning shard of a
 //!   choice-of-two hands over its minimum plus eight successors under one
 //!   acquisition. Scheduling, termination detection and statistics come
-//!   from the shared `rsched-runtime` worker pool — the SSSP-specific
-//!   code is just the edge-relaxation task handler.
+//!   from the shared `rsched-runtime` worker pool, and the task handler is
+//!   the relaxation kernel SSSP shares with BFS and label propagation
+//!   (`relax.rs`).
 //! * [`parallel_sssp_duplicates`] — the DecreaseKey **ablation** (Section
 //!   6's discussion): same algorithm over a duplicate-insertion MultiQueue,
 //!   where outdated copies show up as stale pops instead of being updated
 //!   in place.
 //!
 //! Correctness argument for the concurrent variant: `dist[v]` only ever
-//! decreases (CAS loop), every successful decrease enqueues `v`, and a
+//! decreases (fetch-min), every successful decrease enqueues `v`, and a
 //! vertex popped at priority `d > dist[v]` is discarded, so the distances
 //! converge to the true shortest paths and the queue drains — the classic
 //! argument the paper refers to ("the distance at each vertex is guaranteed
@@ -43,10 +44,9 @@
 //!
 //! [`MutexHeapMultiQueue`]: rsched_queues::MutexHeapMultiQueue
 
+use crate::relax::{relax, source};
 use rsched_graph::{CsrGraph, Weight, INF};
 use rsched_queues::{DuplicateMultiQueue, MutexHeapMultiQueue, QueueBuilder, RelaxedQueue};
-use rsched_runtime::{run, RuntimeConfig, Scheduler, TaskOutcome};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Result of a sequential-model relaxed SSSP run.
@@ -153,18 +153,25 @@ impl Default for ParSsspConfig {
     }
 }
 
-/// Result of a concurrent SSSP run.
+/// Result of a concurrent relaxation run: SSSP, BFS or label
+/// propagation (see `relax.rs`).
 #[derive(Clone, Debug)]
 pub struct ParSsspStats {
-    /// Final distances (exact shortest paths).
+    /// Final values: shortest-path distances, BFS hop counts, or the
+    /// minimum vertex id of each vertex's component.
     pub dist: Vec<Weight>,
     /// Tasks processed (pops that performed edge relaxation) — the
     /// numerator of the paper's Figure 1 *overhead* metric.
     pub executed: u64,
     /// Total pops, including stale ones.
     pub pops: u64,
-    /// Stale pops (outdated distance at pop time).
+    /// Stale pops (outdated value at pop time).
     pub stale: u64,
+    /// Pops served by a worker's own home shard of a relaxed FIFO, or by
+    /// a MultiQueue session's deletion buffer.
+    pub home_hits: u64,
+    /// Pops stolen from a foreign shard of a relaxed FIFO.
+    pub steals: u64,
     /// Wall-clock execution time (workers only, excluding graph setup).
     pub wall: Duration,
 }
@@ -179,73 +186,6 @@ impl ParSsspStats {
             return 1.0;
         }
         self.executed as f64 / reachable as f64
-    }
-}
-
-/// Spawn-buffer capacity of every concurrent SSSP, BFS and k-core worker
-/// session. A vertex expansion spawns a handful of tasks; 64 parks
-/// several expansions' worth, so a flush touches each shard once with a
-/// group rather than once per edge, and both the keyed MultiQueue and
-/// the relaxed FIFO sessions pop `64 / 8` successors with each claim.
-/// The duplicate-insertion MultiQueue has no session buffer and
-/// ignores it.
-pub(crate) const SPAWN_BATCH: usize = 64;
-
-/// The shared concurrent-SSSP task handler over any runtime [`Scheduler`]:
-/// pop a `(vertex, distance)` task, drop it if stale, otherwise CAS-relax
-/// every outgoing edge and spawn the improved neighbours. The scheduler
-/// determines the ablation: keyed MultiQueue (decrease-key) or
-/// duplicate-insertion MultiQueue.
-fn parallel_sssp_on<S: Scheduler<Weight>>(
-    g: &CsrGraph,
-    src: usize,
-    cfg: ParSsspConfig,
-    queue: &S,
-) -> ParSsspStats {
-    assert!(cfg.threads >= 1 && cfg.queue_multiplier >= 1);
-    let n = g.num_vertices();
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
-    dist[src].store(0, Ordering::Release);
-    let stats = run(
-        queue,
-        RuntimeConfig {
-            threads: cfg.threads,
-            seed: cfg.seed,
-            spawn_batch: SPAWN_BATCH,
-            ..RuntimeConfig::default()
-        },
-        [(src, 0)],
-        |w, v, d| {
-            if d > dist[v].load(Ordering::Acquire) {
-                return TaskOutcome::Stale;
-            }
-            for (u, wt) in g.neighbors(v) {
-                let nd = d + wt;
-                let mut cur = dist[u].load(Ordering::Acquire);
-                while nd < cur {
-                    match dist[u].compare_exchange_weak(
-                        cur,
-                        nd,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            w.spawn(u, nd);
-                            break;
-                        }
-                        Err(now) => cur = now,
-                    }
-                }
-            }
-            TaskOutcome::Executed
-        },
-    );
-    ParSsspStats {
-        dist: dist.into_iter().map(|d| d.into_inner()).collect(),
-        executed: stats.total.executed,
-        pops: stats.total.pops,
-        stale: stats.total.stale,
-        wall: stats.wall,
     }
 }
 
@@ -268,7 +208,7 @@ pub fn parallel_sssp(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspSta
     let queue: MutexHeapMultiQueue<Weight> = QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
         .universe(g.num_vertices())
         .multiqueue_on();
-    parallel_sssp_on(g, src, cfg, &queue)
+    relax(g, cfg, &queue, source(src), |d, w| d + w)
 }
 
 /// The DecreaseKey ablation: concurrent SSSP over a duplicate-insertion
@@ -276,7 +216,7 @@ pub fn parallel_sssp(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspSta
 /// copy, and outdated copies surface as stale pops).
 pub fn parallel_sssp_duplicates(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspStats {
     let queue = DuplicateMultiQueue::<Weight>::new(cfg.threads * cfg.queue_multiplier);
-    parallel_sssp_on(g, src, cfg, &queue)
+    relax(g, cfg, &queue, source(src), |d, w| d + w)
 }
 
 #[cfg(test)]

@@ -143,7 +143,10 @@ fn trial<Q: ContendedMq>(
     let prefill_inserts = {
         let mut acct = Accounting::default();
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0x55_59);
-        let mut session = queue.open(&SessionConfig::unaffine(0x55_59));
+        let mut session = queue.open(&SessionConfig {
+            seed: 0x55_59,
+            ..SessionConfig::default()
+        });
         for _ in 0..PREFILL {
             let item = rng.gen_range(0..UNIVERSE);
             acct.push(queue.push_or_dec(item, rng.gen_range(0..1_000), &mut session));
@@ -176,7 +179,6 @@ fn trial<Q: ContendedMq>(
                     workers: threads,
                     seed: tid as u64 * 0x5E55 + 7,
                     spawn_batch,
-                    ..SessionConfig::default()
                 });
                 barrier.wait();
                 for op in 0..ops_per_thread {
@@ -202,7 +204,10 @@ fn trial<Q: ContendedMq>(
     let snapshot = telemetry::capture();
     // Drain (outside the timed phase) and check conservation: every
     // insert that reported "net-new" must come out exactly once.
-    let mut drain = queue.open(&SessionConfig::unaffine(0));
+    let mut drain = queue.open(&SessionConfig {
+        seed: 0,
+        ..SessionConfig::default()
+    });
     let mut drained = 0u64;
     while queue.pop(&mut drain).is_some() {
         drained += 1;

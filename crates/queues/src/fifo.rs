@@ -38,13 +38,14 @@
 //! # Worker sessions
 //!
 //! Long-lived workers drive the queue through a [`FifoSession`] (from
-//! [`DCboQueue::session`]): a private shard-picker RNG, **owned home
-//! shards**, a bounded **spawn buffer** whose contents publish as one
-//! balanced-choice batch ([`flush_session`](DCboQueue::flush_session)),
-//! and a **deletion buffer**. A session pop
-//! ([`pop_session`](DCboQueue::pop_session)) follows d-CBO's own rule —
-//! the fewer completed dequeues of two candidates wins — with the next
-//! home shard as one candidate and a uniform sample as the other, and
+//! [`DCboQueue::session`]): a private shard-picker RNG, one **home
+//! shard** (`tid % shards`), a bounded **spawn buffer** whose contents
+//! publish as one balanced-choice batch
+//! ([`flush_session`](DCboQueue::flush_session)), and a **deletion
+//! buffer**. A session pop ([`pop_session`](DCboQueue::pop_session))
+//! follows d-CBO's own rule — the fewer completed dequeues of two
+//! candidates wins — with the home shard as one candidate and a
+//! uniform sample as the other, and
 //! claims up to `min(spawn_batch / 8, 8)` successors of the winner's
 //! head in the same lock acquisition, parking them for the next pops.
 //! The raw `&self` + caller-RNG operations remain for tests and
@@ -153,8 +154,8 @@ impl<T> Shard<T> {
 /// state object of the relaxed FIFO (see the
 /// worker-session section of the [crate docs](crate)).
 ///
-/// Carries the worker's private shard-picker RNG, the **owned home
-/// shards** (each pop's first candidate), the bounded **spawn buffer**
+/// Carries the worker's private shard-picker RNG, the **home shard**
+/// (each pop's first candidate), the bounded **spawn buffer**
 /// whose contents publish as one batch to a single balanced-choice
 /// shard, and the **deletion buffer** of items claimed together with an
 /// earlier pop. Obtained from
@@ -164,12 +165,9 @@ impl<T> Shard<T> {
 #[derive(Debug)]
 pub struct FifoSession<T> {
     rng: SmallRng,
-    /// Home shards, strided across workers (`tid + i·workers mod q`), so
-    /// with `workers × shards_per_worker ≤ q` no shard has two owners.
-    homes: Vec<usize>,
-    /// Index into `homes` of the latest choice round's home candidate;
-    /// each round advances it, and a flush targets that home first.
-    rotor: usize,
+    /// The home shard, `tid % q`: with `workers ≤ q` no shard has two
+    /// owners. Every choice round and every flush tries it first.
+    home: usize,
     buf: Vec<T>,
     /// Spawn-buffer threshold: the configured `spawn_batch`, clamped.
     batch: usize,
@@ -184,9 +182,9 @@ pub struct FifoSession<T> {
 }
 
 impl<T> FifoSession<T> {
-    /// The home shards this session owns (empty = no affinity).
-    pub fn homes(&self) -> &[usize] {
-        &self.homes
+    /// The home shard this session owns.
+    pub fn home(&self) -> usize {
+        self.home
     }
 
     /// Elements parked in the spawn buffer, not yet published.
@@ -195,9 +193,7 @@ impl<T> FifoSession<T> {
     }
 
     fn classify(&self, shard: usize) -> PopSource {
-        if self.homes.is_empty() {
-            PopSource::Shared
-        } else if self.homes.contains(&shard) {
+        if shard == self.home {
             PopSource::Home
         } else {
             PopSource::Steal
@@ -305,23 +301,13 @@ impl<T> DCboQueue<T> {
     /// Pop from the sampled shard with the fewest completed dequeues;
     /// `None` only after a full sweep found every shard empty.
     pub fn dequeue<R: Rng>(&self, rng: &mut R) -> Option<T> {
-        self.pop_with_homes(&[], &mut 0, rng, 0, &mut Vec::new())
+        self.pop_with_home(None, rng, 0, &mut Vec::new())
             .map(|(item, _)| item)
     }
 
-    /// Open a worker session (see [`FifoSession`]): home shards strided
-    /// by `cfg.tid`/`cfg.workers`, spawn buffer of `cfg.spawn_batch`.
+    /// Open a worker session (see [`FifoSession`]): home shard
+    /// `cfg.tid % shards`, spawn buffer of `cfg.spawn_batch`.
     pub fn session(&self, cfg: &SessionConfig) -> FifoSession<T> {
-        let q = self.shards.len();
-        let workers = cfg.workers.max(1);
-        let spw = cfg.shards_per_worker.min(q);
-        let mut homes = Vec::with_capacity(spw);
-        for i in 0..spw {
-            let shard = (cfg.tid + i * workers) % q;
-            if !homes.contains(&shard) {
-                homes.push(shard);
-            }
-        }
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
         let pop_extra = (batch / 8).min(MAX_POP_EXTRA);
         FifoSession {
@@ -330,12 +316,11 @@ impl<T> DCboQueue<T> {
             // here would cancel that mix and hand every worker the same
             // picker stream.
             rng: SmallRng::seed_from_u64(cfg.seed),
-            homes,
-            rotor: 0,
+            home: cfg.tid % self.shards.len(),
             buf: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
             batch,
             popped: Vec::with_capacity(pop_extra),
-            popped_src: PopSource::Shared,
+            popped_src: PopSource::Home,
             pop_extra,
         }
     }
@@ -381,12 +366,7 @@ impl<T> DCboQueue<T> {
         if n == 0 {
             return FlushReport::default();
         }
-        let first = s
-            .homes
-            .get(s.rotor)
-            .copied()
-            .unwrap_or_else(|| s.rng.gen_range(0..self.shards.len()));
-        let shard = &self.shards[self.push_target(first, &mut s.rng)];
+        let shard = &self.shards[self.push_target(s.home, &mut s.rng)];
         let oldest = s.popped.len() - parked;
         shard
             .fifo
@@ -401,38 +381,32 @@ impl<T> DCboQueue<T> {
     }
 
     /// Session pop: the deletion buffer first, else d-CBO's choice of two
-    /// with the next home shard as one candidate, claiming the winner's
+    /// with the home shard as one candidate, claiming the winner's
     /// head and up to `min(spawn_batch / 8, 8)` successors in one lock
     /// acquisition and parking the successors. Reports
-    /// [`PopSource::Home`]/[`PopSource::Steal`] by the winning shard,
-    /// [`PopSource::Shared`] without affinity. Buffered spawns are **not**
+    /// [`PopSource::Home`]/[`PopSource::Steal`] by the winning shard.
+    /// Buffered spawns are **not**
     /// popped here — flush on a miss (the runtime's worker loop does).
     pub fn pop_session(&self, s: &mut FifoSession<T>) -> Option<(T, PopSource)> {
         if let Some(item) = s.popped.pop() {
             return Some((item, s.popped_src));
         }
-        let (item, shard) = self.pop_with_homes(
-            &s.homes,
-            &mut s.rotor,
-            &mut s.rng,
-            s.pop_extra,
-            &mut s.popped,
-        )?;
+        let (item, shard) =
+            self.pop_with_home(Some(s.home), &mut s.rng, s.pop_extra, &mut s.popped)?;
         s.popped.reverse();
         s.popped_src = s.classify(shard);
         Some((item, s.popped_src))
     }
 
     /// The shared pop engine: fewest-dequeues choice rounds whose first
-    /// candidate is the next of `homes` (round-robin, one per round) or,
-    /// without homes, a uniform sample; then the waiting fallback sweep.
+    /// candidate is `home` or, without one, a uniform sample; then the
+    /// waiting fallback sweep.
     /// The winning shard yields its head plus up to `extra` successors
     /// (into `out`, oldest first) under one lock acquisition. Returns the
     /// head and its shard.
-    fn pop_with_homes<R: Rng>(
+    fn pop_with_home<R: Rng>(
         &self,
-        homes: &[usize],
-        rotor: &mut usize,
+        home: Option<usize>,
         rng: &mut R,
         extra: usize,
         out: &mut Vec<T>,
@@ -440,13 +414,9 @@ impl<T> DCboQueue<T> {
         let q = self.shards.len();
         // Choice rounds, non-blocking; ties keep the earlier candidate.
         for round in 0..(2 * q + 4) {
-            let mut cand: [usize; CHOICES] = std::array::from_fn(|i| {
-                if i == 0 && !homes.is_empty() {
-                    *rotor = (*rotor + 1) % homes.len();
-                    homes[*rotor]
-                } else {
-                    rng.gen_range(0..q)
-                }
+            let mut cand: [usize; CHOICES] = std::array::from_fn(|i| match home {
+                Some(h) if i == 0 => h,
+                _ => rng.gen_range(0..q),
             });
             cand.sort_by_key(|&c| self.shards[c].dequeues.load(Ordering::Relaxed));
             let mut tried = usize::MAX;
@@ -470,13 +440,10 @@ impl<T> DCboQueue<T> {
             }
         }
         // Fallback sweep: visit every shard once, waiting on locks.
-        // Rotated from a per-thread offset (first home shard if affine,
-        // else a random start) so threads that fall back together fan
-        // out over the shards instead of convoying onto shard 0.
-        let start = homes
-            .first()
-            .copied()
-            .unwrap_or_else(|| rng.gen_range(0..q));
+        // Rotated from a per-thread offset (the home shard, else a
+        // random start) so threads that fall back together fan out over
+        // the shards instead of convoying onto shard 0.
+        let start = home.unwrap_or_else(|| rng.gen_range(0..q));
         for k in 0..q {
             let c = (start + k) % q;
             let shard = &self.shards[c];
@@ -791,10 +758,13 @@ mod tests {
                 });
             }
         });
-        let mut drain = q.session(&SessionConfig::unaffine(3));
+        let mut drain = q.session(&SessionConfig {
+            seed: 3,
+            ..SessionConfig::default()
+        });
         let mut seen = std::collections::HashSet::new();
         while let Some((v, src)) = q.pop_session(&mut drain) {
-            assert_eq!(src, PopSource::Shared, "unaffine session pops are Shared");
+            assert_ne!(src, PopSource::Shared, "FIFO pops are Home or Steal");
             assert!(seen.insert(v), "duplicate {v}");
         }
         assert_eq!(seen.len(), threads * per);
@@ -825,29 +795,25 @@ mod tests {
 
     #[test]
     fn session_pops_classify_home_and_steal() {
-        // One worker owning 2 of 4 shards: everything it pushed through
+        // One worker owning 1 of 4 shards: everything it pushed through
         // immediate (unbatched) publication is spread over shards, so
         // draining must report both Home and Steal pops, never Shared.
         let q: DCboQueue<u64> = QueueBuilder::new(4).seed(9).d_cbo();
-        let cfg = SessionConfig {
-            shards_per_worker: 2,
-            ..SessionConfig::for_worker(1, 2)
-        };
-        let mut s = q.session(&cfg);
-        assert_eq!(s.homes(), &[1, 3], "strided home assignment");
+        let mut s = q.session(&SessionConfig::for_worker(1, 2));
+        assert_eq!(s.home(), 1, "home shard is tid % shards");
         for i in 0..200u64 {
             q.push_session(i, &mut s);
         }
-        let (mut homes, mut steals) = (0u32, 0u32);
+        let (mut home_pops, mut steals) = (0u32, 0u32);
         while let Some((_, src)) = q.pop_session(&mut s) {
             match src {
-                PopSource::Home => homes += 1,
+                PopSource::Home => home_pops += 1,
                 PopSource::Steal => steals += 1,
-                PopSource::Shared => panic!("affine session reported Shared"),
+                PopSource::Shared => panic!("a FIFO session reported Shared"),
             }
         }
-        assert_eq!(homes + steals, 200);
-        assert!(homes > 0, "home shards never won a choice");
+        assert_eq!(home_pops + steals, 200);
+        assert!(home_pops > 0, "home shard never won a choice");
         assert!(steals > 0, "foreign shards never stolen from");
     }
 

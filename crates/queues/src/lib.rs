@@ -29,7 +29,7 @@
 //!   `Mutex<VecDeque>` shards, one lock acquisition per batch),
 //!   concurrent and behind the sequential [`fifo::RelaxedFifo`] trait.
 //!   It feeds the `rsched-runtime` worker pool for FIFO-ordered
-//!   workloads (BFS frontiers, k-core peeling, label propagation).
+//!   workloads (BFS frontiers, k-core peeling).
 //! * **Lock-free priority shards** ([`skipshard`]): the shard backends
 //!   of the concurrent MultiQueue — an epoch-reclaimed Harris-style
 //!   skiplist ([`skipshard::SkipShard`], the default) and the
@@ -99,15 +99,15 @@
 //! [`SessionPush`], [`PushOutcome`], [`FlushReport`], [`PopSource`]):
 //!
 //! * [`fifo::FifoSession`] (from [`DCboQueue::session`]) carries the
-//!   worker's private shard-picker RNG, its **owned home shards**
-//!   (`shards_per_worker ≥ 1`, strided over the workers so every shard
-//!   has at most one owner), and a **bounded spawn buffer** that parks
-//!   pushes and publishes them as one batch to a single
-//!   balanced-choice target shard (one choice and one counter bump per
-//!   *batch*), and a **deletion buffer** shaped like the MultiQueue's
-//!   below. Pops follow d-CBO's own choice of two on completed
-//!   dequeues, with the session's next home shard as one candidate and
-//!   a uniform sample as the other; the winner is reported as
+//!   worker's private shard-picker RNG, its **home shard** (`tid %
+//!   shards`, so with no more workers than shards every shard has at
+//!   most one owner), a **bounded spawn buffer** that parks pushes and
+//!   publishes them as one batch to a single balanced-choice target
+//!   shard (one choice and one counter bump per *batch*), and a
+//!   **deletion buffer** shaped like the MultiQueue's below. Pops
+//!   follow d-CBO's own choice of two on completed dequeues, with the
+//!   home shard as one candidate and a uniform sample as the other;
+//!   the winner is reported as
 //!   [`PopSource::Home`] or [`PopSource::Steal`], and it yields up to
 //!   `D` successors for the next pops in the same lock acquisition.
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
@@ -231,22 +231,19 @@ pub const MAX_SPAWN_BATCH: usize = 4096;
 /// crate ([`DCboQueue::session`], [`ConcurrentMultiQueue::session`]).
 ///
 /// A session is the worker-owned half of a queue: the epoch pin, the
-/// shard-picker RNG stream, the owned home shards and the bounded spawn
+/// shard-picker RNG stream, the FIFO's home shard and the bounded spawn
 /// and deletion buffers all live in it, so the shared structure stays
 /// free of any per-thread state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// This worker's id in `0..workers`.
+    /// This worker's id in `0..workers`; a FIFO session's home shard is
+    /// `tid % shards`.
     pub tid: usize,
-    /// Total cooperating workers (determines the home-shard stride).
+    /// Total cooperating workers. No session reads it: with one home
+    /// shard per worker, `tid` alone places the home.
     pub workers: usize,
     /// Seed for the session's private RNG stream (derive per worker).
     pub seed: u64,
-    /// Home shards this worker owns (FIFO queues; a MultiQueue session
-    /// ignores it); each pop's first candidate is the next of them. `0`
-    /// disables affinity entirely — every pop is an unbiased
-    /// choice-of-`d`.
-    pub shards_per_worker: usize,
     /// Spawn-buffer capacity (clamped to [`MAX_SPAWN_BATCH`]); `1`
     /// publishes every push immediately. Both sessions size their
     /// deletion buffer from it too (`min(spawn_batch / 8, 8)`).
@@ -259,7 +256,6 @@ impl Default for SessionConfig {
             tid: 0,
             workers: 1,
             seed: 0,
-            shards_per_worker: 1,
             spawn_batch: 1,
         }
     }
@@ -273,16 +269,6 @@ impl SessionConfig {
             tid,
             workers: workers.max(1),
             seed: (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..Self::default()
-        }
-    }
-
-    /// A session with no shard affinity (uniform random pops) — what a
-    /// drain loop or a caller outside any worker pool wants.
-    pub fn unaffine(seed: u64) -> Self {
-        Self {
-            seed,
-            shards_per_worker: 0,
             ..Self::default()
         }
     }
@@ -360,12 +346,12 @@ impl PushOutcome {
 /// runtime folds into per-worker home-hit/steal counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PopSource {
-    /// One of the session's own home shards (FIFO queues), or the
-    /// session's deletion buffer (MultiQueue).
+    /// The session's own home shard (FIFO queues), or the session's
+    /// deletion buffer (MultiQueue).
     Home,
-    /// A foreign shard of a session that owns home shards.
+    /// A foreign shard of a FIFO session.
     Steal,
-    /// A session without affinity (or a queue without a home notion).
+    /// A MultiQueue's choice of two: keyed placement has no home notion.
     Shared,
 }
 

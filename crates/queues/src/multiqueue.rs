@@ -486,8 +486,8 @@ impl<P> MqSession<P> {
 
 impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     /// Open a worker session (see [`MqSession`]). Placement stays keyed
-    /// — a MultiQueue has no home shards, so `cfg.shards_per_worker` is
-    /// ignored; its locality lever is the spawn and deletion buffers
+    /// — a MultiQueue has no home shards, so `cfg.tid` is ignored; its
+    /// locality lever is the spawn and deletion buffers
     /// (`cfg.spawn_batch`).
     pub fn session(&self, cfg: &SessionConfig) -> MqSession<P> {
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
@@ -875,7 +875,10 @@ mod tests {
             mq.push_or_decrease(i, 500 - i as u64);
         }
         assert_eq!(mq.len(), 500);
-        let mut session = mq.session(&SessionConfig::unaffine(1));
+        let mut session = mq.session(&SessionConfig {
+            seed: 1,
+            ..SessionConfig::default()
+        });
         let mut seen = HashSet::new();
         while let Some(((item, _), _)) = mq.pop_session(&mut session) {
             assert!(seen.insert(item));
@@ -938,7 +941,10 @@ mod tests {
                 assert!(seen.insert(it), "duplicate pop of {it}");
             }
         }
-        let mut session = mq.session(&SessionConfig::unaffine(123));
+        let mut session = mq.session(&SessionConfig {
+            seed: 123,
+            ..SessionConfig::default()
+        });
         while let Some(((it, _), _)) = mq.pop_session(&mut session) {
             assert!(seen.insert(it), "duplicate pop of {it}");
         }

@@ -25,7 +25,7 @@ fn steal_histogram_counts_choice_rounds_of_claiming_pops() {
         spawn_batch: 64,
         ..SessionConfig::for_worker(0, 2)
     });
-    assert_eq!(s.homes(), &[0]);
+    assert_eq!(s.home(), 0);
 
     telemetry::reset();
     let (mut pops, mut buffered, mut home_claims, mut steal_claims) = (0u64, 0u64, 0u64, 0u64);
@@ -41,7 +41,7 @@ fn steal_histogram_counts_choice_rounds_of_claiming_pops() {
             (true, _) => buffered += 1,
             (false, PopSource::Home) => home_claims += 1,
             (false, PopSource::Steal) => steal_claims += 1,
-            (false, PopSource::Shared) => panic!("a session with homes reported Shared"),
+            (false, PopSource::Shared) => panic!("a FIFO session reported Shared"),
         }
     }
     let snap = telemetry::capture();

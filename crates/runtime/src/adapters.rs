@@ -1,8 +1,8 @@
 //! [`Scheduler`] implementations for the workspace's concurrent queues.
 //!
 //! One runtime, many orders: the relaxed *priority* schedulers drive
-//! label- and distance-ordered work (iterative algorithms, SSSP), the
-//! relaxed *FIFO* drives frontier-ordered work (BFS, label propagation,
+//! label- and distance-ordered work (iterative algorithms, SSSP, label
+//! propagation), the relaxed *FIFO* drives frontier-ordered work (BFS,
 //! k-core peeling). Every adapter maps the queue's native session onto
 //! the runtime's [`Scheduler::Session`] and routes the conservation
 //! signals ([`PushOutcome`], [`FlushReport`]) through unchanged so the

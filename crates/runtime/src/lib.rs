@@ -16,12 +16,12 @@
 //!   │  │ rng,stats│      │ rng,stats│             │ rng,stats│  per-   │
 //!   │  │ Session: │      │ Session: │             │ Session: │  worker │
 //!   │  │ pin, rng │      │ pin, rng │             │ pin, rng │  (no    │
-//!   │  │ homes,buf│      │ homes,buf│             │ homes,buf│  locks) │
+//!   │  │ home,bufs│      │ home,bufs│             │ home,bufs│  locks) │
 //!   │  └───┬──────┘      └───┬──────┘             └───┬──────┘         │
 //!   │      │ pop(&mut session)│                       │                │
 //!   │  ┌───▼─────────────────▼───────────────────────▼───┐             │
 //!   │  │      Scheduler (sharded relaxed queue)          │             │
-//!   │  │  shard₀  shard₁  shard₂  …  — homes ∪ steals    │             │
+//!   │  │  shard₀  shard₁  shard₂  …  — home ∪ steals     │             │
 //!   │  └─────────────────────────────────────────────────┘             │
 //!   │      ActiveCounter: queued + in-flight (+ buffered) → quiescence │
 //!   └──────────────────────────────────────────────────────────────────┘
@@ -30,13 +30,12 @@
 //! * [`Scheduler`] abstracts the queue: relaxed priority schedulers
 //!   (`ConcurrentMultiQueue`, `DuplicateMultiQueue`) and the relaxed
 //!   FIFO (`DCboQueue`) all implement it, so one runtime serves
-//!   priority-ordered (SSSP), label-ordered (greedy iterative
-//!   algorithms) and FIFO-ordered (BFS, label propagation, k-core)
-//!   scenarios.
+//!   priority-ordered (SSSP, label propagation), label-ordered (greedy
+//!   iterative algorithms) and FIFO-ordered (BFS, k-core) scenarios.
 //! * Every worker owns one [`Scheduler::Session`] — *the* per-worker
-//!   state object (shard-picker RNG, owned home shards, bounded spawn
-//!   and deletion buffers, plus the MultiQueue's epoch pin), configured
-//!   through [`RuntimeConfig::shards_per_worker`] / `spawn_batch`.
+//!   state object (shard-picker RNG, the FIFO's home shard `tid %
+//!   shards`, bounded spawn and deletion buffers, plus the MultiQueue's
+//!   epoch pin), configured through [`RuntimeConfig::spawn_batch`].
 //! * [`run`] drives the pool: pop → handler → ([`TaskOutcome`]) →
 //!   re-queue blocked tasks, with quiescence termination detection
 //!   ([`ActiveCounter`]) over queued-plus-in-flight tasks (buffered

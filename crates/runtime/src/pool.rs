@@ -2,14 +2,14 @@
 //!
 //! [`run`] is the single thread-pool / termination-detection
 //! implementation in the workspace: every truly concurrent executor
-//! (`run_relaxed_parallel`, the concurrent SSSP family, relaxed-FIFO BFS,
-//! label propagation, k-core peeling) is a thin handler over it. The
+//! (`run_relaxed_parallel`, the concurrent SSSP / BFS / label-propagation
+//! relaxation kernel, k-core peeling) is a thin handler over it. The
 //! runtime owns
 //!
 //! * the worker threads (scoped, one RNG stream per worker);
 //! * one **worker session** per thread ([`Scheduler::Session`]) carrying
 //!   every piece of per-worker queue state — the shard-picker RNG, the
-//!   owned home shards, the bounded spawn and deletion buffers, and the
+//!   FIFO's home shard, the bounded spawn and deletion buffers, and the
 //!   MultiQueue's amortized epoch pin;
 //! * the pop → handle → re-queue loop with separate backoffs for
 //!   "queue empty" and "popped a blocked task", flushing the session's
@@ -25,9 +25,9 @@
 //! the relaxed priority schedulers (`ConcurrentMultiQueue`,
 //! `DuplicateMultiQueue`) for label- or distance-ordered work, and the
 //! relaxed FIFO (`DCboQueue`) for frontier-ordered work. Sessions
-//! expose worker locality through [`PopSource`]: home-shard hits and
-//! choice-of-two steals are folded into [`WorkerStats::home_hits`] /
-//! [`WorkerStats::steals`].
+//! expose worker locality through [`PopSource`]: home-shard (or
+//! deletion-buffer) hits and choice-of-two steals are folded into
+//! [`WorkerStats::home_hits`] / [`WorkerStats::steals`].
 
 use crate::termination::{ActiveCounter, CounterSlot};
 use crossbeam::utils::Backoff;
@@ -72,8 +72,10 @@ pub trait Scheduler<P: Copy>: Sync {
 
     /// Relaxed pop through `session`. `None` is a hint, not a
     /// linearizable emptiness check; the runtime owns termination
-    /// detection. The [`PopSource`] reports locality (home shard / peek
-    /// cache hit vs steal).
+    /// detection. The [`PopSource`] reports locality: a FIFO's home
+    /// shard or a MultiQueue's deletion buffer (`Home`), a FIFO's
+    /// foreign shard (`Steal`), or a MultiQueue's choice of two
+    /// (`Shared`).
     fn pop(&self, session: &mut Self::Session) -> Option<((usize, P), PopSource)>;
 
     /// Publish everything parked in the session's spawn buffer. The
@@ -106,10 +108,6 @@ pub struct RuntimeConfig {
     pub threads: usize,
     /// Base RNG seed; per-worker streams derive from it.
     pub seed: u64,
-    /// Home shards owned per worker (a FIFO session pop's first
-    /// candidate is the next of them; a MultiQueue session ignores
-    /// it). Defaults to 1; `0` disables affinity.
-    pub shards_per_worker: usize,
     /// Spawn-buffer capacity per worker session; spawns park there and
     /// publish as one batch (both sessions also pop
     /// `min(spawn_batch / 8, 8)` successors with each claim). Defaults
@@ -135,7 +133,6 @@ impl Default for RuntimeConfig {
         Self {
             threads: 4,
             seed: 0,
-            shards_per_worker: 1,
             spawn_batch: 1,
             telemetry: env_usize("RSCHED_TELEMETRY", 1) != 0,
             trace: env_usize("RSCHED_TRACE", 0) != 0,
@@ -158,7 +155,6 @@ impl RuntimeConfig {
             tid,
             workers: self.threads.max(1),
             seed: self.seed ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            shards_per_worker: self.shards_per_worker,
             spawn_batch: self.spawn_batch,
         }
     }
@@ -183,11 +179,11 @@ pub struct WorkerStats {
     /// `spawn` calls merged into an existing entry (decrease-key hits,
     /// in the shared structure or inside the session's spawn buffer).
     pub merged: u64,
-    /// Pops served by one of the worker's own home shards, or by the
+    /// Pops served by the worker's own home shard, or by the
     /// MultiQueue session's deletion buffer.
     pub home_hits: u64,
-    /// Pops that took an element from a foreign shard of a
-    /// worker-affine scheduler.
+    /// Pops that took an element from a foreign shard of a relaxed
+    /// FIFO.
     pub steals: u64,
     /// Pops that came back empty (each one triggers a session flush
     /// before the worker considers waiting).

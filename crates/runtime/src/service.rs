@@ -112,10 +112,10 @@ pub struct ServiceHandle<P: Copy, S: Scheduler<P> + ?Sized> {
 /// A per-thread handle for pushing tasks into a running service pool.
 ///
 /// Owns a scheduler session of its own (shard-picker RNG, plus the
-/// MultiQueue's epoch pin), configured unaffine — an injector has no
-/// home shards to keep hot — and with `spawn_batch` forced to 1,
-/// because a parked injection would trade exactly the latency a serving
-/// front-end exists to measure.
+/// MultiQueue's epoch pin) with `spawn_batch` forced to 1, because a
+/// parked injection would trade exactly the latency a serving front-end
+/// exists to measure. It publishes every push at once and never pops,
+/// so a FIFO injector never reads its home shard.
 /// Deliberately **not** `Send` when the underlying session is not: a
 /// MultiQueue session's epoch pin is thread-owned state.
 pub struct Injector<P: Copy, S: Scheduler<P> + ?Sized> {
@@ -179,9 +179,10 @@ where
             // Injectors publish immediately; a batched injection would
             // park a request's latency inside the injector.
             spawn_batch: 1,
-            ..SessionConfig::unaffine(
-                self.core.cfg.seed ^ 0x1439_EC7E_D000_0000 ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            )
+            seed: self.core.cfg.seed
+                ^ 0x1439_EC7E_D000_0000
+                ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ..SessionConfig::default()
         };
         Injector {
             core: Arc::clone(&self.core),

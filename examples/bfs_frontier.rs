@@ -8,6 +8,11 @@
 //!   frontier actually dequeues, measured with the sequential rank-error
 //!   instrumentation on the same shard counts.
 //!
+//! The `home` and `steals` columns come from the stats every relaxation
+//! run returns (`ParSsspStats`, shared with SSSP and label propagation):
+//! pops the worker's own d-CBO shard won against pops taken from a
+//! foreign shard.
+//!
 //! ```text
 //! cargo run --release --example bfs_frontier
 //! ```

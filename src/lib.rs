@@ -23,7 +23,7 @@
 //! | [`core`] | the `Q_k` scheduler model, Algorithm 1/2 executors with extra-step accounting, adversarial schedulers, the Section 4 transactional simulator, theorem formulas |
 //! | [`graph`] | CSR graphs, random/road/social generators, DIMACS & SNAP loaders, BFS / Dijkstra / Δ-stepping / Bellman–Ford baselines |
 //! | [`geometry`] | exact integer predicates, triangle mesh, Bowyer–Watson with conflict lists |
-//! | [`algos`] | BST-insertion sorting, Delaunay, relaxed SSSP (sequential-model + concurrent), relaxed-FIFO BFS, k-core peeling, greedy MIS & coloring |
+//! | [`algos`] | BST-insertion sorting, Delaunay, relaxed SSSP (sequential-model + concurrent), relaxed-FIFO BFS and min-label connected components (one shared relaxation kernel with concurrent SSSP), k-core peeling, greedy MIS & coloring |
 //! | [`serve`] | the open-system serving front-end: length-prefixed binary wire protocol, TCP/Unix-socket connection loop, bounded-queue admission control, graceful drain, per-request sojourn histograms (`rsched-serve` binary) |
 //!
 //! ## Architecture: one runtime, many orders
@@ -33,8 +33,9 @@
 //! threads, the pop→handle→re-queue loop, quiescence termination
 //! detection and per-worker statistics, while the queue behind it decides
 //! the scheduling order — relaxed *priority* (`ConcurrentMultiQueue`,
-//! `DuplicateMultiQueue`) for SSSP and the iterative algorithms, and relaxed *FIFO* (`DCboQueue`)
-//! for BFS frontiers, label propagation and k-core peeling. Each
+//! `DuplicateMultiQueue`) for SSSP, label propagation and the iterative
+//! algorithms, and relaxed *FIFO* (`DCboQueue`) for BFS frontiers and
+//! k-core peeling. Each
 //! relaxed-FIFO shard is a `Mutex<VecDeque>` that a batched session
 //! locks once per published batch and once per claim; the MultiQueue's
 //! priority shards default to the lock-free skiplist in
@@ -42,7 +43,7 @@
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
 //! `rsched_queues` worker-session layer): the worker's shard-picker RNG,
-//! its owned *home shards* (one of the two choices of every FIFO pop),
+//! its *home shard* `tid % shards` (one of the two choices of every FIFO pop),
 //! the MultiQueue's amortized epoch pin, a bounded spawn buffer that
 //! publishes batches and a deletion buffer that hands out a claimed
 //! shard's successors (both sized by `RuntimeConfig::spawn_batch`). A
@@ -111,8 +112,8 @@ pub mod prelude {
         kcore_sequential, label_components, parallel_bfs, parallel_delta_stepping, parallel_kcore,
         parallel_label_propagation, parallel_sssp, parallel_sssp_duplicates, relaxed_sssp_seq,
         BnbStats, BstSort, ConcurrentBstSort, ConcurrentColoring, ConcurrentMis,
-        DelaunayIncremental, GreedyColoring, GreedyMis, KcoreStats, Knapsack, LabelPropConfig,
-        LabelPropStats, ParBfsStats, ParSsspConfig, ParSsspStats, SeqSsspStats,
+        DelaunayIncremental, GreedyColoring, GreedyMis, KcoreStats, Knapsack, ParSsspConfig,
+        ParSsspStats, SeqSsspStats,
     };
     pub use rsched_core::{
         run_exact, run_relaxed, run_relaxed_parallel, run_relaxed_traced, run_relaxed_with,

@@ -76,7 +76,7 @@ fn multiqueue_storm_conserves_elements() {
             *popped.entry(it).or_default() += 1;
         }
     }
-    let mut session = q.session(&SessionConfig::unaffine(0));
+    let mut session = q.session(&SessionConfig::default());
     while let Some(((it, _), _)) = q.pop_session(&mut session) {
         *popped.entry(it).or_default() += 1;
     }
@@ -365,7 +365,7 @@ fn multiqueue_backend_matrix_storm() {
                 total_pops += 1;
             }
         }
-        let mut session = q.session(&SessionConfig::unaffine(0));
+        let mut session = q.session(&SessionConfig::default());
         while let Some(((it, _), _)) = q.pop_session(&mut session) {
             seen.insert(it);
             total_pops += 1;
@@ -500,12 +500,12 @@ fn concurrent_estimator_envelope_under_contention() {
 }
 
 /// The d-CBO rank-error envelope measured through **worker sessions**
-/// with `shards_per_worker = 2` and batched enqueues: locality-first
-/// draining and batch publication add relaxation, but choice-of-two
-/// stealing must keep the mean estimated error inside the same generous
-/// shards × threads envelope as the session-free run above.
+/// (one home shard each) with batched enqueues: home-first draining and
+/// batch publication add relaxation, but choice-of-two stealing must
+/// keep the mean estimated error inside the same generous shards ×
+/// threads envelope as the session-free run above.
 #[test]
-fn fifo_session_estimator_envelope_two_homes() {
+fn fifo_session_estimator_envelope() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use rsched_queues::ConcurrentRankEstimator;
@@ -522,7 +522,6 @@ fn fifo_session_estimator_envelope_two_homes() {
             scope.spawn(move || {
                 let mut coin = SmallRng::seed_from_u64(t as u64 + 2);
                 let mut session = q.session(&SessionConfig {
-                    shards_per_worker: 2,
                     spawn_batch: 4,
                     ..SessionConfig::for_worker(t, threads)
                 });
@@ -541,7 +540,7 @@ fn fifo_session_estimator_envelope_two_homes() {
     });
     // Conservation across the session path: drain what is left and
     // match the estimator's enqueue count against its recorded dequeues.
-    let mut drain = q.session(&SessionConfig::unaffine(0));
+    let mut drain = q.session(&SessionConfig::default());
     let mut left = 0u64;
     while q.pop_session(&mut drain).is_some() {
         left += 1;
@@ -562,24 +561,23 @@ fn fifo_session_estimator_envelope_two_homes() {
     );
 }
 
-/// Home-shard/steal accounting through the runtime: with
-/// `shards_per_worker` covering every shard exactly once, pops are
-/// classified Home or Steal (never Shared), a single worker owning all
-/// shards never steals, and the counts always partition the pops.
+/// Home-shard/steal accounting through the runtime: with one worker per
+/// shard, pops are classified Home or Steal (never Shared), a sole
+/// worker on a sole shard never steals, and the counts always partition
+/// the pops.
 #[test]
 fn runtime_home_shard_steal_accounting() {
     use std::sync::atomic::AtomicU32;
 
-    // 8 workers × 2 home shards = all 16 shards owned.
+    // 8 workers, each the home of one of the 8 shards.
     let n = 20_000usize;
-    let queue: DCboQueue<(usize, u64)> = QueueBuilder::new(16).seed(3).d_cbo();
+    let queue: DCboQueue<(usize, u64)> = QueueBuilder::new(8).seed(3).d_cbo();
     let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let stats = run_pool(
         &queue,
         RuntimeConfig {
             threads: 8,
             seed: 11,
-            shards_per_worker: 2,
             spawn_batch: 4,
             ..RuntimeConfig::default()
         },
@@ -596,21 +594,20 @@ fn runtime_home_shard_steal_accounting() {
     assert_eq!(
         stats.total.home_hits + stats.total.steals,
         stats.total.pops,
-        "full ownership must classify every pop as Home or Steal"
+        "every FIFO pop is Home or Steal"
     );
     assert!(stats.total.home_hits > 0, "home shards never hit");
     for h in &hits {
         assert_eq!(h.load(Ordering::Acquire), 1);
     }
 
-    // One worker owning every shard: nothing left to steal from.
-    let queue: DCboQueue<(usize, u64)> = QueueBuilder::new(4).seed(5).d_cbo();
+    // One worker on one shard: nothing left to steal from.
+    let queue: DCboQueue<(usize, u64)> = QueueBuilder::new(1).seed(5).d_cbo();
     let stats = run_pool(
         &queue,
         RuntimeConfig {
             threads: 1,
             seed: 0,
-            shards_per_worker: 4,
             spawn_batch: 8,
             ..RuntimeConfig::default()
         },
@@ -618,7 +615,7 @@ fn runtime_home_shard_steal_accounting() {
         |_, _, _| TaskOutcome::Executed,
     );
     assert_eq!(stats.total.executed, 1_000);
-    assert_eq!(stats.total.steals, 0, "sole owner of all shards stole");
+    assert_eq!(stats.total.steals, 0, "sole owner of the only shard stole");
     assert_eq!(stats.total.home_hits, stats.total.pops);
 }
 
@@ -643,7 +640,6 @@ fn runtime_batched_spawns_conserve_with_merges() {
         RuntimeConfig {
             threads: 4,
             seed: 21,
-            shards_per_worker: 1,
             spawn_batch: 8,
             ..RuntimeConfig::default()
         },
@@ -678,7 +674,6 @@ fn runtime_batched_spawns_conserve_with_merges() {
         RuntimeConfig {
             threads: 4,
             seed: 9,
-            shards_per_worker: 1,
             spawn_batch: 4,
             ..RuntimeConfig::default()
         },
