@@ -20,7 +20,7 @@
 use crate::relax::relax;
 use crate::sssp::{ParSsspConfig, ParSsspStats};
 use rsched_graph::{CsrGraph, Weight};
-use rsched_queues::{MutexHeapMultiQueue, QueueBuilder};
+use rsched_queues::QueueBuilder;
 
 /// Sequential reference: min-vertex-id component labels by BFS flooding.
 ///
@@ -59,7 +59,8 @@ pub fn label_components(g: &CsrGraph) -> Vec<u64> {
 }
 
 /// Concurrent connected components: min-label propagation over a keyed
-/// [`MutexHeapMultiQueue`] (`shards = threads × queue_multiplier`,
+/// [`ConcurrentMultiQueue`](rsched_queues::ConcurrentMultiQueue)
+/// (`shards = threads × queue_multiplier`,
 /// key = label), exact on every graph. The labels come back in
 /// [`ParSsspStats::dist`], and [`ParSsspStats::overhead`] is
 /// propagations per vertex.
@@ -79,9 +80,9 @@ pub fn label_components(g: &CsrGraph) -> Vec<u64> {
 /// assert_eq!(stats.dist, label_components(&g));
 /// ```
 pub fn parallel_label_propagation(g: &CsrGraph, cfg: ParSsspConfig) -> ParSsspStats {
-    let queue: MutexHeapMultiQueue<Weight> = QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
+    let queue = QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
         .universe(g.num_vertices())
-        .multiqueue_on();
+        .multiqueue::<Weight>();
     relax(g, cfg, &queue, |v| v as Weight, |l, _| l)
 }
 

@@ -10,7 +10,7 @@
 //!   `n + O(k² · d_max / w_min)`.
 //! * [`parallel_sssp`] — the **concurrent** variant behind Figures 1 and 2:
 //!   worker threads share an atomic distance array and a keyed
-//!   [`MutexHeapMultiQueue`] — the paper's design: `queues = multiplier ×
+//!   [`ConcurrentMultiQueue`] — the paper's design: `queues = multiplier ×
 //!   threads` sequential binary heaps, each behind a try-lock, items
 //!   hashed consistently to their heap so `push_or_decrease` finds them.
 //!   Workers reach it through buffered sessions (`SPAWN_BATCH` = 64):
@@ -42,11 +42,11 @@
 //! overhead (the numbers are in the decision record of
 //! `ci/baselines/README.md`).
 //!
-//! [`MutexHeapMultiQueue`]: rsched_queues::MutexHeapMultiQueue
+//! [`ConcurrentMultiQueue`]: rsched_queues::ConcurrentMultiQueue
 
 use crate::relax::{relax, source};
 use rsched_graph::{CsrGraph, Weight, INF};
-use rsched_queues::{DuplicateMultiQueue, MutexHeapMultiQueue, QueueBuilder, RelaxedQueue};
+use rsched_queues::{DuplicateMultiQueue, QueueBuilder, RelaxedQueue};
 use std::time::Duration;
 
 /// Result of a sequential-model relaxed SSSP run.
@@ -189,7 +189,8 @@ impl ParSsspStats {
     }
 }
 
-/// Concurrent SSSP over a keyed [`MutexHeapMultiQueue`] with
+/// Concurrent SSSP over a keyed
+/// [`ConcurrentMultiQueue`](rsched_queues::ConcurrentMultiQueue) with
 /// `push_or_decrease` (the Section 7 experiment engine): try-locked
 /// sequential heaps, items hashed consistently to their shard, driven
 /// through buffered worker sessions (see the module docs).
@@ -205,9 +206,9 @@ impl ParSsspStats {
 /// assert_eq!(stats.dist, dijkstra(&g, 0).dist);
 /// ```
 pub fn parallel_sssp(g: &CsrGraph, src: usize, cfg: ParSsspConfig) -> ParSsspStats {
-    let queue: MutexHeapMultiQueue<Weight> = QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
+    let queue = QueueBuilder::new(cfg.threads * cfg.queue_multiplier)
         .universe(g.num_vertices())
-        .multiqueue_on();
+        .multiqueue::<Weight>();
     relax(g, cfg, &queue, source(src), |d, w| d + w)
 }
 

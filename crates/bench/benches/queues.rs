@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rsched_queues::{
-    ConcurrentMultiQueue, Exact, IndexedBinaryHeap, PriorityQueue, QueueBuilder, RelaxedQueue,
-    RotatingKQueue, SessionConfig, SimMultiQueue, SprayList,
+    Exact, IndexedBinaryHeap, PriorityQueue, QueueBuilder, RelaxedQueue, RotatingKQueue,
+    SessionConfig, SimMultiQueue, SprayList,
 };
 use std::sync::Arc;
 
@@ -131,79 +131,10 @@ fn bench_concurrent_multiqueue(c: &mut Criterion) {
     group.finish();
 }
 
-/// Contended MultiQueue throughput per priority-shard backend: the
-/// lock-free skiplist (default since PR 3) against the mutex-heap
-/// baseline, same workload as `bench_concurrent_multiqueue`. The
-/// `mq_contention` binary runs the full thread sweep; this is the
-/// quick-look cell.
-fn bench_multiqueue_backends(c: &mut Criterion) {
-    use rsched_queues::SubPriority;
-    let threads = std::thread::available_parallelism()
-        .map_or(4, |p| p.get())
-        .clamp(2, 8);
-    let per_thread = 20_000usize;
-    let mut group = c.benchmark_group(format!("mq_backends_{threads}threads"));
-    group.throughput(Throughput::Elements((threads * per_thread) as u64));
-    group.sample_size(10);
-    fn cell<S: SubPriority<u64> + 'static>(threads: usize, per_thread: usize) {
-        let q: Arc<ConcurrentMultiQueue<u64, S>> =
-            Arc::new(QueueBuilder::new(2 * threads).multiqueue_on());
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(t as u64);
-                    let mut session = q.session(&SessionConfig::for_worker(t, threads));
-                    for i in 0..per_thread {
-                        q.push_session(
-                            t * per_thread + i,
-                            rng.gen_range(0..1_000_000),
-                            &mut session,
-                        );
-                        if i % 2 == 0 {
-                            q.pop_session(&mut session);
-                        }
-                    }
-                });
-            }
-        });
-    }
-    group.bench_function("skiplist", |b| {
-        b.iter(|| cell::<rsched_queues::SkipShard<u64>>(threads, per_thread))
-    });
-    group.bench_function("mutexheap", |b| {
-        b.iter(|| cell::<rsched_queues::MutexHeapSub<u64>>(threads, per_thread))
-    });
-    group.finish();
-}
-
-/// Single-thread push/pop throughput of the lock-free skiplist priority
-/// shard, mirroring the `mq_contention` cells at the micro level.
-fn bench_skiplist_shard(c: &mut Criterion) {
-    use rsched_queues::skipshard::TryPopMin;
-    use rsched_queues::{SkipShard, SubPriority};
-    let mut group = c.benchmark_group("skiplist_push_pop_10k");
-    group.throughput(Throughput::Elements(N as u64));
-    let ks = keys(7);
-    group.bench_function("skiplist_shard", |b| {
-        b.iter(|| {
-            let s: SkipShard<u64> = SubPriority::new();
-            let tok = <SkipShard<u64> as SubPriority<u64>>::token();
-            for (i, &k) in ks.iter().enumerate() {
-                s.push_or_decrease(i, k, &tok);
-            }
-            while let TryPopMin::Item(_) = s.try_pop_min(&tok) {}
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sequential_queues,
     bench_decrease_key,
-    bench_concurrent_multiqueue,
-    bench_multiqueue_backends,
-    bench_skiplist_shard
+    bench_concurrent_multiqueue
 );
 criterion_main!(benches);

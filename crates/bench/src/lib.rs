@@ -79,52 +79,6 @@ pub fn thread_sweep() -> Vec<usize> {
     out
 }
 
-/// Thread sweep for the contention benchmarks: the `RSCHED_THREADS`
-/// environment variable as a comma-separated list, or `default`.
-pub fn env_thread_list(default: &[usize]) -> Vec<usize> {
-    let mut list = env_usize_list("RSCHED_THREADS", default);
-    list.retain(|&t| t >= 1);
-    list
-}
-
-// The env-knob parsers live in `rsched_runtime::env` (the lowest crate
-// with env-tunable configuration — `RuntimeConfig::default` and the
-// serve binary read knobs too); re-exported here so every bench bin
-// keeps its historical `rsched_bench::env_*` call sites.
-pub use rsched_runtime::env::{env_usize, env_usize_list};
-
-/// The shared telemetry tail-field fragment of the bench JSON schema
-/// (no surrounding braces, no leading comma): per-op CAS-retry and
-/// steal-round quantiles, fallback-sweep p99, empty-pop and flush
-/// counters, and the epoch-GC progress pair. Every contention bin
-/// appends this to its record so the tails read the same in every
-/// artifact; structure-specific extras (registry probes) ride
-/// separately.
-pub fn telemetry_json_fields(t: &rsched_queues::TelemetrySnapshot) -> String {
-    format!(
-        "\"retry_p50\":{},\"retry_p99\":{},\"retry_p999\":{},\"retry_max\":{},\
-         \"retry_count\":{},\"steal_p50\":{},\"steal_p99\":{},\"steal_p999\":{},\
-         \"sweep_p99\":{},\"empty_pops\":{},\"flush_published\":{},\
-         \"flush_merged\":{},\"flush_merge_ratio\":{:.6},\
-         \"gc_deferred\":{},\"gc_collected\":{}",
-        t.retry.p50,
-        t.retry.p99,
-        t.retry.p999,
-        t.retry.max,
-        t.retry.count,
-        t.steal.p50,
-        t.steal.p99,
-        t.steal.p999,
-        t.sweep.p99,
-        t.empty_pops,
-        t.flush_published,
-        t.flush_merged,
-        t.flush_merge_ratio(),
-        t.gc_deferred,
-        t.gc_collected,
-    )
-}
-
 /// Minimal fixed-width table printer with a parallel CSV emitter.
 pub struct Table {
     headers: Vec<String>,

@@ -2,27 +2,19 @@
 //!
 //! [`QueueBuilder`] is the only way to build [`ConcurrentMultiQueue`]
 //! and [`DCboQueue`]: one fluent spelling in which the terminal method
-//! names the structure, the MultiQueue's `_on::<S>()` twin names its
-//! priority-shard backend, and every knob has exactly one place to
-//! live.
+//! names the structure and every knob has exactly one place to live.
 //!
 //! ```
-//! use rsched_queues::{QueueBuilder, MutexHeapSub};
+//! use rsched_queues::QueueBuilder;
 //!
-//! // The default-backend spellings:
 //! let mq = QueueBuilder::new(8).universe(1024).multiqueue::<u64>();
 //! let dcbo = QueueBuilder::new(4).seed(7).d_cbo::<usize>();
 //! assert_eq!(mq.nqueues(), 8);
 //! assert_eq!(dcbo.num_shards(), 4);
-//!
-//! // Typed backend selection — the turbofish picks the priority shard:
-//! let mutex_mq = QueueBuilder::new(8).multiqueue_on::<u64, MutexHeapSub<u64>>();
-//! assert_eq!(mutex_mq.nqueues(), 8);
 //! ```
 
 use crate::fifo::DCboQueue;
 use crate::multiqueue::ConcurrentMultiQueue;
-use crate::skipshard::{SkipShard, SubPriority};
 
 /// Fluent builder for the relaxed queue family. Construct with
 /// [`QueueBuilder::new`] (the shard count — every structure has one),
@@ -58,24 +50,15 @@ impl QueueBuilder {
     }
 
     /// Pre-allocate item tables for items `0..universe`
-    /// (keyed structures only: the MultiQueue's shard registries).
+    /// (keyed structures only: the MultiQueue's per-shard heap position
+    /// tables).
     pub fn universe(mut self, universe: usize) -> Self {
         self.universe = Some(universe);
         self
     }
 
-    /// Build a [`ConcurrentMultiQueue`] on the default lock-free
-    /// skiplist backend.
-    pub fn multiqueue<P: Ord + Copy + Send + Sync>(self) -> ConcurrentMultiQueue<P, SkipShard<P>> {
-        self.multiqueue_on::<P, SkipShard<P>>()
-    }
-
-    /// Build a [`ConcurrentMultiQueue`] on shard backend `S`.
-    pub fn multiqueue_on<P, S>(self) -> ConcurrentMultiQueue<P, S>
-    where
-        P: Ord + Copy + Send,
-        S: SubPriority<P>,
-    {
+    /// Build a [`ConcurrentMultiQueue`] (try-locked heap shards).
+    pub fn multiqueue<P: Ord + Copy + Send>(self) -> ConcurrentMultiQueue<P> {
         ConcurrentMultiQueue::construct(self.shards, self.universe)
     }
 
@@ -88,84 +71,20 @@ impl QueueBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skipshard::{MutexHeapSub, PinSession, TokRef, TryPopMin};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// The universe each [`UniverseProbe`] shard was built with.
-        static BUILT_WITH: RefCell<Vec<Option<usize>>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// A shard that only records how it was constructed: the queues
-    /// expose no accessor for the universe, so the test substitutes the
-    /// backend to see what the terminal passed down.
-    struct UniverseProbe;
-
-    impl SubPriority<u64> for UniverseProbe {
-        type Token = ();
-
-        fn token() {}
-
-        fn borrow_token(_session: &PinSession) -> TokRef<'_, ()> {
-            TokRef::Owned(())
-        }
-
-        fn new() -> Self {
-            BUILT_WITH.with(|b| b.borrow_mut().push(None));
-            UniverseProbe
-        }
-
-        fn with_universe(universe: usize) -> Self {
-            BUILT_WITH.with(|b| b.borrow_mut().push(Some(universe)));
-            UniverseProbe
-        }
-
-        fn min_key(&self, _tok: &()) -> Option<(u64, usize)> {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn try_pop_min(&self, _tok: &()) -> TryPopMin<u64> {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn pop_min_wait(&self, _tok: &()) -> Option<(usize, u64)> {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn push_or_decrease(&self, _item: usize, _prio: u64, _tok: &()) -> bool {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn remove(&self, _item: usize, _tok: &()) -> Option<u64> {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn contains(&self, _item: usize, _tok: &()) -> bool {
-            unreachable!("probe shards are never operated on")
-        }
-
-        fn priority_of(&self, _item: usize, _tok: &()) -> Option<u64> {
-            unreachable!("probe shards are never operated on")
-        }
-    }
 
     #[test]
     fn every_knob_reaches_its_terminal() {
+        // `universe` pre-sizes the position table of every shard's heap.
         let mq = QueueBuilder::new(6).universe(100).multiqueue::<u64>();
         assert_eq!(mq.nqueues(), 6);
+        assert_eq!(mq.position_table_lens(), vec![100; 6]);
+        let mq = QueueBuilder::new(2).multiqueue::<u64>();
+        assert_eq!(mq.position_table_lens(), vec![0; 2]);
 
         let dcbo = QueueBuilder::new(5).d_cbo::<usize>();
         assert_eq!(dcbo.num_shards(), 5);
-
-        let built = || BUILT_WITH.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        let _ = QueueBuilder::new(3)
-            .universe(100)
-            .multiqueue_on::<u64, UniverseProbe>();
-        assert_eq!(built(), vec![Some(100); 3]);
-        let _ = QueueBuilder::new(2).multiqueue_on::<u64, UniverseProbe>();
-        assert_eq!(built(), vec![None; 2]);
     }
 
     #[test]
@@ -175,8 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn typed_backend_selection_builds_every_backend() {
-        let mq = QueueBuilder::new(2).multiqueue_on::<u64, MutexHeapSub<u64>>();
+    fn every_terminal_builds_a_working_queue() {
+        let mq = QueueBuilder::new(2).multiqueue::<u64>();
         mq.push_or_decrease(0, 10);
         assert_eq!(mq.len(), 1);
 

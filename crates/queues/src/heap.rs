@@ -60,6 +60,13 @@ impl<P: Ord + Copy> IndexedBinaryHeap<P> {
         }
     }
 
+    /// Length of the position table (the pre-sized universe, or the
+    /// largest item seen plus one).
+    #[cfg(test)]
+    pub(crate) fn position_table_len(&self) -> usize {
+        self.pos.len()
+    }
+
     /// `(priority, item)` of the current minimum without removing it.
     #[inline]
     pub fn min_entry(&self) -> Option<(P, usize)> {

@@ -14,10 +14,9 @@
 //!     (insert into a random queue, pop the better of two random tops),
 //!     exactly the structure analysed in Section 5 of the paper;
 //!   - [`multiqueue::ConcurrentMultiQueue`]: a thread-safe MultiQueue
-//!     with consistent hashing of items to shards so that `decrease_key`
-//!     is supported (required by the paper's SSSP, Section 6), generic
-//!     over its per-shard backend — lock-free skiplist by default, mutex
-//!     heap as the baseline (see the shard-backend section below);
+//!     of try-locked indexed heaps, with consistent hashing of items to
+//!     shards so that `decrease_key` is supported (required by the
+//!     paper's SSSP, Section 6);
 //!   - [`spraylist::SprayList`]: a sequential-model skip-list relaxed
 //!     queue whose `pop_relaxed` performs a "spray" random walk, following
 //!     the SprayList of Alistarh et al. (PPoPP 2015);
@@ -30,11 +29,6 @@
 //!   concurrent and behind the sequential [`fifo::RelaxedFifo`] trait.
 //!   It feeds the `rsched-runtime` worker pool for FIFO-ordered
 //!   workloads (BFS frontiers, k-core peeling).
-//! * **Lock-free priority shards** ([`skipshard`]): the shard backends
-//!   of the concurrent MultiQueue — an epoch-reclaimed Harris-style
-//!   skiplist ([`skipshard::SkipShard`], the default) and the
-//!   mutex-around-a-heap reference ([`skipshard::MutexHeapSub`]),
-//!   selectable through [`skipshard::SubPriority`].
 //! * **Instrumentation**: [`instrument::RankTracker`] wraps any relaxed queue
 //!   and measures the empirical rank of every returned element and the
 //!   inversion count of every element that becomes the global minimum,
@@ -58,7 +52,7 @@
 //! queue has a single deterministic total order, which is what the
 //! instrumentation layer measures ranks against.
 //!
-//! ## Architecture: shard backends below, worker sessions above
+//! ## Architecture: locked shards below, worker sessions above
 //!
 //! Every concurrent relaxed structure in this crate has the same shape:
 //! a **composition layer** that owns the relaxation policy, over an
@@ -68,28 +62,15 @@
 //! kept beside each FIFO shard, a priority shard's minimum key), and
 //! claims from the winner.
 //!
-//! A FIFO shard is one `Mutex<VecDeque>`: [`DCboQueue`] takes its lock
-//! once per batch — one append per published batch, one `try_lock`
-//! per claim of a head and its successors. Priority shards sit behind
-//! the [`skipshard::SubPriority`] trait: `push_or_decrease` /
-//! `try_pop_min` / `remove` plus the racy-safe
-//! [`min_key`](skipshard::SubPriority::min_key) peek, composed by
-//! [`ConcurrentMultiQueue`]. Its two backends — the lock-free default
-//! and the locked reference the generic tests and the contention
-//! sweeps compare it against:
+//! Each structure has one shard type, and both are a lock around a
+//! sequential container:
 //!
-//! | backend | synchronization | claim cost | regime |
-//! |---|---|---|---|
-//! | [`SkipShard`] (default) | Harris skiplist + registry | mark-bit CAS | multicore contention, oversubscription |
-//! | [`MutexHeapSub`] | mutex over indexed heap | lock (one per batch in buffered sessions) | threads ≤ cores; what `parallel_sssp` runs on |
+//! | structure | shard | claim |
+//! |---|---|---|
+//! | [`DCboQueue`] | `Mutex<VecDeque>` | one `try_lock` per head and its successors; one append per published batch |
+//! | [`ConcurrentMultiQueue`] | `Mutex<IndexedBinaryHeap>` | one `try_lock` per minimum and its successors; one lock per touched shard per flush |
 //!
-//! `SubPriority` threads a per-operation **token** through every
-//! sub-call — an epoch [`Guard`](crossbeam::epoch::Guard) for the
-//! skiplist, zero-sized for the heap. Retired skiplist nodes are handed
-//! back through epoch-deferred callbacks that *recycle* into bounded
-//! per-shard pools instead of hitting the allocator, which keeps
-//! steady-state churn allocation-free without weakening the
-//! grace-period argument.
+//! The crate has no `unsafe` code: the workspace forbids it.
 //!
 //! ### The worker-session layer
 //!
@@ -113,14 +94,13 @@
 //! * [`multiqueue::MqSession`] (from [`ConcurrentMultiQueue::session`])
 //!   is the MultiQueue's only pop path
 //!   ([`ConcurrentMultiQueue::pop_session`]: peek two random shards,
-//!   claim from the smaller minimum). It carries the amortized epoch pin
-//!   ([`PinSession`]), the RNG, the same spawn buffer (deduplicating
-//!   repeated items locally — a buffered decrease-key that costs no
-//!   shared-memory traffic — and flushed one shard acquisition per
-//!   touched shard), and a **deletion buffer** (the winning shard of a
-//!   choice-of-two yields its minimum plus up to `D = min(spawn_batch /
-//!   8, 8)` successors under one acquisition; the next pops are served
-//!   locally and reported as [`PopSource::Home`]).
+//!   claim from the smaller minimum). It carries the RNG, the same
+//!   spawn buffer (deduplicating repeated items locally — a buffered
+//!   decrease-key that costs no shared-memory traffic — and flushed one
+//!   shard lock per touched shard), and a **deletion buffer** (the
+//!   winning shard of a choice-of-two yields its minimum plus up to `D
+//!   = min(spawn_batch / 8, 8)` successors under one lock; the next
+//!   pops are served locally and reported as [`PopSource::Home`]).
 //!
 //! In both sessions the buffers exist only when `spawn_batch > 1` and
 //! widen the nominal relaxation (`k = O(q log q)` for the MultiQueue)
@@ -139,14 +119,9 @@
 //! flushes on every pop miss, so a buffer can never hide the last tasks
 //! of a computation.
 //!
-//! The regime trade-off for the priority shards: the locked heap has the
-//! smaller constants and wins while every critical section stays
-//! uncontended and un-preempted; the skiplist holds its throughput flat
-//! as threads exceed cores (`mq_contention` in `rsched-bench` measures
-//! this crossover at the session's `spawn_batch`). The FIFO side
-//! settled on the lock alone once every claim was batched;
-//! `ci/baselines/README.md` records the measurement and what would
-//! bring a lock-free FIFO shard back.
+//! Both sides settled on the lock alone once every claim was batched;
+//! `ci/baselines/README.md` records the measurements that retired the
+//! lock-free FIFO ring and the lock-free skiplist priority shard.
 //!
 //! ### The telemetry layer
 //!
@@ -156,14 +131,10 @@
 //! ([`PowHistogram`]) per series plus plain event counters, recorded
 //! into a thread-local buffer (no atomics, no allocation per op) and
 //! folded into process globals on thread exit. What is recorded where:
-//! the lock-free [`SkipShard`] records CAS/claim **retries per
-//! successful pop**; the
-//! pop engines ([`DCboQueue`], [`ConcurrentMultiQueue`])
-//! record **steal/choice rounds** per pop, fallback **sweep lengths**,
-//! and **empty-pop** sweeps; [`SkipShard`] counts registry probes;
-//! every `flush_session` counts published vs merged elements; and the
-//! vendored `crossbeam::epoch` exports deferred/collected GC
-//! counts. The whole layer sits behind one process-wide gate
+//! the pop engines ([`DCboQueue`], [`ConcurrentMultiQueue`]) record
+//! **steal/choice rounds** per pop, fallback **sweep lengths**, and
+//! **empty-pop** sweeps, and every `flush_session` counts published vs
+//! merged elements. The whole layer sits behind one process-wide gate
 //! (`RSCHED_TELEMETRY`, [`telemetry::set_enabled`]): when off, each
 //! instrumentation point costs a single relaxed atomic load and a
 //! predictable branch — no thread-local access, no stores. Benches
@@ -196,7 +167,6 @@ pub mod heap;
 pub mod instrument;
 pub mod kbounded;
 pub mod multiqueue;
-pub mod skipshard;
 pub mod spraylist;
 pub mod telemetry;
 pub mod trace;
@@ -207,10 +177,7 @@ pub use heap::IndexedBinaryHeap;
 pub use instrument::{ConcurrentRankEstimator, RankRecorder, RankStats, RankTracker};
 pub use kbounded::RotatingKQueue;
 pub use multiqueue::Placement;
-pub use multiqueue::{
-    ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, MutexHeapMultiQueue, SimMultiQueue,
-};
-pub use skipshard::{MutexHeapSub, PinSession, SkipShard, SubPriority, TryPopMin};
+pub use multiqueue::{ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, SimMultiQueue};
 pub use spraylist::SprayList;
 pub use telemetry::{HistSnapshot, PowHistogram, TelemetrySnapshot};
 pub use trace::{EventKind, LaneSnapshot, TraceEvent, TraceSink};
@@ -230,8 +197,8 @@ pub const MAX_SPAWN_BATCH: usize = 4096;
 /// Configuration for a worker session over any concurrent queue in this
 /// crate ([`DCboQueue::session`], [`ConcurrentMultiQueue::session`]).
 ///
-/// A session is the worker-owned half of a queue: the epoch pin, the
-/// shard-picker RNG stream, the FIFO's home shard and the bounded spawn
+/// A session is the worker-owned half of a queue: the shard-picker RNG
+/// stream, the FIFO's home shard and the bounded spawn
 /// and deletion buffers all live in it, so the shared structure stays
 /// free of any per-thread state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

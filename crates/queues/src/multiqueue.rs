@@ -20,21 +20,13 @@
 //! * [`SimMultiQueue`] — single-threaded, used by the sequential model of the
 //!   paper (Sections 2–5), by the lower-bound experiment of Section 5, and by
 //!   all deterministic-seed tests;
-//! * [`ConcurrentMultiQueue`] — thread-safe and **generic over its shard
-//!   backend** ([`SubPriority`]): the default
-//!   [`SkipShard`] is an epoch-reclaimed
-//!   lock-free skiplist, so a session pop performs its choice-of-two
-//!   comparison with two mutex-free [`min_key`](SubPriority::min_key)
-//!   peeks and claims the winner with a CAS — no lock anywhere on the
-//!   pop path. The mutex-around-a-heap shard [`MutexHeapSub`] (alias
-//!   [`MutexHeapMultiQueue`]) is the paper's own design and what
-//!   `parallel_sssp` runs on: with threads ≤ cores a try-lock around a
-//!   sequential heap has the smaller constants, and buffered sessions
-//!   ([`MqSession`]) amortize the lock over a batch. `mq_contention` in
-//!   `rsched-bench` sweeps both backends under thread contention.
+//! * [`ConcurrentMultiQueue`] — thread-safe: the paper's own design,
+//!   one try-locked sequential heap per shard. A session pop
+//!   ([`MqSession`]) peeks two random shards under `try_lock` and claims
+//!   the smaller minimum, and buffered sessions amortize the lock over
+//!   a batch of spawns and a run of successors.
 
 use crate::heap::IndexedBinaryHeap;
-use crate::skipshard::{MutexHeapSub, PinSession, SkipShard, SubPriority, TryPopMin};
 use crate::telemetry;
 use crate::{
     DecreaseKey, FlushReport, PopSource, PriorityQueue, PushOutcome, RelaxedQueue, SessionConfig,
@@ -235,29 +227,39 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
     }
 }
 
-/// Thread-safe MultiQueue with keyed placement, generic over the
-/// per-shard [`SubPriority`] backend.
+/// One priority shard of a [`ConcurrentMultiQueue`]: a mutex around an
+/// indexed binary heap, padded to its own cache line.
+type Shard<P> = CachePadded<Mutex<IndexedBinaryHeap<P>>>;
+
+/// Merge-insert into a held heap; `true` iff `item` was net-new.
+#[inline]
+fn heap_push_or_decrease<P: Ord + Copy>(
+    heap: &mut IndexedBinaryHeap<P>,
+    item: usize,
+    prio: P,
+) -> bool {
+    if heap.contains(item) {
+        heap.decrease_key(item, prio);
+        false
+    } else {
+        heap.push(item, prio);
+        true
+    }
+}
+
+/// Thread-safe MultiQueue with keyed placement: try-locked sequential
+/// heaps, the paper's Section 7 scheduler.
 ///
-/// This is the scheduler used by the paper's parallel SSSP experiments
-/// (Section 7): `q = queue_multiplier × threads` internal shards; a
-/// session pop ([`pop_session`](Self::pop_session)) compares the minima
-/// of two random shards and claims the smaller one.
-/// With the default [`SkipShard`] backend both the comparison
-/// ([`min_key`](SubPriority::min_key), a racy-safe peek of immutable
-/// node data) and the claim (a CAS on the head node's deletion mark) are
-/// **mutex-free** — a preempted thread never stalls the shard, the
-/// "practically wait-free" behaviour lock-free structures show under
-/// oversubscription. The [`MutexHeapSub`] backend (alias
-/// [`MutexHeapMultiQueue`]) is the lock-per-shard design of the paper.
+/// `q = queue_multiplier × threads` shards, each a mutex around an
+/// [`IndexedBinaryHeap`]; a session pop
+/// ([`pop_session`](Self::pop_session)) peeks the minima of two random
+/// shards under `try_lock` and claims the smaller one, skipping any
+/// shard whose lock is held.
 ///
 /// Placement is always **keyed** (item id hashed consistently to a
 /// shard), which funnels every update of a given item into one shard so
 /// `push_or_decrease` — the operation Algorithm 3 of the paper needs —
-/// can merge updates. Under the lock-free backend a decrease racing a
-/// concurrent pop of the same item may briefly leave a stale duplicate;
-/// it surfaces as a stale pop, which every consumer of a *relaxed*
-/// scheduler (e.g. the SSSP handler's distance check) tolerates by
-/// construction, and the element count stays conserved.
+/// can merge updates in place.
 ///
 /// # Examples
 ///
@@ -287,44 +289,45 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
 /// }
 /// assert_eq!(popped, 4 * 256);
 /// ```
-pub struct ConcurrentMultiQueue<P = u64, S = SkipShard<P>>
-where
-    P: Ord + Copy,
-{
-    shards: Box<[CachePadded<S>]>,
+pub struct ConcurrentMultiQueue<P = u64> {
+    shards: Box<[Shard<P>]>,
     /// Total number of stored elements (kept eventually consistent; exact
     /// when the structure is quiescent).
     len: AtomicUsize,
-    _prio: std::marker::PhantomData<fn() -> P>,
 }
 
-/// The mutex-per-shard MultiQueue: try-locked sequential heaps, the
-/// paper's Section 7 scheduler.
-pub type MutexHeapMultiQueue<P = u64> = ConcurrentMultiQueue<P, MutexHeapSub<P>>;
-
-impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
-    /// `nqueues` shards of backend `S`, reached through
+impl<P: Ord + Copy + Send> ConcurrentMultiQueue<P> {
+    /// `nqueues` shards, reached through
     /// [`QueueBuilder`](crate::QueueBuilder). `universe` pre-sizes each
-    /// shard's item table.
+    /// shard's position table.
     pub(crate) fn construct(nqueues: usize, universe: Option<usize>) -> Self {
         assert!(nqueues > 0, "a MultiQueue needs at least one queue");
         Self {
             shards: (0..nqueues)
                 .map(|_| {
-                    CachePadded::new(match universe {
-                        Some(u) => S::with_universe(u),
-                        None => S::new(),
-                    })
+                    CachePadded::new(Mutex::new(match universe {
+                        Some(u) => IndexedBinaryHeap::with_universe(u),
+                        None => IndexedBinaryHeap::new(),
+                    }))
                 })
                 .collect(),
             len: AtomicUsize::new(0),
-            _prio: std::marker::PhantomData,
         }
     }
 
     /// Number of internal shards.
     pub fn nqueues(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Each shard heap's position-table length, for the builder's
+    /// `universe` test.
+    #[cfg(test)]
+    pub(crate) fn position_table_lens(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.lock().position_table_len())
+            .collect()
     }
 
     /// Number of stored elements (exact when quiescent).
@@ -354,7 +357,7 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     }
 
     #[inline]
-    fn shard_of(&self, item: usize) -> &S {
+    fn shard_of(&self, item: usize) -> &Mutex<IndexedBinaryHeap<P>> {
         &self.shards[queue_of(item, self.shards.len())]
     }
 
@@ -366,11 +369,7 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     /// already ≤ `prio`). The caller uses this to maintain its element count
     /// for termination detection.
     pub fn push_or_decrease(&self, item: usize, prio: P) -> bool {
-        self.push_or_decrease_tok(item, prio, &S::token())
-    }
-
-    fn push_or_decrease_tok(&self, item: usize, prio: P, tok: &S::Token) -> bool {
-        if self.shard_of(item).push_or_decrease(item, prio, tok) {
+        if heap_push_or_decrease(&mut self.shard_of(item).lock(), item, prio) {
             self.len.fetch_add(1, Ordering::AcqRel);
             true
         } else {
@@ -380,59 +379,40 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 
     /// `true` if `item` is currently queued.
     pub fn contains(&self, item: usize) -> bool {
-        self.shard_of(item).contains(item, &S::token())
+        self.shard_of(item).lock().contains(item)
     }
 
     /// Current queued priority of `item`, if present.
     pub fn priority_of(&self, item: usize) -> Option<P> {
-        self.shard_of(item).priority_of(item, &S::token())
+        self.shard_of(item).lock().priority_of(item)
     }
 
-    /// Remove `item` wherever it is queued. Under a race with a
-    /// concurrent pop of the same item the popper wins and `None` is
-    /// returned.
+    /// Remove `item` wherever it is queued.
     pub fn remove(&self, item: usize) -> Option<P> {
-        let removed = self.shard_of(item).remove(item, &S::token());
+        let removed = self.shard_of(item).lock().remove(item);
         if removed.is_some() {
             self.len.fetch_sub(1, Ordering::AcqRel);
         }
         removed
-    }
-
-    /// Drain every element, returning them unordered. Requires `&mut self`,
-    /// i.e. quiescence.
-    pub fn drain(&mut self) -> Vec<(usize, P)> {
-        let tok = S::token();
-        let mut out = Vec::with_capacity(self.len());
-        for shard in self.shards.iter() {
-            while let Some(e) = shard.pop_min_wait(&tok) {
-                out.push(e);
-            }
-        }
-        self.len.store(0, Ordering::Release);
-        out
     }
 }
 
 /// A worker's session over a [`ConcurrentMultiQueue`] — the MultiQueue
 /// member of the workspace's worker-session layer (see the crate docs).
 ///
-/// The one way to pop a MultiQueue. Carries the amortized epoch
-/// [`PinSession`], the worker's private RNG stream, and — when
-/// [`SessionConfig::spawn_batch`] is above 1 — the two buffers of an
-/// engineered MultiQueue, which trade relaxation (see
+/// The one way to pop a MultiQueue. Carries the worker's private RNG
+/// stream and — when [`SessionConfig::spawn_batch`] is above 1 — the two
+/// buffers of an engineered MultiQueue, which trade relaxation (see
 /// [`relaxation_factor`](ConcurrentMultiQueue::relaxation_factor)) for
-/// one shard acquisition per *batch* instead of per element:
+/// one shard lock per *batch* instead of per element:
 ///
 /// * the bounded **spawn buffer** parks pushes (deduplicating repeated
 ///   items locally, so a buffered decrease-key costs no shared-memory
 ///   traffic at all); a flush groups them by target shard and publishes
-///   each group through one
-///   [`push_or_decrease_many`](SubPriority::push_or_decrease_many);
+///   each group under one lock;
 /// * the **deletion buffer** holds up to `min(spawn_batch / 8, 8)`
 ///   successors that the winning shard of a choice-of-two yielded
-///   together with its minimum
-///   ([`try_pop_many`](SubPriority::try_pop_many)); the next pops are
+///   together with its minimum, under the same lock; the next pops are
 ///   served from it without touching shared memory.
 ///
 /// A parked pop has left its shard, so a concurrent push of the same
@@ -465,7 +445,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
 /// assert_eq!(got, 100);
 /// ```
 pub struct MqSession<P> {
-    pin: PinSession,
     rng: SmallRng,
     buf: Vec<(usize, P)>,
     batch: usize,
@@ -484,7 +463,7 @@ impl<P> MqSession<P> {
     }
 }
 
-impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
+impl<P: Ord + Copy + Send> ConcurrentMultiQueue<P> {
     /// Open a worker session (see [`MqSession`]). Placement stays keyed
     /// — a MultiQueue has no home shards, so `cfg.tid` is ignored; its
     /// locality lever is the spawn and deletion buffers
@@ -493,7 +472,6 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         let batch = cfg.spawn_batch.clamp(1, MAX_SPAWN_BATCH);
         let pop_extra = (batch / 8).min(MAX_POP_EXTRA);
         MqSession {
-            pin: PinSession::new(S::NEEDS_EPOCH),
             // `cfg.seed` is already the per-worker stream (the config
             // constructors mix the tid in exactly once).
             rng: SmallRng::seed_from_u64(cfg.seed),
@@ -510,9 +488,7 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     /// full buffer publishes itself.
     pub fn push_session(&self, item: usize, prio: P, s: &mut MqSession<P>) -> PushOutcome {
         if s.batch <= 1 {
-            s.pin.tick();
-            let tok = S::borrow_token(&s.pin);
-            let push = if self.push_or_decrease_tok(item, prio, &tok) {
+            let push = if self.push_or_decrease(item, prio) {
                 SessionPush::Inserted
             } else {
                 SessionPush::Merged
@@ -546,18 +522,16 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     }
 
     /// Publish everything parked in the session: buffered spawns, one
-    /// acquisition per touched shard, and — back where they came from —
-    /// any pops still parked in the deletion buffer. The report's
-    /// `merged` count is the number of published elements that hit an
-    /// existing entry — the retraction signal for element-count
-    /// maintainers (each such element was counted as net-new, when it
-    /// was parked or when its newer copy was pushed).
+    /// lock per touched shard, and — back where they came from — any
+    /// pops still parked in the deletion buffer. The report's `merged`
+    /// count is the number of published elements that hit an existing
+    /// entry — the retraction signal for element-count maintainers (each
+    /// such element was counted as net-new, when it was parked or when
+    /// its newer copy was pushed).
     pub fn flush_session(&self, s: &mut MqSession<P>) -> FlushReport {
         if s.buf.is_empty() && s.popped.is_empty() {
             return FlushReport::default();
         }
-        s.pin.tick();
-        let tok = S::borrow_token(&s.pin);
         let mut rep = FlushReport {
             published: (s.buf.len() + s.popped.len()) as u64,
             merged: 0,
@@ -566,16 +540,21 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         // a copy pushed while it sat here; that push was counted as
         // net-new, so the merge retracts this one.
         for (item, prio) in s.popped.drain(..) {
-            if !self.push_or_decrease_tok(item, prio, &tok) {
+            if !self.push_or_decrease(item, prio) {
                 rep.merged += 1;
             }
         }
-        // One acquisition per touched shard: group the parked spawns by
-        // target shard and publish each group whole.
+        // One lock per touched shard: group the parked spawns by target
+        // shard and publish each group whole.
         let q = self.shards.len();
         s.buf.sort_unstable_by_key(|&(item, _)| queue_of(item, q));
         for group in s.buf.chunk_by(|a, b| queue_of(a.0, q) == queue_of(b.0, q)) {
-            let fresh = self.shards[queue_of(group[0].0, q)].push_or_decrease_many(group, &tok);
+            let mut heap = self.shards[queue_of(group[0].0, q)].lock();
+            let fresh = group
+                .iter()
+                .filter(|&&(item, prio)| heap_push_or_decrease(&mut heap, item, prio))
+                .count();
+            drop(heap);
             self.len.fetch_add(fresh, Ordering::AcqRel);
             rep.merged += (group.len() - fresh) as u64;
         }
@@ -586,7 +565,8 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
     }
 
     /// Session pop: the choice-of-two relaxed delete-min — peek two
-    /// random shards, claim from the one with the smaller minimum. A pop
+    /// random shards, claim from the one with the smaller minimum; a
+    /// shard whose lock is held counts as empty for this round. A pop
     /// served from the session's deletion buffer reports
     /// [`PopSource::Home`]; every claim from a shard is
     /// [`PopSource::Shared`] — keyed placement has no steal notion.
@@ -602,19 +582,14 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
         if let Some(next) = s.popped.pop() {
             return Some((next, PopSource::Home));
         }
-        s.pin.tick();
-        let tok = S::borrow_token(&s.pin);
         let q = self.shards.len();
+        let min_of = |k: usize| self.shards[k].try_lock().and_then(|h| h.min_entry());
         for round in 0..(4 * q + 8) {
             let a = s.rng.gen_range(0..q);
             let b = s.rng.gen_range(0..q);
-            let ka = self.shards[a].min_key(&tok);
-            let kb = if b == a {
-                None
-            } else {
-                self.shards[b].min_key(&tok)
-            };
-            // min_key returns (prio, item): tuple order is the
+            let ka = min_of(a);
+            let kb = if b == a { None } else { min_of(b) };
+            // min_entry returns (prio, item): tuple order is the
             // workspace-wide (priority, id) tie-break.
             let win = match (ka, kb) {
                 (None, None) => {
@@ -635,31 +610,27 @@ impl<P: Ord + Copy + Send, S: SubPriority<P>> ConcurrentMultiQueue<P, S> {
             };
             // The claimed element may differ from the peeked one if the
             // shard moved meanwhile — relaxation slack, not an error.
-            let claimed = if s.pop_extra == 0 {
-                self.shards[win].try_pop_min(&tok)
-            } else {
-                self.shards[win].try_pop_many(s.pop_extra, &mut s.popped, &tok)
-            };
-            match claimed {
-                TryPopMin::Item((item, prio)) => {
+            if let Some(mut heap) = self.shards[win].try_lock() {
+                if let Some(first) = heap.pop() {
+                    s.popped.extend((0..s.pop_extra).map_while(|_| heap.pop()));
+                    drop(heap);
                     self.len.fetch_sub(1 + s.popped.len(), Ordering::AcqRel);
                     s.popped.reverse();
                     telemetry::record(telemetry::OpHist::Steal, round as u64);
-                    return Some(((item, prio), PopSource::Shared));
-                }
-                TryPopMin::Empty | TryPopMin::Contended => {
-                    if self.len.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
+                    return Some((first, PopSource::Shared));
                 }
             }
+            if self.len.load(Ordering::Acquire) == 0 {
+                break;
+            }
         }
-        // Fallback sweep: visit every shard once, waiting on any locks.
+        // Fallback sweep: visit every shard once, waiting on its lock.
         for (k, shard) in self.shards.iter().enumerate() {
-            if let Some((item, prio)) = shard.pop_min_wait(&tok) {
+            let popped = shard.lock().pop();
+            if let Some(first) = popped {
                 self.len.fetch_sub(1, Ordering::AcqRel);
                 telemetry::record(telemetry::OpHist::Sweep, (k + 1) as u64);
-                return Some(((item, prio), PopSource::Shared));
+                return Some((first, PopSource::Shared));
             }
         }
         telemetry::count(telemetry::OpCount::EmptyPop, 1);
@@ -869,8 +840,9 @@ mod tests {
         assert_eq!(mq.pop_relaxed(), Some((5, 10)));
     }
 
-    fn check_push_pop_exhaustive<S: SubPriority<u64>>() {
-        let mq: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(4).multiqueue_on();
+    #[test]
+    fn concurrent_push_pop_exhaustive() {
+        let mq = QueueBuilder::new(4).multiqueue::<u64>();
         for i in 0..500usize {
             mq.push_or_decrease(i, 500 - i as u64);
         }
@@ -888,33 +860,24 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_push_pop_exhaustive_both_backends() {
-        check_push_pop_exhaustive::<SkipShard<u64>>();
-        check_push_pop_exhaustive::<MutexHeapSub<u64>>();
-    }
-
-    fn check_decrease_key_path<S: SubPriority<u64>>() {
-        let mq: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(4).multiqueue_on();
+    fn concurrent_decrease_key_path() {
+        let mq = QueueBuilder::new(4).multiqueue::<u64>();
         assert!(mq.push_or_decrease(7, 100));
         assert!(!mq.push_or_decrease(7, 50), "decrease, not insert");
         assert!(!mq.push_or_decrease(7, 80), "no-op update");
         assert_eq!(mq.priority_of(7), Some(50));
+        assert!(mq.contains(7));
         assert_eq!(mq.len(), 1);
         assert_eq!(mq.remove(7), Some(50));
+        assert_eq!(mq.remove(7), None);
         assert_eq!(mq.len(), 0);
     }
 
     #[test]
-    fn concurrent_decrease_key_path_both_backends() {
-        check_decrease_key_path::<SkipShard<u64>>();
-        check_decrease_key_path::<MutexHeapSub<u64>>();
-    }
-
-    fn check_multithreaded_no_loss_no_dup<S: SubPriority<u64> + 'static>() {
+    fn concurrent_multithreaded_no_loss_no_dup() {
         let threads = 8;
         let per_thread = 2000usize;
-        let mq: Arc<ConcurrentMultiQueue<u64, S>> =
-            Arc::new(QueueBuilder::new(2 * threads).multiqueue_on());
+        let mq = Arc::new(QueueBuilder::new(2 * threads).multiqueue::<u64>());
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let mq = Arc::clone(&mq);
@@ -952,16 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_multithreaded_no_loss_no_dup_skiplist() {
-        check_multithreaded_no_loss_no_dup::<SkipShard<u64>>();
-    }
-
-    #[test]
-    fn concurrent_multithreaded_no_loss_no_dup_mutexheap() {
-        check_multithreaded_no_loss_no_dup::<MutexHeapSub<u64>>();
-    }
-
-    #[test]
     fn keyed_placement_is_stable() {
         // The same item must always map to the same shard index.
         for &q in &[1usize, 2, 3, 8, 17, 64] {
@@ -976,18 +929,14 @@ mod tests {
     fn pop_scan_finds_lone_element() {
         // Element hidden in one of many queues: the fallback sweep must
         // find it even if sampling repeatedly misses.
-        fn check<S: SubPriority<u64>>() {
-            let mq: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(64).multiqueue_on();
-            mq.push_or_decrease(42, 7);
-            let mut session = mq.session(&SessionConfig::default());
-            assert_eq!(
-                mq.pop_session(&mut session),
-                Some(((42, 7), PopSource::Shared))
-            );
-            assert_eq!(mq.pop_session(&mut session), None);
-        }
-        check::<SkipShard<u64>>();
-        check::<MutexHeapSub<u64>>();
+        let mq = QueueBuilder::new(64).multiqueue::<u64>();
+        mq.push_or_decrease(42, 7);
+        let mut session = mq.session(&SessionConfig::default());
+        assert_eq!(
+            mq.pop_session(&mut session),
+            Some(((42, 7), PopSource::Shared))
+        );
+        assert_eq!(mq.pop_session(&mut session), None);
     }
 
     #[test]
@@ -1045,78 +994,70 @@ mod tests {
     }
 
     #[test]
-    fn flush_returns_parked_pops_and_conserves_both_backends() {
-        fn check<S: SubPriority<u64>>() {
-            // One shard, so the batch is the 1 + 8 smallest overall.
-            let q: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(1).multiqueue_on();
-            let mut s = q.session(&batched());
-            let mut net = 0i64;
-            for i in 0..40usize {
-                net += q.push_session(i, i as u64, &mut s).net_new();
-            }
-            net -= q.flush_session(&mut s).merged as i64;
-            assert_eq!((net, q.len()), (40, 40));
-
-            let mut pops = 0i64;
-            assert_eq!(q.pop_session(&mut s), Some(((0, 0), PopSource::Shared)));
-            pops += 1;
-            assert_eq!(s.popped.len(), 8);
-            assert_eq!(q.len(), 31, "parked pops have left the shards");
-            // The next pop is served from the deletion buffer, in order.
-            assert_eq!(q.pop_session(&mut s), Some(((1, 1), PopSource::Home)));
-            pops += 1;
-
-            let rep = q.flush_session(&mut s);
-            assert_eq!((s.popped.len(), s.buffered()), (0, 0));
-            assert_eq!((rep.published, rep.merged), (7, 0));
-            net -= rep.merged as i64;
-            assert_eq!(q.len(), 38);
-            while let Some(((_, p), _)) = q.pop_session(&mut s) {
-                assert!(p >= 2, "a consumed item came back");
-                pops += 1;
-            }
-            assert_eq!(pops, net, "pops + drain differ from net inserts");
+    fn flush_returns_parked_pops_and_conserves() {
+        // One shard, so the batch is the 1 + 8 smallest overall.
+        let q = QueueBuilder::new(1).multiqueue::<u64>();
+        let mut s = q.session(&batched());
+        let mut net = 0i64;
+        for i in 0..40usize {
+            net += q.push_session(i, i as u64, &mut s).net_new();
         }
-        check::<SkipShard<u64>>();
-        check::<MutexHeapSub<u64>>();
+        net -= q.flush_session(&mut s).merged as i64;
+        assert_eq!((net, q.len()), (40, 40));
+
+        let mut pops = 0i64;
+        assert_eq!(q.pop_session(&mut s), Some(((0, 0), PopSource::Shared)));
+        pops += 1;
+        assert_eq!(s.popped.len(), 8);
+        assert_eq!(q.len(), 31, "parked pops have left the shards");
+        // The next pop is served from the deletion buffer, in order.
+        assert_eq!(q.pop_session(&mut s), Some(((1, 1), PopSource::Home)));
+        pops += 1;
+
+        let rep = q.flush_session(&mut s);
+        assert_eq!((s.popped.len(), s.buffered()), (0, 0));
+        assert_eq!((rep.published, rep.merged), (7, 0));
+        net -= rep.merged as i64;
+        assert_eq!(q.len(), 38);
+        while let Some(((_, p), _)) = q.pop_session(&mut s) {
+            assert!(p >= 2, "a consumed item came back");
+            pops += 1;
+        }
+        assert_eq!(pops, net, "pops + drain differ from net inserts");
     }
 
     #[test]
-    fn flush_merges_parked_pop_with_its_repushed_copy_both_backends() {
-        fn check<S: SubPriority<u64>>() {
-            let q: ConcurrentMultiQueue<u64, S> = QueueBuilder::new(1).multiqueue_on();
-            let mut s = q.session(&batched());
-            let mut net = 0i64;
-            for i in 0..20usize {
-                net += q.push_or_decrease(i, 10 * i as u64) as i64;
-            }
-            let mut pops = 0i64;
-            assert!(q.pop_session(&mut s).is_some());
-            pops += 1;
-            assert_eq!(s.popped.len(), 8, "items 1..=8 are parked");
-            // Another pusher re-inserts item 3 while its old copy sits in
-            // the deletion buffer: net-new as far as the shard can tell.
-            assert!(q.push_or_decrease(3, 7));
-            net += 1;
-            let rep = q.flush_session(&mut s);
-            assert_eq!((rep.published, rep.merged), (8, 1));
-            net -= rep.merged as i64;
-            assert_eq!(q.priority_of(3), Some(7), "the merge kept the minimum");
-            assert_eq!(q.len(), 19);
-            let mut seen = HashSet::new();
-            while let Some(((item, _), _)) = q.pop_session(&mut s) {
-                assert!(seen.insert(item), "item {item} delivered twice");
-                pops += 1;
-            }
-            assert_eq!(pops, net, "pops + drain differ from net inserts");
+    fn flush_merges_parked_pop_with_its_repushed_copy() {
+        let q = QueueBuilder::new(1).multiqueue::<u64>();
+        let mut s = q.session(&batched());
+        let mut net = 0i64;
+        for i in 0..20usize {
+            net += q.push_or_decrease(i, 10 * i as u64) as i64;
         }
-        check::<SkipShard<u64>>();
-        check::<MutexHeapSub<u64>>();
+        let mut pops = 0i64;
+        assert!(q.pop_session(&mut s).is_some());
+        pops += 1;
+        assert_eq!(s.popped.len(), 8, "items 1..=8 are parked");
+        // Another pusher re-inserts item 3 while its old copy sits in
+        // the deletion buffer: net-new as far as the shard can tell.
+        assert!(q.push_or_decrease(3, 7));
+        net += 1;
+        let rep = q.flush_session(&mut s);
+        assert_eq!((rep.published, rep.merged), (8, 1));
+        net -= rep.merged as i64;
+        assert_eq!(q.priority_of(3), Some(7), "the merge kept the minimum");
+        assert_eq!(q.len(), 19);
+        let mut seen = HashSet::new();
+        while let Some(((item, _), _)) = q.pop_session(&mut s) {
+            assert!(seen.insert(item), "item {item} delivered twice");
+            pops += 1;
+        }
+        assert_eq!(pops, net, "pops + drain differ from net inserts");
     }
 
     #[test]
     fn unbatched_session_never_parks_a_pop() {
-        let q: ConcurrentMultiQueue<u64, MutexHeapSub<u64>> = QueueBuilder::new(1).multiqueue_on();
+        let q = QueueBuilder::new(1).multiqueue::<u64>();
         for i in 0..20usize {
             q.push_or_decrease(i, i as u64);
         }

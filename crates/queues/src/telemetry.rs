@@ -3,12 +3,10 @@
 //!
 //! "Are Lock-Free Concurrent Algorithms Practically Wait-Free?"
 //! (Alistarh, Censor-Hillel, Shavit) makes the case that the
-//! scientifically interesting signal of a lock-free structure under
+//! scientifically interesting signal of a concurrent structure under
 //! contention is not its mean throughput but the **tail of its per-op
-//! step/retry distribution** — a practically-wait-free structure keeps
-//! that tail collapsed even when the worst case is unbounded. This
-//! module gives every hot path in the crate a way to feed that
-//! distribution without perturbing it:
+//! progress distribution**. This module gives every hot path in the
+//! crate a way to feed such distributions without perturbing them:
 //!
 //! * [`PowHistogram`] — a fixed-footprint, mergeable histogram with one
 //!   relaxed atomic counter per power-of-two bucket. Recording is a
@@ -29,17 +27,16 @@
 //!
 //! | series | kind | fed by |
 //! |---|---|---|
-//! | [`OpHist::Retry`] | CAS retries per successful claim | the `SkipShard` claim/help-unlink loop (the only lock-free shard) |
 //! | [`OpHist::Steal`] | index of the choice round that won a pop: 0 = the first round won, whether its winner was a home or a foreign shard; pops served from a deletion buffer record nothing | `DCboQueue`/`ConcurrentMultiQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
 //! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |
 //! | [`OpCount::EmptyPop`] | pops that swept everything and found nothing | all pop engines |
-//! | [`OpCount::RegistryProbe`] | item-registry slot probes | `SkipShard` keyed operations |
 //! | [`OpCount::FlushPublished`] / [`OpCount::FlushMerged`] | session flush volume and merge ratio | every `flush_session` |
 //!
-//! Epoch-reclamation progress (`gc_deferred` / `gc_collected`) comes
-//! from the vendored `crossbeam::epoch` counters and is folded into the
-//! [`TelemetrySnapshot`] as a delta since the last [`reset`].
+//! Nothing feeds the snapshot's `retry`, `registry_probes`,
+//! `seg_installs`, `gc_deferred` and `gc_collected` fields any more:
+//! they read empty or zero, and stay only because `benchmark/` and the
+//! serving layer's Metrics wire layout still carry them.
 //!
 //! # Trial protocol
 //!
@@ -50,7 +47,6 @@
 //! concurrent trials would interleave their counts, so trial runners
 //! measure one configuration at a time (as the contention benches do).
 
-use crossbeam::epoch;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -207,39 +203,35 @@ fn max_of(buckets: &[u64; HIST_BUCKETS]) -> u64 {
 /// The histogram series the hot paths feed (see the module table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpHist {
-    /// CAS retries per successful lock-free claim.
-    Retry = 0,
     /// Index of the choice round that won a pop (0 = first round won),
     /// whether the winner was a home or a foreign shard. A pop served
     /// from a session's deletion buffer records nothing.
-    Steal = 1,
+    Steal = 0,
     /// Shards visited by a fallback sweep before it rescued a pop.
-    Sweep = 2,
+    Sweep = 1,
     /// Per-op duration ticks (nanoseconds) — recorded by the runtime's
     /// service loop around each task it executes (the closed-loop
     /// `run` never reads the clock per task), so log₂ bucket k holds
     /// ops that ran for [2^(k-1), 2^k) ns.
-    Tick = 3,
+    Tick = 2,
 }
 
 /// Number of [`OpHist`] series.
-pub const N_HISTS: usize = 4;
+pub const N_HISTS: usize = 3;
 
 /// The plain counter series (see the module table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpCount {
     /// Pops that swept every shard and found nothing.
     EmptyPop = 0,
-    /// `SkipShard` item-registry slot probes.
-    RegistryProbe = 1,
     /// Elements published by session flushes.
-    FlushPublished = 2,
+    FlushPublished = 1,
     /// Of those, elements that merged into existing entries.
-    FlushMerged = 3,
+    FlushMerged = 2,
 }
 
 /// Number of [`OpCount`] series.
-pub const N_COUNTS: usize = 4;
+pub const N_COUNTS: usize = 3;
 
 // ---------------------------------------------------------------------
 // Global state + enable gate
@@ -284,11 +276,6 @@ static GLOBAL: Global = Global {
     hists: [const { PowHistogram::new() }; N_HISTS],
     counts: [const { AtomicU64::new(0) }; N_COUNTS],
 };
-
-/// Epoch GC counter values at the last [`reset`] — snapshots report the
-/// delta, since the vendored counters are process-lifetime monotone.
-static GC_BASE_DEFERRED: AtomicU64 = AtomicU64::new(0);
-static GC_BASE_COLLECTED: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------
 // The thread-local recorder
@@ -391,8 +378,8 @@ pub fn flush_local() {
     let _ = RECORDER.try_with(|r| r.borrow_mut().flush());
 }
 
-/// Zero the global state, discard the calling thread's buffered events,
-/// and re-anchor the epoch-GC baseline. The start of a measured window.
+/// Zero the global state and discard the calling thread's buffered
+/// events. The start of a measured window.
 pub fn reset() {
     let _ = RECORDER.try_with(|r| r.borrow_mut().clear());
     for h in GLOBAL.hists.iter() {
@@ -401,9 +388,6 @@ pub fn reset() {
     for c in GLOBAL.counts.iter() {
         c.store(0, Ordering::Relaxed);
     }
-    let (deferred, collected) = epoch::gc_counters();
-    GC_BASE_DEFERRED.store(deferred, Ordering::Relaxed);
-    GC_BASE_COLLECTED.store(collected, Ordering::Relaxed);
 }
 
 /// Flush the calling thread and snapshot everything recorded since the
@@ -411,19 +395,18 @@ pub fn reset() {
 /// have exited or flushed themselves).
 pub fn capture() -> TelemetrySnapshot {
     flush_local();
-    let (deferred, collected) = epoch::gc_counters();
     TelemetrySnapshot {
-        retry: HistSnapshot::of(&GLOBAL.hists[OpHist::Retry as usize]),
+        retry: HistSnapshot::of(&PowHistogram::new()),
         steal: HistSnapshot::of(&GLOBAL.hists[OpHist::Steal as usize]),
         sweep: HistSnapshot::of(&GLOBAL.hists[OpHist::Sweep as usize]),
         tick: HistSnapshot::of(&GLOBAL.hists[OpHist::Tick as usize]),
         empty_pops: GLOBAL.counts[OpCount::EmptyPop as usize].load(Ordering::Relaxed),
-        registry_probes: GLOBAL.counts[OpCount::RegistryProbe as usize].load(Ordering::Relaxed),
+        registry_probes: 0,
         seg_installs: 0,
         flush_published: GLOBAL.counts[OpCount::FlushPublished as usize].load(Ordering::Relaxed),
         flush_merged: GLOBAL.counts[OpCount::FlushMerged as usize].load(Ordering::Relaxed),
-        gc_deferred: deferred.saturating_sub(GC_BASE_DEFERRED.load(Ordering::Relaxed)),
-        gc_collected: collected.saturating_sub(GC_BASE_COLLECTED.load(Ordering::Relaxed)),
+        gc_deferred: 0,
+        gc_collected: 0,
     }
 }
 
@@ -472,7 +455,7 @@ impl HistSnapshot {
 /// the contention benches export into the shared JSON schema.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// CAS retries per successful lock-free claim.
+    /// Always empty: nothing feeds it any more (see the module docs).
     pub retry: HistSnapshot,
     /// Choice/probe rounds per successful pop.
     pub steal: HistSnapshot,
@@ -482,18 +465,17 @@ pub struct TelemetrySnapshot {
     pub tick: HistSnapshot,
     /// Pops that swept everything and found nothing.
     pub empty_pops: u64,
-    /// `SkipShard` registry slot probes.
+    /// Always 0: nothing feeds it any more.
     pub registry_probes: u64,
-    /// Always 0: nothing feeds it any more. The field and its Metrics
-    /// wire slot stay because `benchmark/` reads them.
+    /// Always 0: nothing feeds it any more.
     pub seg_installs: u64,
     /// Elements published by session flushes.
     pub flush_published: u64,
     /// Of those, elements merged into existing entries.
     pub flush_merged: u64,
-    /// Epoch reclamations deferred during the window.
+    /// Always 0: nothing feeds it any more.
     pub gc_deferred: u64,
-    /// Epoch reclamations collected during the window.
+    /// Always 0: nothing feeds it any more.
     pub gc_collected: u64,
 }
 
@@ -613,22 +595,29 @@ mod tests {
         reset();
         set_enabled(true);
         for v in [0u64, 1, 2, 3, 200] {
-            record(OpHist::Retry, v);
+            record(OpHist::Sweep, v);
         }
         count(OpCount::EmptyPop, 3);
         count(OpCount::FlushPublished, 10);
         count(OpCount::FlushMerged, 4);
         let snap = capture();
-        assert!(snap.retry.count >= 5);
-        assert!(snap.retry.max >= 255);
+        assert!(snap.sweep.count >= 5);
+        assert!(snap.sweep.max >= 255);
         assert!(snap.empty_pops >= 3);
         assert!(snap.flush_published >= 10);
         assert!(snap.flush_merge_ratio() > 0.0);
+        assert_eq!(snap.sweep.buckets.len(), HIST_BUCKETS);
+        assert_eq!(
+            snap.sweep.buckets.iter().sum::<u64>(),
+            snap.sweep.count,
+            "bucket array is consistent with the count"
+        );
+        // The unfed series read empty, with a full bucket array.
+        assert_eq!(snap.retry.count, 0);
         assert_eq!(snap.retry.buckets.len(), HIST_BUCKETS);
         assert_eq!(
-            snap.retry.buckets.iter().sum::<u64>(),
-            snap.retry.count,
-            "bucket array is consistent with the count"
+            (snap.registry_probes, snap.gc_deferred, snap.gc_collected),
+            (0, 0, 0)
         );
     }
 

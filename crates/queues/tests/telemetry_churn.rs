@@ -38,7 +38,7 @@ fn drop_flush_survives_thread_churn_under_concurrent_capture() {
             let mut polls = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snap = telemetry::capture();
-                let seen = snap.retry.count;
+                let seen = snap.tick.count;
                 assert!(
                     seen >= last,
                     "global event count went backwards: {seen} < {last}"
@@ -60,7 +60,7 @@ fn drop_flush_survives_thread_churn_under_concurrent_capture() {
                         // other and the poller.
                         barrier.wait();
                         for i in 0..EVENTS {
-                            telemetry::record(OpHist::Retry, (round * THREADS + t) as u64 + i);
+                            telemetry::record(OpHist::Tick, (round * THREADS + t) as u64 + i);
                             telemetry::count(OpCount::EmptyPop, 1);
                         }
                         // No explicit flush: the TLS destructor is the
@@ -80,11 +80,11 @@ fn drop_flush_survives_thread_churn_under_concurrent_capture() {
     let expected = (ROUNDS * THREADS) as u64 * EVENTS;
     let snap = telemetry::capture();
     assert_eq!(
-        snap.retry.count, expected,
-        "retry events lost or double-counted across {ROUNDS} rounds of churn"
+        snap.tick.count, expected,
+        "tick events lost or double-counted across {ROUNDS} rounds of churn"
     );
     assert_eq!(
-        snap.retry.buckets.iter().sum::<u64>(),
+        snap.tick.buckets.iter().sum::<u64>(),
         expected,
         "bucket totals disagree with count"
     );

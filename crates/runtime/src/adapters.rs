@@ -8,28 +8,24 @@
 //! signals ([`PushOutcome`], [`FlushReport`]) through unchanged so the
 //! termination counter stays exact.
 //!
-//! The MultiQueue adapter is **backend-generic**: it accepts any
-//! [`SubPriority`] priority shard (lock-free skiplist by default,
-//! mutex-heap baseline), and its session carries the amortized epoch
-//! pin, so the worker loop performs zero per-operation epoch entries.
-//! The FIFO adapter has one shard type (a locked `VecDeque`) and no
-//! pin. The duplicate-insertion `DuplicateMultiQueue` uses a bare
-//! `SmallRng` as its session.
+//! Both concurrent queues have one shard type each — a locked indexed
+//! heap for the MultiQueue, a locked `VecDeque` for the FIFO — so each
+//! gets one adapter. The duplicate-insertion `DuplicateMultiQueue` uses
+//! a bare `SmallRng` as its session.
 
 use crate::pool::Scheduler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rsched_queues::{
     ConcurrentMultiQueue, DCboQueue, DuplicateMultiQueue, FifoSession, FlushReport, MqSession,
-    PopSource, PushOutcome, SessionConfig, SessionPush, SubPriority,
+    PopSource, PushOutcome, SessionConfig, SessionPush,
 };
 
-/// Keyed MultiQueue over any priority-shard backend: pushes merge via
-/// `push_or_decrease` (locally in the session buffer when batching),
-/// pops are the choice-of-two relaxed delete-min — mutex-free on the
-/// default skiplist backend — and, when batching, served from the
-/// session's deletion buffer.
-impl<P: Ord + Copy + Send, S: SubPriority<P>> Scheduler<P> for ConcurrentMultiQueue<P, S> {
+/// Keyed MultiQueue: pushes merge via `push_or_decrease` (locally in
+/// the session buffer when batching), pops are the choice-of-two relaxed
+/// delete-min and, when batching, served from the session's deletion
+/// buffer.
+impl<P: Ord + Copy + Send> Scheduler<P> for ConcurrentMultiQueue<P> {
     type Session = MqSession<P>;
 
     fn open_session(&self, cfg: &SessionConfig) -> MqSession<P> {

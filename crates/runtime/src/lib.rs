@@ -15,8 +15,8 @@
 //!   │  ┌──────────┐      ┌──────────┐             ┌──────────┐         │
 //!   │  │ rng,stats│      │ rng,stats│             │ rng,stats│  per-   │
 //!   │  │ Session: │      │ Session: │             │ Session: │  worker │
-//!   │  │ pin, rng │      │ pin, rng │             │ pin, rng │  (no    │
-//!   │  │ home,bufs│      │ home,bufs│             │ home,bufs│  locks) │
+//!   │  │ rng,home │      │ rng,home │             │ rng,home │  (no    │
+//!   │  │ bufs     │      │ bufs     │             │ bufs     │  locks) │
 //!   │  └───┬──────┘      └───┬──────┘             └───┬──────┘         │
 //!   │      │ pop(&mut session)│                       │                │
 //!   │  ┌───▼─────────────────▼───────────────────────▼───┐             │
@@ -34,8 +34,8 @@
 //!   iterative algorithms) and FIFO-ordered (BFS, k-core) scenarios.
 //! * Every worker owns one [`Scheduler::Session`] — *the* per-worker
 //!   state object (shard-picker RNG, the FIFO's home shard `tid %
-//!   shards`, bounded spawn and deletion buffers, plus the MultiQueue's
-//!   epoch pin), configured through [`RuntimeConfig::spawn_batch`].
+//!   shards`, bounded spawn and deletion buffers), configured through
+//!   [`RuntimeConfig::spawn_batch`].
 //! * [`run`] drives the pool: pop → handler → ([`TaskOutcome`]) →
 //!   re-queue blocked tasks, with quiescence termination detection
 //!   ([`ActiveCounter`]) over queued-plus-in-flight tasks (buffered
@@ -50,10 +50,9 @@
 //! * When [`RuntimeConfig::telemetry`] is on (env `RSCHED_TELEMETRY`,
 //!   default on), [`run`] brackets the computation with a
 //!   `rsched_queues::telemetry` window and returns the captured
-//!   per-op progress snapshot (CAS-retry / steal-round / sweep-length
-//!   histograms, flush merge ratios, epoch-GC counters) in
-//!   [`PoolStats::telemetry`] — the "practically wait-free" tail
-//!   evidence for whatever queue the run drove. Disabled, every
+//!   per-op progress snapshot (steal-round / sweep-length histograms,
+//!   empty pops, flush merge ratios) in [`PoolStats::telemetry`] — the
+//!   tail evidence for whatever queue the run drove. Disabled, every
 //!   instrumentation point in the queues collapses to one relaxed
 //!   atomic load and a predictable branch.
 //! * When [`RuntimeConfig::trace`] is on (env `RSCHED_TRACE`, default

@@ -9,8 +9,7 @@
 //! * the worker threads (scoped, one RNG stream per worker);
 //! * one **worker session** per thread ([`Scheduler::Session`]) carrying
 //!   every piece of per-worker queue state — the shard-picker RNG, the
-//!   FIFO's home shard, the bounded spawn and deletion buffers, and the
-//!   MultiQueue's amortized epoch pin;
+//!   FIFO's home shard, and the bounded spawn and deletion buffers;
 //! * the pop → handle → re-queue loop with separate backoffs for
 //!   "queue empty" and "popped a blocked task", flushing the session's
 //!   spawn buffer on every pop miss so parked tasks can never stall

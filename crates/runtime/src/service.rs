@@ -111,13 +111,11 @@ pub struct ServiceHandle<P: Copy, S: Scheduler<P> + ?Sized> {
 
 /// A per-thread handle for pushing tasks into a running service pool.
 ///
-/// Owns a scheduler session of its own (shard-picker RNG, plus the
-/// MultiQueue's epoch pin) with `spawn_batch` forced to 1, because a
-/// parked injection would trade exactly the latency a serving front-end
-/// exists to measure. It publishes every push at once and never pops,
-/// so a FIFO injector never reads its home shard.
-/// Deliberately **not** `Send` when the underlying session is not: a
-/// MultiQueue session's epoch pin is thread-owned state.
+/// Owns a scheduler session of its own (shard-picker RNG) with
+/// `spawn_batch` forced to 1, because a parked injection would trade
+/// exactly the latency a serving front-end exists to measure. It
+/// publishes every push at once and never pops, so a FIFO injector
+/// never reads its home shard.
 pub struct Injector<P: Copy, S: Scheduler<P> + ?Sized> {
     core: Arc<ServiceCore<P, S>>,
     session: S::Session,

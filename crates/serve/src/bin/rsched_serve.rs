@@ -6,7 +6,7 @@
 //! | knob | default | meaning |
 //! |---|---|---|
 //! | `RSCHED_SERVE_ADDR` | `tcp:127.0.0.1:7411` | `tcp:host:port` or `unix:/path` |
-//! | `RSCHED_SERVE_BACKEND` | `mq` | `mq`, `mq-mutex` or `dcbo` (`dcbo` is arrival-order: it grants no `FEAT_EDF`) |
+//! | `RSCHED_SERVE_BACKEND` | `mq` | `mq` or `dcbo` (`dcbo` is arrival-order: it grants no `FEAT_EDF`) |
 //! | `RSCHED_SERVE_THREADS` | `2` | worker threads |
 //! | `RSCHED_SERVE_CAP` | `4096` | admission bound (in-flight tasks) |
 //! | `RSCHED_SERVE_LIFETIME_S` | unset | exit after this many seconds (tests, scripted runs); unset = run until SIGTERM/SIGINT kills the process |
@@ -36,7 +36,7 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        Err(_) => Backend::MqSkiplist,
+        Err(_) => ServeConfig::default().backend,
     };
     let cfg = ServeConfig {
         endpoint,

@@ -43,7 +43,7 @@
 //! Opcodes `0x01`–`0x03`, `0x83`, `0x84` and `0x86` are unassigned and
 //! decode as [`CodecError::UnknownOpcode`].
 
-use rsched_queues::telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS, N_HISTS};
+use rsched_queues::telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on a frame payload. The largest legitimate frame
@@ -347,8 +347,8 @@ pub enum Response {
 
 /// The live exposition carried by [`Response::Metrics`]: the **full**
 /// process [`TelemetrySnapshot`] — all four per-op histogram series
-/// with their complete 64-bucket arrays and derived quantiles, the
-/// event counters, the epoch-GC deltas — plus everything the serving
+/// with their complete 64-bucket arrays and derived quantiles, and the
+/// event counters — plus everything the serving
 /// layer records: the request ledger, the sojourn, inject and tardiness
 /// histograms, the deadline verdicts, and gauge samples from its
 /// lightweight sampler. Quantiles come from log₂ `PowHistogram`s, so
@@ -359,7 +359,7 @@ pub enum Response {
 /// | block | words |
 /// |---|---|
 /// | histograms ×7, in order retry/steal/sweep/tick/sojourn/inject/tardiness | each `count, p50, p90, p99, p999, max` + 64 buckets |
-/// | telemetry counters | [`COUNTER_FIELDS`](Self::COUNTER_FIELDS): `empty_pops, registry_probes, seg_installs` (always 0), `flush_published, flush_merged, gc_deferred, gc_collected` |
+/// | telemetry counters | [`COUNTER_FIELDS`](Self::COUNTER_FIELDS): `empty_pops, registry_probes, seg_installs, flush_published, flush_merged, gc_deferred, gc_collected` (`registry_probes`, `seg_installs` and the `gc_*` pair always 0) |
 /// | server counters | `submitted, accepted, rejected, completed, deadline_met, deadline_misses, miss_permille, in_flight` |
 /// | gauges | `n_workers`, then `n_workers` per-worker busy-permille samples |
 ///
@@ -463,9 +463,10 @@ impl MetricsReply {
 /// Wire size of one histogram block: the six derived words plus the
 /// full bucket array.
 const HIST_WIRE_WORDS: usize = 6 + HIST_BUCKETS;
-/// Histogram blocks in a [`MetricsReply`]: the telemetry series, then
-/// sojourn, inject and tardiness.
-const METRICS_HISTS: usize = N_HISTS + 3;
+/// Histogram blocks in a [`MetricsReply`]: the four telemetry series
+/// (`retry`, always empty, then steal, sweep and tick), then sojourn,
+/// inject and tardiness.
+const METRICS_HISTS: usize = 7;
 /// [`MetricsReply`] words between the histogram blocks and the gauge
 /// samples: both counter blocks, then `n_workers`.
 const METRICS_WORDS: usize =

@@ -32,8 +32,8 @@
 //! A client opens with [`Request::Hello`]`{version, features}`; the
 //! server answers [`Response::HelloAck`] with version [`PROTO_V2`], the
 //! granted feature bits (the intersection with its own; [`FEAT_EDF`] is
-//! the only bit today, and only the key-ordered backends `mq` /
-//! `mq-mutex` have it — a `dcbo` server is a FIFO and grants nothing)
+//! the only bit today, and only the key-ordered backend `mq` has it —
+//! a `dcbo` server is a FIFO and grants nothing)
 //! and its current monotonic clock reading `server_now_ns`, the
 //! timebase absolute deadlines are expressed in. A `Hello` below
 //! version 2, or a submission before any `Hello`, is refused with

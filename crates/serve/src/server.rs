@@ -79,7 +79,7 @@ use crate::codec::{
 };
 use rsched_queues::telemetry::{self, HistSnapshot, PowHistogram};
 use rsched_queues::trace::{self, EventKind};
-use rsched_queues::{MutexHeapSub, QueueBuilder, SkipShard};
+use rsched_queues::QueueBuilder;
 use rsched_runtime::pool::Scheduler;
 use rsched_runtime::{service, PoolStats, RuntimeConfig, ServiceHandle, TaskOutcome};
 use std::fmt;
@@ -138,33 +138,36 @@ impl fmt::Display for Endpoint {
 /// [`Scheduler`]; these are the monomorphisations the binary exposes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// `ConcurrentMultiQueue` over lock-free skiplist shards (`mq`).
-    MqSkiplist,
-    /// `ConcurrentMultiQueue` over mutex-heap shards (`mq-mutex`).
-    MqMutexHeap,
+    /// `ConcurrentMultiQueue` over try-locked heap shards (`mq`).
+    Mq,
     /// `DCboQueue` relaxed FIFO over `Mutex<VecDeque>` shards (`dcbo`).
     Dcbo,
 }
 
 impl Backend {
-    /// The wire/env name (`mq`, `mq-mutex`, `dcbo`).
+    /// The name the MultiQueue backend had while a skiplist variant
+    /// existed; `benchmark/` still spells it.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const MqSkiplist: Backend = Backend::Mq;
+
+    /// The wire/env name (`mq`, `dcbo`).
     pub fn name(self) -> &'static str {
         match self {
-            Backend::MqSkiplist => "mq",
-            Backend::MqMutexHeap => "mq-mutex",
+            Backend::Mq => "mq",
             Backend::Dcbo => "dcbo",
         }
     }
 
     /// Every backend, in the order benches sweep them.
-    pub const ALL: [Backend; 3] = [Backend::MqSkiplist, Backend::MqMutexHeap, Backend::Dcbo];
+    pub const ALL: [Backend; 2] = [Backend::Mq, Backend::Dcbo];
 
     /// Feature bits a server on this backend grants in a [`HelloAck`]:
     /// EDF only where the queue orders by key — `dcbo` is a FIFO and
     /// runs arrival order whatever key a task carries.
     fn features(self) -> u64 {
         match self {
-            Backend::MqSkiplist | Backend::MqMutexHeap => FEAT_EDF,
+            Backend::Mq => FEAT_EDF,
             Backend::Dcbo => 0,
         }
     }
@@ -175,12 +178,9 @@ impl FromStr for Backend {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "mq" => Ok(Backend::MqSkiplist),
-            "mq-mutex" => Ok(Backend::MqMutexHeap),
+            "mq" => Ok(Backend::Mq),
             "dcbo" => Ok(Backend::Dcbo),
-            other => Err(format!(
-                "unknown backend {other:?} (expected mq, mq-mutex or dcbo)"
-            )),
+            other => Err(format!("unknown backend {other:?} (expected mq or dcbo)")),
         }
     }
 }
@@ -205,7 +205,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             endpoint: Endpoint::Tcp("127.0.0.1:7411".into()),
-            backend: Backend::MqSkiplist,
+            backend: Backend::Mq,
             threads: 2,
             queue_cap: 4096,
             seed: 0x5EED_5EED,
@@ -622,14 +622,7 @@ impl Server {
             .universe(cfg.queue_cap)
             .seed(cfg.seed);
         match cfg.backend {
-            Backend::MqSkiplist => Server::start_with(
-                Arc::new(builder.multiqueue_on::<u64, SkipShard<u64>>()),
-                cfg,
-            ),
-            Backend::MqMutexHeap => Server::start_with(
-                Arc::new(builder.multiqueue_on::<u64, MutexHeapSub<u64>>()),
-                cfg,
-            ),
+            Backend::Mq => Server::start_with(Arc::new(builder.multiqueue::<u64>()), cfg),
             Backend::Dcbo => Server::start_with(Arc::new(builder.d_cbo::<(usize, u64)>()), cfg),
         }
     }

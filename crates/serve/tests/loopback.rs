@@ -206,7 +206,7 @@ fn admission_rejects_when_full_and_never_hangs() {
     // One slow worker (1 ms tasks), capacity 4: a fast burst of 200
     // submits must see QueueFull rejections, every frame must still be
     // answered, and the drain must terminate with exact conservation.
-    let server = ephemeral(Backend::MqSkiplist, 1, 4);
+    let server = ephemeral(Backend::Mq, 1, 4);
     let endpoint = server.endpoint().clone();
     let n = 200u64;
     let (accepted, rejected, _, _) =
@@ -246,7 +246,7 @@ fn unix_socket_roundtrip() {
 #[test]
 fn metrics_counts_one_request_end_to_end() {
     let _host = share_host();
-    let server = ephemeral(Backend::MqMutexHeap, 2, 1024);
+    let server = ephemeral(Backend::Mq, 2, 1024);
     let mut client = handshaken(server.endpoint(), FEAT_EDF);
     client
         .send(&Request::SubmitV2(SubmitV2 {
@@ -298,7 +298,7 @@ fn metrics_counts_one_request_end_to_end() {
 fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
     let _host = share_host();
     let threads = 2;
-    let server = ephemeral(Backend::MqSkiplist, threads, 1024);
+    let server = ephemeral(Backend::Mq, threads, 1024);
     let mut client = handshaken(server.endpoint(), FEAT_EDF);
     // Render some real service so the snapshot has something to say.
     let n = 64u64;
@@ -346,17 +346,18 @@ fn metrics_roundtrips_full_telemetry_snapshot_over_the_wire() {
         sweep,
         tick,
         empty_pops: _,
-        registry_probes: _,
+        registry_probes,
         seg_installs,
         flush_published: _,
         flush_merged: _,
         gc_deferred,
-        gc_collected: _,
+        gc_collected,
     } = &m.telemetry;
+    assert_eq!(retry.count, 0, "nothing feeds retry");
+    assert_eq!(*registry_probes, 0, "nothing feeds registry_probes");
     assert_eq!(*seg_installs, 0, "nothing feeds seg_installs");
-    // Every skiplist pop retires its node through the epoch GC, and
-    // nothing in this binary re-anchors the GC baseline.
-    assert!(*gc_deferred > 0, "epoch-GC telemetry inert");
+    assert_eq!(*gc_deferred, 0, "nothing feeds gc_deferred");
+    assert_eq!(*gc_collected, 0, "nothing feeds gc_collected");
     for hist in [
         retry,
         steal,
@@ -404,7 +405,7 @@ fn abrupt_disconnect_still_accounts_accepted_work() {
     // draw an RST, and an RST discards frames still queued in the
     // server's receive buffer; TCP offers no delivery guarantee to a
     // vanished client, and neither does the server.
-    let server = ephemeral(Backend::MqSkiplist, 2, 1024);
+    let server = ephemeral(Backend::Mq, 2, 1024);
     let n = 100u64;
     {
         let mut client = handshaken(server.endpoint(), FEAT_EDF);
@@ -443,7 +444,7 @@ fn abrupt_disconnect_still_accounts_accepted_work() {
 #[test]
 fn v2_handshake_negotiates_and_reports_deadline_verdicts() {
     let _host = share_host();
-    let server = ephemeral(Backend::MqSkiplist, 2, 1024);
+    let server = ephemeral(Backend::Mq, 2, 1024);
     let endpoint = server.endpoint().clone();
     // Clock sanity: the ack carries the server's monotonic reading, and
     // successive handshakes observe it advancing (never backwards). A
@@ -480,7 +481,7 @@ fn edf_is_granted_only_where_the_backend_orders_by_key() {
         // dcbo is a FIFO: it runs arrival order whatever the key, so it
         // must not tell the client that deadlines steer scheduling.
         let want = match backend {
-            Backend::MqSkiplist | Backend::MqMutexHeap => FEAT_EDF,
+            Backend::Mq => FEAT_EDF,
             Backend::Dcbo => 0,
         };
         assert_eq!(ack.features, want, "backend {backend:?}");
@@ -498,18 +499,15 @@ fn backend_names_round_trip_and_the_removed_one_is_refused() {
         assert_eq!(backend.name().parse::<Backend>(), Ok(backend));
     }
     let names: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
-    assert_eq!(names, ["mq", "mq-mutex", "dcbo"]);
-    let err = "bucket".parse::<Backend>().unwrap_err();
-    assert_eq!(
-        err,
-        "unknown backend \"bucket\" (expected mq, mq-mutex or dcbo)"
-    );
+    assert_eq!(names, ["mq", "dcbo"]);
+    let err = "mq-mutex".parse::<Backend>().unwrap_err();
+    assert_eq!(err, "unknown backend \"mq-mutex\" (expected mq or dcbo)");
 }
 
 #[test]
 fn removed_opcodes_and_versions_are_refused() {
     let _host = share_host();
-    let server = ephemeral(Backend::MqSkiplist, 1, 64);
+    let server = ephemeral(Backend::Mq, 1, 64);
     // A Hello below v2 is answered BadVersion and the connection closed.
     for version in [0, 1] {
         let mut client = ServeClient::connect(server.endpoint()).expect("connect");
@@ -556,7 +554,7 @@ fn removed_opcodes_and_versions_are_refused() {
 #[test]
 fn submit_v2_without_handshake_is_rejected_and_closed() {
     let _host = share_host();
-    let server = ephemeral(Backend::MqSkiplist, 1, 64);
+    let server = ephemeral(Backend::Mq, 1, 64);
     let mut client = ServeClient::connect(server.endpoint()).expect("connect");
     client
         .send(&Request::SubmitV2(SubmitV2 {
@@ -590,7 +588,7 @@ fn rejection_is_side_effect_free_for_deadline_accounting() {
     // rejections. Rejected submits must leave no trace in the deadline
     // ledger: verdicts are recorded at completion only, so
     // met + missed == completed == accepted exactly.
-    let server = ephemeral(Backend::MqSkiplist, 1, 4);
+    let server = ephemeral(Backend::Mq, 1, 4);
     let n = 200u64;
     let (accepted, rejected, met, missed) =
         drive_client(server.endpoint(), FEAT_EDF, 0, n, 1_000_000, &[5_000_000]);
@@ -623,27 +621,25 @@ fn edf_meets_more_deadlines_than_arrival_order_under_overload() {
     let _host = HOST
         .write()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    for backend in [Backend::MqSkiplist, Backend::MqMutexHeap] {
-        let misses = |features| {
-            let server = ephemeral(backend, 1, 1024);
-            let (acc, rej, _, missed) =
-                drive_client(server.endpoint(), features, 0, 200, 200_000, &BUDGETS);
-            assert_eq!((acc, rej), (200, 0), "{backend:?}");
-            server.shutdown();
-            missed
-        };
-        let arrival = misses(0);
-        let edf = misses(FEAT_EDF);
-        assert!(
-            arrival > 0,
-            "{backend:?}: arrival order met every deadline; the stream is not an overload"
-        );
-        // At most half, not just fewer: two arrival-order runs of the
-        // same stream differ by a few misses, so a bare `<` could pass
-        // with EDF switched off.
-        assert!(
-            2 * edf < arrival,
-            "{backend:?}: EDF missed {edf}, arrival order {arrival}"
-        );
-    }
+    let misses = |features| {
+        let server = ephemeral(Backend::Mq, 1, 1024);
+        let (acc, rej, _, missed) =
+            drive_client(server.endpoint(), features, 0, 200, 200_000, &BUDGETS);
+        assert_eq!((acc, rej), (200, 0));
+        server.shutdown();
+        missed
+    };
+    let arrival = misses(0);
+    let edf = misses(FEAT_EDF);
+    assert!(
+        arrival > 0,
+        "arrival order met every deadline; the stream is not an overload"
+    );
+    // At most half, not just fewer: two arrival-order runs of the
+    // same stream differ by a few misses, so a bare `<` could pass
+    // with EDF switched off.
+    assert!(
+        2 * edf < arrival,
+        "EDF missed {edf}, arrival order {arrival}"
+    );
 }

@@ -36,15 +36,14 @@
 //! `DuplicateMultiQueue`) for SSSP, label propagation and the iterative
 //! algorithms, and relaxed *FIFO* (`DCboQueue`) for BFS frontiers and
 //! k-core peeling. Each
-//! relaxed-FIFO shard is a `Mutex<VecDeque>` that a batched session
-//! locks once per published batch and once per claim; the MultiQueue's
-//! priority shards default to the lock-free skiplist in
-//! `rsched_queues::skipshard`.
+//! relaxed-FIFO shard is a `Mutex<VecDeque>` and each MultiQueue shard
+//! a `Mutex<IndexedBinaryHeap>`; a batched session locks a shard once
+//! per published batch and once per claim.
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
 //! `rsched_queues` worker-session layer): the worker's shard-picker RNG,
 //! its *home shard* `tid % shards` (one of the two choices of every FIFO pop),
-//! the MultiQueue's amortized epoch pin, a bounded spawn buffer that
+//! a bounded spawn buffer that
 //! publishes batches and a deletion buffer that hands out a claimed
 //! shard's successors (both sized by `RuntimeConfig::spawn_batch`). A
 //! session is the only way to pop a `ConcurrentMultiQueue`.
@@ -133,9 +132,9 @@ pub mod prelude {
     pub use rsched_queues::{
         ConcurrentMultiQueue, ConcurrentRankEstimator, DCboQueue, DecreaseKey, DuplicateMultiQueue,
         Exact, FifoRankStats, FifoRankTracker, FifoSession, FlushReport, IndexedBinaryHeap,
-        MqSession, PinSession, PopSource, PriorityQueue, PushOutcome, QueueBuilder, RankStats,
-        RankTracker, RelaxedFifo, RelaxedQueue, RotatingKQueue, SessionConfig, SessionPush,
-        SimMultiQueue, SprayList,
+        MqSession, PopSource, PriorityQueue, PushOutcome, QueueBuilder, RankStats, RankTracker,
+        RelaxedFifo, RelaxedQueue, RotatingKQueue, SessionConfig, SessionPush, SimMultiQueue,
+        SprayList,
     };
     pub use rsched_runtime::run as run_pool;
     pub use rsched_runtime::{

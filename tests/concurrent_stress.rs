@@ -293,13 +293,12 @@ fn relaxed_fifo_session_storm_matrix() {
     storm(8 * stress(), 64);
 }
 
-/// The priority-shard backend matrix {skiplist, mutexheap} under a
-/// **batched-session** conservation storm: every push flows through an
-/// [`MqSession`] with a spawn buffer (and a deletion buffer on the pop
-/// side), finishing with a forced flush at quiescence, over a
-/// `threads × spawn_batch` matrix whose last cell oversubscribes the
-/// cores, where a preempted lock holder or CAS loser shows. Flush reports
-/// carry merge *counts*, not identities, so the law here is count
+/// The MultiQueue under a **batched-session** conservation storm: every
+/// push flows through an [`MqSession`] with a spawn buffer (and a
+/// deletion buffer on the pop side), finishing with a forced flush at
+/// quiescence, over a `threads × spawn_batch` matrix whose last cell
+/// oversubscribes the cores, where a preempted lock holder shows. Flush
+/// reports carry merge *counts*, not identities, so the law here is count
 /// conservation — net inserts (session outcomes, flush merges
 /// retracted) must equal pops plus drain — plus full coverage: every
 /// item must surface at least once. The raw-op multiset law is still
@@ -308,12 +307,11 @@ fn relaxed_fifo_session_storm_matrix() {
 fn multiqueue_backend_matrix_storm() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use rsched_queues::{MutexHeapSub, SkipShard, SubPriority};
 
-    fn storm<S: SubPriority<u64> + 'static>(name: &str, threads: usize, spawn_batch: usize) {
-        let name = format!("{name} t{threads} b{spawn_batch}");
+    fn storm(threads: usize, spawn_batch: usize) {
+        let name = format!("t{threads} b{spawn_batch}");
         let per = 2_500 * stress();
-        let q: Arc<ConcurrentMultiQueue<u64, S>> = Arc::new(QueueBuilder::new(6).multiqueue_on());
+        let q: Arc<ConcurrentMultiQueue<u64>> = Arc::new(QueueBuilder::new(6).multiqueue());
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let q = Arc::clone(&q);
@@ -384,22 +382,20 @@ fn multiqueue_backend_matrix_storm() {
 
     // 8 parks one popped successor per pop, 64 the full eight.
     for spawn_batch in [8, 64] {
-        storm::<SkipShard<u64>>("skiplist", 4 * stress(), spawn_batch);
-        storm::<MutexHeapSub<u64>>("mutexheap", 4 * stress(), spawn_batch);
+        storm(4 * stress(), spawn_batch);
     }
-    storm::<SkipShard<u64>>("skiplist", 8 * stress(), 64);
-    storm::<MutexHeapSub<u64>>("mutexheap", 8 * stress(), 64);
+    storm(8 * stress(), 64);
 }
 
-/// Rank-error envelope of the **skiplist-backed MultiQueue** under real
-/// contention, measured by the timestamp-based concurrent estimator:
-/// priorities are the enqueue tickets themselves, so priority order
-/// coincides with arrival order and the estimator's FIFO rank error *is*
-/// the MultiQueue's priority rank error. The mean must stay within a
+/// Rank-error envelope of the **MultiQueue** under real contention,
+/// measured by the timestamp-based concurrent estimator: priorities are
+/// the enqueue tickets themselves, so priority order coincides with
+/// arrival order and the estimator's FIFO rank error *is* the
+/// MultiQueue's priority rank error. The mean must stay within a
 /// generous multiple of the nominal `O(q log q)` relaxation factor
 /// scaled by the thread count (in-flight operations add slack).
 #[test]
-fn skiplist_multiqueue_estimator_envelope() {
+fn multiqueue_estimator_envelope() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use rsched_queues::ConcurrentRankEstimator;
@@ -434,7 +430,7 @@ fn skiplist_multiqueue_estimator_envelope() {
     let envelope = 8.0 * (q.relaxation_factor() * threads) as f64;
     assert!(
         stats.mean_error() <= envelope,
-        "skiplist MultiQueue mean estimated rank error {} beyond envelope {envelope}",
+        "MultiQueue mean estimated rank error {} beyond envelope {envelope}",
         stats.mean_error()
     );
 }
