@@ -7,6 +7,12 @@
 //! submit from one thread while another drains responses — the wire
 //! protocol is fully pipelined; nothing waits for a reply.
 //!
+//! The two halves batch differently. The send half writes each request
+//! as it is sent, one syscall per frame, so an open-loop generator's
+//! send time is the request's departure. The receive half reads through
+//! a [`BufReader`]: the server coalesces bursts of responses into one
+//! write, and one `recv` here takes in up to 8 KiB of such a burst.
+//!
 //! A freshly connected client must shake hands before it submits:
 //! [`ServeClient::handshake`] sends [`Request::Hello`] and blocks for
 //! the [`Response::HelloAck`], returning the version and granted
@@ -18,7 +24,7 @@ use crate::codec::{
     decode_response, encode_request, read_frame, Hello, HelloAck, Request, Response,
 };
 use crate::server::Endpoint;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -68,9 +74,10 @@ impl ClientSender {
     }
 }
 
-/// The receiving half: reads and decodes response frames.
+/// The receiving half: reads response frames through a [`BufReader`]
+/// and decodes them, so a burst of frames costs one `recv`.
 pub struct ClientReceiver {
-    stream: Half,
+    stream: BufReader<Half>,
     buf: Vec<u8>,
 }
 
@@ -86,7 +93,7 @@ impl ClientReceiver {
     /// Bound how long [`recv`](Self::recv) blocks (`WouldBlock` /
     /// `TimedOut` errors then surface between frames).
     pub fn set_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match &self.stream {
+        match self.stream.get_ref() {
             Half::Tcp(s) => s.set_read_timeout(d),
             Half::Unix(s) => s.set_read_timeout(d),
         }
@@ -122,7 +129,7 @@ impl ServeClient {
                 buf: Vec::with_capacity(64),
             },
             rx: ClientReceiver {
-                stream: rx_half,
+                stream: BufReader::new(rx_half),
                 buf: Vec::with_capacity(128),
             },
         })

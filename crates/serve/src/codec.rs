@@ -44,7 +44,7 @@
 //! decode as [`CodecError::UnknownOpcode`].
 
 use rsched_queues::telemetry::{HistSnapshot, TelemetrySnapshot, HIST_BUCKETS};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Hard ceiling on a frame payload. The largest legitimate frame
 /// ([`Response::Metrics`] with [`METRICS_MAX_WORKERS`] gauges, seven
@@ -807,12 +807,18 @@ fn read_full<R: Read + ?Sized>(r: &mut R, buf: &mut [u8], mid_frame: bool) -> io
 
 /// Read one frame into `buf` (replacing its contents with the payload).
 ///
+/// `r` may be any [`Read`], buffered or not. The connection loops wrap
+/// their sockets in a [`BufReader`](std::io::BufReader), so one `recv`
+/// fetches every frame already in flight; `read_frame` then consumes
+/// exactly one frame and leaves the rest buffered for the next call.
+///
 /// Returns `Ok(false)` on a clean end of stream at a frame boundary.
 /// Truncation inside a frame, an oversized header and I/O failures all
 /// surface as `Err`; the caller must not interpret the buffer then.
 /// Timeout errors (`WouldBlock`/`TimedOut`) pass through untouched so
 /// connection loops can poll a shutdown flag — but only when they occur
-/// before the first header byte; a timeout mid-frame is truncation.
+/// before the first header byte. Once part of a frame is consumed, a
+/// timeout retries instead, so the stream never desyncs.
 pub fn read_frame<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     let mut header = [0u8; 4];
     if !read_full(r, &mut header, false)? {
@@ -829,13 +835,6 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<
     buf.resize(len, 0);
     read_full(r, buf, true)?;
     Ok(true)
-}
-
-/// Encode `resp` and write the frame (no flush).
-pub fn write_response<W: Write + ?Sized>(w: &mut W, resp: &Response) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(32);
-    encode_response(resp, PROTO_V2, &mut buf);
-    w.write_all(&buf)
 }
 
 #[cfg(test)]
@@ -1196,6 +1195,15 @@ mod tests {
         }
     }
 
+    /// Seed-count multiplier for the seeded tests; `RSCHED_STRESS=1` (or
+    /// a number) raises it in the CI stress job.
+    fn stress() -> u64 {
+        match std::env::var("RSCHED_STRESS").as_deref() {
+            Ok("0") | Err(_) => 1,
+            Ok(v) => v.parse::<u64>().unwrap_or(1).clamp(1, 64) * 4,
+        }
+    }
+
     /// Seeded byte-level fuzz of both decoders. Each seed picks one
     /// valid payload (every variant, plus the maximal Metrics frame)
     /// and applies one to four mutations: a flipped byte, a truncation,
@@ -1252,11 +1260,7 @@ mod tests {
         }
         // Payloads only: the decoders never see the length header.
         let bases: Vec<Vec<u8>> = bases.into_iter().map(|w| w[4..].to_vec()).collect();
-        let stress = match std::env::var("RSCHED_STRESS").as_deref() {
-            Ok("0") | Err(_) => 1,
-            Ok(v) => v.parse::<u64>().unwrap_or(1).clamp(1, 64) * 4,
-        };
-        for seed in 0..100_000 * stress {
+        for seed in 0..100_000 * stress() {
             let case = std::panic::catch_unwind(|| fuzz_one(&bases, seed));
             assert!(case.is_ok(), "codec fuzz failed at seed {seed}");
         }
@@ -1294,6 +1298,107 @@ mod tests {
         if let Ok(resp) = decode_response(&p) {
             let wire = encoded_response(&resp);
             assert_eq!(decode_response(&wire[4..]), Ok(resp));
+        }
+    }
+
+    /// A socket stand-in: hands out `wire` in seeded random chunks of 1
+    /// byte up to `max_chunk`, and fails half of all reads with
+    /// `WouldBlock` or `TimedOut`, as a socket with a read timeout does
+    /// when its peer writes in bursts.
+    struct ChunkedStream {
+        wire: Vec<u8>,
+        pos: usize,
+        max_chunk: usize,
+        rng: SmallRng,
+    }
+
+    impl Read for ChunkedStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.rng.gen_range(0..4) {
+                0 => return Err(io::ErrorKind::WouldBlock.into()),
+                1 => return Err(io::ErrorKind::TimedOut.into()),
+                _ => {}
+            }
+            let n = self
+                .rng
+                .gen_range(1..=self.max_chunk)
+                .min(buf.len())
+                .min(self.wire.len() - self.pos);
+            buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn random_request(rng: &mut SmallRng) -> Request {
+        match rng.gen_range(0..4) {
+            0 => Request::Drain,
+            1 => Request::Metrics,
+            2 => Request::Hello(Hello {
+                version: rng.gen(),
+                features: rng.gen(),
+            }),
+            _ => Request::SubmitV2(SubmitV2 {
+                req_id: rng.gen(),
+                deadline: rng.gen(),
+                work_ns: rng.gen(),
+                absolute: rng.gen_bool(0.5),
+            }),
+        }
+    }
+
+    /// `read_frame` through a `BufReader`, over a stream that splits
+    /// frames at random points and times out between and inside them,
+    /// returns exactly the encoded requests in order, surfaces a
+    /// timeout only at a frame boundary, and ends with a clean EOF.
+    /// `RSCHED_STRESS` scales the seed count; a failure names its seed.
+    #[test]
+    fn buffered_framing_survives_split_reads_and_timeouts() {
+        // The largest request frame: SubmitV2, 4 + 26 bytes.
+        const LARGEST: usize = 30;
+        for seed in 0..1_000 * stress() {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let sent: Vec<Request> = (0..rng.gen_range(1..=64))
+                .map(|_| random_request(&mut rng))
+                .collect();
+            let mut wire = Vec::new();
+            // Byte offset of each frame's first byte, and of the end.
+            let mut boundaries = vec![0];
+            for req in &sent {
+                encode_request(req, &mut wire);
+                boundaries.push(wire.len());
+            }
+            let mut stream = io::BufReader::new(ChunkedStream {
+                wire,
+                pos: 0,
+                max_chunk: LARGEST + 7,
+                rng,
+            });
+            let mut payload = Vec::new();
+            let mut got = Vec::new();
+            loop {
+                match read_frame(&mut stream, &mut payload) {
+                    Ok(true) => got.push(decode_request(&payload).unwrap()),
+                    Ok(false) => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        let consumed = stream.get_ref().pos - stream.buffer().len();
+                        assert_eq!(
+                            consumed,
+                            boundaries[got.len()],
+                            "seed {seed}: timeout surfaced inside frame {}",
+                            got.len()
+                        );
+                    }
+                    Err(e) => panic!("seed {seed}: {e}"),
+                }
+            }
+            assert_eq!(got, sent, "seed {seed}");
+            assert_eq!(stream.get_ref().pos, *boundaries.last().unwrap());
         }
     }
 

@@ -15,7 +15,10 @@
 //!   decoding (truncated/oversized/unknown frames are errors, never
 //!   panics), `MAX_FRAME`-bounded before any allocation.
 //! * [`server`] — the connection machinery: a TCP or Unix-socket
-//!   acceptor, a reader+writer thread pair per connection, bounded
+//!   acceptor, a reader+writer thread pair per connection (the reader
+//!   decodes from a buffered socket, one `recv` per burst of requests;
+//!   the writer coalesces queued responses and flushes when its channel
+//!   runs empty, one `send` per burst), bounded
 //!   admission (`queue_cap` in-flight tasks, beyond which Submits get
 //!   an explicit [`RejectCode::QueueFull`] instead of queueing), and
 //!   per-request stamping at *submit*, *inject* and *complete* into

@@ -20,6 +20,14 @@
 //! that completes a task never touches the socket racily; it just sends
 //! the [`Response::CompletedV2`] through the connection's channel.
 //!
+//! Both hops pay one syscall per burst, not one or two per frame. The
+//! reader decodes from a [`BufReader`], so one `recv` brings in every
+//! request the client has pipelined so far. The writer encodes into a
+//! [`BufWriter`]: it blocks for the first message, takes whatever else
+//! is already queued without blocking, and flushes when the channel is
+//! momentarily empty. A lone response is written at once, and a burst
+//! of `Accepted`/`CompletedV2` frames leaves in one `send`.
+//!
 //! Three timestamps bound each request's life, all measured by one
 //! server-side clock so the sojourn is free of client/server skew:
 //! *submit* (frame decoded), *inject* (pushed into the scheduler) and
@@ -74,7 +82,7 @@
 //! describes *accepted* work only.
 
 use crate::codec::{
-    decode_request, read_frame, write_response, CompletedV2, HelloAck, MetricsReply, RejectCode,
+    decode_request, encode_response, read_frame, CompletedV2, HelloAck, MetricsReply, RejectCode,
     Request, Response, SubmitV2, FEAT_EDF, PROTO_V2,
 };
 use rsched_queues::telemetry::{self, HistSnapshot, PowHistogram};
@@ -83,7 +91,7 @@ use rsched_queues::QueueBuilder;
 use rsched_runtime::pool::Scheduler;
 use rsched_runtime::{service, PoolStats, RuntimeConfig, ServiceHandle, TaskOutcome};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -771,10 +779,17 @@ fn acceptor_loop<S>(
         };
         let (tx, rx) = mpsc::channel::<WriterMsg>();
         let writer = {
-            let write_half = stream;
+            let mut write_half = stream;
             std::thread::Builder::new()
                 .name("rsched-serve-writer".into())
-                .spawn(move || writer_loop(write_half, rx))
+                .spawn(move || {
+                    writer_loop(&mut write_half, rx);
+                    // Actively half-close: the shutdown registry holds
+                    // another clone of this socket, so merely dropping
+                    // our FD would leave the client waiting for an EOF
+                    // that never comes.
+                    write_half.shutdown_both();
+                })
                 .expect("spawning connection writer")
         };
         let reader = {
@@ -875,8 +890,12 @@ fn admit_and_inject<S>(
 
 /// Decode frames, run admission, inject. Exits on client EOF, protocol
 /// error, [`Request::Drain`] or server stop.
+///
+/// Frames are read through a [`BufReader`], so one `recv` fetches every
+/// request the client has pipelined so far and the loop decodes them
+/// from memory until the buffer runs dry.
 fn reader_loop<S>(
-    mut stream: ConnStream,
+    stream: ConnStream,
     shared: Arc<Shared>,
     handle: &ServiceHandle<u64, S>,
     writer: Sender<WriterMsg>,
@@ -884,6 +903,7 @@ fn reader_loop<S>(
     S: Scheduler<u64> + Send + Sync + 'static,
 {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let mut stream = BufReader::new(stream);
     let mut injector = handle.injector();
     let mut payload = Vec::new();
     // The connection's EDF grant; `None` until its Hello.
@@ -967,41 +987,147 @@ fn refuse_and_close(writer: &Sender<WriterMsg>, req_id: u64) {
 }
 
 /// Own the write half; serialise responses; account the drain protocol.
-fn writer_loop(mut stream: ConnStream, rx: Receiver<WriterMsg>) {
+///
+/// Writes are coalesced through a [`BufWriter`]: the loop blocks for the
+/// first message of a burst, takes whatever else is already queued
+/// without blocking, and flushes when the channel is momentarily empty.
+/// A lone response therefore goes out at once, while a burst of
+/// `Accepted`/`CompletedV2` frames leaves in one `write` per 8 KiB
+/// buffer. `Drained` and whatever precedes it are flushed before the
+/// loop returns, and so is everything queued ahead of a `Close`. Frames
+/// are encoded into one reused buffer. The caller closes the socket.
+fn writer_loop<W: Write>(sink: W, rx: Receiver<WriterMsg>) {
+    let mut out = BufWriter::new(sink);
+    let mut frame = Vec::new();
+    let mut put = |out: &mut BufWriter<W>, resp: &Response| {
+        frame.clear();
+        encode_response(resp, PROTO_V2, &mut frame);
+        out.write_all(&frame)
+    };
     let mut accepted_seen: u64 = 0;
     let mut completed_seen: u64 = 0;
     let mut draining = false;
     // Loop ends when every sender (reader + pending slots) is gone:
     // nothing more can arrive.
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Close => break,
-            WriterMsg::DrainRequested => {
-                draining = true;
-            }
-            WriterMsg::Resp(resp) => {
-                match resp {
-                    Response::Accepted { .. } => accepted_seen += 1,
-                    Response::CompletedV2(_) => completed_seen += 1,
-                    _ => {}
+    'bursts: while let Ok(first) = rx.recv() {
+        let mut next = Some(first);
+        while let Some(msg) = next {
+            match msg {
+                WriterMsg::Close => break 'bursts,
+                WriterMsg::DrainRequested => draining = true,
+                WriterMsg::Resp(resp) => {
+                    match resp {
+                        Response::Accepted { .. } => accepted_seen += 1,
+                        Response::CompletedV2(_) => completed_seen += 1,
+                        _ => {}
+                    }
+                    if put(&mut out, &resp).is_err() {
+                        return;
+                    }
                 }
-                if write_response(&mut stream, &resp).is_err() {
-                    break;
-                }
             }
-        }
-        if draining && accepted_seen == completed_seen {
-            let _ = write_response(
-                &mut stream,
-                &Response::Drained {
+            if draining && accepted_seen == completed_seen {
+                let drained = Response::Drained {
                     completed: completed_seen,
-                },
-            );
-            break;
+                };
+                let _ = put(&mut out, &drained);
+                break 'bursts;
+            }
+            next = rx.try_recv().ok();
+        }
+        if out.flush().is_err() {
+            return;
         }
     }
-    // Actively half-close: the shutdown registry holds another clone of
-    // this socket, so merely dropping our FD would leave the client
-    // waiting for an EOF that never comes.
-    stream.shutdown_both();
+    let _ = out.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::decode_response;
+
+    /// A write sink that hands each `write` call's bytes to the test as
+    /// one chunk, so the chunk count is the syscall count a socket
+    /// would have paid.
+    struct ChunkSink(Sender<Vec<u8>>);
+
+    impl Write for ChunkSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn decode_all(mut wire: &[u8]) -> Vec<Response> {
+        let mut payload = Vec::new();
+        let mut out = Vec::new();
+        while read_frame(&mut wire, &mut payload).unwrap() {
+            out.push(decode_response(&payload).unwrap());
+        }
+        out
+    }
+
+    fn completed(req_id: u64) -> Response {
+        Response::CompletedV2(CompletedV2 {
+            req_id,
+            sojourn_ns: 30_000 + req_id,
+            inject_ns: 500,
+            deadline_ns: 5_000_000,
+            tardiness_ns: 0,
+            met: true,
+        })
+    }
+
+    #[test]
+    fn writer_coalesces_a_queued_burst() {
+        let (tx, rx) = mpsc::channel();
+        let mut expected = Vec::new();
+        for req_id in 0..256 {
+            for resp in [Response::Accepted { req_id }, completed(req_id)] {
+                tx.send(WriterMsg::Resp(resp.clone())).unwrap();
+                expected.push(resp);
+            }
+        }
+        tx.send(WriterMsg::DrainRequested).unwrap();
+        expected.push(Response::Drained { completed: 256 });
+        let (chunk_tx, chunks) = mpsc::channel();
+        // Returns on Drained although `tx` is still open.
+        writer_loop(ChunkSink(chunk_tx), rx);
+        let chunks: Vec<Vec<u8>> = chunks.iter().collect();
+        let wire = chunks.concat();
+        assert_eq!(decode_all(&wire), expected);
+        let bound = wire.len().div_ceil(8 * 1024) + 1;
+        assert!(
+            chunks.len() <= bound,
+            "{} writes for {} bytes of {} frames (bound {bound})",
+            chunks.len(),
+            wire.len(),
+            expected.len()
+        );
+    }
+
+    #[test]
+    fn writer_sends_a_lone_response_without_waiting() {
+        let (tx, rx) = mpsc::channel();
+        let (chunk_tx, chunks) = mpsc::channel();
+        let writer = std::thread::spawn(move || writer_loop(ChunkSink(chunk_tx), rx));
+        tx.send(WriterMsg::Resp(Response::Accepted { req_id: 1 }))
+            .unwrap();
+        // The channel stays open and nothing else is queued: the frame
+        // must reach the sink before a second message exists.
+        let first = chunks
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a lone response was held back");
+        assert_eq!(decode_all(&first), [Response::Accepted { req_id: 1 }]);
+        tx.send(WriterMsg::Resp(completed(1))).unwrap();
+        drop(tx);
+        writer.join().unwrap();
+        let rest: Vec<u8> = chunks.iter().flatten().collect();
+        assert_eq!(decode_all(&rest), [completed(1)]);
+    }
 }
