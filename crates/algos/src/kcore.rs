@@ -115,7 +115,6 @@ pub fn parallel_kcore(g: &CsrGraph, k: u64, cfg: ParSsspConfig) -> KcoreStats {
             threads: cfg.threads,
             seed: cfg.seed,
             spawn_batch: SPAWN_BATCH,
-            ..RuntimeConfig::default()
         },
         seeds,
         |w, v, _| {

@@ -73,7 +73,6 @@ pub(crate) fn relax<S: Scheduler<Weight>>(
             threads: cfg.threads,
             seed: cfg.seed,
             spawn_batch: SPAWN_BATCH,
-            ..RuntimeConfig::default()
         },
         seeds,
         |w, v, d| {

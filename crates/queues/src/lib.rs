@@ -134,11 +134,8 @@
 //! the pop engines ([`DCboQueue`], [`ConcurrentMultiQueue`]) record
 //! **steal/choice rounds** per pop, fallback **sweep lengths**, and
 //! **empty-pop** sweeps, and every `flush_session` counts published vs
-//! merged elements. The whole layer sits behind one process-wide gate
-//! (`RSCHED_TELEMETRY`, [`telemetry::set_enabled`]): when off, each
-//! instrumentation point costs a single relaxed atomic load and a
-//! predictable branch — no thread-local access, no stores. Benches
-//! bracket a measured window with [`telemetry::reset`] /
+//! merged elements. The layer has no switch: it records on every run.
+//! Benches bracket a measured window with [`telemetry::reset`] /
 //! [`telemetry::capture`] and export the resulting
 //! [`TelemetrySnapshot`] (bucket arrays + p50/p90/p99/p999/max) into
 //! their JSON records.
@@ -153,13 +150,14 @@
 //! worker inspectable. The event vocabulary covers the scheduler
 //! lifecycle: task inject/pop/complete, steal rounds, flush
 //! publish/merge, park/unpark, drain, admission reject. The layer is
-//! always compiled and gated by `RSCHED_TRACE` (default **off**; ring
-//! capacity via `RSCHED_TRACE_EVENTS`): disabled, every [`trace::emit`]
-//! is one relaxed load and a branch — the same discipline as the
-//! telemetry gate. [`TraceSink`] snapshots all lanes at `run()`/drain
-//! boundaries and exports Chrome trace-event JSON (`RSCHED_TRACE_OUT`)
-//! with one `tid` per lane and `B`/`E` spans for pop→complete, so any
-//! run opens directly in Perfetto or `chrome://tracing`.
+//! always compiled and gated by `RSCHED_TRACE` (default **off**), the
+//! workspace's one instrumentation switch: disabled, every
+//! [`trace::emit`] is one relaxed load and a branch.
+//! [`trace::export_if_configured`] snapshots all lanes at
+//! `run()`/drain boundaries and writes Chrome trace-event JSON
+//! (`RSCHED_TRACE_OUT`) with one `tid` per lane and `B`/`E` spans for
+//! pop→complete, so any run opens directly in Perfetto or
+//! `chrome://tracing`.
 
 pub mod builder;
 pub mod fifo;
@@ -180,7 +178,7 @@ pub use multiqueue::Placement;
 pub use multiqueue::{ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, SimMultiQueue};
 pub use spraylist::SprayList;
 pub use telemetry::{HistSnapshot, PowHistogram, TelemetrySnapshot};
-pub use trace::{EventKind, LaneSnapshot, TraceEvent, TraceSink};
+pub use trace::{EventKind, LaneSnapshot, TraceEvent};
 
 /// Sentinel meaning "item is not currently stored in the queue".
 pub(crate) const NOT_PRESENT: usize = usize::MAX;

@@ -18,10 +18,10 @@
 //!   folded into the global histograms when the thread exits or on
 //!   [`flush_local`]. Zero allocation after the first record on a
 //!   thread; zero shared-memory traffic per operation.
-//! * A process-wide enable gate ([`enabled`], env `RSCHED_TELEMETRY`,
-//!   default on): when off, every [`record`]/[`count`] call is one
-//!   relaxed atomic load and a predictable branch — no TLS access, no
-//!   stores.
+//!
+//! Recording is always on: there is no gate and no configuration, so
+//! every run carries its per-op tails. The one switchable layer is the
+//! flight recorder in [`trace`](crate::trace).
 //!
 //! What the crate records where:
 //!
@@ -48,7 +48,7 @@
 //! measure one configuration at a time (as the contention benches do).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets in a [`PowHistogram`]: bucket 0 holds the value 0,
 /// bucket `i` (1 ≤ i ≤ 62) holds `[2^(i-1), 2^i - 1]`, bucket 63 holds
@@ -234,38 +234,8 @@ pub enum OpCount {
 pub const N_COUNTS: usize = 3;
 
 // ---------------------------------------------------------------------
-// Global state + enable gate
+// Global state
 // ---------------------------------------------------------------------
-
-const GATE_UNSET: u8 = 0;
-const GATE_ON: u8 = 1;
-const GATE_OFF: u8 = 2;
-
-/// Tri-state so the first [`enabled`] call can consult the
-/// `RSCHED_TELEMETRY` environment variable exactly once.
-static GATE: AtomicU8 = AtomicU8::new(GATE_UNSET);
-
-/// `true` when recording is on. One relaxed load on the hot path.
-#[inline]
-pub fn enabled() -> bool {
-    match GATE.load(Ordering::Relaxed) {
-        GATE_ON => true,
-        GATE_OFF => false,
-        _ => init_gate_from_env(),
-    }
-}
-
-#[cold]
-fn init_gate_from_env() -> bool {
-    let on = std::env::var("RSCHED_TELEMETRY").map_or(true, |v| v != "0");
-    GATE.store(if on { GATE_ON } else { GATE_OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Turn recording on or off process-wide (overrides the env default).
-pub fn set_enabled(on: bool) {
-    GATE.store(if on { GATE_ON } else { GATE_OFF }, Ordering::Relaxed);
-}
 
 struct Global {
     hists: [PowHistogram; N_HISTS],
@@ -352,20 +322,16 @@ thread_local! {
     static RECORDER: RefCell<OpRecorder> = const { RefCell::new(OpRecorder::new()) };
 }
 
-/// Record one observation of `v` into histogram series `h`. No-op (one
-/// relaxed load) when telemetry is off.
+/// Record one observation of `v` into histogram series `h`.
 #[inline]
 pub fn record(h: OpHist, v: u64) {
-    if !enabled() {
-        return;
-    }
     let _ = RECORDER.try_with(|r| r.borrow_mut().record(h, v));
 }
 
-/// Add `n` to counter series `c`. No-op when telemetry is off or `n == 0`.
+/// Add `n` to counter series `c`. No-op when `n == 0`.
 #[inline]
 pub fn count(c: OpCount, n: u64) {
-    if n == 0 || !enabled() {
+    if n == 0 {
         return;
     }
     let _ = RECORDER.try_with(|r| r.borrow_mut().count(c, n));
@@ -451,8 +417,8 @@ impl HistSnapshot {
     }
 }
 
-/// Everything recorded over one measured window — what `PoolStats` and
-/// the contention benches export into the shared JSON schema.
+/// Everything recorded over one measured window — what [`capture`]
+/// returns and the serving layer's `Metrics` reply carries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Always empty: nothing feeds it any more (see the module docs).
@@ -593,7 +559,6 @@ mod tests {
     #[test]
     fn snapshot_quantiles_match_histogram() {
         reset();
-        set_enabled(true);
         for v in [0u64, 1, 2, 3, 200] {
             record(OpHist::Sweep, v);
         }
@@ -619,18 +584,5 @@ mod tests {
             (snap.registry_probes, snap.gc_deferred, snap.gc_collected),
             (0, 0, 0)
         );
-    }
-
-    #[test]
-    fn disabled_gate_drops_records() {
-        // Only checks the gate wiring; uses the series nothing in this
-        // crate feeds, to avoid racing tests that enable recording.
-        set_enabled(false);
-        let before = GLOBAL.hists[OpHist::Tick as usize].count();
-        record(OpHist::Tick, 42);
-        flush_local();
-        let after = GLOBAL.hists[OpHist::Tick as usize].count();
-        set_enabled(true);
-        assert_eq!(before, after, "disabled telemetry must not record");
     }
 }

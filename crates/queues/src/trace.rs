@@ -16,7 +16,7 @@
 //!   needs.
 //!
 //! Rings are single-producer (the owning thread) / snapshot-consumer
-//! (a [`TraceSink`] reading at `run()`/drain boundaries). Lanes are
+//! ([`snapshot`], read at `run()`/drain boundaries). Lanes are
 //! pooled: when a thread exits, its ring goes back to a free list and
 //! the next thread reuses it, so trial-per-rep benchmarks do not grow
 //! the registry without bound. Timestamps come from one process-wide
@@ -25,40 +25,40 @@
 //!
 //! # Gate
 //!
-//! The whole layer sits behind `RSCHED_TRACE` (default **off**, unlike
-//! telemetry): when off, each instrumentation point costs a single
-//! relaxed atomic load and a predictable branch — the same discipline
-//! as `RSCHED_TELEMETRY`. [`set_enabled`] overrides the env default
-//! (the runtime does this from `RuntimeConfig::trace`).
+//! This is the workspace's one instrumentation switch (the
+//! [`telemetry`](crate::telemetry) counters always record). It reads
+//! `RSCHED_TRACE` once, default **off**; [`set_enabled`] overrides it
+//! (tests use this). When off, each instrumentation point costs a
+//! single relaxed atomic load and a predictable branch.
 //!
 //! # Knobs
 //!
 //! | env | meaning | default |
 //! |---|---|---|
-//! | `RSCHED_TRACE` | master gate (`1` on, `0` off) | off |
-//! | `RSCHED_TRACE_EVENTS` | ring capacity in events (rounded up to a power of two, clamped to `[64, 1M]`) | 4096 |
+//! | `RSCHED_TRACE` | the gate (`1` on, `0` off) | off |
 //! | `RSCHED_TRACE_OUT` | Chrome-trace export path | `rsched_trace.json` |
+//!
+//! Each lane's ring holds the last [`RING_EVENTS`] events.
 //!
 //! # Export
 //!
-//! [`TraceSink::export`] snapshots every lane and writes Chrome
-//! trace-event JSON (the `chrome://tracing` / Perfetto format): one
-//! process (`pid` 1) per run, one `tid` per lane, `B`/`E` duration
-//! events for [`EventKind::TaskPop`] → [`EventKind::TaskComplete`]
-//! spans, and `i` instant events for everything else (parks, steals,
-//! flushes, admission rejects). Open the file at <https://ui.perfetto.dev>
-//! (or `chrome://tracing`) to see per-worker timelines. The runtime
-//! exports through [`export_if_configured`] at the end of every `run()`
-//! and at `ServiceHandle::join`; each export overwrites the last.
+//! [`chrome_trace_json`] renders lane snapshots as Chrome trace-event
+//! JSON (the `chrome://tracing` / Perfetto format): one process
+//! (`pid` 1) per run, one `tid` per lane, `B`/`E` duration events for
+//! [`EventKind::TaskPop`] → [`EventKind::TaskComplete`] spans, and `i`
+//! instant events for everything else (parks, steals, flushes,
+//! admission rejects). Open the file at <https://ui.perfetto.dev> (or
+//! `chrome://tracing`) to see per-worker timelines. The runtime exports
+//! through [`export_if_configured`] at the end of every `run()` and at
+//! `ServiceHandle::join`; each export overwrites the last.
 
 use std::cell::RefCell;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Enable gate (same tri-state idiom as telemetry::enabled)
+// Enable gate
 // ---------------------------------------------------------------------
 
 const GATE_UNSET: u8 = 0;
@@ -192,8 +192,9 @@ fn unpack(word: u64) -> (Option<EventKind>, u64) {
 // The ring
 // ---------------------------------------------------------------------
 
-/// Default ring capacity in events (16 bytes each → 64 KiB per lane).
-pub const DEFAULT_RING_EVENTS: usize = 4096;
+/// Ring capacity in events (16 bytes each → 64 KiB per lane); a power
+/// of two, so the head counter wraps into a slot index with a mask.
+pub const RING_EVENTS: usize = 4096;
 
 /// One 16-byte ring slot: the timestamp word and the packed
 /// kind/payload word, both relaxed atomics so a concurrent snapshot is
@@ -218,8 +219,8 @@ struct EventRing {
 }
 
 impl EventRing {
-    fn new(lane: usize, capacity: usize, label: String) -> Self {
-        let slots = (0..capacity)
+    fn new(lane: usize, label: String) -> Self {
+        let slots = (0..RING_EVENTS)
             .map(|_| Slot {
                 ts: AtomicU64::new(0),
                 word: AtomicU64::new(0),
@@ -256,15 +257,11 @@ struct Registry {
     rings: Vec<Arc<EventRing>>,
     /// Lanes whose owning thread exited, available for reuse.
     free: Vec<usize>,
-    /// Per-ring capacity, fixed the first time a lane is created
-    /// (reads `RSCHED_TRACE_EVENTS` once).
-    capacity: usize,
 }
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     rings: Vec::new(),
     free: Vec::new(),
-    capacity: 0,
 });
 
 /// The process-wide timestamp epoch: all lanes stamp nanoseconds since
@@ -276,23 +273,12 @@ fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-fn ring_capacity_from_env() -> usize {
-    let want = std::env::var("RSCHED_TRACE_EVENTS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RING_EVENTS);
-    want.clamp(64, 1 << 20).next_power_of_two()
-}
-
 fn acquire_ring() -> Arc<EventRing> {
     let label = std::thread::current()
         .name()
         .map(str::to_owned)
         .unwrap_or_default();
     let mut reg = REGISTRY.lock().unwrap();
-    if reg.capacity == 0 {
-        reg.capacity = ring_capacity_from_env();
-    }
     if let Some(lane) = reg.free.pop() {
         let ring = reg.rings[lane].clone();
         if !label.is_empty() {
@@ -306,7 +292,7 @@ fn acquire_ring() -> Arc<EventRing> {
     } else {
         label
     };
-    let ring = Arc::new(EventRing::new(lane, reg.capacity, label));
+    let ring = Arc::new(EventRing::new(lane, label));
     reg.rings.push(ring.clone());
     ring
 }
@@ -551,55 +537,19 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Writes flight-recorder snapshots to a Chrome-trace JSON file.
-///
-/// Construct one explicitly with a path, or let [`TraceSink::from_env`]
-/// decide: it returns a sink only when tracing is [`enabled`], with the
-/// path taken from `RSCHED_TRACE_OUT` (default `rsched_trace.json`).
-#[derive(Clone, Debug)]
-pub struct TraceSink {
-    path: PathBuf,
-}
-
-impl TraceSink {
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self { path: path.into() }
-    }
-
-    /// Where [`TraceSink::export`] writes.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The env-configured sink, or `None` when tracing is off.
-    pub fn from_env() -> Option<TraceSink> {
-        if !enabled() {
-            return None;
-        }
-        let path = std::env::var("RSCHED_TRACE_OUT").unwrap_or_else(|_| "rsched_trace.json".into());
-        Some(TraceSink::new(path))
-    }
-
-    /// Snapshot every lane and (over)write the Chrome-trace file.
-    /// Repeated exports are idempotent-by-latest: the file always holds
-    /// the most recent flight-recorder window, which is exactly the
-    /// wrap-around semantics of the rings themselves.
-    pub fn export(&self) -> std::io::Result<PathBuf> {
-        let json = chrome_trace_json(&snapshot());
-        std::fs::write(&self.path, json)?;
-        Ok(self.path.clone())
-    }
-}
-
-/// Export to the env-configured path if tracing is enabled; swallow
-/// (but report) I/O errors — a failed trace dump must never take down
-/// the run it was observing. The runtime calls this at `run()` /
-/// service-drain boundaries.
+/// If tracing is [`enabled`], snapshot every lane and (over)write
+/// `RSCHED_TRACE_OUT` (default `rsched_trace.json`) with its Chrome
+/// trace. The file always holds the latest window, matching the rings'
+/// own wrap-around semantics. I/O errors are reported, not raised — a
+/// failed trace dump must never take down the run it was observing.
+/// The runtime calls this at `run()` / service-drain boundaries.
 pub fn export_if_configured() {
-    if let Some(sink) = TraceSink::from_env() {
-        if let Err(e) = sink.export() {
-            eprintln!("rsched-trace: export to {:?} failed: {e}", sink.path());
-        }
+    if !enabled() {
+        return;
+    }
+    let path = std::env::var("RSCHED_TRACE_OUT").unwrap_or_else(|_| "rsched_trace.json".into());
+    if let Err(e) = std::fs::write(&path, chrome_trace_json(&snapshot())) {
+        eprintln!("rsched-trace: export to {path:?} failed: {e}");
     }
 }
 
@@ -650,13 +600,7 @@ mod tests {
         clear();
         drop_lane();
         // Force a private ring and overfill it.
-        let cap = {
-            let mut reg = REGISTRY.lock().unwrap();
-            if reg.capacity == 0 {
-                reg.capacity = ring_capacity_from_env();
-            }
-            reg.capacity
-        };
+        let cap = RING_EVENTS;
         let extra = 37;
         for i in 0..(cap + extra) {
             emit(EventKind::TaskInject, i as u64);
@@ -766,16 +710,5 @@ mod tests {
         assert!(json.contains("worker \\\"3\\\""), "labels are escaped");
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.ends_with("]}"));
-    }
-
-    #[test]
-    fn sink_from_env_respects_gate() {
-        let _g = TEST_LOCK.lock().unwrap();
-        set_enabled(false);
-        assert!(TraceSink::from_env().is_none());
-        set_enabled(true);
-        let sink = TraceSink::from_env().expect("enabled gate yields a sink");
-        assert!(!sink.path().as_os_str().is_empty());
-        set_enabled(false);
     }
 }

@@ -12,7 +12,6 @@ use rsched_queues::{PopSource, QueueBuilder, SessionConfig};
 
 #[test]
 fn steal_histogram_counts_choice_rounds_of_claiming_pops() {
-    telemetry::set_enabled(true);
     // Two shards, one of them home, and a deletion buffer of 8: the
     // unbatched pushes of a second session spread the items over both
     // shards.

@@ -20,7 +20,6 @@ use std::sync::Barrier;
 
 #[test]
 fn drop_flush_survives_thread_churn_under_concurrent_capture() {
-    telemetry::set_enabled(true);
     telemetry::reset();
 
     const ROUNDS: usize = 20;

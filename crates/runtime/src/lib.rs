@@ -47,25 +47,23 @@
 //!   steals, pop misses and publishing flushes, per worker, without a
 //!   single shared atomic on the hot path; [`PoolStats`] carries both
 //!   the worker-phase wall clock and the whole-call wall clock.
-//! * When [`RuntimeConfig::telemetry`] is on (env `RSCHED_TELEMETRY`,
-//!   default on), [`run`] brackets the computation with a
-//!   `rsched_queues::telemetry` window and returns the captured
-//!   per-op progress snapshot (steal-round / sweep-length histograms,
-//!   empty pops, flush merge ratios) in [`PoolStats::telemetry`] — the
-//!   tail evidence for whatever queue the run drove. Disabled, every
-//!   instrumentation point in the queues collapses to one relaxed
-//!   atomic load and a predictable branch.
-//! * When [`RuntimeConfig::trace`] is on (env `RSCHED_TRACE`, default
-//!   off), the pool additionally feeds the **flight recorder**
-//!   (`rsched_queues::trace`): per-worker lock-free event rings record
-//!   task inject/pop/complete, steal rounds, flush publish/merge,
+//! * [`run`] opens a `rsched_queues::telemetry` window (`reset`)
+//!   before seeding; the caller reads it with `telemetry::capture()`
+//!   after the call. The queues record per-op tails (steal-round and
+//!   sweep-length histograms, empty pops, flush merge counts) on every
+//!   run; the service loop adds per-task handler durations.
+//! * The pool feeds the **flight recorder** (`rsched_queues::trace`),
+//!   the workspace's one instrumentation switch (`RSCHED_TRACE`,
+//!   default off): per-worker lock-free event rings record task
+//!   inject/pop/complete, steal rounds, flush publish/merge,
 //!   park/unpark and drain with nanosecond timestamps, wrapping so a
 //!   crash or stall always leaves each worker's last events
 //!   inspectable. [`run`] and `ServiceHandle::join` are snapshot
-//!   points: with `RSCHED_TRACE_OUT` set they export Chrome trace-event
-//!   JSON that opens directly in Perfetto (`RSCHED_TRACE_EVENTS` sizes
-//!   the rings). Disabled, each probe is the same one-relaxed-load-and-
-//!   branch discipline as telemetry.
+//!   points: they export Chrome trace-event JSON to `RSCHED_TRACE_OUT`
+//!   that opens directly in Perfetto. Disabled, each probe is one
+//!   relaxed load and a branch.
+//! * [`RuntimeConfig`] holds the pool's shape only — threads, seed,
+//!   spawn batch — and the crate reads no environment variables.
 //! * [`map_chunks`] is the fork-join companion for level-synchronous
 //!   phases (Δ-stepping's edge-relaxation passes).
 //!
@@ -102,7 +100,6 @@
 //! ```
 
 mod adapters;
-pub mod env;
 pub mod pool;
 pub mod service;
 pub mod termination;
@@ -231,6 +228,77 @@ mod tests {
         );
         let order = order.into_inner().unwrap();
         assert_eq!(order, (0..100).collect::<Vec<_>>(), "1 queue = exact order");
+    }
+
+    /// Runs `body` on a helper thread and returns its panic message, or
+    /// fails if it returned normally or was still running after 5 s.
+    fn panics_within_5s(body: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+            let _ = tx.send(outcome.map_err(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            Ok(Err(message)) => {
+                helper.join().expect("the helper caught the panic");
+                message
+            }
+            Ok(Ok(())) => panic!("the pool returned normally despite a panicking handler"),
+            Err(_) => panic!("the pool was still running 5 s after its handler panicked"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_fails_run_instead_of_hanging() {
+        let message = panics_within_5s(|| {
+            let queue = QueueBuilder::new(4).universe(100).multiqueue::<u64>();
+            run(
+                &queue,
+                RuntimeConfig {
+                    threads: 2,
+                    seed: 1,
+                    ..RuntimeConfig::default()
+                },
+                (0..100usize).map(|i| (i, i as u64)),
+                |_, item, _| {
+                    assert_ne!(item, 3, "handler failed on item 3");
+                    TaskOutcome::Executed
+                },
+            );
+        });
+        assert!(message.contains("item 3"), "re-raised {message:?}");
+    }
+
+    #[test]
+    fn a_panicking_handler_fails_service_join_instead_of_hanging() {
+        let message = panics_within_5s(|| {
+            let queue = std::sync::Arc::new(QueueBuilder::new(4).universe(100).multiqueue::<u64>());
+            let handle = service(
+                queue,
+                RuntimeConfig {
+                    threads: 2,
+                    seed: 1,
+                    ..RuntimeConfig::default()
+                },
+                |_, item, _| {
+                    assert_ne!(item, 3, "handler failed on item 3");
+                    TaskOutcome::Executed
+                },
+            );
+            let mut inj = handle.injector();
+            for i in 0..100usize {
+                inj.inject(i, i as u64);
+            }
+            drop(inj);
+            handle.join();
+        });
+        assert!(message.contains("item 3"), "re-raised {message:?}");
     }
 
     #[test]

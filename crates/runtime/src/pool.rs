@@ -16,7 +16,9 @@
 //!   termination;
 //! * quiescence termination detection ([`ActiveCounter`]) over queued
 //!   plus in-flight tasks (buffered spawns count as in flight until
-//!   their flush resolves them);
+//!   their flush resolves them); a worker whose handler panics poisons
+//!   the counter, the others leave at their next idle check, and [`run`]
+//!   re-raises the panic;
 //! * per-worker statistics ([`WorkerStats`]) kept in plain worker-local
 //!   memory and aggregated lock-free at join time ([`PoolStats`]).
 //!
@@ -32,7 +34,7 @@ use crate::termination::{ActiveCounter, CounterSlot};
 use crossbeam::utils::Backoff;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rsched_queues::telemetry::{self, TelemetrySnapshot};
+use rsched_queues::telemetry;
 use rsched_queues::trace::{self, EventKind};
 use rsched_queues::{FlushReport, PopSource, PushOutcome, SessionConfig, SessionPush};
 use std::marker::PhantomData;
@@ -113,28 +115,14 @@ pub struct RuntimeConfig {
     /// to 1 (publish immediately, pop one at a time); callers that batch
     /// set it themselves.
     pub spawn_batch: usize,
-    /// Per-op progress telemetry (retry/steal/sweep histograms, event
-    /// counters — see `rsched_queues::telemetry`). When off, every
-    /// instrumentation point is one relaxed load and a branch. Defaults
-    /// to the `RSCHED_TELEMETRY` environment variable (`0` disables),
-    /// else on.
-    pub telemetry: bool,
-    /// Flight-recorder tracing (per-worker event rings + Chrome-trace
-    /// export — see `rsched_queues::trace`). When off (the default),
-    /// every instrumentation point is one relaxed load and a branch.
-    /// Defaults to the `RSCHED_TRACE` environment variable, else off.
-    pub trace: bool,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        use crate::env::env_usize;
         Self {
             threads: 4,
             seed: 0,
             spawn_batch: 1,
-            telemetry: env_usize("RSCHED_TELEMETRY", 1) != 0,
-            trace: env_usize("RSCHED_TRACE", 0) != 0,
         }
     }
 }
@@ -161,6 +149,10 @@ impl RuntimeConfig {
 
 /// Counters one worker accumulates locally (no atomics — each worker owns
 /// its struct and the pool aggregates at join time).
+///
+/// Every counter only grows. Each `spawn` announces one element and
+/// each announced element is either popped or merged away, so after a
+/// [`run`] whose seeds all inserted, `pops = seeds + spawned − merged`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Successful pops from the scheduler.
@@ -172,11 +164,13 @@ pub struct WorkerStats {
     /// Pops whose handler returned [`TaskOutcome::Blocked`] (the paper's
     /// extra steps); each one was re-queued.
     pub extra: u64,
-    /// `spawn` calls that inserted a net-new element (buffered spawns
-    /// count here until a flush reports them merged).
+    /// `spawn` calls (blocked re-queues included); each one announced
+    /// one element.
     pub spawned: u64,
-    /// `spawn` calls merged into an existing entry (decrease-key hits,
-    /// in the shared structure or inside the session's spawn buffer).
+    /// Announced elements that merged into an existing entry instead of
+    /// staying one: decrease-key hits at push (in the shared structure
+    /// or inside the session's spawn buffer), and parked spawns or
+    /// parked pops that merged when a flush published them.
     pub merged: u64,
     /// Pops served by the worker's own home shard, or by the
     /// MultiQueue session's deletion buffer.
@@ -218,10 +212,6 @@ pub struct PoolStats {
     /// Wall-clock time of the whole [`run`] call, seeding included —
     /// benches no longer re-derive elapsed time around the call.
     pub total_wall: Duration,
-    /// Per-op progress telemetry captured over this run, when
-    /// [`RuntimeConfig::telemetry`] was on. The underlying state is
-    /// process-global: concurrent `run` calls fold into one snapshot.
-    pub telemetry: Option<TelemetrySnapshot>,
 }
 
 impl PoolStats {
@@ -263,33 +253,32 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
     /// merged pushes retract the announcement.
     pub fn spawn(&mut self, item: usize, prio: P) {
         self.slot.task_added();
+        self.stats.spawned += 1;
         trace::emit(EventKind::TaskInject, item as u64);
         let queue = self.queue;
         let out = queue.push(&mut self.session, item, prio);
-        match out.push {
-            SessionPush::Inserted | SessionPush::Buffered => self.stats.spawned += 1,
-            SessionPush::Merged => {
-                self.slot.tasks_done(1);
-                self.stats.merged += 1;
-            }
+        if out.push == SessionPush::Merged {
+            self.slot.tasks_done(1);
+            self.stats.merged += 1;
         }
         self.absorb_flush(out.flushed);
     }
 
-    /// Fold a flush report into the stats and the termination counter:
+    /// Fold a flush report into the termination counter and the stats:
     /// parked elements were presumed net-new when announced; the ones
-    /// that merged retract their announcement now.
+    /// that merged retract their announcement now. A flush also pushes
+    /// back parked pops, which this worker never spawned, so the merges
+    /// only ever add to [`WorkerStats::merged`].
     fn absorb_flush(&mut self, report: FlushReport) {
+        if report.merged > 0 {
+            self.slot.tasks_done(report.merged);
+            self.stats.merged += report.merged;
+        }
         if report.published > 0 {
             trace::emit(EventKind::FlushPublish, report.published);
             if report.merged > 0 {
                 trace::emit(EventKind::FlushMerge, report.merged);
             }
-        }
-        if report.merged > 0 {
-            self.stats.spawned -= report.merged;
-            self.stats.merged += report.merged;
-            self.slot.tasks_done(report.merged);
         }
     }
 
@@ -393,6 +382,14 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
     }
 }
 
+impl<P: Copy, S: Scheduler<P> + ?Sized> Drop for Worker<'_, P, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.counter.poison();
+        }
+    }
+}
+
 /// Drive `queue` to quiescence with `cfg.threads` workers.
 ///
 /// `initial` seeds the queue before workers start (through a session of
@@ -401,7 +398,11 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
 /// reports what happened as a [`TaskOutcome`]; children are spawned from
 /// inside the handler via [`Worker::spawn`]. The call returns when every
 /// task is done and no worker can produce more — the quiescence point of
-/// the whole computation.
+/// the whole computation. If a handler panics, the other workers stop
+/// at their next pop miss and `run` re-raises that panic.
+///
+/// `run` opens a `rsched_queues::telemetry` window (`reset`) before
+/// seeding; callers read it with `telemetry::capture()` after the call.
 ///
 /// # Examples
 ///
@@ -441,13 +442,10 @@ where
 {
     assert!(cfg.threads >= 1, "runtime needs at least one worker");
     let t0 = Instant::now();
-    telemetry::set_enabled(cfg.telemetry);
-    trace::set_enabled(cfg.trace);
-    if cfg.telemetry {
-        // Start a fresh measurement window covering seeding + workers.
-        // The state is process-global; overlapping runs share a window.
-        telemetry::reset();
-    }
+    // Start a fresh telemetry window covering seeding + workers; the
+    // caller captures it after the call. The state is process-global:
+    // overlapping runs share a window.
+    telemetry::reset();
     let counter = ActiveCounter::for_workers(cfg.threads);
     {
         // Seed through a session of the seeding thread's own; the final
@@ -469,7 +467,7 @@ where
         counter.tasks_done(report.merged);
     }
     let start = Instant::now();
-    let per_worker: Vec<WorkerStats> = std::thread::scope(|scope| {
+    let per_worker = join_workers(std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|tid| {
                 let counter = &counter;
@@ -481,20 +479,14 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("runtime worker panicked"))
-            .collect()
-    });
+        handles.into_iter().map(|h| h.join()).collect()
+    }));
     let wall = start.elapsed();
     debug_assert!(counter.is_quiescent());
     let mut total = WorkerStats::default();
     for w in &per_worker {
         total.merge(w);
     }
-    // Scoped workers have exited (their recorders auto-flushed); the
-    // seeding happened on this thread, so capture() folds it in too.
-    let snapshot = cfg.telemetry.then(telemetry::capture);
     // A run() boundary is a flight-recorder snapshot point: workers are
     // quiescent, so the export sees consistent rings. Repeated runs
     // overwrite the file — it always holds the latest window, matching
@@ -505,8 +497,16 @@ where
         per_worker,
         wall,
         total_wall: t0.elapsed(),
-        telemetry: snapshot,
     }
+}
+
+/// The stats of every joined worker, or — if any worker panicked — that
+/// worker's panic, re-raised once all of them have been joined.
+pub(crate) fn join_workers(joined: Vec<std::thread::Result<WorkerStats>>) -> Vec<WorkerStats> {
+    joined
+        .into_iter()
+        .collect::<std::thread::Result<_>>()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 fn worker_loop<P, S, F>(worker: &mut Worker<'_, P, S>, handler: &F)
@@ -535,6 +535,11 @@ where
                 }
                 if worker.counter.wait_or_quiescent(&backoff) {
                     trace::emit(EventKind::Drain, worker.tid as u64);
+                    break;
+                }
+                // A panicked worker never finishes its task, so
+                // quiescence would never come.
+                if worker.counter.is_poisoned() {
                     break;
                 }
             }
@@ -569,4 +574,50 @@ where
             .map(|h| h.join().expect("map_chunks worker panicked"))
             .collect()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsched_queues::QueueBuilder;
+
+    #[test]
+    fn parked_pops_that_merge_on_flush_count_as_merged_not_unspawned() {
+        // One shard, so the worker's first pop claims item 0 and parks
+        // its 8 successors in the deletion buffer (spawn_batch 64 →
+        // min(64 / 8, 8) = 8).
+        let queue = QueueBuilder::new(1).universe(16).multiqueue::<u64>();
+        let counter = ActiveCounter::for_workers(1);
+        let mut other = queue.open_session(&SessionConfig::for_worker(1, 2));
+        for item in 0..9usize {
+            counter.task_added();
+            queue.push(&mut other, item, item as u64);
+        }
+        let cfg = RuntimeConfig {
+            threads: 1,
+            seed: 3,
+            spawn_batch: 64,
+        };
+        let mut worker = Worker::open(0, &cfg, &queue, &counter);
+        assert_eq!(worker.try_pop().map(|(task, _)| task), Some((0, 0)));
+        assert_eq!(
+            queue.len(),
+            0,
+            "the 8 successors sit in the deletion buffer"
+        );
+        // Another session pushes the parked items back: each is net-new
+        // in the shard, so the parked copies merge when they publish.
+        for item in 1..9usize {
+            counter.task_added();
+            queue.push(&mut other, item, item as u64);
+        }
+        assert!(
+            worker.flush_on_miss(),
+            "the flush published the parked pops"
+        );
+        assert_eq!(worker.stats.merged, 8);
+        assert_eq!(worker.stats.spawned, 0, "the worker spawned nothing");
+        // 17 announced, 8 retracted: item 0 in hand plus 8 queued.
+        assert_eq!(counter.active(), 9);
+    }
 }

@@ -35,7 +35,9 @@
 //! relaxed-queue raciness (a pop can miss an element that is visible
 //! to the counter but still migrating between shards).
 
-use crate::pool::{PoolStats, RuntimeConfig, Scheduler, TaskOutcome, Worker, WorkerStats};
+use crate::pool::{
+    join_workers, PoolStats, RuntimeConfig, Scheduler, TaskOutcome, Worker, WorkerStats,
+};
 use crate::termination::ActiveCounter;
 use crossbeam::utils::Backoff;
 use rsched_queues::telemetry;
@@ -202,17 +204,13 @@ where
 
     /// Graceful drain: [`shutdown`](Self::shutdown) (if not already
     /// flagged), wait for every worker to finish its backlog, and
-    /// return the aggregated [`PoolStats`]. `telemetry` is `None` —
-    /// a long-lived service measures explicit windows via
-    /// `rsched_queues::telemetry::{reset, capture}` instead of
-    /// one implicit whole-run window.
+    /// return the aggregated [`PoolStats`]. If a handler panicked, the
+    /// other workers stop at their next pop miss and `join` re-raises
+    /// that panic. A long-lived service measures telemetry over
+    /// explicit windows via `rsched_queues::telemetry::{reset, capture}`.
     pub fn join(self) -> PoolStats {
         self.shutdown();
-        let per_worker: Vec<WorkerStats> = self
-            .workers
-            .into_iter()
-            .map(|h| h.join().expect("service worker panicked"))
-            .collect();
+        let per_worker = join_workers(self.workers.into_iter().map(|h| h.join()).collect());
         debug_assert!(self.core.counter.is_quiescent());
         let mut total = WorkerStats::default();
         for w in &per_worker {
@@ -227,7 +225,6 @@ where
             per_worker,
             wall,
             total_wall: wall,
-            telemetry: None,
         }
     }
 }
@@ -270,8 +267,6 @@ where
     F: Fn(&mut Worker<'_, P, S>, usize, P) -> TaskOutcome + Send + Sync + 'static,
 {
     assert!(cfg.threads >= 1, "service needs at least one worker");
-    telemetry::set_enabled(cfg.telemetry);
-    trace::set_enabled(cfg.trace);
     let core = Arc::new(ServiceCore {
         counter: ActiveCounter::for_workers(cfg.threads),
         idle: IdleGate::default(),
@@ -312,17 +307,13 @@ where
         match worker.try_pop() {
             Some(((item, prio), source)) => {
                 backoff.reset();
-                // Per-op duration ticks, read by the `Metrics` reply:
-                // only pay for the clock reads when the telemetry
-                // window is actually recording.
-                let op_start = telemetry::enabled().then(Instant::now);
+                // Per-op duration ticks, read by the `Metrics` reply.
+                let op_start = Instant::now();
                 worker.execute_popped(handler, item, prio, source, &blocked);
-                if let Some(t) = op_start {
-                    telemetry::record(
-                        telemetry::OpHist::Tick,
-                        t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                    );
-                }
+                telemetry::record(
+                    telemetry::OpHist::Tick,
+                    op_start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                );
             }
             None => {
                 if worker.flush_on_miss() {
@@ -331,6 +322,11 @@ where
                 let quiescent = worker.counter().is_quiescent();
                 if quiescent && core.shutdown.load(Ordering::Acquire) {
                     trace::emit(EventKind::Drain, tid as u64);
+                    break;
+                }
+                // A panicked worker never finishes its task, so
+                // quiescence would never come.
+                if worker.counter().is_poisoned() {
                     break;
                 }
                 if quiescent {

@@ -11,7 +11,7 @@
 //! here when the runtime became the single concurrency substrate.
 
 use crossbeam::utils::{Backoff, CachePadded};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One monotone `(added, done)` pair of an [`ActiveCounter`], on a cache
 /// line of its own.
@@ -64,6 +64,10 @@ impl CounterSlot {
 /// every instant, so equal sums mean the pool was quiescent between the
 /// two passes — and quiescence, once reached, is stable.
 ///
+/// A worker whose handler panics never announces its task done, so the
+/// pool can never become quiescent: the worker poisons the counter as
+/// it unwinds, and the runtime's idle paths stop waiting.
+///
 /// # Examples
 ///
 /// ```
@@ -79,6 +83,8 @@ impl CounterSlot {
 pub struct ActiveCounter {
     /// `slots[0]` is the shared slot, `slots[1 + tid]` worker `tid`'s.
     slots: Box<[CachePadded<CounterSlot>]>,
+    /// Set by a pool worker that panicked.
+    poisoned: AtomicBool,
 }
 
 impl Default for ActiveCounter {
@@ -98,7 +104,18 @@ impl ActiveCounter {
     pub fn for_workers(workers: usize) -> Self {
         Self {
             slots: (0..=workers).map(|_| CachePadded::default()).collect(),
+            poisoned: AtomicBool::new(false),
         }
+    }
+
+    /// Mark the pool as unable to reach quiescence (a worker panicked).
+    pub(crate) fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+    }
+
+    /// `true` once a worker panicked; idle workers then leave their loop.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
     }
 
     /// Worker `tid`'s own slot, for that worker's thread alone to

@@ -1,8 +1,7 @@
 //! The flight recorder's Chrome-trace export, checked on a real `run()`.
 //!
 //! Lives in its own integration-test binary on purpose: the trace gate
-//! and the lane registry are process-global, and `run()` sets the gate
-//! from its config.
+//! and the lane registry are process-global.
 
 use rsched_queues::trace::{self, EventKind};
 use rsched_queues::QueueBuilder;
@@ -42,6 +41,7 @@ fn timed_events(json: &str) -> Vec<(char, u64, u64)> {
 fn traced_run_exports_a_well_formed_chrome_trace() {
     let out = std::env::temp_dir().join(format!("rsched-trace-test-{}.json", std::process::id()));
     std::env::set_var("RSCHED_TRACE_OUT", &out);
+    trace::set_enabled(true);
     let threads = 4;
     let queue = QueueBuilder::new(2 * threads).multiqueue::<u64>();
     run(
@@ -49,7 +49,6 @@ fn traced_run_exports_a_well_formed_chrome_trace() {
         RuntimeConfig {
             threads,
             seed: 0x7AC3,
-            trace: true,
             ..RuntimeConfig::default()
         },
         (0..2000).map(|i| (i, 3)),

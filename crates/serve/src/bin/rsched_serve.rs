@@ -15,9 +15,19 @@
 //! so harnesses can wait for readiness, and on a timed exit it prints
 //! the final conservation counters and sojourn quantiles.
 
-use rsched_runtime::env::{env_f64, env_usize};
 use rsched_serve::{Backend, Endpoint, ServeConfig, Server};
+use std::str::FromStr;
 use std::time::Duration;
+
+/// A numeric knob from the environment, falling back to `default` when
+/// unset or unparsable — a typo'd knob degrades to the documented
+/// default instead of aborting a long benchmark run.
+fn env_or<T: FromStr>(key: &str, default: T) -> T {
+    std::env::var(key)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 fn main() {
     let addr = std::env::var("RSCHED_SERVE_ADDR").unwrap_or_else(|_| "tcp:127.0.0.1:7411".into());
@@ -41,11 +51,11 @@ fn main() {
     let cfg = ServeConfig {
         endpoint,
         backend,
-        threads: env_usize("RSCHED_SERVE_THREADS", 2).max(1),
-        queue_cap: env_usize("RSCHED_SERVE_CAP", 4096).max(1),
+        threads: env_or("RSCHED_SERVE_THREADS", 2usize).max(1),
+        queue_cap: env_or("RSCHED_SERVE_CAP", 4096usize).max(1),
         ..ServeConfig::default()
     };
-    let lifetime_s = env_f64("RSCHED_SERVE_LIFETIME_S", 0.0);
+    let lifetime_s = env_or("RSCHED_SERVE_LIFETIME_S", 0.0f64);
 
     let server = match Server::start(cfg.clone()) {
         Ok(s) => s,
@@ -88,5 +98,31 @@ fn main() {
         loop {
             std::thread::sleep(Duration::from_secs(3600));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_or;
+
+    // Process-global env mutation: each test uses its own unique key so
+    // parallel test threads cannot interfere.
+
+    #[test]
+    fn usize_knob_defaults_and_parses() {
+        assert_eq!(env_or("RSCHED_ENV_TEST_UNSET_A", 7usize), 7);
+        std::env::set_var("RSCHED_ENV_TEST_A", "42");
+        assert_eq!(env_or("RSCHED_ENV_TEST_A", 7usize), 42);
+        std::env::set_var("RSCHED_ENV_TEST_A", "nope");
+        assert_eq!(env_or("RSCHED_ENV_TEST_A", 7usize), 7);
+        std::env::remove_var("RSCHED_ENV_TEST_A");
+    }
+
+    #[test]
+    fn float_knob_defaults_and_parses() {
+        assert!((env_or("RSCHED_ENV_TEST_UNSET_D", 0.4f64) - 0.4).abs() < 1e-12);
+        std::env::set_var("RSCHED_ENV_TEST_D", "0.25");
+        assert!((env_or("RSCHED_ENV_TEST_D", 0.4f64) - 0.25).abs() < 1e-12);
+        std::env::remove_var("RSCHED_ENV_TEST_D");
     }
 }

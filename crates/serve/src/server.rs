@@ -167,9 +167,6 @@ impl Backend {
         }
     }
 
-    /// Every backend, in the order benches sweep them.
-    pub const ALL: [Backend; 2] = [Backend::Mq, Backend::Dcbo];
-
     /// Feature bits a server on this backend grants in a [`HelloAck`]:
     /// EDF only where the queue orders by key — `dcbo` is a FIFO and
     /// runs arrival order whatever key a task carries.

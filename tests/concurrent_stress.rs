@@ -575,7 +575,6 @@ fn runtime_home_shard_steal_accounting() {
             threads: 8,
             seed: 11,
             spawn_batch: 4,
-            ..RuntimeConfig::default()
         },
         (0..n / 2).map(|i| (2 * i, 1u64)),
         |w, item, depth| {
@@ -605,7 +604,6 @@ fn runtime_home_shard_steal_accounting() {
             threads: 1,
             seed: 0,
             spawn_batch: 8,
-            ..RuntimeConfig::default()
         },
         (0..1_000usize).map(|i| (i, 0u64)),
         |_, _, _| TaskOutcome::Executed,
@@ -637,7 +635,6 @@ fn runtime_batched_spawns_conserve_with_merges() {
             threads: 4,
             seed: 21,
             spawn_batch: 8,
-            ..RuntimeConfig::default()
         },
         [(0usize, 0u64)],
         |w, item, prio| {
@@ -655,8 +652,9 @@ fn runtime_batched_spawns_conserve_with_merges() {
     );
     assert_eq!(
         stats.total.pops,
-        // Seed + net spawns: every pop consumes one announced element.
-        1 + stats.total.spawned,
+        // Every announced element (the seed and each spawn) is either
+        // popped or merged away.
+        1 + stats.total.spawned - stats.total.merged,
         "announced elements and pops disagree"
     );
 
@@ -671,7 +669,6 @@ fn runtime_batched_spawns_conserve_with_merges() {
             threads: 4,
             seed: 9,
             spawn_batch: 4,
-            ..RuntimeConfig::default()
         },
         (0..n).map(|i| (i, i as u64)),
         |_, item, _| {
