@@ -11,7 +11,7 @@
 //! * [`parallel_sssp`] — the **concurrent** variant behind Figures 1 and 2:
 //!   worker threads share an atomic distance array and a keyed
 //!   [`ConcurrentMultiQueue`] — the paper's design: `queues = multiplier ×
-//!   threads` sequential binary heaps, each behind a try-lock, items
+//!   threads` sequential indexed heaps, each behind a try-lock, items
 //!   hashed consistently to their heap so `push_or_decrease` finds them.
 //!   Workers reach it through buffered sessions (`SPAWN_BATCH` = 64):
 //!   relaxed neighbours park in a spawn buffer that is published one lock

@@ -21,9 +21,8 @@
 //!   used by the benchmark harness to print paper-vs-measured comparisons;
 //! * [`parallel`] — the concurrent iterative execution model
 //!   ([`ConcurrentIncremental`], [`run_relaxed_parallel`]), hosted on the
-//!   shared `rsched-runtime` worker pool; the termination-detection
-//!   utilities it used to own live in `rsched-runtime` now and are
-//!   re-exported here.
+//!   shared `rsched-runtime` worker pool, which owns termination
+//!   detection.
 
 pub mod adversary;
 pub mod executor;
@@ -36,5 +35,5 @@ pub use executor::{
     run_exact, run_relaxed, run_relaxed_traced, run_relaxed_with, ExecStats, IncrementalAlgorithm,
     TraceEntry,
 };
-pub use parallel::{run_relaxed_parallel, ActiveCounter, ConcurrentIncremental, ParExecStats};
+pub use parallel::{run_relaxed_parallel, ConcurrentIncremental, ParExecStats};
 pub use transactional::{run_transactional, TxConfig, TxStats, TxStrategy};

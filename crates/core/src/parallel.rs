@@ -1,16 +1,12 @@
-//! The concurrent execution model (Section 7 experiments), now hosted on
+//! The concurrent execution model (Section 7 experiments), hosted on
 //! the shared [`rsched-runtime`](rsched_runtime) worker pool.
 //!
-//! This module used to own its own thread pool, termination detection and
-//! statistics plumbing; all of that machinery lives in `rsched-runtime`
-//! today (see [`ActiveCounter`], [`rsched_runtime::run`])
-//! and is re-exported here for compatibility. What remains local is the
-//! *model*: the [`ConcurrentIncremental`] trait and the relaxed iterative
+//! The thread pool, termination detection and statistics plumbing live
+//! in `rsched-runtime` (see [`rsched_runtime::run`]). This module holds
+//! the *model*: the [`ConcurrentIncremental`] trait and the relaxed iterative
 //! executor [`run_relaxed_parallel`], which is a task handler over the
 //! runtime — pop a label, process it if its dependencies are satisfied,
 //! otherwise report it blocked and let the runtime re-queue it.
-
-pub use rsched_runtime::ActiveCounter;
 
 use rsched_queues::QueueBuilder;
 use rsched_runtime::{run, RuntimeConfig, TaskOutcome};

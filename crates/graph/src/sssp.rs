@@ -1,6 +1,6 @@
 //! Exact sequential shortest-path baselines.
 //!
-//! * [`dijkstra`] — the classic algorithm with an indexed binary heap and
+//! * [`dijkstra`] — the classic algorithm with an indexed 4-ary heap and
 //!   DecreaseKey. This is the paper's sequential baseline: its processed-task
 //!   count (`pops`, one per reachable vertex) is the denominator of the
 //!   *overhead* metric in Figure 1 ("the average number of tasks executed in

@@ -1,4 +1,4 @@
-//! Indexed (addressable) binary min-heap with `decrease_key` and
+//! Indexed (addressable) 4-ary min-heap with `decrease_key` and
 //! remove-by-id, the exact priority queue used throughout this workspace.
 //!
 //! Items are dense `usize` ids; the heap keeps a position table so that
@@ -6,11 +6,25 @@
 //! Priority ties are broken by item id, giving a deterministic total order
 //! that the instrumentation layer (and the adversarial scheduler in
 //! `rsched-core`) relies on.
+//!
+//! Four children per node halve the depth of a binary heap. Sifts move a
+//! *hole*: each entry on the path moves, and has its position written,
+//! once. Positions are `u32`, which halves the position table and bounds
+//! a heap to `u32::MAX` entries.
 
-use crate::{DecreaseKey, PriorityQueue, NOT_PRESENT};
+use crate::{DecreaseKey, PriorityQueue};
 
-/// A binary min-heap over `(priority, item)` pairs with an id → slot index,
-/// supporting `decrease_key` and arbitrary `remove` in `O(log n)`.
+/// Children per node.
+const ARITY: usize = 4;
+
+/// Position-table sentinel for an item not in the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// A 4-ary min-heap over `(priority, item)` pairs with an id → slot
+/// index, supporting `decrease_key` and arbitrary `remove` in `O(log n)`.
+///
+/// The name predates the arity: every pop sequence is fixed by the
+/// `(priority, item)` order alone. `push` panics past `u32::MAX` entries.
 ///
 /// # Examples
 ///
@@ -32,8 +46,8 @@ use crate::{DecreaseKey, PriorityQueue, NOT_PRESENT};
 pub struct IndexedBinaryHeap<P> {
     /// Heap-ordered array of `(priority, item)`.
     slots: Vec<(P, usize)>,
-    /// `pos[item]` = index into `slots`, or `NOT_PRESENT`.
-    pos: Vec<usize>,
+    /// `pos[item]` = index into `slots`, or `ABSENT`.
+    pos: Vec<u32>,
 }
 
 impl<P: Ord + Copy> Default for IndexedBinaryHeap<P> {
@@ -56,7 +70,7 @@ impl<P: Ord + Copy> IndexedBinaryHeap<P> {
     pub fn with_universe(universe: usize) -> Self {
         Self {
             slots: Vec::new(),
-            pos: vec![NOT_PRESENT; universe],
+            pos: vec![ABSENT; universe],
         }
     }
 
@@ -82,13 +96,10 @@ impl<P: Ord + Copy> IndexedBinaryHeap<P> {
     ///
     /// Returns the old priority, or `None` if `item` is absent.
     pub fn change_key(&mut self, item: usize, prio: P) -> Option<P> {
-        let slot = *self.pos.get(item)?;
-        if slot == NOT_PRESENT {
-            return None;
-        }
+        let slot = self.slot_of(item)?;
         let old = self.slots[slot].0;
         self.slots[slot].0 = prio;
-        if (prio, item) < (old, item) {
+        if prio < old {
             self.sift_up(slot);
         } else {
             self.sift_down(slot);
@@ -96,84 +107,104 @@ impl<P: Ord + Copy> IndexedBinaryHeap<P> {
         Some(old)
     }
 
+    /// Heap slot of `item`, if present.
     #[inline]
-    fn less(&self, a: usize, b: usize) -> bool {
-        let (pa, ia) = self.slots[a];
-        let (pb, ib) = self.slots[b];
-        (pa, ia) < (pb, ib)
-    }
-
-    #[inline]
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        self.slots.swap(a, b);
-        self.pos[self.slots[a].1] = a;
-        self.pos[self.slots[b].1] = b;
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.less(i, parent) {
-                self.swap_slots(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+    fn slot_of(&self, item: usize) -> Option<usize> {
+        match self.pos.get(item) {
+            Some(&s) if s != ABSENT => Some(s as usize),
+            _ => None,
         }
     }
 
+    /// Store `entry` at slot `i` and record its position.
+    #[inline]
+    fn place(&mut self, i: usize, entry: (P, usize)) {
+        self.slots[i] = entry;
+        // `push` keeps every slot index below `ABSENT`.
+        self.pos[entry.1] = i as u32;
+    }
+
+    /// Move the entry at slot `i` up: shift each larger ancestor down one
+    /// level into the hole, then fill the hole once.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.slots[i];
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let above = self.slots[parent];
+            if entry >= above {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    /// Move the entry at slot `i` down: shift the smallest child up into
+    /// the hole while it is smaller than the entry, then fill the hole.
     fn sift_down(&mut self, mut i: usize) {
+        let entry = self.slots[i];
         let n = self.slots.len();
         loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut smallest = i;
-            if l < n && self.less(l, smallest) {
-                smallest = l;
-            }
-            if r < n && self.less(r, smallest) {
-                smallest = r;
-            }
-            if smallest == i {
+            let first = ARITY * i + 1;
+            if first >= n {
                 break;
             }
-            self.swap_slots(i, smallest);
-            i = smallest;
+            let kids = &self.slots[first..n.min(first + ARITY)];
+            let mut best = 0;
+            for (k, kid) in kids.iter().enumerate().skip(1) {
+                if *kid < kids[best] {
+                    best = k;
+                }
+            }
+            let below = kids[best];
+            if below >= entry {
+                break;
+            }
+            self.place(i, below);
+            i = first + best;
         }
-    }
-
-    fn ensure_pos(&mut self, item: usize) {
-        if item >= self.pos.len() {
-            self.pos.resize(item + 1, NOT_PRESENT);
-        }
+        self.place(i, entry);
     }
 
     /// Remove the entry at heap slot `slot`, restoring the heap property.
     fn remove_slot(&mut self, slot: usize) -> (P, usize) {
-        let last = self.slots.len() - 1;
-        if slot != last {
-            self.swap_slots(slot, last);
-        }
-        let (prio, item) = self.slots.pop().expect("slot exists");
-        self.pos[item] = NOT_PRESENT;
+        let removed = self.slots.swap_remove(slot);
+        self.pos[removed.1] = ABSENT;
         if slot < self.slots.len() {
-            // The element moved into `slot` may need to travel either way.
-            self.sift_down(slot);
-            self.sift_up(slot);
+            // The former last entry may need to travel either way.
+            if slot > 0 && self.slots[slot] < self.slots[(slot - 1) / ARITY] {
+                self.sift_up(slot);
+            } else {
+                self.sift_down(slot);
+            }
         }
-        (prio, item)
+        removed
     }
 
     /// Debug helper: verify the heap invariant and position table.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         for i in 1..self.slots.len() {
-            let parent = (i - 1) / 2;
-            assert!(!self.less(i, parent), "heap property violated at slot {i}");
+            let parent = (i - 1) / ARITY;
+            assert!(
+                self.slots[i] >= self.slots[parent],
+                "heap property violated at slot {i}"
+            );
         }
         for (slot, &(_, item)) in self.slots.iter().enumerate() {
-            assert_eq!(self.pos[item], slot, "position table stale for {item}");
+            assert_eq!(
+                self.slot_of(item),
+                Some(slot),
+                "position table stale for {item}"
+            );
         }
+        let present = self.pos.iter().filter(|&&s| s != ABSENT).count();
+        assert_eq!(
+            present,
+            self.slots.len(),
+            "position table lists absent items"
+        );
     }
 }
 
@@ -183,14 +214,14 @@ impl<P: Ord + Copy> PriorityQueue<P> for IndexedBinaryHeap<P> {
     }
 
     fn push(&mut self, item: usize, prio: P) {
-        self.ensure_pos(item);
-        assert_eq!(
-            self.pos[item], NOT_PRESENT,
-            "item {item} is already in the heap"
-        );
+        if item >= self.pos.len() {
+            self.pos.resize(item + 1, ABSENT);
+        }
+        assert_eq!(self.pos[item], ABSENT, "item {item} is already in the heap");
+        let slot = self.slots.len();
+        assert!(slot < ABSENT as usize, "heap is full: {slot} entries");
         self.slots.push((prio, item));
-        self.pos[item] = self.slots.len() - 1;
-        self.sift_up(self.slots.len() - 1);
+        self.sift_up(slot);
     }
 
     fn pop(&mut self) -> Option<(usize, P)> {
@@ -208,23 +239,18 @@ impl<P: Ord + Copy> PriorityQueue<P> for IndexedBinaryHeap<P> {
 
 impl<P: Ord + Copy> DecreaseKey<P> for IndexedBinaryHeap<P> {
     fn contains(&self, item: usize) -> bool {
-        self.pos.get(item).is_some_and(|&s| s != NOT_PRESENT)
+        self.slot_of(item).is_some()
     }
 
     fn priority_of(&self, item: usize) -> Option<P> {
-        let slot = *self.pos.get(item)?;
-        if slot == NOT_PRESENT {
-            None
-        } else {
-            Some(self.slots[slot].0)
-        }
+        self.slot_of(item).map(|slot| self.slots[slot].0)
     }
 
     fn decrease_key(&mut self, item: usize, prio: P) -> bool {
-        let Some(&slot) = self.pos.get(item) else {
+        let Some(slot) = self.slot_of(item) else {
             return false;
         };
-        if slot == NOT_PRESENT || prio >= self.slots[slot].0 {
+        if prio >= self.slots[slot].0 {
             return false;
         }
         self.slots[slot].0 = prio;
@@ -233,10 +259,7 @@ impl<P: Ord + Copy> DecreaseKey<P> for IndexedBinaryHeap<P> {
     }
 
     fn remove(&mut self, item: usize) -> Option<P> {
-        let slot = *self.pos.get(item)?;
-        if slot == NOT_PRESENT {
-            return None;
-        }
+        let slot = self.slot_of(item)?;
         let (prio, removed) = self.remove_slot(slot);
         debug_assert_eq!(removed, item);
         Some(prio)
@@ -331,51 +354,109 @@ mod tests {
         h.check_invariants();
     }
 
-    #[test]
-    fn randomized_mixed_ops_match_reference() {
-        // Reference: a sorted Vec of (prio, item).
-        let mut rng = SmallRng::seed_from_u64(0xDECAF);
-        let mut h = IndexedBinaryHeap::new();
-        let mut reference: Vec<(u64, usize)> = Vec::new();
-        let mut next_id = 0usize;
-        for _ in 0..5000 {
-            match rng.gen_range(0..4) {
-                0 => {
-                    let p = rng.gen_range(0..1000u64);
-                    h.push(next_id, p);
-                    reference.push((p, next_id));
-                    next_id += 1;
-                }
-                1 => {
-                    reference.sort_unstable();
-                    let expect = reference.first().map(|&(p, it)| (it, p));
-                    assert_eq!(h.pop(), expect);
-                    if !reference.is_empty() {
-                        reference.remove(0);
-                    }
-                }
-                2 => {
-                    if !reference.is_empty() {
-                        let idx = rng.gen_range(0..reference.len());
-                        let (old, item) = reference[idx];
-                        if old > 0 {
-                            let newp = rng.gen_range(0..old);
-                            assert!(h.decrease_key(item, newp));
-                            reference[idx].0 = newp;
-                        }
-                    }
-                }
-                _ => {
-                    if !reference.is_empty() {
-                        let idx = rng.gen_range(0..reference.len());
-                        let (p, item) = reference.remove(idx);
-                        assert_eq!(h.remove(item), Some(p));
-                    }
-                }
+    /// Seed-count multiplier: 1 by default, `4 × RSCHED_STRESS`
+    /// (clamped to 1..=64) when the stress knob is set.
+    fn stress() -> u64 {
+        match std::env::var("RSCHED_STRESS").as_deref() {
+            Ok("0") | Err(_) => 1,
+            Ok(v) => v.parse::<u64>().unwrap_or(1).clamp(1, 64) * 4,
+        }
+    }
+
+    /// An id in `0..280` that `model` does not hold.
+    fn absent_id(rng: &mut SmallRng, model: &[(u64, usize)]) -> usize {
+        loop {
+            let id = rng.gen_range(0..280);
+            if model.iter().all(|&(_, it)| it != id) {
+                return id;
             }
         }
-        h.check_invariants();
-        assert_eq!(h.len(), reference.len());
+    }
+
+    /// Seeded differential test against a sorted `Vec`. It holds the heap
+    /// at every size 0..=70 — every fill of the last internal node's child
+    /// group, at four depths — and there mixes push, pop, `decrease_key`,
+    /// `change_key` both ways and `remove` at the root, the last slot and
+    /// inside, refilling after each removal and checking the invariants
+    /// after every op. Priorities come from a small range, so ties on the
+    /// priority are common and the id tie-break decides.
+    #[test]
+    fn differential_against_sorted_vec_at_every_size() {
+        for seed in 0..8 * stress() {
+            let mut rng = SmallRng::seed_from_u64(0x4A2F ^ seed);
+            for size in 0..=70usize {
+                let mut h = IndexedBinaryHeap::with_universe(rng.gen_range(0..100));
+                let mut model: Vec<(u64, usize)> = Vec::new();
+                let refill = |h: &mut IndexedBinaryHeap<u64>,
+                              model: &mut Vec<(u64, usize)>,
+                              rng: &mut SmallRng| {
+                    while model.len() < size {
+                        let (id, p) = (absent_id(rng, model), rng.gen_range(0..32));
+                        h.push(id, p);
+                        model.push((p, id));
+                        h.check_invariants();
+                    }
+                };
+                refill(&mut h, &mut model, &mut rng);
+                for step in 0..24 {
+                    let ctx = format!("seed {seed} size {size} step {step}");
+                    // A queued item, or (when empty, or one time in
+                    // eight) an absent one.
+                    let item = if model.is_empty() || rng.gen_range(0..8) == 0 {
+                        absent_id(&mut rng, &model)
+                    } else {
+                        model[rng.gen_range(0..model.len())].1
+                    };
+                    let at = model.iter().position(|&(_, it)| it == item);
+                    let p = rng.gen_range(0..32u64);
+                    match rng.gen_range(0..6) {
+                        0 => {
+                            let min = model.iter().min().copied();
+                            assert_eq!(h.pop(), min.map(|(p, it)| (it, p)), "{ctx}");
+                            model.retain(|&e| Some(e) != min);
+                        }
+                        1 => {
+                            let lower = at.filter(|&i| p < model[i].0);
+                            assert_eq!(h.decrease_key(item, p), lower.is_some(), "{ctx}");
+                            if let Some(i) = lower {
+                                model[i].0 = p;
+                            }
+                        }
+                        2 => {
+                            let old = at.map(|i| std::mem::replace(&mut model[i].0, p));
+                            assert_eq!(h.change_key(item, p), old, "{ctx}");
+                        }
+                        3 => {
+                            let want = at.map(|i| model.remove(i).0);
+                            assert_eq!(h.remove(item), want, "{ctx}");
+                        }
+                        4 => {
+                            let root = model.iter().min().map(|&(_, it)| it);
+                            if let Some(root) = root {
+                                let i = model.iter().position(|&(_, it)| it == root);
+                                let want = model.remove(i.expect("root is queued")).0;
+                                assert_eq!(h.remove(root), Some(want), "{ctx}");
+                            }
+                        }
+                        _ => {
+                            if let Some(&(prio, last)) = h.slots.last() {
+                                model.retain(|&(_, it)| it != last);
+                                assert_eq!(h.remove(last), Some(prio), "{ctx}");
+                            }
+                        }
+                    }
+                    h.check_invariants();
+                    assert_eq!(h.len(), model.len(), "{ctx}");
+                    let min = model.iter().min().map(|&(p, it)| (it, p));
+                    assert_eq!(h.peek(), min, "{ctx}");
+                    refill(&mut h, &mut model, &mut rng);
+                }
+                model.sort_unstable();
+                let drained: Vec<_> = std::iter::from_fn(|| h.pop()).collect();
+                let want: Vec<_> = model.iter().map(|&(p, it)| (it, p)).collect();
+                assert_eq!(drained, want, "seed {seed} size {size}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! It contains:
 //!
-//! * An **exact** priority queue with `DecreaseKey`: an indexed binary
+//! * An **exact** priority queue with `DecreaseKey`: an indexed 4-ary
 //!   heap ([`heap::IndexedBinaryHeap`]).
 //! * **Relaxed** priority queues, i.e. schedulers that may return one of the
 //!   `k` highest-priority elements instead of the exact minimum:
@@ -95,9 +95,9 @@
 //!   is the MultiQueue's only pop path
 //!   ([`ConcurrentMultiQueue::pop_session`]: peek two random shards,
 //!   claim from the smaller minimum). It carries the RNG, the same
-//!   spawn buffer (deduplicating repeated items locally — a buffered
-//!   decrease-key that costs no shared-memory traffic — and flushed one
-//!   shard lock per touched shard), and a **deletion buffer** (the
+//!   spawn buffer (flushed one shard lock per touched shard, where a
+//!   repeated item merges through decrease-key and the flush reports
+//!   it), and a **deletion buffer** (the
 //!   winning shard of a choice-of-two yields its minimum plus up to `D
 //!   = min(spawn_batch / 8, 8)` successors under one lock; the next
 //!   pops are served locally and reported as [`PopSource::Home`]).
@@ -248,7 +248,7 @@ pub enum SessionPush {
     /// flushes without merging it) visible in the shared structure.
     Inserted,
     /// Merged into an existing entry — a decrease-key hit in the shared
-    /// structure or a dedup inside the session's own buffer. No net-new
+    /// structure, reported only by an unbuffered push. No net-new
     /// element.
     Merged,
     /// Parked in the session's spawn buffer; whether it merges is

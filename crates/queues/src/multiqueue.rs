@@ -70,7 +70,7 @@ pub enum Placement {
     Keyed,
 }
 
-/// Sequential-model MultiQueue over `q` internal binary heaps.
+/// Sequential-model MultiQueue over `q` internal indexed heaps.
 ///
 /// This is the exact structure analysed in Section 5 of the paper: tasks are
 /// inserted into uniformly random queues, and `peek_relaxed`/`pop_relaxed`
@@ -228,7 +228,7 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SimMultiQueue<P> {
 }
 
 /// One priority shard of a [`ConcurrentMultiQueue`]: a mutex around an
-/// indexed binary heap, padded to its own cache line.
+/// indexed 4-ary heap, padded to its own cache line.
 type Shard<P> = CachePadded<Mutex<IndexedBinaryHeap<P>>>;
 
 /// Merge-insert into a held heap; `true` iff `item` was net-new.
@@ -406,10 +406,9 @@ impl<P: Ord + Copy + Send> ConcurrentMultiQueue<P> {
 /// [`relaxation_factor`](ConcurrentMultiQueue::relaxation_factor)) for
 /// one shard lock per *batch* instead of per element:
 ///
-/// * the bounded **spawn buffer** parks pushes (deduplicating repeated
-///   items locally, so a buffered decrease-key costs no shared-memory
-///   traffic at all); a flush groups them by target shard and publishes
-///   each group under one lock;
+/// * the bounded **spawn buffer** parks pushes; a flush groups them by
+///   target shard and publishes each group under one lock, where a
+///   repeated item merges through decrease-key like any other;
 /// * the **deletion buffer** holds up to `min(spawn_batch / 8, 8)`
 ///   successors that the winning shard of a choice-of-two yielded
 ///   together with its minimum, under the same lock; the next pops are
@@ -483,9 +482,10 @@ impl<P: Ord + Copy + Send> ConcurrentMultiQueue<P> {
     }
 
     /// Session push-or-decrease: immediate when `spawn_batch == 1`;
-    /// otherwise the item parks in the buffer — merging into an already
-    /// buffered entry for the same item *locally* when possible — and a
-    /// full buffer publishes itself.
+    /// otherwise the item parks in the buffer and a full buffer publishes
+    /// itself. A repeated item parks again: the flush merges the copies
+    /// in the shard (keeping the smaller priority) and reports each
+    /// merge in [`FlushReport::merged`].
     pub fn push_session(&self, item: usize, prio: P, s: &mut MqSession<P>) -> PushOutcome {
         if s.batch <= 1 {
             let push = if self.push_or_decrease(item, prio) {
@@ -494,20 +494,6 @@ impl<P: Ord + Copy + Send> ConcurrentMultiQueue<P> {
                 SessionPush::Merged
             };
             return PushOutcome::immediate(push);
-        }
-        // Local dedup over the most recent window only: spawn bursts
-        // repeat items close together, and a bounded scan keeps the
-        // push path O(1) at large batch sizes. A duplicate that escapes
-        // the window is not a correctness issue — the flush publishes
-        // both and the shared `push_or_decrease` merges the second,
-        // with the merge reported back through the [`FlushReport`].
-        const DEDUP_WINDOW: usize = 32;
-        let window = s.buf.len().saturating_sub(DEDUP_WINDOW);
-        if let Some(slot) = s.buf[window..].iter_mut().find(|(it, _)| *it == item) {
-            if prio < slot.1 {
-                slot.1 = prio;
-            }
-            return PushOutcome::immediate(SessionPush::Merged);
         }
         s.buf.push((item, prio));
         let flushed = if s.buf.len() >= s.batch {
@@ -963,7 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn session_buffer_dedups_and_flush_reports_merges() {
+    fn session_buffer_parks_duplicates_and_flush_merges_them() {
         let q = QueueBuilder::new(4).multiqueue::<u64>();
         // Pre-existing entry: the later flush of item 0 must merge.
         q.push_or_decrease(0, 500);
@@ -971,17 +957,17 @@ mod tests {
             spawn_batch: 8,
             ..SessionConfig::default()
         });
+        // A repeated item parks again; the buffer does not look for it.
         assert_eq!(q.push_session(1, 10, &mut s).push, SessionPush::Buffered);
-        // Same item again: merged inside the buffer, no shared traffic.
-        assert_eq!(q.push_session(1, 5, &mut s).push, SessionPush::Merged);
+        assert_eq!(q.push_session(1, 5, &mut s).push, SessionPush::Buffered);
         assert_eq!(q.push_session(0, 100, &mut s).push, SessionPush::Buffered);
-        assert_eq!(s.buffered(), 2);
+        assert_eq!(s.buffered(), 3);
         assert_eq!(q.len(), 1, "parked spawns are invisible");
         let rep = q.flush_session(&mut s);
-        assert_eq!(rep.published, 2);
-        assert_eq!(rep.merged, 1, "item 0 merged into the live entry");
+        assert_eq!(rep.published, 3, "both copies of item 1 are published");
+        assert_eq!(rep.merged, 2, "item 1's second copy and item 0 merged");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.priority_of(1), Some(5), "buffer kept the minimum");
+        assert_eq!(q.priority_of(1), Some(5), "the shard kept the minimum");
         assert_eq!(q.priority_of(0), Some(100));
     }
 

@@ -18,7 +18,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`queues`] | indexed binary heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over `Mutex<VecDeque>` shards locked once per batch, rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
+//! | [`queues`] | indexed 4-ary heap, MultiQueue (sequential + concurrent + duplicate-insertion), SprayList, deterministic rotating k-queue, relaxed FIFO (d-CBO) over `Mutex<VecDeque>` shards locked once per batch, rank/fairness instrumentation plus a concurrent timestamp-based FIFO rank-error estimator |
 //! | [`runtime`] | the sharded concurrent scheduling runtime: worker pool, `Scheduler` trait over relaxed queues, quiescence termination detection, per-worker stats, fork-join helper |
 //! | [`core`] | the `Q_k` scheduler model, Algorithm 1/2 executors with extra-step accounting, adversarial schedulers, the Section 4 transactional simulator, theorem formulas |
 //! | [`graph`] | CSR graphs, random/road/social generators, DIMACS & SNAP loaders, BFS / Dijkstra / Δ-stepping / Bellman–Ford baselines |

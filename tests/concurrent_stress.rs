@@ -614,10 +614,10 @@ fn runtime_home_shard_steal_accounting() {
 }
 
 /// Batched spawns through the runtime on the **merge-capable**
-/// MultiQueue scheduler: duplicate spawns dedup inside the session
-/// buffer or merge at flush, every merge retracts its termination
-/// announcement, and the pool still quiesces exactly (this test hangs
-/// if a flush report ever under- or over-counts). The blocked-chain
+/// MultiQueue scheduler: duplicate spawns merge at flush, every merge
+/// retracts its termination announcement, and the pool still quiesces
+/// exactly (this test hangs if a flush report ever under- or
+/// over-counts). The blocked-chain
 /// variant forces the flush-on-pop-miss path: re-queued blocked tasks
 /// park in the buffer and must publish before the pool may sleep.
 #[test]
@@ -625,7 +625,7 @@ fn runtime_batched_spawns_conserve_with_merges() {
     use std::sync::atomic::AtomicBool;
 
     // Duplicate spawns: each executed task spawns its successor twice
-    // (the second is a buffer dedup or a shared merge).
+    // (the second merges in the shard when the flush publishes both).
     let n = 4_000usize;
     let queue = QueueBuilder::new(8).universe(n).multiqueue::<u64>();
     let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
@@ -648,7 +648,7 @@ fn runtime_batched_spawns_conserve_with_merges() {
     assert!(done.iter().all(|d| d.load(Ordering::Acquire)));
     assert!(
         stats.total.merged > 0,
-        "duplicate spawns never merged (buffer dedup broken?)"
+        "duplicate spawns never merged (flush merge broken?)"
     );
     assert_eq!(
         stats.total.pops,
