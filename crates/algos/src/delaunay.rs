@@ -214,27 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn transactional_delaunay_commits_with_bounded_aborts() {
-        use rsched_core::{run_transactional, TxConfig, TxStrategy};
-        let pts = rsched_geometry::random_points(800, 1 << 13, 29);
-        let deps = DelaunayIncremental::dependency_lists(&pts);
-        let oracle = |i: usize, j: usize| deps[j].binary_search(&(i as u32)).is_ok();
-        let stats = run_transactional(
-            800,
-            oracle,
-            TxConfig {
-                k: 8,
-                duration: 4,
-                strategy: TxStrategy::Random,
-                seed: 3,
-            },
-        );
-        assert_eq!(stats.commits, 800);
-        let bound = rsched_core::theory::thm43_aborts(8, stats.max_contention, 800);
-        assert!((stats.aborts as f64) < bound);
-    }
-
-    #[test]
     fn pending_conflicts_decay_with_insertion_index() {
         // The conflict-count decay underlying p_ij ≤ C/i: the number of
         // *pending points* encroached by the i-th insertion shrinks as the

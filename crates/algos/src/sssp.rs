@@ -290,23 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn thm61_pop_bound_holds_for_rotating_scheduler() {
-        // Deterministic k-relaxed scheduler: pops ≤ n + c·k²·(dmax/wmin).
-        let g = bucket_chain(40, 6, 10); // dmax/wmin = 40
-        let n_reach = num_reachable(&g, 0) as u64;
-        for k in [2usize, 4, 8] {
-            let stats = relaxed_sssp_seq(&g, 0, &mut RotatingKQueue::new(k));
-            assert_eq!(stats.dist, dijkstra(&g, 0).dist);
-            let bound = n_reach as f64 + 4.0 * (k * k) as f64 * 40.0;
-            assert!(
-                (stats.pops as f64) < bound,
-                "k={k}: pops {} exceed Theorem 6.1 shape {bound}",
-                stats.pops
-            );
-        }
-    }
-
-    #[test]
     fn parallel_matches_dijkstra_on_all_graph_families() {
         let graphs = [
             random_gnm(1000, 5000, 1..=100, 4),

@@ -1,11 +1,11 @@
 //! Closed-form bounds from the paper, as executable formulas.
 //!
-//! The experiment binaries print these next to measured values, so every
-//! theorem reads as paper-vs-measured. The constants hidden in the big-O
-//! are not specified by the paper; the
-//! formulas here return the *parametric part* (e.g. `k⁴ · ln n` for
-//! Theorem 3.3), and experiments check **shape** (growth in each parameter)
-//! rather than absolute constants, as the reproduction bands prescribe.
+//! `tests/theorems.rs` asserts these against measured values, so every
+//! theorem is an executable envelope. The constants hidden in the big-O
+//! are not specified by the paper; the formulas here return the
+//! *parametric part* (e.g. `k⁴ · ln n` for Theorem 3.3), and each test
+//! multiplies it by a constant `c` that it states next to the largest
+//! ratio measured.
 
 /// `H(n)` — the harmonic number, the Σ C/i factor in the Theorem 3.3 proof.
 pub fn harmonic(n: usize) -> f64 {

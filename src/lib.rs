@@ -12,7 +12,8 @@
 //! (`O(poly(k) log n)` extra steps for the incremental algorithms,
 //! `n + O(k² d_max/w_min)` pops for SSSP) and exhibits an `Ω(log n)` lower
 //! bound under the MultiQueue. This workspace implements the schedulers, the
-//! model, the algorithms and the full experiment suite.
+//! model and the algorithms, and `tests/theorems.rs` checks each of those
+//! bounds as an executable envelope.
 //!
 //! ## Crates
 //!

@@ -95,26 +95,53 @@ fn incremental_algorithms_are_deterministic_under_relaxation() {
     assert_eq!(mis.independent_set(), mis2.independent_set());
 }
 
-/// The transactional model with the real BST dependency oracle: everything
-/// commits, and the abort count stays inside the Theorem 4.3 envelope.
+/// The transactional model with real dependency oracles: everything
+/// commits, and the abort count stays inside the Theorem 4.3 envelope
+/// `k²(C + k)² · ln n`, with `C` the observed interval contention. BST
+/// sorting runs under the random and the max-label (adversarial)
+/// dispenser across transaction durations 1–16, which sweeps `C`;
+/// Delaunay runs with its cavity-dependency oracle.
 #[test]
 fn transactional_bst_sort_within_thm43() {
+    fn check(what: &str, n: usize, cfg: TxConfig, stats: TxStats) {
+        assert_eq!(stats.commits, n as u64, "{what} {cfg:?}: lost commits");
+        let bound = rsched_core::theory::thm43_aborts(cfg.k, stats.max_contention, n);
+        assert!(
+            (stats.aborts as f64) < bound,
+            "{what} {cfg:?}: aborts {} outside Theorem 4.3 envelope {bound}",
+            stats.aborts
+        );
+    }
     let n = 2000;
     let alg = BstSort::random(n, 11);
-    let cfg = TxConfig {
-        k: 8,
-        duration: 4,
-        strategy: TxStrategy::Random,
-        seed: 5,
-    };
-    let stats = run_transactional(n, |i, j| alg.depends(i, j), cfg);
-    assert_eq!(stats.commits, n as u64);
-    let bound = rsched_core::theory::thm43_aborts(cfg.k, stats.max_contention, n);
-    assert!(
-        (stats.aborts as f64) < bound,
-        "aborts {} outside Theorem 4.3 envelope {bound}",
-        stats.aborts
-    );
+    for strategy in [TxStrategy::Random, TxStrategy::MaxLabel] {
+        for duration in [1, 2, 4, 8, 16] {
+            let cfg = TxConfig {
+                k: 8,
+                duration,
+                strategy,
+                seed: 5,
+            };
+            check(
+                "BST sort",
+                n,
+                cfg,
+                run_transactional(n, |i, j| alg.depends(i, j), cfg),
+            );
+        }
+    }
+    let n = 500;
+    let deps = DelaunayIncremental::dependency_lists(&random_points(n, 1 << 20, 13));
+    let oracle = |i: usize, j: usize| deps[j].binary_search(&(i as u32)).is_ok();
+    for strategy in [TxStrategy::Random, TxStrategy::MaxLabel] {
+        let cfg = TxConfig {
+            k: 8,
+            duration: 4,
+            strategy,
+            seed: 9,
+        };
+        check("Delaunay", n, cfg, run_transactional(n, oracle, cfg));
+    }
 }
 
 /// End-to-end instrumentation: wrap the MultiQueue in a RankTracker during
