@@ -29,7 +29,7 @@
 //! |---|---|---|
 //! | [`OpHist::Steal`] | index of the choice round that won a pop: 0 = the first round won, whether its winner was a home or a foreign shard; pops served from a deletion buffer record nothing | `DCboQueue`/`ConcurrentMultiQueue` pop engines |
 //! | [`OpHist::Sweep`] | fallback-sweep shards visited per rescue pop | the rotated full-sweep fallbacks of the same engines |
-//! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-runtime` service loop |
+//! | [`OpHist::Tick`] | per-op handler duration in nanoseconds | the `rsched-serve` task handler |
 //! | [`OpCount::EmptyPop`] | pops that swept everything and found nothing | all pop engines |
 //! | [`OpCount::FlushPublished`] / [`OpCount::FlushMerged`] | session flush volume and merge ratio | every `flush_session` |
 //!
@@ -209,10 +209,10 @@ pub enum OpHist {
     Steal = 0,
     /// Shards visited by a fallback sweep before it rescued a pop.
     Sweep = 1,
-    /// Per-op duration ticks (nanoseconds) — recorded by the runtime's
-    /// service loop around each task it executes (the closed-loop
-    /// `run` never reads the clock per task), so log₂ bucket k holds
-    /// ops that ran for [2^(k-1), 2^k) ns.
+    /// Per-op duration ticks (nanoseconds) — recorded by the serving
+    /// front-end's task handler around each task it executes (the
+    /// runtime's worker loop never reads the clock per task), so log₂
+    /// bucket k holds ops that ran for [2^(k-1), 2^k) ns.
     Tick = 2,
 }
 
@@ -427,7 +427,8 @@ pub struct TelemetrySnapshot {
     pub steal: HistSnapshot,
     /// Fallback-sweep lengths.
     pub sweep: HistSnapshot,
-    /// Per-op duration ticks in nanoseconds (runtime service loop only).
+    /// Per-op duration ticks in nanoseconds (the serving front-end's task
+    /// handler only).
     pub tick: HistSnapshot,
     /// Pops that swept everything and found nothing.
     pub empty_pops: u64,

@@ -41,17 +41,18 @@
 //!   ([`ActiveCounter`]) over queued-plus-in-flight tasks (buffered
 //!   spawns included — sessions flush on every pop miss) — the only
 //!   sound emptiness notion over relaxed queues, whose `pop == None`
-//!   races with concurrent pushes.
+//!   races with concurrent pushes. [`service()`] runs the same worker
+//!   loop for an open system: at quiescence its workers park for
+//!   injected work instead of exiting.
 //! * [`WorkerStats`] / [`PoolStats`] account pops, executed/stale/extra
 //!   steps, spawn-vs-merge pushes, home-shard hits, choice-of-two
 //!   steals, pop misses and publishing flushes, per worker, without a
-//!   single shared atomic on the hot path; [`PoolStats`] carries both
-//!   the worker-phase wall clock and the whole-call wall clock.
+//!   single shared atomic on the hot path.
 //! * [`run`] opens a `rsched_queues::telemetry` window (`reset`)
 //!   before seeding; the caller reads it with `telemetry::capture()`
 //!   after the call. The queues record per-op tails (steal-round and
 //!   sweep-length histograms, empty pops, flush merge counts) on every
-//!   run; the service loop adds per-task handler durations.
+//!   run; the worker loop reads no clock per task.
 //! * The pool feeds the **flight recorder** (`rsched_queues::trace`),
 //!   the workspace's one instrumentation switch (`RSCHED_TRACE`,
 //!   default off): per-worker lock-free event rings record task
@@ -123,30 +124,37 @@ mod tests {
 
     #[test]
     fn independent_tasks_execute_exactly_once() {
-        let n = 2_000usize;
-        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let queue = QueueBuilder::new(8).universe(n).multiqueue::<u64>();
-        let stats = run(
-            &queue,
-            RuntimeConfig {
-                threads: 4,
-                seed: 3,
-                ..RuntimeConfig::default()
-            },
-            (0..n).map(|i| (i, i as u64)),
-            |_, item, _| {
-                let was = done[item].swap(true, Ordering::AcqRel);
-                assert!(!was, "task {item} executed twice");
-                TaskOutcome::Executed
-            },
-        );
-        assert_eq!(stats.total.executed, n as u64);
-        assert_eq!(stats.total.extra, 0);
-        assert_eq!(stats.total.pops, n as u64);
-        assert!(done.iter().all(|d| d.load(Ordering::Acquire)));
-        assert_eq!(stats.per_worker.len(), 4);
-        let per_sum: u64 = stats.per_worker.iter().map(|w| w.pops).sum();
-        assert_eq!(per_sum, stats.total.pops);
+        // Within a deadline: a pool whose workers do not leave at
+        // quiescence fails here instead of hanging the suite.
+        let outcome = outcome_within_5s(|| {
+            let n = 2_000usize;
+            let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+            let queue = QueueBuilder::new(8).universe(n).multiqueue::<u64>();
+            let stats = run(
+                &queue,
+                RuntimeConfig {
+                    threads: 4,
+                    seed: 3,
+                    ..RuntimeConfig::default()
+                },
+                (0..n).map(|i| (i, i as u64)),
+                |_, item, _| {
+                    let was = done[item].swap(true, Ordering::AcqRel);
+                    assert!(!was, "task {item} executed twice");
+                    TaskOutcome::Executed
+                },
+            );
+            assert_eq!(stats.total.executed, n as u64);
+            assert_eq!(stats.total.extra, 0);
+            assert_eq!(stats.total.pops, n as u64);
+            assert!(done.iter().all(|d| d.load(Ordering::Acquire)));
+            assert_eq!(stats.per_worker.len(), 4);
+            let per_sum: u64 = stats.per_worker.iter().map(|w| w.pops).sum();
+            assert_eq!(per_sum, stats.total.pops);
+        });
+        if let Err(message) = outcome {
+            panic!("{message}");
+        }
     }
 
     #[test]
@@ -230,9 +238,9 @@ mod tests {
         assert_eq!(order, (0..100).collect::<Vec<_>>(), "1 queue = exact order");
     }
 
-    /// Runs `body` on a helper thread and returns its panic message, or
-    /// fails if it returned normally or was still running after 5 s.
-    fn panics_within_5s(body: impl FnOnce() + Send + 'static) -> String {
+    /// Runs `body` on a helper thread and returns `Ok` or its panic
+    /// message, or fails if it was still running after 5 s.
+    fn outcome_within_5s(body: impl FnOnce() + Send + 'static) -> Result<(), String> {
         let (tx, rx) = std::sync::mpsc::channel();
         let helper = std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
@@ -244,14 +252,16 @@ mod tests {
                     .unwrap_or_default()
             }));
         });
-        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
-            Ok(Err(message)) => {
-                helper.join().expect("the helper caught the panic");
-                message
-            }
-            Ok(Ok(())) => panic!("the pool returned normally despite a panicking handler"),
-            Err(_) => panic!("the pool was still running 5 s after its handler panicked"),
-        }
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the pool was still running after 5 s");
+        helper.join().expect("the helper caught any panic");
+        outcome
+    }
+
+    /// [`outcome_within_5s`] for a body that must panic: its message.
+    fn panics_within_5s(body: impl FnOnce() + Send + 'static) -> String {
+        outcome_within_5s(body).expect_err("the pool returned normally despite a panicking handler")
     }
 
     #[test]

@@ -3,17 +3,23 @@
 //! [`run`] is the single thread-pool / termination-detection
 //! implementation in the workspace: every truly concurrent executor
 //! (`run_relaxed_parallel`, the concurrent SSSP / BFS / label-propagation
-//! relaxation kernel, k-core peeling) is a thin handler over it. The
-//! runtime owns
+//! relaxation kernel, k-core peeling) is a thin handler over it, and the
+//! open-system [`service`](crate::service()) pool runs the same workers.
+//! The runtime owns
 //!
 //! * the worker threads (scoped, one RNG stream per worker);
 //! * one **worker session** per thread ([`Scheduler::Session`]) carrying
 //!   every piece of per-worker queue state — the shard-picker RNG, the
 //!   FIFO's home shard, and the bounded spawn and deletion buffers;
-//! * the pop → handle → re-queue loop with separate backoffs for
-//!   "queue empty" and "popped a blocked task", flushing the session's
-//!   spawn buffer on every pop miss so parked tasks can never stall
-//!   termination;
+//! * the one worker loop, pop → handle → re-queue, with separate
+//!   backoffs for "queue empty" and "popped a blocked task", flushing
+//!   the session's spawn buffer on every pop miss so parked tasks can
+//!   never stall termination. [`run`] and `service` differ only in the
+//!   loop's idle policy — what a worker does once the pool is
+//!   quiescent: [`run`]'s workers exit, a service's workers park until
+//!   an injection and exit once shutdown is flagged;
+//! * the one push protocol — announce, push, retract what merged — for
+//!   worker spawns, [`run`]'s seeds and service injections alike;
 //! * quiescence termination detection ([`ActiveCounter`]) over queued
 //!   plus in-flight tasks (buffered spawns count as in flight until
 //!   their flush resolves them); a worker whose handler panics poisons
@@ -30,6 +36,7 @@
 //! deletion-buffer) hits and choice-of-two steals are folded into
 //! [`WorkerStats::home_hits`] / [`WorkerStats::steals`].
 
+use crate::service::IdleGate;
 use crate::termination::{ActiveCounter, CounterSlot};
 use crossbeam::utils::Backoff;
 use rand::rngs::SmallRng;
@@ -38,6 +45,7 @@ use rsched_queues::telemetry;
 use rsched_queues::trace::{self, EventKind};
 use rsched_queues::{FlushReport, PopSource, PushOutcome, SessionConfig, SessionPush};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// A concurrent task queue the runtime can drive.
@@ -186,7 +194,7 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
-    pub(crate) fn merge(&mut self, other: &WorkerStats) {
+    fn merge(&mut self, other: &WorkerStats) {
         self.pops += other.pops;
         self.executed += other.executed;
         self.stale += other.stale;
@@ -200,21 +208,48 @@ impl WorkerStats {
     }
 }
 
-/// Aggregated result of a [`run`].
+/// Aggregated result of a [`run`] or a service pool's drain.
 #[derive(Clone, Debug, Default)]
 pub struct PoolStats {
     /// Sum over workers.
     pub total: WorkerStats,
     /// Per-worker breakdown, indexed by worker id.
     pub per_worker: Vec<WorkerStats>,
-    /// Wall-clock time of the worker phase (excludes initial seeding).
+    /// Wall-clock time of the worker phase, from the workers' start to
+    /// their join ([`run`]'s seeding excluded).
     pub wall: Duration,
-    /// Wall-clock time of the whole [`run`] call, seeding included —
-    /// benches no longer re-derive elapsed time around the call.
-    pub total_wall: Duration,
 }
 
 impl PoolStats {
+    /// The stats of a drained pool from its joined workers, or — if any
+    /// worker panicked — that worker's panic, re-raised once all of them
+    /// were joined.
+    pub(crate) fn drained(
+        joined: Vec<std::thread::Result<WorkerStats>>,
+        counter: &ActiveCounter,
+        wall: Duration,
+    ) -> Self {
+        let per_worker: Vec<WorkerStats> = joined
+            .into_iter()
+            .collect::<std::thread::Result<_>>()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        debug_assert!(counter.is_quiescent());
+        let mut total = WorkerStats::default();
+        for w in &per_worker {
+            total.merge(w);
+        }
+        // A drained pool is a flight-recorder snapshot point: workers are
+        // quiescent, so the export sees consistent rings. Repeated pools
+        // overwrite the file — it always holds the latest window,
+        // matching the rings' own wrap-around semantics.
+        trace::export_if_configured();
+        PoolStats {
+            total,
+            per_worker,
+            wall,
+        }
+    }
+
     /// `pops / executed` (1.0 = no wasted pops).
     pub fn overhead(&self) -> f64 {
         if self.total.executed == 0 {
@@ -241,7 +276,7 @@ pub struct Worker<'a, P: Copy, S: Scheduler<P> + ?Sized> {
     /// This worker's own slot of `counter`: every add/done it announces
     /// lands there.
     slot: &'a CounterSlot,
-    pub(crate) stats: WorkerStats,
+    stats: WorkerStats,
     session: S::Session,
     _payload: PhantomData<P>,
 }
@@ -252,34 +287,8 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
     /// poppable (buffered spawns stay announced until their flush), and
     /// merged pushes retract the announcement.
     pub fn spawn(&mut self, item: usize, prio: P) {
-        self.slot.task_added();
         self.stats.spawned += 1;
-        trace::emit(EventKind::TaskInject, item as u64);
-        let queue = self.queue;
-        let out = queue.push(&mut self.session, item, prio);
-        if out.push == SessionPush::Merged {
-            self.slot.tasks_done(1);
-            self.stats.merged += 1;
-        }
-        self.absorb_flush(out.flushed);
-    }
-
-    /// Fold a flush report into the termination counter and the stats:
-    /// parked elements were presumed net-new when announced; the ones
-    /// that merged retract their announcement now. A flush also pushes
-    /// back parked pops, which this worker never spawned, so the merges
-    /// only ever add to [`WorkerStats::merged`].
-    fn absorb_flush(&mut self, report: FlushReport) {
-        if report.merged > 0 {
-            self.slot.tasks_done(report.merged);
-            self.stats.merged += report.merged;
-        }
-        if report.published > 0 {
-            trace::emit(EventKind::FlushPublish, report.published);
-            if report.merged > 0 {
-                trace::emit(EventKind::FlushMerge, report.merged);
-            }
-        }
+        self.stats.merged += push_announced(self.queue, &mut self.session, self.slot, item, prio);
     }
 
     /// The worker's private RNG stream.
@@ -287,15 +296,8 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
         &mut self.rng
     }
 
-    /// Build the worker context for `tid`, opening its scheduler session
-    /// (shared between [`run`]'s scoped workers and the long-lived
-    /// service pool in [`crate::service`]).
-    pub(crate) fn open(
-        tid: usize,
-        cfg: &RuntimeConfig,
-        queue: &'a S,
-        counter: &'a ActiveCounter,
-    ) -> Self {
+    /// Build the worker context for `tid`, opening its scheduler session.
+    fn open(tid: usize, cfg: &RuntimeConfig, queue: &'a S, counter: &'a ActiveCounter) -> Self {
         let session_cfg = cfg.session_config(tid);
         Worker {
             tid,
@@ -309,75 +311,21 @@ impl<'a, P: Copy, S: Scheduler<P> + ?Sized> Worker<'a, P, S> {
         }
     }
 
-    /// One pop's worth of work: account the pop source, run the handler,
-    /// fold the outcome into the stats/termination counter (re-queueing
-    /// blocked tasks with the caller's blocked-backoff). The body of the
-    /// `Some` arm of every worker loop.
-    pub(crate) fn execute_popped<F>(
-        &mut self,
-        handler: &F,
-        item: usize,
-        prio: P,
-        source: PopSource,
-        blocked: &Backoff,
-    ) where
-        F: Fn(&mut Worker<'_, P, S>, usize, P) -> TaskOutcome,
-    {
-        self.stats.pops += 1;
-        match source {
-            PopSource::Home => self.stats.home_hits += 1,
-            PopSource::Steal => {
-                self.stats.steals += 1;
-                trace::emit(EventKind::StealRound, item as u64);
-            }
-            PopSource::Shared => {}
-        }
-        trace::emit(EventKind::TaskPop, item as u64);
-        match handler(self, item, prio) {
-            TaskOutcome::Executed => {
-                self.stats.executed += 1;
-                blocked.reset();
-            }
-            TaskOutcome::Stale => {
-                self.stats.stale += 1;
-            }
-            TaskOutcome::Blocked => {
-                self.stats.extra += 1;
-                // Re-queue at the original payload. spawn announces
-                // the element before inserting, so the quiescence
-                // check cannot fire in between.
-                self.spawn(item, prio);
-                blocked.snooze();
-            }
-        }
-        trace::emit(EventKind::TaskComplete, item as u64);
-        self.slot.tasks_done(1);
-    }
-
-    /// One relaxed pop through the worker's own session.
-    pub(crate) fn try_pop(&mut self) -> Option<((usize, P), PopSource)> {
-        self.queue.pop(&mut self.session)
-    }
-
-    /// The pool's termination counter (the service loop checks
-    /// quiescence against it directly).
-    pub(crate) fn counter(&self) -> &ActiveCounter {
-        self.counter
-    }
-
     /// The pop-miss protocol: publish any parked spawns before the
     /// caller may conclude emptiness (the quiescence counter still
     /// carries them, so waiting with a non-empty buffer could deadlock
     /// the pool). Returns `true` if the flush published parked elements
-    /// — the caller should retry popping instead of waiting.
-    pub(crate) fn flush_on_miss(&mut self) -> bool {
+    /// — the caller should retry popping instead of waiting. A flush
+    /// also pushes back parked pops, which this worker never spawned,
+    /// so its merges only ever add to [`WorkerStats::merged`].
+    fn flush_on_miss(&mut self) -> bool {
         self.stats.pop_misses += 1;
         let report = self.queue.flush(&mut self.session);
+        self.stats.merged += retract_flush(self.slot, report);
         let had_parked = report.published > 0;
         if had_parked {
             self.stats.flushes += 1;
         }
-        self.absorb_flush(report);
         had_parked
     }
 }
@@ -388,6 +336,45 @@ impl<P: Copy, S: Scheduler<P> + ?Sized> Drop for Worker<'_, P, S> {
             self.counter.poison();
         }
     }
+}
+
+/// The runtime's one push protocol, for worker spawns, [`run`]'s seeds
+/// and service injections: announce `item` on `slot` before it becomes
+/// poppable, push it through `session`, and retract every announcement
+/// that merged instead of staying an element — the pushed one on a
+/// decrease-key hit, parked ones that a side-effect flush merged.
+/// Returns how many merged.
+pub(crate) fn push_announced<P: Copy, S: Scheduler<P> + ?Sized>(
+    queue: &S,
+    session: &mut S::Session,
+    slot: &CounterSlot,
+    item: usize,
+    prio: P,
+) -> u64 {
+    slot.task_added();
+    trace::emit(EventKind::TaskInject, item as u64);
+    let out = queue.push(session, item, prio);
+    let merged = u64::from(out.push == SessionPush::Merged);
+    if merged > 0 {
+        slot.tasks_done(merged);
+    }
+    merged + retract_flush(slot, out.flushed)
+}
+
+/// Fold a flush report into the termination counter: parked elements
+/// were presumed net-new when announced; the ones that merged retract
+/// their announcement on `slot` now. Returns how many merged.
+pub(crate) fn retract_flush(slot: &CounterSlot, report: FlushReport) -> u64 {
+    if report.merged > 0 {
+        slot.tasks_done(report.merged);
+    }
+    if report.published > 0 {
+        trace::emit(EventKind::FlushPublish, report.published);
+        if report.merged > 0 {
+            trace::emit(EventKind::FlushMerge, report.merged);
+        }
+    }
+    report.merged
 }
 
 /// Drive `queue` to quiescence with `cfg.threads` workers.
@@ -441,7 +428,6 @@ where
     F: Fn(&mut Worker<'_, P, S>, usize, P) -> TaskOutcome + Sync,
 {
     assert!(cfg.threads >= 1, "runtime needs at least one worker");
-    let t0 = Instant::now();
     // Start a fresh telemetry window covering seeding + workers; the
     // caller captures it after the call. The state is process-global:
     // overlapping runs share a window.
@@ -455,66 +441,57 @@ where
             ..cfg.session_config(0)
         };
         let mut seeder = queue.open_session(&seed_cfg);
+        let shared = counter.shared_slot();
         for (item, prio) in initial {
-            counter.task_added();
-            let out = queue.push(&mut seeder, item, prio);
-            if out.push == SessionPush::Merged {
-                counter.task_done();
-            }
-            counter.tasks_done(out.flushed.merged);
+            push_announced(queue, &mut seeder, shared, item, prio);
         }
-        let report = queue.flush(&mut seeder);
-        counter.tasks_done(report.merged);
+        retract_flush(shared, queue.flush(&mut seeder));
     }
     let start = Instant::now();
-    let per_worker = join_workers(std::thread::scope(|scope| {
+    let joined = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|tid| {
-                let counter = &counter;
-                let handler = &handler;
-                scope.spawn(move || {
-                    let mut worker = Worker::open(tid, &cfg, queue, counter);
-                    worker_loop(&mut worker, handler);
-                    worker.stats
-                })
+                let (counter, handler) = (&counter, &handler);
+                scope.spawn(move || worker_loop(tid, &cfg, queue, counter, handler, Idle::Exit))
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
-    }));
-    let wall = start.elapsed();
-    debug_assert!(counter.is_quiescent());
-    let mut total = WorkerStats::default();
-    for w in &per_worker {
-        total.merge(w);
-    }
-    // A run() boundary is a flight-recorder snapshot point: workers are
-    // quiescent, so the export sees consistent rings. Repeated runs
-    // overwrite the file — it always holds the latest window, matching
-    // the rings' own wrap-around semantics.
-    trace::export_if_configured();
-    PoolStats {
-        total,
-        per_worker,
-        wall,
-        total_wall: t0.elapsed(),
-    }
+    });
+    PoolStats::drained(joined, &counter, start.elapsed())
 }
 
-/// The stats of every joined worker, or — if any worker panicked — that
-/// worker's panic, re-raised once all of them have been joined.
-pub(crate) fn join_workers(joined: Vec<std::thread::Result<WorkerStats>>) -> Vec<WorkerStats> {
-    joined
-        .into_iter()
-        .collect::<std::thread::Result<_>>()
-        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+/// What a worker does once its pop missed, its flush published nothing
+/// and the whole pool is quiescent.
+#[derive(Clone, Copy)]
+pub(crate) enum Idle<'a> {
+    /// Quiescence is final ([`run`]): exit.
+    Exit,
+    /// An open system ([`service`](crate::service())): park on `gate`
+    /// until an injection (or its timeout), and exit once `shutdown` is
+    /// flagged.
+    Park {
+        gate: &'a IdleGate,
+        shutdown: &'a AtomicBool,
+    },
 }
 
-fn worker_loop<P, S, F>(worker: &mut Worker<'_, P, S>, handler: &F)
+/// The worker loop of every pool: open worker `tid`'s session, then pop
+/// → handle → re-queue until `idle` lets the worker leave, and return
+/// its stats.
+pub(crate) fn worker_loop<P, S, F>(
+    tid: usize,
+    cfg: &RuntimeConfig,
+    queue: &S,
+    counter: &ActiveCounter,
+    handler: &F,
+    idle: Idle<'_>,
+) -> WorkerStats
 where
     P: Copy,
     S: Scheduler<P> + ?Sized,
     F: Fn(&mut Worker<'_, P, S>, usize, P) -> TaskOutcome,
 {
+    let mut worker = Worker::open(tid, cfg, queue, counter);
     let backoff = Backoff::new();
     // Separate backoff for blocked pops: when the queue front is dominated
     // by blocked tasks, a worker would otherwise spin pop→re-queue→pop on
@@ -523,28 +500,75 @@ where
     // scheduling.
     let blocked = Backoff::new();
     loop {
-        let queue = worker.queue;
         match queue.pop(&mut worker.session) {
             Some(((item, prio), source)) => {
                 backoff.reset();
-                worker.execute_popped(handler, item, prio, source, &blocked);
+                worker.stats.pops += 1;
+                match source {
+                    PopSource::Home => worker.stats.home_hits += 1,
+                    PopSource::Steal => {
+                        worker.stats.steals += 1;
+                        trace::emit(EventKind::StealRound, item as u64);
+                    }
+                    PopSource::Shared => {}
+                }
+                trace::emit(EventKind::TaskPop, item as u64);
+                match handler(&mut worker, item, prio) {
+                    TaskOutcome::Executed => {
+                        worker.stats.executed += 1;
+                        blocked.reset();
+                    }
+                    TaskOutcome::Stale => worker.stats.stale += 1,
+                    TaskOutcome::Blocked => {
+                        worker.stats.extra += 1;
+                        // Re-queue at the original payload. spawn announces
+                        // the element before inserting, so the quiescence
+                        // check cannot fire in between.
+                        worker.spawn(item, prio);
+                        blocked.snooze();
+                    }
+                }
+                trace::emit(EventKind::TaskComplete, item as u64);
+                worker.slot.tasks_done(1);
             }
             None => {
                 if worker.flush_on_miss() {
                     continue;
                 }
-                if worker.counter.wait_or_quiescent(&backoff) {
-                    trace::emit(EventKind::Drain, worker.tid as u64);
-                    break;
-                }
                 // A panicked worker never finishes its task, so
                 // quiescence would never come.
-                if worker.counter.is_poisoned() {
+                if counter.is_poisoned() {
                     break;
+                }
+                if !counter.is_quiescent() {
+                    // Work is in flight elsewhere: spin, then yield.
+                    // Parking here would add a wake-up latency cliff to
+                    // every task tail.
+                    backoff.snooze();
+                    continue;
+                }
+                match idle {
+                    Idle::Park { gate, shutdown } if !shutdown.load(Ordering::Acquire) => {
+                        // About to go idle: fold this worker's buffered
+                        // telemetry into the globals so a live `Metrics`
+                        // poll (the serving plane's exposition path) sees
+                        // it — long-lived workers never exit, so the TLS
+                        // Drop-flush alone would hide everything.
+                        telemetry::flush_local();
+                        trace::emit(EventKind::Park, tid as u64);
+                        gate.park(|| shutdown.load(Ordering::Acquire) || !counter.is_quiescent());
+                        trace::emit(EventKind::Unpark, !counter.is_quiescent() as u64);
+                        backoff.reset();
+                    }
+                    _ => {
+                        trace::emit(EventKind::Drain, tid as u64);
+                        break;
+                    }
                 }
             }
         }
     }
+    worker.stats
 }
 
 /// Fork-join companion to [`run`]: apply `f` to near-equal chunks of
@@ -599,7 +623,10 @@ mod tests {
             spawn_batch: 64,
         };
         let mut worker = Worker::open(0, &cfg, &queue, &counter);
-        assert_eq!(worker.try_pop().map(|(task, _)| task), Some((0, 0)));
+        assert_eq!(
+            queue.pop(&mut worker.session).map(|(task, _)| task),
+            Some((0, 0))
+        );
         assert_eq!(
             queue.len(),
             0,

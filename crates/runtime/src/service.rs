@@ -7,7 +7,9 @@
 //! not workers (connection readers in `rsched-serve`, load generators),
 //! and "empty" means *idle, wait for traffic*, not *done*. This module
 //! provides that shape on top of the exact same [`Scheduler`] /
-//! [`Worker`] machinery:
+//! [`Worker`] machinery — the service's workers run the one worker loop
+//! of [`crate::pool`], with an idle policy that parks instead of
+//! exiting:
 //!
 //! * [`service`] starts `cfg.threads` detached workers over an
 //!   `Arc<S>` and returns a [`ServiceHandle`].
@@ -20,9 +22,9 @@
 //!   them.
 //! * Idle workers park on a condvar (`IdleGate`) **only when the pool
 //!   is quiescent**; an injection wakes one parked worker. While tasks
-//!   are in flight anywhere, a worker that missed a pop spins/yields
-//!   exactly like the closed-loop pool — parking there would add a
-//!   wakeup latency cliff to every task tail.
+//!   are in flight anywhere, a worker that missed a pop spins/yields in
+//!   the same loop code as a closed-loop worker — parking there would
+//!   add a wakeup latency cliff to every task tail.
 //! * [`ServiceHandle::shutdown`] + [`ServiceHandle::join`] implement
 //!   graceful drain: workers exit only once shutdown is flagged **and**
 //!   the pool is quiescent, so every task injected before `shutdown`
@@ -36,13 +38,11 @@
 //! to the counter but still migrating between shards).
 
 use crate::pool::{
-    join_workers, PoolStats, RuntimeConfig, Scheduler, TaskOutcome, Worker, WorkerStats,
+    push_announced, retract_flush, worker_loop, Idle, PoolStats, RuntimeConfig, Scheduler,
+    TaskOutcome, Worker, WorkerStats,
 };
 use crate::termination::ActiveCounter;
-use crossbeam::utils::Backoff;
-use rsched_queues::telemetry;
-use rsched_queues::trace::{self, EventKind};
-use rsched_queues::{SessionConfig, SessionPush};
+use rsched_queues::SessionConfig;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 /// Condvar gate idle workers park on while the pool is quiescent.
 #[derive(Debug, Default)]
-struct IdleGate {
+pub(crate) struct IdleGate {
     lock: Mutex<()>,
     cv: Condvar,
 }
@@ -67,7 +67,7 @@ impl IdleGate {
     /// the timeout, or `wake_now` already holding: the recheck happens
     /// under the gate lock, so a notifier that takes the lock after us
     /// cannot slip between our check and our wait.
-    fn park(&self, wake_now: impl Fn() -> bool) {
+    pub(crate) fn park(&self, wake_now: impl Fn() -> bool) {
         let guard = self.lock.lock().expect("idle gate poisoned");
         if wake_now() {
             return;
@@ -133,17 +133,16 @@ impl<P: Copy, S: Scheduler<P> + ?Sized> Injector<P, S> {
         if self.core.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        // Announce before pushing — same protocol as `Worker::spawn` —
-        // so a concurrent drain sees the task before it is poppable.
-        self.core.counter.task_added();
-        trace::emit(EventKind::TaskInject, item as u64);
-        let out = self.core.queue.push(&mut self.session, item, prio);
-        match out.push {
-            SessionPush::Inserted | SessionPush::Buffered => {}
-            SessionPush::Merged => self.core.counter.task_done(),
-        }
-        self.core.counter.tasks_done(out.flushed.merged);
-        self.core.idle.wake_one();
+        // Announced before it is poppable, so a concurrent drain sees it.
+        let core = &*self.core;
+        push_announced(
+            &*core.queue,
+            &mut self.session,
+            core.counter.shared_slot(),
+            item,
+            prio,
+        );
+        core.idle.wake_one();
         true
     }
 
@@ -159,7 +158,7 @@ impl<P: Copy, S: Scheduler<P> + ?Sized> Drop for Injector<P, S> {
         // spawn_batch is 1, so the session buffer is empty; the flush is
         // defensive against future batching injectors.
         let report = self.core.queue.flush(&mut self.session);
-        self.core.counter.tasks_done(report.merged);
+        retract_flush(self.core.counter.shared_slot(), report);
         if report.published > 0 {
             self.core.idle.wake_all();
         }
@@ -190,11 +189,6 @@ where
         }
     }
 
-    /// Tasks queued or in flight right now.
-    pub fn in_flight(&self) -> usize {
-        self.core.counter.active()
-    }
-
     /// Flag the pool to drain: workers finish everything injected so
     /// far, then exit. Idempotent; injections from here on are refused.
     pub fn shutdown(&self) {
@@ -210,22 +204,8 @@ where
     /// explicit windows via `rsched_queues::telemetry::{reset, capture}`.
     pub fn join(self) -> PoolStats {
         self.shutdown();
-        let per_worker = join_workers(self.workers.into_iter().map(|h| h.join()).collect());
-        debug_assert!(self.core.counter.is_quiescent());
-        let mut total = WorkerStats::default();
-        for w in &per_worker {
-            total.merge(w);
-        }
-        let wall = self.started.elapsed();
-        // Drained and joined: a consistent flight-recorder boundary,
-        // same as the end of a closed-loop `run`.
-        trace::export_if_configured();
-        PoolStats {
-            total,
-            per_worker,
-            wall,
-            total_wall: wall,
-        }
+        let joined = self.workers.into_iter().map(|h| h.join()).collect();
+        PoolStats::drained(joined, &self.core.counter, self.started.elapsed())
     }
 }
 
@@ -283,7 +263,13 @@ where
             let handler = Arc::clone(&handler);
             std::thread::Builder::new()
                 .name(format!("rsched-serve-worker-{tid}"))
-                .spawn(move || service_worker_loop(tid, &core, &*handler))
+                .spawn(move || {
+                    let idle = Idle::Park {
+                        gate: &core.idle,
+                        shutdown: &core.shutdown,
+                    };
+                    worker_loop(tid, &core.cfg, &*core.queue, &core.counter, &*handler, idle)
+                })
                 .expect("spawning service worker")
         })
         .collect();
@@ -292,67 +278,6 @@ where
         workers,
         started: Instant::now(),
     }
-}
-
-fn service_worker_loop<P, S, F>(tid: usize, core: &ServiceCore<P, S>, handler: &F) -> WorkerStats
-where
-    P: Copy,
-    S: Scheduler<P> + ?Sized,
-    F: Fn(&mut Worker<'_, P, S>, usize, P) -> TaskOutcome,
-{
-    let mut worker = Worker::open(tid, &core.cfg, &*core.queue, &core.counter);
-    let backoff = Backoff::new();
-    let blocked = Backoff::new();
-    loop {
-        match worker.try_pop() {
-            Some(((item, prio), source)) => {
-                backoff.reset();
-                // Per-op duration ticks, read by the `Metrics` reply.
-                let op_start = Instant::now();
-                worker.execute_popped(handler, item, prio, source, &blocked);
-                telemetry::record(
-                    telemetry::OpHist::Tick,
-                    op_start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
-            }
-            None => {
-                if worker.flush_on_miss() {
-                    continue;
-                }
-                let quiescent = worker.counter().is_quiescent();
-                if quiescent && core.shutdown.load(Ordering::Acquire) {
-                    trace::emit(EventKind::Drain, tid as u64);
-                    break;
-                }
-                // A panicked worker never finishes its task, so
-                // quiescence would never come.
-                if worker.counter().is_poisoned() {
-                    break;
-                }
-                if quiescent {
-                    // About to go idle: fold this worker's buffered
-                    // telemetry into the globals so a live `Metrics`
-                    // poll (the serving plane's exposition path) sees
-                    // it — long-lived workers never exit, so the TLS
-                    // Drop-flush alone would hide everything.
-                    telemetry::flush_local();
-                    trace::emit(EventKind::Park, tid as u64);
-                    // Idle open system: park until an injection (or the
-                    // timeout backstop) instead of burning a core.
-                    core.idle.park(|| {
-                        core.shutdown.load(Ordering::Acquire) || !core.counter.is_quiescent()
-                    });
-                    trace::emit(EventKind::Unpark, !core.counter.is_quiescent() as u64);
-                    backoff.reset();
-                } else {
-                    // Work is in flight somewhere — same spin/yield as
-                    // the closed-loop pool.
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-    worker.stats
 }
 
 #[cfg(test)]
@@ -404,6 +329,71 @@ mod tests {
         assert_eq!(stats.total.executed, n as u64);
         assert!(done.iter().all(|d| d.load(Ordering::Acquire)));
         assert_eq!(stats.per_worker.len(), 3);
+    }
+
+    /// `handle.join()` on a helper thread: fails instead of hanging when
+    /// the drain does not finish within `limit`.
+    fn join_within<S>(handle: ServiceHandle<u64, S>, limit: Duration) -> PoolStats
+    where
+        S: Scheduler<u64> + Send + Sync + 'static,
+    {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.join());
+        });
+        rx.recv_timeout(limit)
+            .expect("join did not drain the pool in time")
+    }
+
+    #[test]
+    fn service_drains_buffered_spawns_and_blocked_requeues_exactly() {
+        // A chain: task t is blocked until t - 1 ran, so most pops
+        // re-queue through an 8-slot spawn buffer, and two threads
+        // inject the chain's halves.
+        let n = 300usize;
+        let done: Arc<Vec<ABool>> = Arc::new((0..n).map(|_| ABool::new(false)).collect());
+        let queue = Arc::new(QueueBuilder::new(8).universe(n).multiqueue::<u64>());
+        let handle = {
+            let done = Arc::clone(&done);
+            service(
+                queue,
+                RuntimeConfig {
+                    threads: 2,
+                    seed: 13,
+                    spawn_batch: 8,
+                },
+                move |_, item, _| {
+                    if item > 0 && !done[item - 1].load(Ordering::Acquire) {
+                        return TaskOutcome::Blocked;
+                    }
+                    let was = done[item].swap(true, Ordering::AcqRel);
+                    assert!(!was, "task {item} executed twice");
+                    TaskOutcome::Executed
+                },
+            )
+        };
+        std::thread::scope(|scope| {
+            for part in 0..2 {
+                let handle = &handle;
+                scope.spawn(move || {
+                    let mut inj = handle.injector();
+                    for i in (part..n).step_by(2) {
+                        assert!(inj.inject(i, i as u64));
+                    }
+                });
+            }
+        });
+        let t = join_within(handle, Duration::from_secs(30)).total;
+        assert_eq!(t.executed, n as u64, "join must drain the chain exactly");
+        assert!(done.iter().all(|d| d.load(Ordering::Acquire)));
+        assert!(t.extra > 0, "a chain must block under relaxation");
+        assert_eq!(t.pops, t.executed + t.extra + t.stale);
+        assert_eq!(
+            t.pops,
+            // Every injected or spawned element is popped or merged away.
+            n as u64 + t.spawned - t.merged,
+            "announced elements and pops disagree"
+        );
     }
 
     #[test]

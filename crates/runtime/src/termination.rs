@@ -10,7 +10,7 @@
 //! workspace shares; it used to live in `rsched-core::parallel` and moved
 //! here when the runtime became the single concurrency substrate.
 
-use crossbeam::utils::{Backoff, CachePadded};
+use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One monotone `(added, done)` pair of an [`ActiveCounter`], on a cache
@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub(crate) struct CounterSlot {
     added: AtomicU64,
     done: AtomicU64,
+    /// `true` for the shared slot, which any thread may update.
+    shared: bool,
 }
 
 impl CounterSlot {
@@ -30,17 +32,25 @@ impl CounterSlot {
     //
     // A worker slot has one writer — the worker thread that
     // [`ActiveCounter::slot`] handed it to — so its updates are plain
-    // load-then-store, not read-modify-writes.
+    // load-then-store; only the shared slot pays for read-modify-writes.
+    #[inline]
+    fn bump(&self, value: &AtomicU64, n: u64) {
+        if self.shared {
+            value.fetch_add(n, Ordering::Release);
+        } else {
+            let v = value.load(Ordering::Relaxed);
+            value.store(v + n, Ordering::Release);
+        }
+    }
+
     #[inline]
     pub(crate) fn task_added(&self) {
-        let n = self.added.load(Ordering::Relaxed);
-        self.added.store(n + 1, Ordering::Release);
+        self.bump(&self.added, 1);
     }
 
     #[inline]
     pub(crate) fn tasks_done(&self, n: u64) {
-        let d = self.done.load(Ordering::Relaxed);
-        self.done.store(d + n, Ordering::Release);
+        self.bump(&self.done, n);
     }
 }
 
@@ -52,9 +62,9 @@ impl CounterSlot {
 /// 2. after popping a task, process it (pushing any children, each preceded
 ///    by its own `task_added`), then call
 ///    [`task_done`](ActiveCounter::task_done);
-/// 3. a worker whose pop returned `None` calls
-///    [`wait_or_quiescent`](ActiveCounter::wait_or_quiescent); `true` means
-///    globally done, `false` means "retry popping".
+/// 3. a worker whose pop returned `None` checks
+///    [`is_quiescent`](ActiveCounter::is_quiescent): `true` means
+///    globally done, `false` means "back off and retry popping".
 ///
 /// The count is kept as monotone `(added, done)` pairs, one cache-padded
 /// slot per pool worker plus one shared slot for everyone else (seeders,
@@ -103,7 +113,14 @@ impl ActiveCounter {
     /// `workers` pool workers.
     pub fn for_workers(workers: usize) -> Self {
         Self {
-            slots: (0..=workers).map(|_| CachePadded::default()).collect(),
+            slots: (0..=workers)
+                .map(|i| {
+                    CachePadded::new(CounterSlot {
+                        shared: i == 0,
+                        ..CounterSlot::default()
+                    })
+                })
+                .collect(),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -124,10 +141,15 @@ impl ActiveCounter {
         &self.slots[1 + tid]
     }
 
+    /// The shared slot, for every announcer that is not a pool worker.
+    pub(crate) fn shared_slot(&self) -> &CounterSlot {
+        &self.slots[0]
+    }
+
     /// Announce a task about to be queued.
     #[inline]
     pub fn task_added(&self) {
-        self.slots[0].added.fetch_add(1, Ordering::Release);
+        self.slots[0].task_added();
     }
 
     /// Announce completion of a popped task (after its children, if any,
@@ -143,7 +165,7 @@ impl ActiveCounter {
     #[inline]
     pub fn tasks_done(&self, n: u64) {
         if n > 0 {
-            self.slots[0].done.fetch_add(n, Ordering::Release);
+            self.slots[0].tasks_done(n);
         }
     }
 
@@ -171,22 +193,12 @@ impl ActiveCounter {
     pub fn is_quiescent(&self) -> bool {
         self.active() == 0
     }
-
-    /// Back off briefly; returns `true` if the pool is quiescent (caller
-    /// should terminate), `false` to retry popping.
-    #[inline]
-    pub fn wait_or_quiescent(&self, backoff: &Backoff) -> bool {
-        if self.is_quiescent() {
-            return true;
-        }
-        backoff.snooze();
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::utils::Backoff;
 
     #[test]
     fn counter_roundtrip() {
@@ -245,9 +257,10 @@ mod tests {
                                 counter.task_done();
                             }
                             None => {
-                                if counter.wait_or_quiescent(&backoff) {
+                                if counter.is_quiescent() {
                                     break;
                                 }
+                                backoff.snooze();
                             }
                         }
                     }

@@ -85,7 +85,7 @@ use crate::codec::{
     decode_request, encode_response, read_frame, CompletedV2, HelloAck, MetricsReply, RejectCode,
     Request, Response, SubmitV2, FEAT_EDF, PROTO_V2,
 };
-use rsched_queues::telemetry::{self, HistSnapshot, PowHistogram};
+use rsched_queues::telemetry::{self, HistSnapshot, OpHist, PowHistogram};
 use rsched_queues::trace::{self, EventKind};
 use rsched_queues::QueueBuilder;
 use rsched_runtime::pool::Scheduler;
@@ -659,8 +659,10 @@ impl Server {
                 move |w, slot, _| {
                     let started = Instant::now();
                     complete_task(&shared, slot, true);
-                    shared.busy_ns[w.tid]
-                        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    let ns = started.elapsed().as_nanos() as u64;
+                    shared.busy_ns[w.tid].fetch_add(ns, Ordering::Relaxed);
+                    // One duration tick per executed task, read by `Metrics`.
+                    telemetry::record(OpHist::Tick, ns);
                     TaskOutcome::Executed
                 },
             ))
