@@ -37,7 +37,7 @@
 //! [`WorkerStats::home_hits`] / [`WorkerStats::steals`].
 
 use crate::service::IdleGate;
-use crate::termination::{ActiveCounter, CounterSlot};
+use crate::termination::{ActiveCounter, Announce, CounterSlot};
 use crossbeam::utils::Backoff;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -347,7 +347,7 @@ impl<P: Copy, S: Scheduler<P> + ?Sized> Drop for Worker<'_, P, S> {
 pub(crate) fn push_announced<P: Copy, S: Scheduler<P> + ?Sized>(
     queue: &S,
     session: &mut S::Session,
-    slot: &CounterSlot,
+    slot: &impl Announce,
     item: usize,
     prio: P,
 ) -> u64 {
@@ -364,7 +364,7 @@ pub(crate) fn push_announced<P: Copy, S: Scheduler<P> + ?Sized>(
 /// Fold a flush report into the termination counter: parked elements
 /// were presumed net-new when announced; the ones that merged retract
 /// their announcement on `slot` now. Returns how many merged.
-pub(crate) fn retract_flush(slot: &CounterSlot, report: FlushReport) -> u64 {
+pub(crate) fn retract_flush(slot: &impl Announce, report: FlushReport) -> u64 {
     if report.merged > 0 {
         slot.tasks_done(report.merged);
     }
@@ -441,11 +441,10 @@ where
             ..cfg.session_config(0)
         };
         let mut seeder = queue.open_session(&seed_cfg);
-        let shared = counter.shared_slot();
         for (item, prio) in initial {
-            push_announced(queue, &mut seeder, shared, item, prio);
+            push_announced(queue, &mut seeder, &counter, item, prio);
         }
-        retract_flush(shared, queue.flush(&mut seeder));
+        retract_flush(&counter, queue.flush(&mut seeder));
     }
     let start = Instant::now();
     let joined = std::thread::scope(|scope| {

@@ -135,13 +135,7 @@ impl<P: Copy, S: Scheduler<P> + ?Sized> Injector<P, S> {
         }
         // Announced before it is poppable, so a concurrent drain sees it.
         let core = &*self.core;
-        push_announced(
-            &*core.queue,
-            &mut self.session,
-            core.counter.shared_slot(),
-            item,
-            prio,
-        );
+        push_announced(&*core.queue, &mut self.session, &core.counter, item, prio);
         core.idle.wake_one();
         true
     }
@@ -158,7 +152,7 @@ impl<P: Copy, S: Scheduler<P> + ?Sized> Drop for Injector<P, S> {
         // spawn_batch is 1, so the session buffer is empty; the flush is
         // defensive against future batching injectors.
         let report = self.core.queue.flush(&mut self.session);
-        retract_flush(self.core.counter.shared_slot(), report);
+        retract_flush(&self.core.counter, report);
         if report.published > 0 {
             self.core.idle.wake_all();
         }

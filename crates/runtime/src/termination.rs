@@ -19,11 +19,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub(crate) struct CounterSlot {
     added: AtomicU64,
     done: AtomicU64,
-    /// `true` for the shared slot, which any thread may update.
-    shared: bool,
 }
 
-impl CounterSlot {
+/// Where a push announces its element, and retracts the announcement
+/// if the element merged: a pool worker's own [`CounterSlot`], or the
+/// [`ActiveCounter`] itself, whose methods update its shared slot.
+pub(crate) trait Announce {
+    fn task_added(&self);
+    fn tasks_done(&self, n: u64);
+}
+
+impl Announce for CounterSlot {
     // `Release` on every update: a reader that observes a task's `done`
     // also observes every `added` its handler made before finishing
     // (and, through the queue's own synchronization, the `added` of the
@@ -32,25 +38,29 @@ impl CounterSlot {
     //
     // A worker slot has one writer — the worker thread that
     // [`ActiveCounter::slot`] handed it to — so its updates are plain
-    // load-then-store; only the shared slot pays for read-modify-writes.
+    // load-then-store, not read-modify-writes.
     #[inline]
-    fn bump(&self, value: &AtomicU64, n: u64) {
-        if self.shared {
-            value.fetch_add(n, Ordering::Release);
-        } else {
-            let v = value.load(Ordering::Relaxed);
-            value.store(v + n, Ordering::Release);
-        }
+    fn task_added(&self) {
+        let n = self.added.load(Ordering::Relaxed);
+        self.added.store(n + 1, Ordering::Release);
     }
 
     #[inline]
-    pub(crate) fn task_added(&self) {
-        self.bump(&self.added, 1);
+    fn tasks_done(&self, n: u64) {
+        let d = self.done.load(Ordering::Relaxed);
+        self.done.store(d + n, Ordering::Release);
+    }
+}
+
+impl Announce for ActiveCounter {
+    #[inline]
+    fn task_added(&self) {
+        ActiveCounter::task_added(self);
     }
 
     #[inline]
-    pub(crate) fn tasks_done(&self, n: u64) {
-        self.bump(&self.done, n);
+    fn tasks_done(&self, n: u64) {
+        ActiveCounter::tasks_done(self, n);
     }
 }
 
@@ -113,14 +123,7 @@ impl ActiveCounter {
     /// `workers` pool workers.
     pub fn for_workers(workers: usize) -> Self {
         Self {
-            slots: (0..=workers)
-                .map(|i| {
-                    CachePadded::new(CounterSlot {
-                        shared: i == 0,
-                        ..CounterSlot::default()
-                    })
-                })
-                .collect(),
+            slots: (0..=workers).map(|_| CachePadded::default()).collect(),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -141,15 +144,10 @@ impl ActiveCounter {
         &self.slots[1 + tid]
     }
 
-    /// The shared slot, for every announcer that is not a pool worker.
-    pub(crate) fn shared_slot(&self) -> &CounterSlot {
-        &self.slots[0]
-    }
-
     /// Announce a task about to be queued.
     #[inline]
     pub fn task_added(&self) {
-        self.slots[0].task_added();
+        self.slots[0].added.fetch_add(1, Ordering::Release);
     }
 
     /// Announce completion of a popped task (after its children, if any,
@@ -165,7 +163,7 @@ impl ActiveCounter {
     #[inline]
     pub fn tasks_done(&self, n: u64) {
         if n > 0 {
-            self.slots[0].tasks_done(n);
+            self.slots[0].done.fetch_add(n, Ordering::Release);
         }
     }
 
